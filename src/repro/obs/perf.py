@@ -168,30 +168,19 @@ def _make_trace_gen(scale: float, seed: int):
 
 def _make_cache_walk(scale: float, seed: int):
     from repro.uarch import XEON_E5645
-    from repro.uarch.tlb import LINES_PER_PAGE
+    from repro.uarch.tlb import tlb_misses
     from repro.uarch.trace import generate_data_trace, generate_fetch_trace
 
     profile = _micro_profile(scale, seed)
-    fetch = generate_fetch_trace(
-        profile.code, _MICRO_FETCH_LINES, seed=seed
-    ).tolist()
-    data = generate_data_trace(
-        profile.data, _MICRO_DATA_LINES, seed=seed + 1
-    ).tolist()
+    fetch = generate_fetch_trace(profile.code, _MICRO_FETCH_LINES, seed=seed)
+    data = generate_data_trace(profile.data, _MICRO_DATA_LINES, seed=seed + 1)
 
     def run() -> Dict[str, float]:
         hierarchy = XEON_E5645.make_hierarchy()
-        itlb = XEON_E5645.make_itlb()
-        dtlb = XEON_E5645.make_dtlb()
-        for line in fetch:
-            hierarchy.fetch(line)
-            itlb.access(line // LINES_PER_PAGE)
-        for line in data:
-            hierarchy.load_store(line)
-            dtlb.access(line // LINES_PER_PAGE)
+        hierarchy.walk(fetch, data)
         payload = {
-            "tlb.itlb_misses": float(itlb.misses),
-            "tlb.dtlb_misses": float(dtlb.misses),
+            "tlb.itlb_misses": float(tlb_misses(fetch, XEON_E5645.itlb)),
+            "tlb.dtlb_misses": float(tlb_misses(data, XEON_E5645.dtlb)),
         }
         for stats in hierarchy.stats():
             payload[f"cache.{stats.name}.misses"] = float(stats.misses)
@@ -254,7 +243,7 @@ _MICRO_TARGETS = (
     BenchTarget(
         "uarch.cache-walk",
         "cache-hierarchy and TLB walk over pre-generated traces "
-        "(hierarchy.fetch / load_store inner loop)",
+        "(CacheHierarchy.walk / tlb_misses on the lru_hits kernel)",
         "micro",
         _make_cache_walk,
     ),
@@ -711,8 +700,8 @@ def update_budgets(
     """Rewrite the budget manifest from the latest bench records.
 
     Preserves per-target ``hot_functions`` and ``note`` annotations of
-    an existing manifest; targets without a usable bench record keep
-    their old entry untouched.
+    an existing manifest; targets without a usable bench record, and
+    targets left out of ``targets``, keep their old entry untouched.
     """
     previous: Dict[str, dict] = {}
     if os.path.isfile(path):
@@ -725,13 +714,11 @@ def update_budgets(
             name for name in bench_targets()
         }
     )
-    budgets: Dict[str, dict] = {}
+    budgets: Dict[str, dict] = dict(previous)
     for name in names:
         record = registry.latest(bench_experiment(name))
         stats = stats_from_timings(record.timings) if record else None
         if stats is None:
-            if name in previous:
-                budgets[name] = previous[name]
             continue
         entry = dict(stats)
         entry["scale"] = record.provenance.get("scale")

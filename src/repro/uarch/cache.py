@@ -1,14 +1,25 @@
-"""Set-associative cache simulation.
+"""Set-associative LRU cache simulation.
 
-A straightforward trace-driven LRU model: the same machinery serves the
-perf-counter pipeline (L1I/L1D/L2/L3 MPKI of Figure 4) and the MARSSx86-
-style capacity sweeps of Figures 6-9.
+Two models of the same LRU cache, which agree on every reference:
+
+- :func:`lru_hits` computes the hit/miss outcome of a whole trace at once
+  with array operations, from an exact recurrence over reuse order (see
+  its docstring).  The hierarchy walk of :class:`CacheHierarchy` (the
+  L1I/L1D/L2/L3 MPKI of Figure 4), the TLBs and the capacity sweeps of
+  Figures 6-9 all run on it.
+- :class:`SetAssociativeCache` keeps explicit per-set LRU state and
+  handles one access at a time.  It serves callers that interleave
+  references with decisions (the prefetchers of
+  :mod:`repro.uarch.prefetch`) and is the reference the kernel is tested
+  against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from repro.uarch.profile import LINE_BYTES
 
@@ -111,6 +122,91 @@ class SetAssociativeCache:
         self.reset_stats()
 
 
+def lru_hits(lines: Sequence[int], num_sets: int, ways: int) -> np.ndarray:
+    """Hit mask of a cold ``num_sets`` x ``ways`` LRU cache fed ``lines``.
+
+    Exactly the outcomes :meth:`SetAssociativeCache.access` returns for
+    the same references, computed without a Python loop over them:
+
+    1. A reference that repeats the one just before it (in its set) is a
+       hit and leaves the LRU order unchanged, so such references are
+       marked hits and dropped.
+    2. The rest are stable-sorted by set; every later step runs on that
+       order, in which each set's references are contiguous and keep
+       their trace order.  Let ``p(i)`` be the position of the previous
+       reference to the same line (or below every position if none) and
+       ``A_k(i)`` the position of the last reference to the k-th most
+       recently used distinct line of the set just before ``i`` (or
+       ``set_start - 1`` when the set holds fewer than ``k`` lines).
+    3. Reference ``i`` hits iff its line is among the ``ways`` most
+       recent, i.e. iff ``p(i) >= A_ways(i)``.
+    4. ``A_1(i) = i - 1``.  Referencing line ``y`` at ``i - 1`` moves it
+       to the top and shifts down exactly the lines used more recently
+       than ``y``, so ``A_k(i) = A_{k-1}(i-1)`` if ``p(i-1) < A_{k-1}(i-1)``
+       and ``A_k(i - 1)`` otherwise.  Within a set ``A_k`` never
+       decreases, so it is the running maximum of the values that rule
+       assigns; each level is one ``np.maximum.accumulate``, floored at
+       ``set_start - 1`` (every position of an earlier set is below it).
+
+    Cost: two sorts plus ``O(n * ways)`` array work.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    hits = np.ones(len(lines), dtype=bool)
+    if len(lines) == 0:
+        return hits
+    sets = lines % num_sets
+    if num_sets <= 1 << 16:
+        # Stable sorts of 16-bit keys are radix sorts.
+        sets = sets.astype(np.uint16)
+    order = np.argsort(sets, kind="stable")
+    del sets
+    seq = lines[order]
+    keep = np.empty(len(seq), dtype=bool)
+    keep[0] = True
+    np.not_equal(seq[1:], seq[:-1], out=keep[1:])
+    order = order[keep]
+    seq = seq[keep]
+    del keep
+    n = len(seq)
+    index = np.int32 if n < 2**31 else np.int64
+    position = np.arange(n, dtype=index)
+
+    # p(i), and p(i - 1) shifted into place for the recurrence.
+    by_line = np.argsort(seq, kind="stable").astype(index)
+    repeat = seq[by_line[1:]] == seq[by_line[:-1]]
+    previous = np.full(n, -2, dtype=index)
+    previous[by_line[1:][repeat]] = by_line[:-1][repeat]
+    del by_line, repeat
+    previous_before = np.empty(n, dtype=index)
+    previous_before[0] = -2
+    previous_before[1:] = previous[:-1]
+
+    set_ids = seq % num_sets
+    floor = np.zeros(n, dtype=index)
+    floor[1:] = np.where(set_ids[1:] != set_ids[:-1], position[1:], 0)
+    np.maximum.accumulate(floor, out=floor)
+    floor -= 1
+    del seq, set_ids
+
+    recent = position - 1  # A_1
+    before = np.empty(n, dtype=index)
+    for _ in range(ways - 1):
+        before[0] = -1
+        before[1:] = recent[:-1]
+        recent = np.where(previous_before < before, before, floor)
+        np.maximum.accumulate(recent, out=recent)
+    hits[order] = previous >= recent
+    return hits
+
+
+def lru_misses(lines: Sequence[int], num_sets: int, ways: int,
+               start: int = 0) -> int:
+    """Misses among ``lines[start:]`` of a cold LRU cache fed all of
+    ``lines`` (the first ``start`` references only warm it)."""
+    hits = lru_hits(lines, num_sets, ways)[start:]
+    return len(hits) - int(np.count_nonzero(hits))
+
+
 @dataclass
 class LevelStats:
     """Access/miss statistics for one level of a hierarchy."""
@@ -130,6 +226,33 @@ class LevelStats:
         return 1000.0 * self.misses / instructions
 
 
+@dataclass
+class CacheLevel:
+    """One level of a :class:`CacheHierarchy`: its geometry and the
+    measured-phase counts of the last walk."""
+
+    config: CacheConfig
+    hits: int = 0
+    misses: int = 0
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.misses
+
+    def hit_mask(self, lines: np.ndarray) -> np.ndarray:
+        """:func:`lru_hits` of ``lines`` through this level, cold."""
+        return lru_hits(lines, self.config.num_sets, self.config.ways)
+
+    def count(self, hits: np.ndarray) -> None:
+        """Set the counts from the hit mask of the measured references."""
+        self.hits = int(np.count_nonzero(hits))
+        self.misses = len(hits) - self.hits
+
+
+#: Where an L1 miss was served from, as stored in the walk's fill array.
+_FILL_SOURCES = ("l2", "l3", "mem")
+
+
 class CacheHierarchy:
     """L1I + L1D backed by a unified L2 and a shared L3.
 
@@ -145,41 +268,61 @@ class CacheHierarchy:
         l2: CacheConfig,
         l3: Optional[CacheConfig] = None,
     ):
-        self.l1i = SetAssociativeCache(l1i)
-        self.l1d = SetAssociativeCache(l1d)
-        self.l2 = SetAssociativeCache(l2)
-        self.l3 = SetAssociativeCache(l3) if l3 is not None else None
-        self.offcore_accesses = 0
-        # Per-source refill accounting: where instruction-side and
-        # data-side L1 misses were ultimately served from.  Keys are
-        # ("l2" | "l3" | "mem"); the pipeline model weights each by its
-        # latency.
-        self.fetch_fills = {"l2": 0, "l3": 0, "mem": 0}
-        self.data_fills = {"l2": 0, "l3": 0, "mem": 0}
+        self.l1i = CacheLevel(l1i)
+        self.l1d = CacheLevel(l1d)
+        self.l2 = CacheLevel(l2)
+        self.l3 = CacheLevel(l3) if l3 is not None else None
+        self.reset_stats()
 
-    def fetch(self, line: int) -> None:
-        """Instruction fetch of one cache line."""
-        if not self.l1i.access(line):
-            self._fill_from_l2(line, self.fetch_fills)
+    def walk(
+        self,
+        fetch: Sequence[int],
+        data: Sequence[int],
+        fetch_warm: int = 0,
+        data_warm: int = 0,
+        llc_prewarm: Sequence[int] = (),
+    ) -> None:
+        """Play a fetch and a data line stream through cold caches.
 
-    def load_store(self, line: int) -> None:
-        """Data reference of one cache line."""
-        if not self.l1d.access(line):
-            self._fill_from_l2(line, self.data_fills)
-
-    def _fill_from_l2(self, line: int, fills: dict) -> None:
-        if self.l2.access(line):
-            fills["l2"] += 1
-            return
-        if self.l3 is None:
-            fills["mem"] += 1
-            self.offcore_accesses += 1
-            return
-        if self.l3.access(line):
-            fills["l3"] += 1
-        else:
-            fills["mem"] += 1
-            self.offcore_accesses += 1
+        The order is the one a per-access walk of a warm-up phase and a
+        measured phase makes: the first ``fetch_warm`` fetches, the first
+        ``data_warm`` data references, then the remaining fetches and
+        the remaining data references.  Each L1 sees its whole stream;
+        L2 sees the L1 misses in that order; L3 (if any) first sees the
+        ``llc_prewarm`` lines, then the L2 misses.  Every counter is
+        replaced by the counts of the measured phase alone.
+        """
+        fetch = np.asarray(fetch, dtype=np.int64)
+        data = np.asarray(data, dtype=np.int64)
+        l1i_hits = self.l1i.hit_mask(fetch)
+        l1d_hits = self.l1d.hit_mask(data)
+        l1_misses = [
+            fetch[:fetch_warm][~l1i_hits[:fetch_warm]],
+            data[:data_warm][~l1d_hits[:data_warm]],
+            fetch[fetch_warm:][~l1i_hits[fetch_warm:]],
+            data[data_warm:][~l1d_hits[data_warm:]],
+        ]
+        warm_end = len(l1_misses[0]) + len(l1_misses[1])
+        fetch_end = warm_end + len(l1_misses[2])
+        l2_stream = np.concatenate(l1_misses)
+        del l1_misses
+        l2_hits = self.l2.hit_mask(l2_stream)
+        # Per L2 access: index into _FILL_SOURCES of where it was served.
+        served = np.where(l2_hits, 0, 2).astype(np.int8)
+        if self.l3 is not None:
+            prewarm = np.asarray(llc_prewarm, dtype=np.int64)
+            l3_hits = self.l3.hit_mask(
+                np.concatenate([prewarm, l2_stream[~l2_hits]])
+            )[len(prewarm):]
+            served[~l2_hits] = np.where(l3_hits, 1, 2)
+            measured = served[warm_end:]
+            self.l3.count(measured[measured != 0] == 1)
+        self.l1i.count(l1i_hits[fetch_warm:])
+        self.l1d.count(l1d_hits[data_warm:])
+        self.l2.count(l2_hits[warm_end:])
+        self.fetch_fills = _count_fills(served[warm_end:fetch_end])
+        self.data_fills = _count_fills(served[fetch_end:])
+        self.offcore_accesses = self.fetch_fills["mem"] + self.data_fills["mem"]
 
     def stats(self) -> List[LevelStats]:
         """Per-level statistics, L1I first."""
@@ -193,10 +336,19 @@ class CacheHierarchy:
         return levels
 
     def reset_stats(self) -> None:
-        """Zero every level's counters (cache contents are preserved)."""
-        for cache in (self.l1i, self.l1d, self.l2, self.l3):
-            if cache is not None:
-                cache.reset_stats()
+        """Zero every level's counters."""
+        for level in (self.l1i, self.l1d, self.l2, self.l3):
+            if level is not None:
+                level.hits = level.misses = 0
         self.offcore_accesses = 0
-        self.fetch_fills = {"l2": 0, "l3": 0, "mem": 0}
-        self.data_fills = {"l2": 0, "l3": 0, "mem": 0}
+        # Per-source refill accounting: where instruction-side and
+        # data-side L1 misses were ultimately served from.  Keys are
+        # ("l2" | "l3" | "mem"); the pipeline model weights each by its
+        # latency.
+        self.fetch_fills = {source: 0 for source in _FILL_SOURCES}
+        self.data_fills = {source: 0 for source in _FILL_SOURCES}
+
+
+def _count_fills(served: np.ndarray) -> Dict[str, int]:
+    counts = np.bincount(served, minlength=len(_FILL_SOURCES))
+    return {source: int(n) for source, n in zip(_FILL_SOURCES, counts)}

@@ -31,7 +31,7 @@ from repro.uarch.trace import (
     generate_data_trace,
     generate_fetch_trace,
 )
-from repro.uarch.tlb import LINES_PER_PAGE
+from repro.uarch.tlb import tlb_misses
 
 #: Mean retired instructions represented by one fetch-line reference
 #: (x86 packs ~16 four-byte instructions per line; taken branches cut
@@ -321,51 +321,31 @@ def characterize(
         profile.data, n_data_warm + n_data, seed=seed + 1
     )
 
-    hierarchy = platform.make_hierarchy()
-    itlb = platform.make_itlb()
-    dtlb = platform.make_dtlb()
-
-    fetch_list = fetch_trace.tolist()
-    data_list = data_trace.tolist()
-
     # --- Resident-region LLC pre-warm ------------------------------------
     # The paper samples after a 30-second ramp-up, by which time the code
     # and resident data state have long been pulled into the last-level
     # cache.  The sampled trace window is far too short to reproduce that
     # history, so touch each resident line once in the LLC (streams stay
     # cold: their misses are genuinely compulsory).
-    if hierarchy.l3 is not None:
-        llc = hierarchy.l3
-        budget = 2 * llc.config.num_sets * llc.config.ways
+    llc_prewarm = np.zeros(0, dtype=np.int64)
+    if platform.l3 is not None:
+        budget = 2 * platform.l3.num_sets * platform.l3.ways
         prewarm_ranges = list(code_line_ranges(profile.code))
         data_ranges = data_line_ranges(profile.data)
         prewarm_ranges.append(data_ranges["hot"])
         prewarm_ranges.append(data_ranges["state"])
-        for base, n_lines in prewarm_ranges:
-            for line in range(base, base + min(n_lines, budget)):
-                llc.access(line)
-        llc.reset_stats()
+        llc_prewarm = np.concatenate([
+            np.arange(base, base + min(n_lines, budget), dtype=np.int64)
+            for base, n_lines in prewarm_ranges
+        ])
 
-    # --- Warm-up phase --------------------------------------------------
-    for line in fetch_list[:n_fetch_warm]:
-        hierarchy.fetch(line)
-        itlb.access(line // LINES_PER_PAGE)
-    for line in data_list[:n_data_warm]:
-        hierarchy.load_store(line)
-        dtlb.access(line // LINES_PER_PAGE)
-    hierarchy.reset_stats()
-    itlb_warm_misses = itlb.misses
-    dtlb_warm_misses = dtlb.misses
-
-    # --- Measured phase -------------------------------------------------
-    for line in fetch_list[n_fetch_warm:]:
-        hierarchy.fetch(line)
-        itlb.access(line // LINES_PER_PAGE)
-    for line in data_list[n_data_warm:]:
-        hierarchy.load_store(line)
-        dtlb.access(line // LINES_PER_PAGE)
-    itlb_misses = itlb.misses - itlb_warm_misses
-    dtlb_misses = dtlb.misses - dtlb_warm_misses
+    # --- Warm-up, then measured phase -------------------------------------
+    hierarchy = platform.make_hierarchy()
+    hierarchy.walk(
+        fetch_trace, data_trace, n_fetch_warm, n_data_warm, llc_prewarm
+    )
+    itlb_misses = tlb_misses(fetch_trace, platform.itlb, start=n_fetch_warm)
+    dtlb_misses = tlb_misses(data_trace, platform.dtlb, start=n_data_warm)
 
     # --- Branch predictor -----------------------------------------------
     predictor = platform.make_predictor()

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from repro.uarch.branch import HybridPredictor, Predictor, SimplePredictor
 from repro.uarch.cache import CacheConfig, CacheHierarchy
-from repro.uarch.tlb import Tlb, TlbConfig
+from repro.uarch.tlb import TlbConfig
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,6 @@ class Platform:
     def make_predictor(self) -> Predictor:
         """A fresh branch predictor for one characterization run."""
         return self.predictor_factory()
-
-    def make_itlb(self) -> Tlb:
-        return Tlb(self.itlb)
-
-    def make_dtlb(self) -> Tlb:
-        return Tlb(self.dtlb)
 
 
 #: The paper's main testbed (Table 3), micro-architectural details from

@@ -3,9 +3,10 @@
 The paper's locality study fixes an Atom-like single-core configuration
 (8-way L1 with 64-byte lines, shared 8-way L2) and sweeps the L1 size
 from 16 KB to 8192 KB, recording the miss ratio at every size.  The same
-study is reproduced here with the trace-driven
-:class:`repro.uarch.cache.SetAssociativeCache` fed by the synthetic
-instruction/data streams of :mod:`repro.uarch.trace`.
+study is reproduced here by running the synthetic instruction/data
+streams of :mod:`repro.uarch.trace` through the exact LRU kernel
+:func:`repro.uarch.cache.lru_hits`, once per swept size: the first half
+of each trace warms the cache, the second half is measured.
 
 Workloads may be simulated in *segments* (the paper samples Hadoop
 executions at Map 0-1%, Map 50-51%, Map 99-100%, Reduce 0-1% and
@@ -21,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.obs.profiler import phase
-from repro.uarch.cache import CacheConfig, SetAssociativeCache
+from repro.uarch.cache import CacheConfig, lru_misses
 from repro.uarch.profile import CodeFootprint, DataFootprint
 from repro.uarch.trace import generate_data_trace, generate_fetch_trace
 
@@ -89,18 +90,17 @@ class CacheSweepSimulator:
     def _sweep(self, name: str, trace: np.ndarray) -> SweepResult:
         """Run ``trace`` through each cache size; measure the second half."""
         half = len(trace) // 2
-        warm, measured = trace[:half].tolist(), trace[half:].tolist()
+        measured = len(trace) - half
         ratios = []
         for size_kb in self.sizes_kb:
-            cache = SetAssociativeCache(
-                CacheConfig(f"L1@{size_kb}KB", size_kb * 1024, ways=self.ways)
+            config = CacheConfig(
+                f"L1@{size_kb}KB", size_kb * 1024, ways=self.ways
             )
-            with phase("uarch.warmup"):
-                cache.run(warm)
-            cache.reset_stats()
             with phase("uarch.measure"):
-                cache.run(measured)
-            ratios.append(cache.miss_ratio)
+                misses = lru_misses(
+                    trace, config.num_sets, config.ways, start=half
+                )
+            ratios.append(misses / measured if measured else 0.0)
         return SweepResult(name=name, sizes_kb=list(self.sizes_kb), miss_ratios=ratios)
 
     def instruction_curve(

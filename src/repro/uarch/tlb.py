@@ -1,8 +1,10 @@
 """Translation look-aside buffer simulation (Figure 5 of the paper).
 
-TLBs are modelled as small set-associative caches over page numbers and
-driven by the same synthetic fetch/data streams as the cache hierarchy,
-downsampled to page granularity.
+TLBs are modelled as small set-associative LRU caches over page numbers
+and driven by the same synthetic fetch/data streams as the cache
+hierarchy, downsampled to page granularity.  :func:`tlb_misses` counts a
+whole stream's misses with the array kernel :func:`repro.uarch.cache.lru_hits`;
+:class:`Tlb` is the per-access model.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.uarch.cache import CacheConfig, SetAssociativeCache
+import numpy as np
+
+from repro.uarch.cache import CacheConfig, SetAssociativeCache, lru_misses
 from repro.uarch.profile import LINE_BYTES, PAGE_BYTES
 
 #: Cache lines per page, used to convert line traces into page traces.
@@ -36,6 +40,10 @@ class TlbConfig:
             raise ValueError("TLB geometry values must be positive")
         if self.entries % self.ways != 0:
             raise ValueError("entries must be divisible by ways")
+
+    @property
+    def num_sets(self) -> int:
+        return self.entries // self.ways
 
 
 class Tlb:
@@ -87,3 +95,10 @@ class Tlb:
 def lines_to_pages(lines: Iterable[int]) -> Iterable[int]:
     """Convert a cache-line trace to the corresponding page trace."""
     return (line // LINES_PER_PAGE for line in lines)
+
+
+def tlb_misses(lines: np.ndarray, config: TlbConfig, start: int = 0) -> int:
+    """Misses of a cold TLB among the references ``lines[start:]`` of a
+    cache-line trace (the first ``start`` references only warm it)."""
+    pages = np.asarray(lines, dtype=np.int64) // LINES_PER_PAGE
+    return lru_misses(pages, config.num_sets, config.ways, start=start)

@@ -156,9 +156,12 @@ class TestLocality:
         assert abs(hadoop[at_2mb] - parsec[at_2mb]) < 0.06
 
     def test_curves_monotone(self, result):
-        for series in result.instruction.values():
-            for small, large in zip(series, series[1:]):
-                assert large <= small + 0.01
+        # Each swept size doubles the set count at fixed associativity,
+        # so LRU inclusion makes every curve exactly non-increasing.
+        for curves in (result.instruction, result.data, result.unified):
+            for series in curves.values():
+                for small, large in zip(series, series[1:]):
+                    assert large <= small
 
 
 class TestStackImpact:

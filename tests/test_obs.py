@@ -385,9 +385,9 @@ class TestProfiler:
         finally:
             set_profiler(previous)
         assert profiler.calls("uarch.trace-gen") == 1
-        # One warmup + one measured run per swept size.
-        assert profiler.calls("uarch.warmup") == 2
+        # One kernel call (warm half + measured half) per swept size.
         assert profiler.calls("uarch.measure") == 2
+        assert profiler.phases() == ["uarch.measure", "uarch.trace-gen"]
 
 
 class TestExperimentTimings:

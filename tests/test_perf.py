@@ -284,6 +284,18 @@ class TestPerfGate:
         assert reloaded["budgets"]["toy"]["hot_functions"] == ["run"]
         assert reloaded["budgets"]["toy"]["note"] == "hand-written"
 
+    def test_update_budgets_for_some_targets_keeps_the_rest(self, tmp_path):
+        registry = bench_into(tmp_path)
+        bench_into(tmp_path, name="other")
+        budgets = str(tmp_path / "budgets.json")
+        update_budgets(registry, budgets, targets=["toy", "other"])
+        before = load_budgets(budgets)["budgets"]["other"]
+        bench_into(tmp_path, slowdown=0.5)
+        update_budgets(registry, budgets, targets=["toy"])
+        reloaded = load_budgets(budgets)["budgets"]
+        assert reloaded["other"] == before
+        assert reloaded["toy"]["median_s"] == pytest.approx(0.25)
+
 
 class TestBenchCli:
     def test_bench_records_and_perfdiff_round_trip(self, tmp_path, capsys):

@@ -14,11 +14,25 @@ from repro.uarch import (
     DataFootprint,
     characterize,
 )
+import repro.uarch.counters as counters_module
+from repro.comparison import SUITES
 from repro.uarch.branch import BranchStats
 from repro.uarch.counters import METRIC_NAMES
 from repro.uarch.isa import InstructionMix, IntBreakdown
 from repro.uarch.pipeline import estimate_mlp, model_pipeline
-from repro.uarch.tlb import Tlb, TlbConfig, lines_to_pages
+from repro.uarch.platforms import Platform
+from repro.uarch.tlb import (
+    LINES_PER_PAGE,
+    Tlb,
+    TlbConfig,
+    lines_to_pages,
+    tlb_misses,
+)
+from tests.cache_oracle import (
+    ScalarHierarchy,
+    hierarchy_counts,
+    oracle_tlb_misses,
+)
 
 
 def make_profile(name="toy", ilp=2.0, state_fraction=0.05, **branch_overrides):
@@ -72,6 +86,16 @@ class TestTlb:
         tlb = Tlb(TlbConfig("ITLB", entries=8, ways=4))
         tlb.access(1)
         assert tlb.mpki(1000) == 1.0
+
+    def test_tlb_misses_match_per_access_tlb(self):
+        config = TlbConfig("t", entries=8, ways=2)
+        pages = [0, 1, 0, 5, 9, 13, 1, 0, 17, 5, 0]
+        lines = [page * LINES_PER_PAGE + i for i, page in enumerate(pages)]
+        tlb = Tlb(config)
+        tlb.run(pages[:3])
+        warm = tlb.misses
+        tlb.run(pages[3:])
+        assert tlb_misses(lines, config, start=3) == tlb.misses - warm
 
     def test_lines_to_pages(self):
         assert list(lines_to_pages([0, 64, 65])) == [0, 1, 1]
@@ -190,3 +214,43 @@ class TestCharacterize:
     def test_rejects_bad_sample_size(self):
         with pytest.raises(ValueError):
             characterize(make_profile(), XEON_E5645, sample_instructions=0)
+
+
+class TestCharacterizeOracle:
+    """``characterize`` on the array kernel counts exactly what the
+    per-access walk counts, for real profiles on both platforms."""
+
+    @pytest.fixture(scope="class")
+    def profiles(self, ctx):
+        return {
+            "H-Grep": ctx.result("H-Grep").profile,
+            "blackscholes": SUITES["PARSEC"][0].profile(scale=ctx.scale),
+        }
+
+    @pytest.mark.parametrize("platform", [XEON_E5645, ATOM_D510],
+                             ids=["xeon", "atom"])
+    @pytest.mark.parametrize("workload", ["H-Grep", "blackscholes"])
+    def test_counts_match_scalar_walk(self, profiles, workload, platform,
+                                      monkeypatch):
+        profile = profiles[workload]
+        walked = []
+        make_hierarchy = Platform.make_hierarchy
+
+        def fast_hierarchy(self):
+            walked.append(make_hierarchy(self))
+            return walked[-1]
+
+        def scalar_hierarchy(self):
+            walked.append(ScalarHierarchy(self.l1i, self.l1d, self.l2, self.l3))
+            return walked[-1]
+
+        monkeypatch.setattr(Platform, "make_hierarchy", fast_hierarchy)
+        fast = characterize(profile, platform, sample_instructions=30_000)
+        monkeypatch.setattr(Platform, "make_hierarchy", scalar_hierarchy)
+        monkeypatch.setattr(counters_module, "tlb_misses", oracle_tlb_misses)
+        slow = characterize(profile, platform, sample_instructions=30_000)
+
+        fast_counts, slow_counts = map(hierarchy_counts, walked)
+        assert fast_counts == slow_counts
+        assert fast_counts["L1I.accesses"] > 0
+        assert fast.to_dict() == slow.to_dict()
