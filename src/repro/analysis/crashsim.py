@@ -216,10 +216,8 @@ def _run_instrumented(runs_dir: str, *, scale: float, seed: int,
     checkpoint.initialise(
         config_hash=chash, seed=seed, config=config, n_cells=len(cells),
     )
-    tracer = SweepTracer(os.path.join(checkpoint.dir, "trace"), io=io)
-    stream = ProgressStream(
-        os.path.join(checkpoint.dir, "progress.jsonl"), sweep=key, io=io,
-    )
+    tracer = SweepTracer(checkpoint.trace_dir, io=io)
+    stream = ProgressStream(checkpoint.progress_path, sweep=key, io=io)
     executor = SweepExecutor(jobs=jobs, tracer=tracer, observer=stream)
     try:
         outcome = executor.run(cells, checkpoint=checkpoint, resume=resume)

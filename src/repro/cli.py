@@ -266,7 +266,7 @@ def _print_timings(context: ExperimentContext) -> None:
             print(f"  {line}")
 
 
-def _sweep_observability(args, checkpoint_dir: str, sweep_key: str):
+def _sweep_observability(args, checkpoint, sweep_key: str):
     """Tracer + progress stream for one executor invocation.
 
     Tracing is on by default (``--no-trace`` disables): per-process
@@ -280,19 +280,17 @@ def _sweep_observability(args, checkpoint_dir: str, sweep_key: str):
 
     tracer = None
     if not getattr(args, "no_trace", False):
-        tracer = SweepTracer(os.path.join(checkpoint_dir, "trace"))
+        tracer = SweepTracer(checkpoint.trace_dir)
     progress = getattr(args, "progress", None)
     want_line = progress if progress is not None else sys.stderr.isatty()
     renderer = TerminalRenderer() if want_line else None
     stream = ProgressStream(
-        os.path.join(checkpoint_dir, "progress.jsonl"),
-        sweep=sweep_key,
-        renderer=renderer,
+        checkpoint.progress_path, sweep=sweep_key, renderer=renderer,
     )
     return tracer, stream
 
 
-def _merge_observability(tracer, stream, checkpoint_dir: str,
+def _merge_observability(tracer, stream, checkpoint,
                          quiet: bool = False) -> str:
     """Close the stream, merge span files into one Chrome trace."""
     from repro.errors import TraceMergeError
@@ -302,7 +300,7 @@ def _merge_observability(tracer, stream, checkpoint_dir: str,
     if tracer is None:
         return ""
     tracer.close()
-    out = os.path.join(checkpoint_dir, "trace.json")
+    out = checkpoint.trace_path
     try:
         n_events, n_flows = merge_sweep_trace(tracer.trace_dir, out)
     except TraceMergeError as error:
@@ -359,7 +357,7 @@ def _prime_context(args, context: ExperimentContext, name: str,
         config_hash=chash, seed=args.seed, config=config,
         n_cells=len(pairs),
     )
-    tracer, stream = _sweep_observability(args, checkpoint.dir, sweep_key)
+    tracer, stream = _sweep_observability(args, checkpoint, sweep_key)
     outcome = context.prime(
         pairs,
         jobs=jobs,
@@ -369,7 +367,7 @@ def _prime_context(args, context: ExperimentContext, name: str,
         tracer=tracer,
         observer=stream,
     )
-    _merge_observability(tracer, stream, checkpoint.dir)
+    _merge_observability(tracer, stream, checkpoint)
     for key, value in _observability_telemetry(tracer, stream).items():
         context.registry.add(f"exec.{key}", value)
     if outcome.quarantined:
@@ -497,13 +495,13 @@ def _cmd_sweep(args) -> int:
         config_hash=chash, seed=args.seed, config=config,
         n_cells=len(cells),
     )
-    tracer, stream = _sweep_observability(args, checkpoint.dir, sweep_key)
+    tracer, stream = _sweep_observability(args, checkpoint, sweep_key)
     executor = SweepExecutor(
         jobs=args.jobs, cell_timeout=args.cell_timeout,
         tracer=tracer, observer=stream,
     )
     outcome = executor.run(cells, checkpoint=checkpoint, resume=args.resume)
-    _merge_observability(tracer, stream, checkpoint.dir, quiet=args.json)
+    _merge_observability(tracer, stream, checkpoint, quiet=args.json)
     outcome.telemetry.update(_observability_telemetry(tracer, stream))
 
     if outcome.quarantined:

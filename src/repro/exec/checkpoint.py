@@ -15,6 +15,8 @@ Layout, under ``<runs dir>/sweeps/<sweep_id>/``:
   corrupt the journal alone still reconstructs the state; the bad file
   is quarantined to ``snapshot.json.corrupt``.
 
+- ``progress.jsonl``, ``trace/*.spans.jsonl``, ``trace.json`` — the
+  best-effort observability streams and the merged trace.
 - ``sweep.lock`` — an advisory lockfile (JSON ``{"pid": ...}``) held
   while an executor owns the checkpoint, so two concurrent resumes of
   the same sweep cannot interleave journal appends.  A lock whose
@@ -25,6 +27,11 @@ The durable key is (config hash, seed): ``repro sweep --resume`` finds
 the checkpoint by recomputing the hash from its arguments, so "the same
 sweep" is a property of the request, not of a process lifetime.
 
+This module owns that layout: :class:`SweepDir` names every path and
+:meth:`SweepDir.read` is the one read-only parse of a directory, shared
+by resume, ``repro fsck``, the observatory and ``repro metrics``;
+:func:`sweep_dirs` enumerates the sweeps of a runs directory.
+
 All writes route through :mod:`repro.fsio` (the ``io`` constructor
 argument), which is what lets the crash-consistency campaign enumerate
 every syscall boundary in this file.
@@ -34,7 +41,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CheckpointError, SweepLockError
 from repro.fsio import (
@@ -42,9 +50,12 @@ from repro.fsio import (
     SimulatedCrash,
     fsync_dir,
     quarantine_corrupt,
+    read_json,
+    read_jsonl,
     write_json_atomic,
 )
 from repro.exec.cells import CellResult
+from repro.exec.tracing import SPAN_KINDS, span_files
 
 #: Bumped on incompatible checkpoint-layout changes.
 CHECKPOINT_VERSION = 1
@@ -54,6 +65,157 @@ SNAPSHOT_EVERY = 10
 
 #: Lockfile name inside a sweep checkpoint directory.
 LOCK_FILE = "sweep.lock"
+
+#: Suffix ``repro fsck --repair`` gives a sweep directory it sets aside
+#: (``<sweep>.orphan``, then ``<sweep>.orphan.1``, ...).
+ORPHAN_SUFFIX = ".orphan"
+
+
+def sweeps_root(runs_dir: str) -> str:
+    """The directory holding every sweep checkpoint of a runs dir."""
+    return os.path.join(runs_dir, "sweeps")
+
+
+def is_orphan(name: str) -> bool:
+    """True for a sweep directory name fsck has set aside."""
+    return name.endswith(ORPHAN_SUFFIX) or f"{ORPHAN_SUFFIX}." in name
+
+
+def sweep_dirs(runs_dir: str) -> List["SweepDir"]:
+    """Every live sweep directory of a runs dir, sorted by name."""
+    root = sweeps_root(runs_dir)
+    if not os.path.isdir(root):
+        return []
+    return [
+        SweepDir(os.path.join(root, name))
+        for name in sorted(os.listdir(root))
+        if not is_orphan(name) and os.path.isdir(os.path.join(root, name))
+    ]
+
+
+def _parse_cell(data: object) -> Optional[CellResult]:
+    """The one validity test for journal and snapshot entries."""
+    try:
+        return CellResult.from_dict(data)
+    except (KeyError, ValueError, TypeError, AttributeError):
+        return None
+
+
+@dataclass
+class SweepState:
+    """One read-only parse of a sweep directory (:meth:`SweepDir.read`)."""
+
+    #: The manifest; None when missing or unreadable.
+    manifest: Optional[dict] = None
+    #: Snapshot cells by id, None for an invalid entry; the whole map
+    #: is None when the snapshot is missing or unreadable.
+    snapshot: Optional[Dict[str, Optional[CellResult]]] = None
+    #: Valid journal entries as ``(lineno, result)``, in file order.
+    journal: List[Tuple[int, CellResult]] = field(default_factory=list)
+    #: 1-based journal lines that do not parse or are not valid cells.
+    bad_journal_lines: List[int] = field(default_factory=list)
+    #: The only bad journal line is the last one (crash mid-append).
+    torn_journal: bool = False
+    #: Progress events (``progress.jsonl`` lines with an ``event``).
+    events: List[dict] = field(default_factory=list)
+    #: Span and instant records from every span file.
+    spans: List[dict] = field(default_factory=list)
+    #: ``(path, reason)`` for every artifact that did not read cleanly.
+    damage: List[Tuple[str, str]] = field(default_factory=list)
+
+    @property
+    def results(self) -> Dict[str, CellResult]:
+        """Completed cells: snapshot first, journal on top."""
+        results = {
+            r.cell_id: r
+            for r in (self.snapshot or {}).values() if r is not None
+        }
+        results.update((r.cell_id, r) for _, r in self.journal)
+        return results
+
+
+class SweepDir:
+    """The on-disk layout of one sweep directory, and its read path."""
+
+    def __init__(self, path: str):
+        self.dir = path
+        self.name = os.path.basename(path)
+        self.manifest_path = os.path.join(path, "manifest.json")
+        self.journal_path = os.path.join(path, "journal.jsonl")
+        self.snapshot_path = os.path.join(path, "snapshot.json")
+        self.lock_path = os.path.join(path, LOCK_FILE)
+        self.progress_path = os.path.join(path, "progress.jsonl")
+        self.trace_dir = os.path.join(path, "trace")
+        self.trace_path = os.path.join(path, "trace.json")
+
+    def read(self) -> SweepState:
+        """Parse every artifact without modifying the directory.
+
+        Nothing raises and nothing is renamed: each file that does not
+        read cleanly becomes a ``damage`` entry, and what can be used
+        of it is used.  Callers pick the policy.
+        """
+        state = SweepState()
+        damage = state.damage
+        state.manifest = _read_object(self.manifest_path, damage)
+        snapshot = _read_object(self.snapshot_path, damage)
+        if snapshot is not None:
+            cells = snapshot.get("cells")
+            if isinstance(cells, dict):
+                state.snapshot = {
+                    str(k): _parse_cell(v) for k, v in cells.items()
+                }
+            else:
+                damage.append((self.snapshot_path, "no cells map"))
+
+        entries, bad, torn = _read_lines(self.journal_path, damage)
+        invalid = []
+        for lineno, obj in entries:
+            result = _parse_cell(obj)
+            if result is None:
+                invalid.append(lineno)
+            else:
+                state.journal.append((lineno, result))
+        if invalid:
+            damage.append((self.journal_path,
+                           f"{len(invalid)} invalid cell entr(y/ies)"))
+        state.bad_journal_lines = sorted(bad + invalid)
+        state.torn_journal = torn and not invalid
+
+        progress, _, _ = _read_lines(self.progress_path, damage)
+        state.events = [e for _, e in progress if "event" in e]
+        for path in span_files(self.trace_dir):
+            spans, _, _ = _read_lines(path, damage)
+            state.spans.extend(
+                r for _, r in spans if r.get("kind") in SPAN_KINDS
+            )
+        _read_object(self.trace_path, damage)
+        return state
+
+
+def _read_object(path: str, damage: List[Tuple[str, str]]) -> Optional[dict]:
+    """A JSON object file, or None (absent, or damage noted)."""
+    if not os.path.isfile(path):
+        return None
+    payload, error = read_json(path)
+    if error is None and not isinstance(payload, dict):
+        error = "not a JSON object"
+    if error is not None:
+        damage.append((path, error))
+        return None
+    return payload
+
+
+def _read_lines(path: str, damage: List[Tuple[str, str]]):
+    """:func:`read_jsonl`, with bad lines or a failed read noted."""
+    try:
+        entries, bad, torn = read_jsonl(path)
+    except OSError as exc:
+        damage.append((path, f"unreadable: {exc}"))
+        return [], [], False
+    if bad:
+        damage.append((path, f"{len(bad)} unparseable line(s)"))
+    return entries, bad, torn
 
 
 def sweep_id(name: str, config_hash: str, seed: int) -> str:
@@ -127,11 +289,10 @@ class SweepLock:
 
     def _holder_pid(self) -> Optional[int]:
         """The pid recorded in the lockfile, or None if unreadable."""
+        body, _ = read_json(self.path)
         try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                body = json.load(handle)
             return int(body["pid"])
-        except (OSError, ValueError, KeyError, TypeError):  # repro: allow[ERR002] — read-path probe, unreadable == stale
+        except (ValueError, KeyError, TypeError):
             return None  # torn or foreign lock body: treat as stale
 
     @staticmethod
@@ -149,32 +310,19 @@ class SweepLock:
         return True
 
 
-class SweepCheckpoint:
+class SweepCheckpoint(SweepDir):
     """Journaled progress of one sweep, resumable after any crash."""
 
     def __init__(self, root: str, sweep: str, *,
                  snapshot_every: int = SNAPSHOT_EVERY, io=None):
-        self.dir = os.path.join(root, "sweeps", sweep)
+        super().__init__(os.path.join(sweeps_root(root), sweep))
         self.sweep = sweep
         self.snapshot_every = snapshot_every
         self.io = io
-        self.lock = SweepLock(os.path.join(self.dir, LOCK_FILE), io=io)
+        self.lock = SweepLock(self.lock_path, io=io)
         self._journal: Optional[JournalWriter] = None
         self._since_snapshot = 0
         self._results: Dict[str, CellResult] = {}
-
-    # ---- paths ------------------------------------------------------------
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.dir, "manifest.json")
-
-    @property
-    def journal_path(self) -> str:
-        return os.path.join(self.dir, "journal.jsonl")
-
-    @property
-    def snapshot_path(self) -> str:
-        return os.path.join(self.dir, "snapshot.json")
 
     def exists(self) -> bool:
         return os.path.isfile(self.manifest_path)
@@ -208,13 +356,12 @@ class SweepCheckpoint:
         }, io=self.io)
 
     def manifest(self) -> dict:
-        try:
-            with open(self.manifest_path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, json.JSONDecodeError) as error:
+        manifest, error = read_json(self.manifest_path)
+        if error is not None:
             raise CheckpointError(
                 f"unreadable sweep manifest {self.manifest_path}: {error}"
             )
+        return manifest
 
     # ---- writing ----------------------------------------------------------
     def record(self, result: CellResult) -> None:
@@ -251,35 +398,15 @@ class SweepCheckpoint:
     def load(self) -> Dict[str, CellResult]:
         """Reconstruct completed cells: snapshot first, journal on top.
 
-        Tolerates a torn final journal line (crash mid-append) and a
-        corrupt snapshot (quarantined aside); either source alone is
-        enough to resume.
+        Bad journal lines (a torn tail from a crash mid-append, or
+        corruption) are skipped and their cells rerun.  A damaged
+        snapshot is quarantined aside; the journal alone is enough to
+        resume.
         """
-        self._results = {}
-        if os.path.isfile(self.snapshot_path):
-            try:
-                with open(self.snapshot_path, "r", encoding="utf-8") as handle:
-                    snapshot = json.load(handle)
-                for data in snapshot.get("cells", {}).values():
-                    result = CellResult.from_dict(data)
-                    self._results[result.cell_id] = result
-            except (json.JSONDecodeError, UnicodeDecodeError, KeyError,
-                    ValueError):
-                self._results = {}
-                quarantine_corrupt(self.snapshot_path)
-        if os.path.isfile(self.journal_path):
-            with open(self.journal_path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        result = CellResult.from_dict(json.loads(line))
-                    except (json.JSONDecodeError, KeyError, ValueError):
-                        # Torn tail from a crash mid-append: everything
-                        # before it is intact, the in-flight cell reruns.
-                        continue
-                    self._results[result.cell_id] = result
+        state = self.read()
+        if any(path == self.snapshot_path for path, _ in state.damage):
+            quarantine_corrupt(self.snapshot_path)
+        self._results = state.results
         return dict(self._results)
 
     def completed(self) -> Dict[str, CellResult]:

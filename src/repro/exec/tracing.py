@@ -38,25 +38,29 @@ legible).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TraceMergeError
-from repro.fsio import BestEffortWriter, write_json_atomic
+from repro.fsio import BestEffortWriter, read_jsonl, write_json_atomic
 
 SPAN_FILE_SUFFIX = ".spans.jsonl"
 
+#: The ``kind`` values of span-file records; other lines are foreign.
+SPAN_KINDS = ("span", "instant")
+
 __all__ = [
     "SPAN_FILE_SUFFIX",
+    "SPAN_KINDS",
     "SpanWriter",
     "SweepTracer",
     "TimelineLane",
     "TimelineSpan",
     "worker_lane",
     "worker_span_path",
+    "span_files",
     "read_span_records",
     "spans_to_timeline",
     "merge_sweep_trace",
@@ -168,37 +172,37 @@ class SweepTracer:
         self._writer.close()
 
 
+def span_files(trace_dir: str) -> List[str]:
+    """The span files under ``trace_dir``, sorted; none if it is absent."""
+    if not os.path.isdir(trace_dir):
+        return []
+    return [
+        os.path.join(trace_dir, name)
+        for name in sorted(os.listdir(trace_dir))
+        if name.endswith(SPAN_FILE_SUFFIX)
+    ]
+
+
 def read_span_records(trace_dir: str) -> List[Dict]:
     """Load every span record under ``trace_dir``, tolerating torn tails.
 
     Files are visited in sorted order and lines that fail to parse (a
-    process died mid-write) are skipped; a missing directory is the
-    caller's error and raises :class:`TraceMergeError`.
+    process died mid-write) are skipped; a missing directory or an
+    unreadable file is the caller's error and raises
+    :class:`TraceMergeError` (a merge must not silently lose a lane).
     """
 
     if not os.path.isdir(trace_dir):
         raise TraceMergeError("trace directory does not exist", trace_dir=trace_dir)
     records: List[Dict] = []
-    for fname in sorted(os.listdir(trace_dir)):
-        if not fname.endswith(SPAN_FILE_SUFFIX):
-            continue
-        path = os.path.join(trace_dir, fname)
+    for path in span_files(trace_dir):
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn tail from a killed process
-                    if isinstance(record, dict) and record.get("kind") in ("span", "instant"):
-                        records.append(record)
+            entries, _, _ = read_jsonl(path)
         except OSError as exc:
             raise TraceMergeError(
                 "unreadable span file", path=path, error=str(exc)
             ) from exc
+        records.extend(r for _, r in entries if r.get("kind") in SPAN_KINDS)
     return records
 
 

@@ -5,8 +5,9 @@ and snapshots, progress streams, span files, merged traces — now flows
 through this module, for two reasons:
 
 - **One durability contract.**  There are exactly three write shapes
-  (DESIGN §5i): the *atomic JSON write* (tmp file → flush → fsync →
-  ``os.replace`` → parent-dir fsync), the *durable append*
+  (DESIGN §5i): the *atomic replace* (tmp file → flush → fsync →
+  ``os.replace`` → parent-dir fsync) behind :func:`write_json_atomic`
+  and :func:`write_jsonl_atomic`, the *durable append*
   (:class:`JournalWriter`: write line → flush → fsync before the caller
   proceeds), and the *best-effort append* (:class:`BestEffortWriter`:
   observability streams that may drop data but must *count* every drop
@@ -22,6 +23,11 @@ through this module, for two reasons:
   (:mod:`repro.analysis.crashsim`) enumerates those boundaries and
   proves — not hopes — that ``repro fsck`` plus ``--resume`` recovers
   every one of them with bit-identical metrics.
+
+- **One tolerant read path.**  :func:`read_json` and :func:`read_jsonl`
+  are the only parsers of these files: resume, ``repro fsck``, the
+  observatory and ``repro metrics`` all agree on what a torn line is
+  and differ only in what they do about it.
 
 Crash semantics simulated by :class:`FaultyIO` (and therefore the
 states ``repro fsck`` must handle):
@@ -146,26 +152,26 @@ def fsync_dir(path: str, io=None) -> None:
         pass
 
 
-def write_json_atomic(path: str, payload: object, *, indent: int = 2,
-                      io=None) -> None:
-    """Crash-safe JSON write: tmp file + flush + fsync + ``os.replace``.
+def _line(record: dict) -> str:
+    """One record in the compact, key-sorted JSONL line format."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _replace_atomic(path: str, text: str, io=None) -> None:
+    """Crash-safe file replace: tmp file + flush + fsync + ``os.replace``.
 
     A reader never observes a half-written file: either the old content
     (or nothing) or the complete new content exists at ``path``.  If the
-    write *fails* (``ENOSPC``, ``EIO``, a serialization error) the tmp
-    file is removed before the error propagates, so failed writes do
-    not leak ``*.tmp`` litter — only a genuine crash can, and
-    ``repro fsck`` sweeps those up.
+    write *fails* (``ENOSPC``, ``EIO``) the tmp file is removed before
+    the error propagates, so failed writes do not leak ``*.tmp`` litter
+    — only a genuine crash can, and ``repro fsck`` sweeps those up.
     """
     backend = _io(io)
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         handle = backend.open(tmp, "w")
         try:
-            backend.write(
-                handle,
-                json.dumps(payload, indent=indent, sort_keys=True) + "\n",
-            )
+            backend.write(handle, text)
             backend.flush(handle)
             backend.fsync(handle)
         finally:
@@ -181,6 +187,21 @@ def write_json_atomic(path: str, payload: object, *, indent: int = 2,
             pass  # an unremovable tmp is litter for fsck, not a new error
         raise
     fsync_dir(os.path.dirname(path) or ".", io=backend)
+
+
+def write_json_atomic(path: str, payload: object, *, indent: int = 2,
+                      io=None) -> None:
+    """Atomically replace ``path`` with ``payload`` as a JSON document.
+
+    A payload that does not serialize raises before any file is touched.
+    """
+    text = json.dumps(payload, indent=indent, sort_keys=True) + "\n"
+    _replace_atomic(path, text, io)
+
+
+def write_jsonl_atomic(path: str, records: List[dict], io=None) -> None:
+    """Atomically replace ``path`` with ``records``, one line each."""
+    _replace_atomic(path, "".join(_line(r) + "\n" for r in records), io)
 
 
 class JournalWriter:
@@ -208,8 +229,7 @@ class JournalWriter:
                 # isolate its torn fragment on its own line so it can
                 # never concatenate with — and corrupt — our record.
                 self.io.write(self._handle, "\n")
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self.io.write(self._handle, line + "\n")
+        self.io.write(self._handle, _line(record) + "\n")
         self.io.flush(self._handle)
         self.io.fsync(self._handle)
 
@@ -340,6 +360,58 @@ def quarantine_corrupt(path: str, io=None) -> str:
         file=sys.stderr,
     )
     return target
+
+
+# ---------------------------------------------------------------------------
+# The read path
+# ---------------------------------------------------------------------------
+
+def read_json(path: str) -> Tuple[object, Optional[str]]:
+    """Parse one JSON file: ``(payload, error)`` with exactly one set.
+
+    Never raises: an unreadable or corrupt file comes back as an error
+    string, and the caller picks the policy (raise, quarantine, report).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle), None
+    except OSError as exc:
+        return None, f"unreadable: {exc}"
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        return None, f"corrupt JSON: {exc}"
+
+
+def read_jsonl(path: str) -> Tuple[List[Tuple[int, dict]], List[int], bool]:
+    """Parse a JSONL file: ``(entries, bad_linenos, torn)``.
+
+    ``entries`` are the ``(lineno, object)`` pairs of lines that parse
+    as JSON objects; every other non-empty line is *bad* (line numbers
+    are 1-based).  ``torn`` means exactly one line is bad and it is the
+    last non-empty one: the crash-mid-append shape, repairable by
+    truncation.  Bad lines anywhere else are corruption.  A missing
+    file reads as empty; other I/O errors propagate.
+    """
+    try:
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines()
+    except FileNotFoundError:
+        return [], [], False
+    entries: List[Tuple[int, dict]] = []
+    bad: List[int] = []
+    last = 0
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        last = lineno
+        try:
+            obj = json.loads(line)
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
+            obj = None
+        if isinstance(obj, dict):
+            entries.append((lineno, obj))
+        else:
+            bad.append(lineno)
+    return entries, bad, bad == [last]
 
 
 # ---------------------------------------------------------------------------

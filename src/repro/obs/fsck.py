@@ -32,13 +32,27 @@ directory missing.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.exec.cells import CellResult, provenance_hash
-from repro.fsio import quarantine_corrupt, write_json_atomic
+from repro.exec.checkpoint import (
+    CHECKPOINT_VERSION,
+    ORPHAN_SUFFIX,
+    SweepDir,
+    SweepLock,
+    is_orphan,
+    sweep_dirs,
+    sweeps_root,
+)
+from repro.fsio import (
+    quarantine_corrupt,
+    read_json,
+    read_jsonl,
+    write_json_atomic,
+    write_jsonl_atomic,
+)
 
 ERROR = "error"
 NOTE = "note"
@@ -150,37 +164,6 @@ def _finding(kind: str, path: str, detail: str, *, repair: str = "",
 # Scanning
 # ---------------------------------------------------------------------------
 
-def _scan_jsonl(path: str) -> Tuple[List[Tuple[int, dict]], List[int], bool]:
-    """Parse a JSONL file: (good (lineno, obj) pairs, bad linenos, torn).
-
-    ``torn`` is True when only the *final* non-empty line fails to
-    parse — the classic crash-mid-append shape, repairable by
-    truncation.  Bad lines elsewhere are mid-file corruption.
-    """
-    good: List[Tuple[int, dict]] = []
-    bad: List[int] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    last_content = -1
-    for lineno, line in enumerate(lines):
-        if line.strip():
-            last_content = lineno
-    for lineno, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError:
-            bad.append(lineno)
-            continue
-        if isinstance(obj, dict):
-            good.append((lineno, obj))
-        else:
-            bad.append(lineno)
-    torn = len(bad) == 1 and bad[0] == last_content
-    return good, bad, torn
-
-
 def _parse_cell_id(cell_id: str) -> Optional[Tuple[str, str, int]]:
     """``workload@platform+sN`` → (workload, platform, seed), or None."""
     head, sep, seed_part = cell_id.rpartition("+s")
@@ -195,54 +178,29 @@ def _parse_cell_id(cell_id: str) -> Optional[Tuple[str, str, int]]:
         return None
 
 
-def _expected_hash(entry: dict, scale: object) -> Optional[str]:
-    """Recompute the provenance hash for one journaled ok cell.
+def _hash_ok(result: CellResult, scale: object) -> bool:
+    """Provenance re-validation of one journaled cell.
 
-    Returns None when the entry cannot be re-derived (unparseable cell
-    id, or no sweep scale to reconstruct the spec) — absence of
-    evidence is not treated as corruption.
+    Only ok cells carry a hash.  A cell that cannot be re-derived
+    (unparseable cell id, or no sweep scale to reconstruct the spec)
+    passes: absence of evidence is not treated as corruption.
     """
-    parsed = _parse_cell_id(str(entry.get("cell_id", "")))
-    if parsed is None or scale is None:
-        return None
+    parsed = _parse_cell_id(result.cell_id)
+    if result.status != "ok" or parsed is None or scale is None:
+        return True
     workload, platform, seed = parsed
     spec = {
-        "cell_id": entry["cell_id"],
+        "cell_id": result.cell_id,
         "workload": workload,
         "platform": platform,
         "scale": scale,
         "seed": seed,
     }
-    metrics = {k: float(v) for k, v in entry.get("metrics", {}).items()}
-    return provenance_hash(spec, metrics)
-
-
-def _valid_cell_entry(obj: dict) -> bool:
-    try:
-        CellResult.from_dict(obj)
-    except (KeyError, ValueError, TypeError):
-        return False
-    return True
+    return result.provenance_hash == provenance_hash(spec, result.metrics)
 
 
 def _is_tmp_name(name: str) -> bool:
     return ".tmp." in name or name.endswith(".tmp")
-
-
-def _pid_alive(pid: int) -> bool:
-    if pid == os.getpid():
-        # Our own pid on a lock means a previous in-process owner died
-        # without releasing (the simulated-crash path): stale.
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # repro: allow[ERR002] — signal-0 probe, not a write
-        return True
-    except OSError:  # repro: allow[ERR002] — signal-0 probe, not a write
-        return False
-    return True
 
 
 def _scan_registry_root(root: str, findings: List[Finding]) -> None:
@@ -265,26 +223,17 @@ def _scan_registry_root(root: str, findings: List[Finding]) -> None:
             continue
         if not name.endswith(".json"):
             continue
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as error:
+        _, error = read_json(path)
+        if error is not None:
             findings.append(_finding(
-                "corrupt-record", path,
-                f"unparseable run record ({type(error).__name__})",
+                "corrupt-record", path, f"unparseable run record ({error})",
                 repair="quarantine to .corrupt",
             ))
 
 
-def _scan_sweep_dir(sweep_dir: str, findings: List[Finding]) -> None:
-    names = sorted(os.listdir(sweep_dir))
-    manifest_path = os.path.join(sweep_dir, "manifest.json")
-    journal_path = os.path.join(sweep_dir, "journal.jsonl")
-    snapshot_path = os.path.join(sweep_dir, "snapshot.json")
-    lock_path = os.path.join(sweep_dir, "sweep.lock")
-
-    for name in names:
-        path = os.path.join(sweep_dir, name)
+def _scan_sweep_dir(sweep: SweepDir, findings: List[Finding]) -> None:
+    for name in sorted(os.listdir(sweep.dir)):
+        path = os.path.join(sweep.dir, name)
         if os.path.isfile(path) and _is_tmp_name(name):
             findings.append(_finding(
                 "leaked-tmp", path,
@@ -297,140 +246,108 @@ def _scan_sweep_dir(sweep_dir: str, findings: List[Finding]) -> None:
                 "previously quarantined file kept as evidence",
             ))
 
+    state = sweep.read()
+    damage = dict(state.damage)
+    scale = (state.manifest or {}).get("config", {}).get("scale")
+
     # ---- manifest ---------------------------------------------------------
-    scale: Optional[object] = None
-    has_manifest = os.path.isfile(manifest_path)
-    has_journal = os.path.isfile(journal_path)
-    has_snapshot = os.path.isfile(snapshot_path)
-    if has_manifest:
-        try:
-            with open(manifest_path, "r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-            scale = manifest.get("config", {}).get("scale")
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as error:
+    if sweep.manifest_path in damage:
+        findings.append(_finding(
+            "corrupt-manifest", sweep.manifest_path,
+            f"unparseable sweep manifest ({damage[sweep.manifest_path]})",
+            repair="quarantine to .corrupt (resume rewrites it)",
+        ))
+    elif state.manifest is None:
+        if os.path.isfile(sweep.journal_path) or os.path.isfile(
+                sweep.snapshot_path):
             findings.append(_finding(
-                "corrupt-manifest", manifest_path,
-                f"unparseable sweep manifest ({type(error).__name__})",
-                repair="quarantine to .corrupt (resume rewrites it)",
+                "missing-manifest", sweep.manifest_path,
+                "journal/snapshot present without a manifest "
+                "(resume re-creates it from the sweep request)",
             ))
-    elif has_journal or has_snapshot:
-        findings.append(_finding(
-            "missing-manifest", manifest_path,
-            "journal/snapshot present without a manifest "
-            "(resume re-creates it from the sweep request)",
-        ))
-    else:
-        findings.append(_finding(
-            "orphaned-sweep", sweep_dir,
-            "sweep directory with no manifest, journal or snapshot",
-            repair="rename to .orphan",
-        ))
+        else:
+            findings.append(_finding(
+                "orphaned-sweep", sweep.dir,
+                "sweep directory with no manifest, journal or snapshot",
+                repair=f"rename to {ORPHAN_SUFFIX}",
+            ))
 
     # ---- journal ----------------------------------------------------------
-    journal_state: Dict[str, List[dict]] = {}
-    if has_journal:
-        good, bad, torn = _scan_jsonl(journal_path)
-        structurally_bad = [
-            lineno for lineno, obj in good if not _valid_cell_entry(obj)
-        ]
-        good = [(ln, obj) for ln, obj in good if ln not in
-                set(structurally_bad)]
-        for lineno, obj in good:
-            journal_state.setdefault(str(obj.get("cell_id")), []).append(obj)
-        if torn and not structurally_bad:
-            findings.append(_finding(
-                "torn-journal", journal_path,
-                f"final journal line {bad[0] + 1} is torn "
-                f"(crash mid-append)",
-                repair="truncate after the last intact line",
-            ))
-        elif bad or structurally_bad:
-            all_bad = sorted(set(bad) | set(structurally_bad))
-            findings.append(_finding(
-                "corrupt-journal-entry", journal_path,
-                f"{len(all_bad)} corrupt journal line(s): "
-                f"{', '.join(str(n + 1) for n in all_bad[:5])}"
-                f"{'…' if len(all_bad) > 5 else ''}",
-                repair="rewrite journal keeping only intact entries",
-                scale=scale,
-            ))
-        # Provenance re-validation of ok entries (merge does this too;
-        # fsck surfaces it before a resume wastes time trusting them).
-        mismatched = []
-        for lineno, obj in good:
-            if obj.get("status") != "ok":
-                continue
-            expected = _expected_hash(obj, scale)
-            if expected is not None and obj.get(
-                    "provenance_hash") != expected:
-                mismatched.append((lineno, obj))
-        if mismatched:
-            cells = sorted({str(obj["cell_id"]) for _, obj in mismatched})
-            findings.append(_finding(
-                "cell-hash-mismatch", journal_path,
-                f"{len(mismatched)} journal entr(y/ies) fail provenance "
-                f"re-validation: {', '.join(cells[:4])}"
-                f"{'…' if len(cells) > 4 else ''}",
-                repair="drop the entries (the cells rerun on --resume)",
-                scale=scale,
-            ))
+    journal_state: Dict[str, List[CellResult]] = {}
+    for _, result in state.journal:
+        journal_state.setdefault(result.cell_id, []).append(result)
+    bad = state.bad_journal_lines
+    if state.torn_journal:
+        findings.append(_finding(
+            "torn-journal", sweep.journal_path,
+            f"final journal line {bad[0]} is torn (crash mid-append)",
+            repair="truncate after the last intact line",
+            sweep=sweep, scale=scale,
+        ))
+    elif bad:
+        findings.append(_finding(
+            "corrupt-journal-entry", sweep.journal_path,
+            f"{len(bad)} corrupt journal line(s): "
+            f"{', '.join(str(n) for n in bad[:5])}"
+            f"{'…' if len(bad) > 5 else ''}",
+            repair="rewrite journal keeping only intact entries",
+            sweep=sweep, scale=scale,
+        ))
+    # Provenance re-validation of ok entries (merge does this too;
+    # fsck surfaces it before a resume wastes time trusting them).
+    mismatched = [r for _, r in state.journal if not _hash_ok(r, scale)]
+    if mismatched:
+        cells = sorted({r.cell_id for r in mismatched})
+        findings.append(_finding(
+            "cell-hash-mismatch", sweep.journal_path,
+            f"{len(mismatched)} journal entr(y/ies) fail provenance "
+            f"re-validation: {', '.join(cells[:4])}"
+            f"{'…' if len(cells) > 4 else ''}",
+            repair="drop the entries (the cells rerun on --resume)",
+            sweep=sweep, scale=scale,
+        ))
 
     # ---- snapshot ---------------------------------------------------------
-    if has_snapshot:
-        snapshot_cells: Optional[Dict[str, dict]] = None
-        try:
-            with open(snapshot_path, "r", encoding="utf-8") as handle:
-                snapshot = json.load(handle)
-            snapshot_cells = dict(snapshot.get("cells", {}))
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as error:
+    if sweep.snapshot_path in damage:
+        findings.append(_finding(
+            "corrupt-snapshot", sweep.snapshot_path,
+            f"unparseable snapshot ({damage[sweep.snapshot_path]}); "
+            f"the journal alone reconstructs the state",
+            repair="quarantine to .corrupt",
+        ))
+    elif state.snapshot is not None:
+        divergent, snapshot_only = [], []
+        for cell_id, entry in sorted(state.snapshot.items()):
+            versions = journal_state.get(cell_id)
+            if entry is None or (versions and entry not in versions):
+                divergent.append(cell_id)
+            elif versions is None:
+                snapshot_only.append(cell_id)
+        if divergent:
             findings.append(_finding(
-                "corrupt-snapshot", snapshot_path,
-                f"unparseable snapshot ({type(error).__name__}); "
-                f"the journal alone reconstructs the state",
-                repair="quarantine to .corrupt",
+                "snapshot-divergence", sweep.snapshot_path,
+                f"{len(divergent)} snapshot cell(s) match no journaled "
+                f"version: {', '.join(divergent[:4])}"
+                f"{'…' if len(divergent) > 4 else ''}",
+                repair="rebuild snapshot from the journal "
+                       "(journal is authoritative)",
+                sweep=sweep, scale=scale,
             ))
-        if snapshot_cells is not None:
-            divergent, snapshot_only = [], []
-            for cell_id in sorted(snapshot_cells):
-                entry = snapshot_cells[cell_id]
-                if not isinstance(entry, dict) or not _valid_cell_entry(
-                        entry):
-                    divergent.append(cell_id)
-                    continue
-                versions = journal_state.get(cell_id)
-                if versions is None:
-                    snapshot_only.append(cell_id)
-                elif entry not in versions:
-                    divergent.append(cell_id)
-            if divergent:
-                findings.append(_finding(
-                    "snapshot-divergence", snapshot_path,
-                    f"{len(divergent)} snapshot cell(s) match no journaled "
-                    f"version: {', '.join(divergent[:4])}"
-                    f"{'…' if len(divergent) > 4 else ''}",
-                    repair="rebuild snapshot from the journal "
-                           "(journal is authoritative)",
-                    scale=scale,
-                ))
-            if snapshot_only:
-                findings.append(_finding(
-                    "snapshot-only-cells", snapshot_path,
-                    f"{len(snapshot_only)} cell(s) exist only in the "
-                    f"snapshot (journal tail lost before the fsio "
-                    f"protocol); merge re-validates their hashes",
-                ))
+        if snapshot_only:
+            findings.append(_finding(
+                "snapshot-only-cells", sweep.snapshot_path,
+                f"{len(snapshot_only)} cell(s) exist only in the "
+                f"snapshot (journal tail lost before the fsio "
+                f"protocol); merge re-validates their hashes",
+            ))
 
     # ---- lock -------------------------------------------------------------
-    if os.path.isfile(lock_path):
-        pid: Optional[int] = None
-        try:
-            with open(lock_path, "r", encoding="utf-8") as handle:
-                pid = int(json.load(handle)["pid"])
-        except (OSError, ValueError, KeyError, TypeError):  # repro: allow[ERR002] — read-path probe, unreadable == torn lock
-            pid = None
-        if pid is not None and _pid_alive(pid):
+    if os.path.isfile(sweep.lock_path):
+        lock = SweepLock(sweep.lock_path)
+        pid = lock._holder_pid()
+        if pid is not None and lock._alive(pid):
             findings.append(_finding(
-                "live-lock", lock_path,
+                "live-lock", sweep.lock_path,
                 f"sweep lock held by live pid {pid} (a resume is running)",
             ))
         else:
@@ -440,51 +357,34 @@ def _scan_sweep_dir(sweep_dir: str, findings: List[Finding]) -> None:
                 else "stale sweep lock (torn or unreadable body)"
             )
             findings.append(_finding(
-                "stale-lock", lock_path, detail, repair="remove",
+                "stale-lock", sweep.lock_path, detail, repair="remove",
             ))
 
     # ---- observability files (best-effort tier) ---------------------------
-    progress_path = os.path.join(sweep_dir, "progress.jsonl")
-    if os.path.isfile(progress_path):
-        _, bad, torn = _scan_jsonl(progress_path)
-        if bad:
-            findings.append(_finding(
-                "torn-progress", progress_path,
-                f"{len(bad)} unparseable progress line(s) "
-                f"(readers skip them)",
-                repair="rewrite keeping only intact lines",
-            ))
-    trace_dir = os.path.join(sweep_dir, "trace")
-    if os.path.isdir(trace_dir):
-        for name in sorted(os.listdir(trace_dir)):
-            path = os.path.join(trace_dir, name)
+    if os.path.isdir(sweep.trace_dir):
+        for name in sorted(os.listdir(sweep.trace_dir)):
             if _is_tmp_name(name):
                 findings.append(_finding(
-                    "leaked-tmp", path,
+                    "leaked-tmp", os.path.join(sweep.trace_dir, name),
                     "tmp file leaked by a crashed atomic write",
                     repair="remove",
                 ))
-                continue
-            if not name.endswith(".jsonl"):
-                continue
-            _, bad, torn = _scan_jsonl(path)
-            if bad:
-                findings.append(_finding(
-                    "torn-span", path,
-                    f"{len(bad)} unparseable span line(s) "
-                    f"(the merge skips them)",
-                    repair="rewrite keeping only intact lines",
-                ))
-    trace_json = os.path.join(sweep_dir, "trace.json")
-    if os.path.isfile(trace_json):
-        try:
-            with open(trace_json, "r", encoding="utf-8") as handle:
-                json.load(handle)
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):  # repro: allow[ERR002] — the failure *becomes* a finding
+    for path, reason in state.damage:
+        if path == sweep.progress_path:
             findings.append(_finding(
-                "corrupt-merged-trace", trace_json,
-                "unparseable merged trace (derived data; re-mergeable "
-                "from the span files)",
+                "torn-progress", path, f"{reason} (readers skip them)",
+                repair="rewrite keeping only intact lines",
+            ))
+        elif os.path.dirname(path) == sweep.trace_dir:
+            findings.append(_finding(
+                "torn-span", path, f"{reason} (the merge skips them)",
+                repair="rewrite keeping only intact lines",
+            ))
+        elif path == sweep.trace_path:
+            findings.append(_finding(
+                "corrupt-merged-trace", path,
+                f"unparseable merged trace ({reason}; derived data, "
+                f"re-mergeable from the span files)",
                 repair="quarantine to .corrupt",
             ))
 
@@ -495,19 +395,15 @@ def fsck_scan(runs_dir: str) -> FsckResult:
         raise FileNotFoundError(runs_dir)
     result = FsckResult(root=runs_dir)
     _scan_registry_root(runs_dir, result.findings)
-    sweeps_root = os.path.join(runs_dir, "sweeps")
-    if os.path.isdir(sweeps_root):
-        for name in sorted(os.listdir(sweeps_root)):
-            sweep_dir = os.path.join(sweeps_root, name)
-            if not os.path.isdir(sweep_dir):
-                continue
-            if name.endswith(".orphan") or ".orphan." in name:
-                result.findings.append(_finding(
-                    "quarantined-artifact", sweep_dir,
-                    "previously orphaned sweep directory kept as evidence",
-                ))
-                continue
-            _scan_sweep_dir(sweep_dir, result.findings)
+    root = sweeps_root(runs_dir)
+    for name in sorted(os.listdir(root)) if os.path.isdir(root) else []:
+        if is_orphan(name) and os.path.isdir(os.path.join(root, name)):
+            result.findings.append(_finding(
+                "quarantined-artifact", os.path.join(root, name),
+                "previously orphaned sweep directory kept as evidence",
+            ))
+    for sweep in sweep_dirs(runs_dir):
+        _scan_sweep_dir(sweep, result.findings)
     return result
 
 
@@ -515,102 +411,38 @@ def fsck_scan(runs_dir: str) -> FsckResult:
 # Repair
 # ---------------------------------------------------------------------------
 
-def _rewrite_jsonl(path: str, keep) -> int:
-    """Atomically rewrite a JSONL file keeping lines ``keep`` accepts.
-
-    ``keep(obj)`` judges each parsed line; unparseable lines are always
-    dropped.  Returns the number of dropped lines.
-    """
-    good, bad, _ = _scan_jsonl(path)
-    kept_lines = []
-    dropped = len(bad)
-    for _, obj in good:
-        if keep(obj):
-            kept_lines.append(
-                json.dumps(obj, sort_keys=True, separators=(",", ":"))
-            )
-        else:
-            dropped += 1
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for line in kept_lines:
-                handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except Exception:
-        try:
-            os.remove(tmp)
-        except OSError:  # repro: allow[ERR002] — original error propagates
-            pass
-        raise
-    return dropped
-
-
-def _repair_journal(journal_path: str, scale: object) -> None:
+def _repair_journal(sweep: SweepDir, scale: object) -> None:
     """Keep only intact, provenance-valid journal entries."""
-
-    def keep(obj: dict) -> bool:
-        if not _valid_cell_entry(obj):
-            return False
-        if obj.get("status") == "ok":
-            expected = _expected_hash(obj, scale)
-            if expected is not None and obj.get(
-                    "provenance_hash") != expected:
-                return False
-        return True
-
-    _rewrite_jsonl(journal_path, keep)
+    write_jsonl_atomic(sweep.journal_path, [
+        result.to_dict() for _, result in sweep.read().journal
+        if _hash_ok(result, scale)
+    ])
 
 
-def _repair_snapshot(snapshot_path: str, journal_path: str,
-                     scale: object) -> None:
+def _repair_snapshot(sweep: SweepDir, scale: object) -> None:
     """Rebuild the snapshot from the (authoritative) journal.
 
     Journaled versions win; snapshot-only cells that re-validate are
     kept (they are the journal-tail-lost survivors).
     """
-    journal_state: Dict[str, dict] = {}
-    if os.path.isfile(journal_path):
-        good, _, _ = _scan_jsonl(journal_path)
-        for _, obj in good:
-            if _valid_cell_entry(obj):
-                journal_state[str(obj["cell_id"])] = obj
-    old_cells: Dict[str, dict] = {}
-    version = 1
-    sweep = os.path.basename(os.path.dirname(snapshot_path))
-    try:
-        with open(snapshot_path, "r", encoding="utf-8") as handle:
-            snapshot = json.load(handle)
-        old_cells = dict(snapshot.get("cells", {}))
-        version = snapshot.get("version", 1)
-        sweep = snapshot.get("sweep", sweep)
-    except (json.JSONDecodeError, UnicodeDecodeError, OSError):  # repro: allow[ERR002]
-        pass  # unreadable old snapshot: rebuilt purely from the journal
-    cells = dict(journal_state)
-    for cell_id, entry in old_cells.items():
-        if cell_id in cells or not isinstance(entry, dict):
+    state = sweep.read()
+    cells = {r.cell_id: r for _, r in state.journal}
+    for entry in (state.snapshot or {}).values():
+        if entry is None or entry.cell_id in cells:
             continue
-        if not _valid_cell_entry(entry):
-            continue
-        if entry.get("status") == "ok":
-            expected = _expected_hash(entry, scale)
-            if expected is not None and entry.get(
-                    "provenance_hash") != expected:
-                continue
-        cells[cell_id] = entry  # snapshot-only survivor
-    write_json_atomic(snapshot_path, {
-        "version": version,
-        "sweep": sweep,
-        "cells": {k: cells[k] for k in sorted(cells)},
+        if _hash_ok(entry, scale):
+            cells[entry.cell_id] = entry  # snapshot-only survivor
+    write_json_atomic(sweep.snapshot_path, {
+        "version": CHECKPOINT_VERSION,
+        "sweep": sweep.name,
+        "cells": {k: cells[k].to_dict() for k in sorted(cells)},
     })
 
 
 def _quarantine_dir(path: str) -> str:
-    target, n = f"{path}.orphan", 1
+    target, n = f"{path}{ORPHAN_SUFFIX}", 1
     while os.path.exists(target):
-        target = f"{path}.orphan.{n}"
+        target = f"{path}{ORPHAN_SUFFIX}.{n}"
         n += 1
     os.replace(path, target)
     return target
@@ -639,14 +471,12 @@ def fsck_repair(result: FsckResult) -> None:
         elif kind in ("torn-journal", "corrupt-journal-entry",
                       "cell-hash-mismatch"):
             if os.path.isfile(path):
-                _repair_journal(path, finding.context.get("scale"))
+                _repair_journal(finding.context["sweep"],
+                                finding.context["scale"])
         elif kind == "snapshot-divergence":
             if os.path.isfile(path):
-                _repair_snapshot(
-                    path,
-                    os.path.join(os.path.dirname(path), "journal.jsonl"),
-                    finding.context.get("scale"),
-                )
+                _repair_snapshot(finding.context["sweep"],
+                                 finding.context["scale"])
         elif kind == "stale-lock":
             try:
                 os.remove(path)
@@ -654,7 +484,8 @@ def fsck_repair(result: FsckResult) -> None:
                 pass
         elif kind in ("torn-progress", "torn-span"):
             if os.path.isfile(path):
-                _rewrite_jsonl(path, lambda obj: True)
+                entries, _, _ = read_jsonl(path)
+                write_jsonl_atomic(path, [obj for _, obj in entries])
         elif kind == "orphaned-sweep":
             if os.path.isdir(path):
                 _quarantine_dir(path)

@@ -14,8 +14,8 @@ Two hard rules, both enforced by the golden determinism test:
   quarantines corrupt files (a rename) and ``SweepCheckpoint.load``
   does the same to corrupt snapshots.  The observatory must render the
   same directory twice and find it byte-identical both times, so it
-  uses :meth:`RunRegistry.scan` with ``quarantine=False`` and its own
-  tolerant checkpoint readers, and only ever *reports* damage.
+  uses :meth:`RunRegistry.scan` with ``quarantine=False`` and the
+  read-only :meth:`SweepDir.read`, and only ever *reports* damage.
 - **No clock, no filesystem-order dependence.**  Nothing here reads
   wall-clock (the module is deliberately absent from the DET003
   quarantine list); every listing is sorted and every artifact that
@@ -25,14 +25,13 @@ Two hard rules, both enforced by the golden determinism test:
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.exec.tracing import SPAN_FILE_SUFFIX, TimelineLane, spans_to_timeline
+from repro.exec.checkpoint import SweepDir, sweep_dirs
+from repro.exec.tracing import TimelineLane, spans_to_timeline
 from repro.obs.registry import RunRecord, RunRegistry
-from repro.obs.stream import read_progress
 
 __all__ = [
     "ObservatoryModel",
@@ -64,7 +63,7 @@ class SweepView:
     n_cells: int = 0
     done: int = 0
     quarantined: int = 0
-    #: Journal lines that failed to parse (torn tails, corruption).
+    #: Journal lines that are not valid cells (torn tails, corruption).
     torn_journal_lines: int = 0
     events: List[Dict] = field(default_factory=list)
     lanes: List[TimelineLane] = field(default_factory=list)
@@ -118,127 +117,24 @@ class ObservatoryModel:
         return [f for f in self.findings if f.get("severity") == "error"]
 
 
-def _read_json(path: str):
-    """Parse one JSON file; ``(payload, error)`` with exactly one set."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle), None
-    except OSError as exc:  # repro: allow[ERR002] — read-only aggregation; damage becomes a health finding
-        return None, f"unreadable: {exc}"
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return None, f"corrupt JSON: {exc}"
-
-
-def _read_journal(path: str):
-    """Count cell statuses in a journal, tolerating damaged lines."""
-    statuses: Dict[str, str] = {}
-    torn = 0
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError:  # repro: allow[ERR002] — a missing journal is an empty sweep, not a crash
-        return statuses, torn
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                torn += 1
-                continue
-            if isinstance(entry, dict) and "cell_id" in entry:
-                statuses[str(entry["cell_id"])] = str(
-                    entry.get("status", "")
-                )
-            else:
-                torn += 1
-    return statuses, torn
-
-
-def _read_spans(trace_dir: str, skipped: List[SkippedArtifact]):
-    """Read-only span collection mirroring ``read_span_records``.
-
-    The exec-layer reader raises on unreadable files (a merge must not
-    silently lose a lane); the observatory instead records the loss and
-    renders what it can.
-    """
-    records: List[Dict] = []
-    if not os.path.isdir(trace_dir):
-        return records
-    for fname in sorted(os.listdir(trace_dir)):
-        if not fname.endswith(SPAN_FILE_SUFFIX):
-            continue
-        path = os.path.join(trace_dir, fname)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
-        except OSError as exc:  # repro: allow[ERR002] — surfaced as a skipped artifact below
-            skipped.append(SkippedArtifact(path, f"unreadable span file: {exc}"))
-            continue
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail from a killed process
-            if isinstance(record, dict) and record.get("kind") in (
-                "span", "instant"
-            ):
-                records.append(record)
-    return records
-
-
 def _build_sweep_view(
-    sweeps_root: str, name: str, skipped: List[SkippedArtifact]
+    sweep: SweepDir, skipped: List[SkippedArtifact]
 ) -> SweepView:
-    sweep_dir = os.path.join(sweeps_root, name)
-    view = SweepView(sweep=name, path=sweep_dir)
-
-    manifest_path = os.path.join(sweep_dir, "manifest.json")
-    if os.path.isfile(manifest_path):
-        manifest, error = _read_json(manifest_path)
-        if error is not None:
-            skipped.append(SkippedArtifact(manifest_path, error))
-        elif isinstance(manifest, dict):
-            view.manifest = manifest
-            view.n_cells = int(manifest.get("n_cells", 0) or 0)
-    else:
-        skipped.append(SkippedArtifact(
-            os.path.join(sweep_dir, "manifest.json"), "missing manifest"
-        ))
-
-    # Snapshot first, journal entries on top — same precedence as the
-    # checkpoint loader, but nothing is quarantined on damage here.
-    statuses: Dict[str, str] = {}
-    snapshot_path = os.path.join(sweep_dir, "snapshot.json")
-    if os.path.isfile(snapshot_path):
-        snapshot, error = _read_json(snapshot_path)
-        if error is not None:
-            skipped.append(SkippedArtifact(snapshot_path, error))
-        elif isinstance(snapshot, dict):
-            for cell_id, data in snapshot.get("cells", {}).items():
-                if isinstance(data, dict):
-                    statuses[str(cell_id)] = str(data.get("status", ""))
-    journal_statuses, torn = _read_journal(
-        os.path.join(sweep_dir, "journal.jsonl")
-    )
-    statuses.update(journal_statuses)
-    view.torn_journal_lines = torn
-    view.done = sum(1 for s in statuses.values() if s == "ok")
-    view.quarantined = sum(
-        1 for s in statuses.values() if s == "quarantined"
-    )
-
-    view.events = read_progress(os.path.join(sweep_dir, "progress.jsonl"))
-    view.lanes = spans_to_timeline(
-        _read_spans(os.path.join(sweep_dir, "trace"), skipped)
-    )
-    view.has_merged_trace = os.path.isfile(
-        os.path.join(sweep_dir, "trace.json")
-    )
+    state = sweep.read()
+    view = SweepView(sweep=sweep.name, path=sweep.dir)
+    if not os.path.isfile(sweep.manifest_path):
+        skipped.append(SkippedArtifact(sweep.manifest_path, "missing manifest"))
+    skipped.extend(SkippedArtifact(path, reason) for path, reason in state.damage)
+    if state.manifest is not None:
+        view.manifest = state.manifest
+        view.n_cells = int(state.manifest.get("n_cells", 0) or 0)
+    statuses = [r.status for r in state.results.values()]
+    view.done = statuses.count("ok")
+    view.quarantined = statuses.count("quarantined")
+    view.torn_journal_lines = len(state.bad_journal_lines)
+    view.events = state.events
+    view.lanes = spans_to_timeline(state.spans)
+    view.has_merged_trace = os.path.isfile(sweep.trace_path)
     return view
 
 
@@ -257,14 +153,8 @@ def build_model(runs_dir: str, *, fsck: bool = True) -> ObservatoryModel:
     for path, reason in problems:
         model.skipped.append(SkippedArtifact(path, reason))
 
-    sweeps_root = os.path.join(runs_dir, "sweeps")
-    if os.path.isdir(sweeps_root):
-        for name in sorted(os.listdir(sweeps_root)):
-            if not os.path.isdir(os.path.join(sweeps_root, name)):
-                continue
-            model.sweeps.append(
-                _build_sweep_view(sweeps_root, name, model.skipped)
-            )
+    for sweep in sweep_dirs(runs_dir):
+        model.sweeps.append(_build_sweep_view(sweep, model.skipped))
 
     if fsck and os.path.isdir(runs_dir):
         from repro.obs.fsck import fsck_scan

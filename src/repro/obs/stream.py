@@ -25,13 +25,11 @@ be turned on and off without changing a single computed byte.
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.fsio import BestEffortWriter
+from repro.fsio import BestEffortWriter, read_jsonl
 
 #: Bumped on incompatible progress-event layout changes.
 PROGRESS_SCHEMA_VERSION = 1
@@ -178,23 +176,8 @@ class ProgressStream:
 
 def read_progress(path: str) -> List[Dict]:
     """Load a progress JSONL file, skipping torn or foreign lines."""
-    events: List[Dict] = []
-    try:
-        handle = open(path, "r", encoding="utf-8")
-    except OSError:  # repro: allow[ERR002] — read path; no stream == no events
-        return events
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(event, dict) and "event" in event:
-                events.append(event)
-    return events
+    entries, _, _ = read_jsonl(path)
+    return [event for _, event in entries if "event" in event]
 
 
 # ---- OpenMetrics exposition -----------------------------------------------
@@ -230,8 +213,7 @@ def render_openmetrics(runs_dir: Optional[str] = None) -> str:
     versions and git SHA, and the exposition terminates with ``# EOF``.
     """
 
-    from repro.errors import CheckpointError
-    from repro.exec.checkpoint import SweepCheckpoint
+    from repro.exec.checkpoint import sweep_dirs
     from repro.obs.registry import (
         SCHEMA_VERSION,
         RunRegistry,
@@ -240,8 +222,7 @@ def render_openmetrics(runs_dir: Optional[str] = None) -> str:
     )
 
     root = runs_dir if runs_dir is not None else runs_dir_default()
-    registry = RunRegistry(root)
-    records = registry.records()
+    records, _ = RunRegistry(root).scan()
 
     lines: List[str] = []
     lines.append(
@@ -291,41 +272,33 @@ def render_openmetrics(runs_dir: Optional[str] = None) -> str:
                 f"{record.timings[key]}"
             )
 
-    sweeps_root = os.path.join(root, "sweeps")
     lines.append(
         "# HELP repro_sweep_cells Checkpointed cell states per sweep."
     )
     lines.append("# TYPE repro_sweep_cells gauge")
-    sweep_names: List[str] = []
-    if os.path.isdir(sweeps_root):
-        sweep_names = sorted(os.listdir(sweeps_root))
     throughput: List[str] = []
     etas: List[str] = []
-    for sweep in sweep_names:
-        checkpoint = SweepCheckpoint(root, sweep)
-        try:
-            manifest = checkpoint.manifest()
-        except CheckpointError:
+    for sweep in sweep_dirs(root):
+        state = sweep.read()
+        if state.manifest is None:
             continue
-        results = checkpoint.load()
-        done = sum(1 for r in results.values() if r.status == "ok")
-        quarantined = sum(
-            1 for r in results.values() if r.status == "quarantined"
-        )
-        label = _escape_label(sweep)
+        statuses = [r.status for r in state.results.values()]
+        label = _escape_label(sweep.name)
         lines.append(
             f'repro_sweep_cells{{sweep="{label}",state="total"}} '
-            f'{int(manifest.get("n_cells", 0))}'
+            f'{int(state.manifest.get("n_cells", 0))}'
         )
         lines.append(
-            f'repro_sweep_cells{{sweep="{label}",state="done"}} {done}'
+            f'repro_sweep_cells{{sweep="{label}",state="done"}} '
+            f'{statuses.count("ok")}'
         )
         lines.append(
             f'repro_sweep_cells{{sweep="{label}",state="quarantined"}} '
-            f"{quarantined}"
+            f'{statuses.count("quarantined")}'
         )
-        events = read_progress(os.path.join(checkpoint.dir, "progress.jsonl"))
-        finished = [e for e in events if e.get("event") == "cell-finished"]
+        finished = [
+            e for e in state.events if e.get("event") == "cell-finished"
+        ]
         if finished:
             last = finished[-1]
             if last.get("cells_per_s") is not None:

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import CheckpointError
 from repro.exec.cells import CellResult
-from repro.exec.checkpoint import SweepCheckpoint, sweep_id
+from repro.exec.checkpoint import SweepCheckpoint, sweep_dirs, sweep_id
 from repro.obs.registry import (
     RunRegistry,
     atomic_write_json,
@@ -45,6 +45,17 @@ class TestSweepCheckpoint:
         loaded = SweepCheckpoint(str(tmp_path), "s-h-s0").load()
         assert sorted(loaded) == ["c0"]
 
+    def test_non_object_journal_line_is_skipped(self, tmp_path):
+        # A line that parses as JSON but not as an object is a bad line,
+        # exactly as fsck classifies it; resume must not crash on it.
+        checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0")
+        checkpoint.initialise(config_hash="h", seed=0, config={}, n_cells=2)
+        checkpoint.record(result_for("c0"))
+        with open(checkpoint.journal_path, "a", encoding="utf-8") as handle:
+            handle.write("[1, 2]\n")
+        loaded = SweepCheckpoint(str(tmp_path), "s-h-s0").load()
+        assert sorted(loaded) == ["c0"]
+
     def test_corrupt_snapshot_falls_back_to_journal(self, tmp_path, capsys):
         checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0",
                                      snapshot_every=1)
@@ -75,6 +86,42 @@ class TestSweepCheckpoint:
 
     def test_sweep_id_is_config_and_seed_keyed(self):
         assert sweep_id("sweep", "abc123", 7) == "sweep-abc123-s7"
+
+
+class TestSweepDirRead:
+    def test_read_uses_what_parses_and_reports_the_rest(self, tmp_path):
+        checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0",
+                                     snapshot_every=1)
+        checkpoint.initialise(config_hash="h", seed=0, config={}, n_cells=3)
+        checkpoint.record(result_for("c0"))
+        checkpoint.record(result_for("c1", status="quarantined"))
+        with open(checkpoint.journal_path, "a", encoding="utf-8") as handle:
+            handle.write('{"no_cell_id": 1}\n{"cell_id": "c2", "st')
+        with open(checkpoint.progress_path, "w", encoding="utf-8") as handle:
+            handle.write('{"event": "sweep-started"}\n{"foreign": 1}\n{')
+        open(checkpoint.trace_path, "w").write("[]")
+        before = sorted(os.listdir(checkpoint.dir))
+
+        state = checkpoint.read()
+        assert sorted(os.listdir(checkpoint.dir)) == before
+        assert state.manifest["n_cells"] == 3
+        assert sorted(state.snapshot) == ["c0", "c1"]
+        assert [r.cell_id for _, r in state.journal] == ["c0", "c1"]
+        assert state.bad_journal_lines == [3, 4]
+        assert not state.torn_journal  # line 3 is a non-cell object
+        assert state.results["c1"].status == "quarantined"
+        assert state.events == [{"event": "sweep-started"}]
+        assert sorted(os.path.basename(p) for p, _ in state.damage) == [
+            "journal.jsonl", "journal.jsonl", "progress.jsonl", "trace.json",
+        ]
+
+    def test_sweep_dirs_skip_orphans_and_files(self, tmp_path):
+        root = tmp_path / "sweeps"
+        for name in ("b", "a", "a.orphan", "a.orphan.1"):
+            (root / name).mkdir(parents=True)
+        (root / "stray.txt").write_text("x")
+        assert [s.name for s in sweep_dirs(str(tmp_path))] == ["a", "b"]
+        assert sweep_dirs(str(tmp_path / "absent")) == []
 
 
 class TestAtomicWrites:

@@ -6,6 +6,8 @@ failure), :class:`JournalWriter` (durable, torn-tail isolation) and
 :class:`BestEffortWriter` (degrades but *counts*).  Then the
 :class:`FaultyIO` simulator itself: transparency when fault-free,
 deterministic crash states, errno short writes, and fsync lies.
+Last, the one read path (``read_json``/``read_jsonl``) every reader of
+those files shares.
 """
 
 import errno
@@ -22,7 +24,10 @@ from repro.fsio import (
     SimulatedCrash,
     fsync_dir,
     quarantine_corrupt,
+    read_json,
+    read_jsonl,
     write_json_atomic,
+    write_jsonl_atomic,
 )
 
 
@@ -255,3 +260,58 @@ class TestQuarantine:
         assert os.path.exists(str(tmp_path / "bad.json.corrupt"))
         assert moved == str(tmp_path / "bad.json.corrupt.1")
         assert "quarantined" in capsys.readouterr().err
+
+
+class TestReadPath:
+    def write(self, tmp_path, text):
+        path = tmp_path / "f.jsonl"
+        path.write_text(text)
+        return str(path)
+
+    def test_torn_means_only_the_last_line_is_bad(self, tmp_path):
+        path = self.write(tmp_path, '{"a": 1}\n\n{"b": 2}\n{"c": \n\n')
+        entries, bad, torn = read_jsonl(path)
+        assert entries == [(1, {"a": 1}), (3, {"b": 2})]
+        assert bad == [4] and torn
+
+    def test_non_object_lines_are_bad(self, tmp_path):
+        path = self.write(tmp_path, '{"a": 1}\n[1, 2]\n')
+        assert read_jsonl(path) == ([(1, {"a": 1})], [2], True)
+
+    def test_mid_file_damage_is_not_torn(self, tmp_path):
+        path = self.write(tmp_path, '{"a": 1}\n{nope\n{"b": 2}\n')
+        _, bad, torn = read_jsonl(path)
+        assert bad == [2] and not torn
+        path = self.write(tmp_path, '{nope\n{"a": 1}\n{nope\n')
+        _, bad, torn = read_jsonl(path)
+        assert bad == [1, 3] and not torn
+
+    def test_missing_jsonl_reads_as_empty(self, tmp_path):
+        assert read_jsonl(str(tmp_path / "absent.jsonl")) == ([], [], False)
+
+    def test_invalid_utf8_is_one_bad_line(self, tmp_path):
+        path = tmp_path / "f.jsonl"
+        path.write_bytes(b'{"a": 1}\n{"b": "\xff"}\n{"c": 3}\n')
+        assert read_jsonl(str(path)) == (
+            [(1, {"a": 1}), (3, {"c": 3})], [2], False,
+        )
+
+    def test_jsonl_rewrite_round_trips(self, tmp_path):
+        path = str(tmp_path / "f.jsonl")
+        write_jsonl_atomic(path, [{"b": 1, "a": 2}, {"c": 3}])
+        assert open(path).read() == '{"a":2,"b":1}\n{"c":3}\n'
+        assert read_jsonl(path) == (
+            [(1, {"a": 2, "b": 1}), (2, {"c": 3})], [], False,
+        )
+        assert os.listdir(tmp_path) == ["f.jsonl"]
+
+    def test_read_json_reports_instead_of_raising(self, tmp_path):
+        good = tmp_path / "good.json"
+        good.write_text('{"a": 1}')
+        assert read_json(str(good)) == ({"a": 1}, None)
+        bad = tmp_path / "bad.json"
+        bad.write_text("{ nope")
+        payload, error = read_json(str(bad))
+        assert payload is None and error.startswith("corrupt JSON")
+        payload, error = read_json(str(tmp_path / "absent.json"))
+        assert payload is None and error.startswith("unreadable")

@@ -221,6 +221,15 @@ class TestAggregation:
         # The corrupt record is still in place, un-quarantined.
         assert os.path.isfile(os.path.join(runs, "torn-record.json"))
 
+    def test_orphaned_sweep_dirs_are_not_sweeps(self, tmp_path):
+        runs = build_fixture(str(tmp_path))
+        for name in ("old.orphan", "old.orphan.1"):
+            write(os.path.join(runs, "sweeps", name, "junk"), "x")
+        model = build_model(runs)
+        assert [sweep.sweep for sweep in model.sweeps] == ["golden"]
+        assert not any(".orphan" in s.path for s in model.skipped)
+        assert "orphaned-sweep" not in {f["kind"] for f in model.findings}
+
     def test_missing_directory_yields_empty_model(self, tmp_path):
         model = build_model(str(tmp_path / "nowhere"), fsck=True)
         assert model.records == [] and model.sweeps == []

@@ -160,6 +160,33 @@ class TestOpenMetrics:
             )
             assert lines[first - 1] == f"# TYPE {family} gauge"
 
+    def test_scrape_leaves_a_damaged_runs_dir_untouched(self, tmp_path):
+        from repro.exec import SweepCheckpoint
+        from repro.exec.cells import CellResult
+
+        runs = str(tmp_path / "runs")
+        checkpoint = SweepCheckpoint(runs, "demo", snapshot_every=1)
+        checkpoint.initialise(config_hash="cafe", seed=0, config={},
+                              n_cells=2)
+        checkpoint.record(CellResult(cell_id="c0", status="ok"))
+        checkpoint.close()
+        with open(checkpoint.snapshot_path, "w", encoding="utf-8") as fh:
+            fh.write("{ torn")
+        with open(os.path.join(runs, "zz-corrupt.json"), "w") as fh:
+            fh.write("{ nope")
+
+        def listing():
+            return sorted(
+                os.path.join(dirpath, name)
+                for dirpath, _, names in os.walk(runs) for name in names
+            )
+
+        before = listing()
+        text = render_openmetrics(runs)
+        assert listing() == before
+        # The journal alone still answers the scrape.
+        assert 'repro_sweep_cells{sweep="demo",state="done"} 1' in text
+
     def test_render_openmetrics_empty_dir(self, tmp_path):
         text = render_openmetrics(str(tmp_path / "empty"))
         assert text.endswith("# EOF\n")
