@@ -1,44 +1,23 @@
-"""Command-line interface: ``python -m repro <command>``.
+"""Command-line interface: ``python -m repro <verb>``; ``--help`` lists the verbs.
 
-Commands map one-to-one onto the paper's experiments:
+Every verb is one row of :data:`VERBS`: its name, help, handler, own
+arguments and the shared flag sets it takes (``--seed`` with the verb's
+default, ``--json``, the executor flags).  :func:`build_parser` and
+:func:`main` both read that table, and each numeric flag carries its
+own range check, so bad input is refused before any work starts.
 
-    python -m repro list                     # the workload catalog
-    python -m repro run S-WordCount          # run + characterize one workload
-    python -m repro reduce [--k 17]          # the 77 -> 17 reduction
-    python -m repro fig 1|2|3|4|5|locality   # regenerate a figure
-    python -m repro table 1|2|4              # regenerate a table
-    python -m repro stacks                   # the §5.5 stack study
-    python -m repro system                   # §3.2 classification
-    python -m repro faults [--seed 7]        # stack fault resilience
-    python -m repro chaos [--seeds 20]       # invariant-audited chaos soak
-    python -m repro trace S-WordCount        # span-trace one run
-    python -m repro sweep --jobs 4           # supervised parallel sweep
-    python -m repro profile S-WordCount      # host hot-path profiler
-    python -m repro metrics                  # OpenMetrics counter scrape
-    python -m repro report                   # fidelity scorecard vs paper
-    python -m repro diff <run-a> <run-b>     # per-metric drift, CI gate
-    python -m repro history fig3             # metric trajectory, sparklines
-    python -m repro lint [--dynamic]         # determinism sanitizer
-    python -m repro dash [--out DIR]         # static HTML observatory
-    python -m repro bench fig4 --reps 5      # noise-aware wall-clock bench
-    python -m repro perfdiff                 # CI perf gate vs budgets
+Every metric-producing verb writes a versioned run record into the
+registry directory (``.repro-runs/`` by default; ``--runs-dir`` or
+``REPRO_RUNS_DIR`` moves it, ``--no-record`` suppresses it) — the
+registry that ``report``/``diff``/``history``/``dash`` read.  All output
+goes through :func:`_emit`, which saves the record *before* printing,
+so a closed stdout (``| head``) never costs a measurement.
 
-Every metric-producing command also writes a versioned run record into
-the registry directory (``.repro-runs/`` by default; override with
-``--runs-dir`` or ``REPRO_RUNS_DIR``, suppress with ``--no-record``) —
-that registry is what ``report``/``diff``/``history`` read.
-
-``sweep`` (and ``fig``/``table`` with ``--jobs N``) fan the
-workload x platform x seed matrix out across supervised worker
-processes (:mod:`repro.exec`): per-cell timeouts with SIGKILL
-escalation, heartbeat hang detection, capped-backoff retry,
-poison-cell quarantine, and a crash-safe checkpoint under
-``<runs dir>/sweeps/`` that ``--resume`` restarts from.  Each such run
-also records per-process span files merged into one Chrome/Perfetto
-trace (``--no-trace`` disables) and streams JSONL progress events next
-to the checkpoint (``--progress`` forces the live status line on).
-Bad input (unknown workload, invalid ``--seed``/``--scale``, missing
-``--replay``) exits 2 with a one-line typed error, never a traceback.
+Exit codes: 0 success; 1 a failed gate (drift, regression, invariant
+violation, quarantined sweep cells, failed campaign); 2 bad input — a
+range-checked flag, unknown workload/target, malformed replay or
+manifest — reported as one ``<ErrorType>: message`` line on stderr,
+never a traceback; 3 a missing registry target (``diff``, ``fsck``).
 """
 
 from __future__ import annotations
@@ -47,7 +26,30 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
 
+from repro.cluster.cluster import Cluster
+from repro.cluster.events import Simulation
+from repro.errors import (
+    FaultPlanError,
+    InvalidParameterError,
+    InvariantViolation,
+    LintError,
+    TraceMergeError,
+    UsageError,
+)
+from repro.exec import (
+    SweepCheckpoint,
+    SweepExecutor,
+    SweepTracer,
+    decompose,
+    merge_results,
+    merge_sweep_trace,
+    sweep_id,
+    telemetry_lines,
+)
+from repro.exec.cells import PLATFORM_KEYS, platform_for
 from repro.experiments import (
     ExperimentContext,
     fault_resilience,
@@ -63,11 +65,29 @@ from repro.experiments import (
     table2_reduction,
     table4_branch,
 )
+from repro.obs import Tracer, render_trace_summary, write_chrome_trace
+from repro.obs.dashboard import render_site
+from repro.obs.hostprof import profile_call
+from repro.obs.observatory import build_model
+from repro.obs.perf import (
+    bench_targets,
+    load_budgets,
+    perfdiff,
+    run_bench,
+    update_budgets,
+)
 from repro.obs.registry import (
     RunRecord,
     RunRegistry,
     build_provenance,
+    config_hash,
     runs_dir_default,
+)
+from repro.obs.report import diff_records, history, scorecard
+from repro.obs.stream import (
+    ProgressStream,
+    TerminalRenderer,
+    render_openmetrics,
 )
 from repro.uarch import ATOM_D510, XEON_E5645, characterize
 from repro.workloads import (
@@ -78,255 +98,111 @@ from repro.workloads import (
 )
 
 _FIGURES = {
-    "1": fig1_instruction_mix,
-    "2": fig2_integer_breakdown,
-    "3": fig3_ipc,
-    "4": fig4_cache,
-    "5": fig5_tlb,
+    "1": fig1_instruction_mix.run,
+    "2": fig2_integer_breakdown.run,
+    "3": fig3_ipc.run,
+    "4": fig4_cache.run,
+    "5": fig5_tlb.run,
+    "locality": fig6to9_locality.run,
 }
 
 _TABLES = {
-    "2": table2_reduction,
-    "4": table4_branch,
+    "1": lambda _context: table1_datasets.run(),
+    "2": table2_reduction.run,
+    "4": table4_branch.run,
 }
 
 
-def _registry(args) -> RunRegistry:
-    return RunRegistry(args.runs_dir)
+# ---- output -----------------------------------------------------------------
+def _emit(args, text: str, payload=None, record: RunRecord = None) -> None:
+    """The one output path: save ``record``, then print JSON or ``text``.
 
-
-def _save_record(args, record: RunRecord, quiet: bool = False) -> str:
-    """Persist one run record unless ``--no-record`` was given."""
-    if args.no_record:
-        return ""
-    path = _registry(args).save(record)
-    if not quiet:
+    The record is saved first (unless ``--no-record``).  ``--json``
+    prints ``payload`` — by default ``record.to_dict()``; a callable is
+    called after the save, so it can name the run id — and falls back
+    to ``text`` when there is neither.  Text mode ends with the
+    ``recorded <run_id> -> <path>`` line.
+    """
+    path = ""
+    if record is not None and not args.no_record:
+        path = RunRegistry(args.runs_dir).save(record)
+    if args.json and (payload is not None or record is not None):
+        if payload is None:
+            payload = record.to_dict()
+        elif callable(payload):
+            payload = payload()
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return
+    print(text)
+    if path:
         print(f"\nrecorded {record.run_id} -> {path}")
-    return path
 
 
-def _record_experiment(
-    args,
-    context: ExperimentContext,
-    experiment: str,
-    result,
-    *,
-    kind: str = "experiment",
-    platforms=None,
-    config=None,
-    quiet: bool = False,
-) -> RunRecord:
-    """Build + persist the record for one experiment result."""
-    record = context.make_record(
-        experiment,
-        result.fidelity_metrics(),
-        kind=kind,
-        platforms=platforms,
-        config=config,
-    )
-    _save_record(args, record, quiet=quiet)
-    return record
-
-
-def _cmd_list(_args) -> int:
-    print(f"{'workload':26s} {'stack':8s} {'dataset':16s} {'category':22s} rep")
-    for definition in ALL_WORKLOADS + MPI_WORKLOADS:
-        marker = f"x{definition.represents}" if definition.representative else ""
-        print(
-            f"{definition.workload_id:26s} {definition.stack:8s} "
-            f"{definition.dataset:16s} {definition.category.value:22s} {marker}"
-        )
-    print(f"\n{len(ALL_WORKLOADS)} catalog workloads + {len(MPI_WORKLOADS)} MPI versions")
-    return 0
-
-
-def _cmd_run(args) -> int:
-    definition = workload(args.workload)
-    platform = ATOM_D510 if args.platform == "d510" else XEON_E5645
-    if not args.json:
-        print(f"running {definition.workload_id} ({definition.description}) ...")
-    cluster = None
-    if getattr(args, "cluster", False):
-        from repro.cluster.cluster import Cluster
-
-        cluster = Cluster()
-    result = definition.runner(scale=args.scale, seed=args.seed,
-                               cluster=cluster)
-    counters = characterize(result.profile, platform, seed=1234 + args.seed)
-    metrics = dict(counters.metric_dict())
-    if result.system is not None:
-        for name, value in result.system.to_dict().items():
-            metrics[f"system.{name}"] = float(value)
-    record = RunRecord(
-        experiment=f"run.{definition.workload_id}",
-        kind="run",
-        metrics=metrics,
-        provenance=build_provenance(
-            experiment=f"run.{definition.workload_id}",
-            seed=args.seed,
-            scale=args.scale,
-            platforms=[platform.name],
-        ),
-    )
-    if args.json:
-        _save_record(args, record, quiet=True)
-        print(
-            json.dumps(
-                {
-                    "workload": definition.workload_id,
-                    "platform": platform.name,
-                    "scale": args.scale,
-                    "seed": args.seed,
-                    "run_id": record.run_id,
-                    "metrics": metrics,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        return 0
-    print(f"platform: {platform.name}")
-    for name, value in metrics.items():
-        print(f"  {name:26s} {value:12.4f}")
-    _save_record(args, record)
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    from repro.cluster.cluster import Cluster
-    from repro.cluster.events import Simulation
-    from repro.obs import Tracer, render_trace_summary, write_chrome_trace
-
-    definition = workload(args.workload)
-    tracer = Tracer(sample_interval=args.sample_interval)
-    cluster = Cluster(sim=Simulation(tracer=tracer))
-    print(f"tracing {definition.workload_id} ({definition.description}) ...")
-    definition.runner(scale=args.scale, cluster=cluster, seed=args.seed)
-    n_events = write_chrome_trace(
-        tracer, args.out, process_name=f"repro {definition.workload_id}"
-    )
-    print(render_trace_summary(tracer))
-    # Span counts and simulated durations are deterministic for a fixed
-    # seed/scale, so the trace summary is a legitimate registry metric.
-    metrics = {"trace.events": float(n_events)}
-    by_category = {}
-    for span in tracer.spans:
-        bucket = by_category.setdefault(span.category, [0, 0.0])
-        bucket[0] += 1
-        bucket[1] += span.duration
-    for category, (count, seconds) in sorted(by_category.items()):
-        metrics[f"trace.{category}.spans"] = float(count)
-        metrics[f"trace.{category}.seconds"] = seconds
-    experiment = f"trace.{definition.workload_id}"
-    record = RunRecord(
+def _record(args, experiment: str, kind: str, metrics, platforms=(),
+            config=None, timings=None) -> RunRecord:
+    """A run record stamped with this invocation's seed and scale."""
+    return RunRecord(
         experiment=experiment,
-        kind="trace",
+        kind=kind,
         metrics=metrics,
         provenance=build_provenance(
-            experiment=experiment,
-            seed=args.seed,
-            scale=args.scale,
-            platforms=[],
+            experiment=experiment, seed=args.seed, scale=args.scale,
+            platforms=list(platforms), config=config,
         ),
+        timings=timings or {},
     )
-    _save_record(args, record)
-    print(
-        f"\nwrote {n_events} trace events to {args.out} — load it in "
-        f"Perfetto (ui.perfetto.dev) or chrome://tracing"
-    )
-    return 0
 
 
-def _cmd_reduce(args) -> int:
-    context = ExperimentContext(scale=args.scale, seed=args.seed)
-    with context.time_experiment("reduce"):
-        result = table2_reduction.run(context, k=args.k, seed=args.seed)
-    record = context.make_record(
-        "reduce",
-        result.fidelity_metrics(),
-        series=result.to_dict(),
-        config={"k": args.k},
-    )
-    if args.json:
-        _save_record(args, record, quiet=True)
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
-        return 0
-    for representative in result.reduction.representatives:
-        members = result.reduction.clusters[representative]
-        print(f"{representative:26s} represents {len(members)}")
-    _save_record(args, record)
-    return 0
+def _platform(args):
+    return ATOM_D510 if args.platform == "d510" else XEON_E5645
 
 
-def _print_timings(context: ExperimentContext) -> None:
-    lines = context.timing_lines()
-    if lines:
-        print("\ntimings:")
-        for line in lines:
-            print(f"  {line}")
+# ---- the executor -----------------------------------------------------------
+def _run_sweep(args, name: str, config: dict, n_cells: int, run):
+    """One executor run with its checkpoint, span tracer and progress stream.
 
-
-def _sweep_observability(args, checkpoint, sweep_key: str):
-    """Tracer + progress stream for one executor invocation.
-
-    Tracing is on by default (``--no-trace`` disables): per-process
-    span files land in ``<checkpoint dir>/trace/`` and the progress
-    JSONL next to the journal.  The terminal status line engages when
-    ``--progress`` is given, or by default on a tty.  Both are pure
-    observers: the executor's results are bit-identical either way.
+    Opens the checkpoint under ``<runs dir>/sweeps/``, the per-process
+    span files (unless ``--no-trace``) and the progress JSONL (with the
+    live status line under ``--progress``, or by default on a tty),
+    calls ``run(checkpoint, tracer, observer)``, closes both writers
+    and merges the spans into one Chrome trace.  Tracer and stream are
+    pure observers: the results are bit-identical either way.  Returns
+    ``(outcome, counters)``; the writers' drop counters prove or
+    disprove silent telemetry loss.
     """
-    from repro.exec import SweepTracer
-    from repro.obs.stream import ProgressStream, TerminalRenderer
-
-    tracer = None
-    if not getattr(args, "no_trace", False):
-        tracer = SweepTracer(checkpoint.trace_dir)
-    progress = getattr(args, "progress", None)
-    want_line = progress if progress is not None else sys.stderr.isatty()
-    renderer = TerminalRenderer() if want_line else None
-    stream = ProgressStream(
-        checkpoint.progress_path, sweep=sweep_key, renderer=renderer,
-    )
-    return tracer, stream
-
-
-def _merge_observability(tracer, stream, checkpoint,
-                         quiet: bool = False) -> str:
-    """Close the stream, merge span files into one Chrome trace."""
-    from repro.errors import TraceMergeError
-    from repro.exec import merge_sweep_trace
-
-    stream.close()
-    if tracer is None:
-        return ""
-    tracer.close()
-    out = checkpoint.trace_path
-    try:
-        n_events, n_flows = merge_sweep_trace(tracer.trace_dir, out)
-    except TraceMergeError as error:
-        print(f"warning: could not merge sweep trace: {error}",
+    chash = config_hash(config)
+    key = sweep_id(name, chash, args.seed)
+    checkpoint = SweepCheckpoint(args.runs_dir, key)
+    if args.resume and not checkpoint.exists():
+        print("no checkpoint for this sweep config yet; starting fresh",
               file=sys.stderr)
-        return ""
-    print(
-        f"merged sweep trace: {n_events} event(s), {n_flows} retry "
-        f"flow link(s) -> {out}",
-        file=sys.stderr if quiet else sys.stdout,
-    )
-    return out
-
-
-def _observability_telemetry(tracer, stream) -> dict:
-    """Writer drop counters from the sweep's observers.
-
-    These prove (or disprove) silent data loss: ``stream_*`` counts
-    progress events, ``trace_*`` counts supervisor-lane spans.  They
-    ride into the record's ``exec.*`` timings and surface via
-    ``repro metrics`` as ``repro_exec_telemetry``.
-    """
+    checkpoint.initialise(config_hash=chash, seed=args.seed, config=config,
+                          n_cells=n_cells)
+    tracer = None if args.no_trace else SweepTracer(checkpoint.trace_dir)
+    line = args.progress if args.progress is not None else sys.stderr.isatty()
+    stream = ProgressStream(checkpoint.progress_path, sweep=key,
+                            renderer=TerminalRenderer() if line else None)
+    try:
+        outcome = run(checkpoint, tracer, stream)
+    finally:
+        stream.close()
+        if tracer is not None:
+            tracer.close()
+    if tracer is not None:
+        try:
+            n_events, n_flows = merge_sweep_trace(tracer.trace_dir,
+                                                  checkpoint.trace_path)
+        except TraceMergeError as error:
+            print(f"warning: could not merge sweep trace: {error}",
+                  file=sys.stderr)
+        else:
+            print(f"merged sweep trace: {n_events} event(s), {n_flows} "
+                  f"retry flow link(s) -> {checkpoint.trace_path}",
+                  file=sys.stderr if args.json else sys.stdout)
     counters = dict(stream.telemetry())
     if tracer is not None:
         counters.update(tracer.telemetry())
-    return counters
+    return outcome, counters
 
 
 def _prime_context(args, context: ExperimentContext, name: str,
@@ -335,40 +211,25 @@ def _prime_context(args, context: ExperimentContext, name: str,
 
     Only engages for ``--jobs > 1`` (or ``--resume``); the primed
     context is bit-identical to a serially filled one, and quarantined
-    cells silently fall back to in-process computation.
+    cells fall back to in-process computation.
     """
-    jobs = getattr(args, "jobs", 1) or 1
-    resume = getattr(args, "resume", False)
-    if jobs <= 1 and not resume:
+    if args.jobs <= 1 and not args.resume:
         return
-    from repro.exec import SweepCheckpoint, sweep_id
-    from repro.obs.registry import config_hash
-
     config = {
         "verb": name,
         "pairs": sorted([w, p.name] for w, p in pairs),
         "scale": args.scale,
         "seed": args.seed,
     }
-    chash = config_hash(config)
-    sweep_key = sweep_id(name, chash, args.seed)
-    checkpoint = SweepCheckpoint(args.runs_dir, sweep_key)
-    checkpoint.initialise(
-        config_hash=chash, seed=args.seed, config=config,
-        n_cells=len(pairs),
+    outcome, counters = _run_sweep(
+        args, name, config, len(pairs),
+        lambda checkpoint, tracer, observer: context.prime(
+            pairs, jobs=args.jobs, cell_timeout=args.cell_timeout,
+            checkpoint=checkpoint, resume=args.resume, tracer=tracer,
+            observer=observer,
+        ),
     )
-    tracer, stream = _sweep_observability(args, checkpoint, sweep_key)
-    outcome = context.prime(
-        pairs,
-        jobs=jobs,
-        cell_timeout=getattr(args, "cell_timeout", None),
-        checkpoint=checkpoint,
-        resume=resume,
-        tracer=tracer,
-        observer=stream,
-    )
-    _merge_observability(tracer, stream, checkpoint)
-    for key, value in _observability_telemetry(tracer, stream).items():
+    for key, value in counters.items():
         context.registry.add(f"exec.{key}", value)
     if outcome.quarantined:
         print(
@@ -377,6 +238,35 @@ def _prime_context(args, context: ExperimentContext, name: str,
             f"{outcome.render_quarantine()}",
             file=sys.stderr,
         )
+
+
+# ---- experiment verbs -------------------------------------------------------
+def _experiment(args, name: str, run, *, timer: str = None, pairs=None,
+                series: bool = False, render=None, payload=None,
+                **record) -> int:
+    """context -> prime -> time -> run -> render -> record, for one verb.
+
+    ``pairs(context)`` names the cells ``--jobs`` may prime; verbs with
+    executor flags also print the wall-clock timings.  ``payload``
+    maps the result to its ``--json`` document (default: the record).
+    """
+    context = ExperimentContext(scale=args.scale, seed=args.seed)
+    if pairs is not None:
+        _prime_context(args, context, name, pairs(context))
+    with context.time_experiment(timer or name):
+        result = run(context)
+    text = render(result) if render else result.render()
+    timings = context.timing_lines() if args.verb.executor else []
+    if timings:
+        text += "\n\ntimings:" + "".join(f"\n  {line}" for line in timings)
+    _emit(
+        args, text, payload and payload(result),
+        context.make_record(
+            name, result.fidelity_metrics(),
+            series=result.to_dict() if series else None, **record,
+        ),
+    )
+    return 0
 
 
 def _fig_pairs(figure: str, context: ExperimentContext):
@@ -388,78 +278,170 @@ def _fig_pairs(figure: str, context: ExperimentContext):
 
 
 def _cmd_fig(args) -> int:
-    context = ExperimentContext(scale=args.scale, seed=args.seed)
-    if args.figure == "locality":
-        _prime_context(args, context, "fig-locality",
-                       _fig_pairs("locality", context))
-        with context.time_experiment("fig-locality"):
-            result = fig6to9_locality.run(context)
-        print(result.render())
-        _print_timings(context)
-        _record_experiment(args, context, "fig-locality", result,
-                           kind="figure")
-        return 0
-    module = _FIGURES.get(args.figure)
-    if module is None:
-        print(f"unknown figure {args.figure!r}; choose 1-5 or 'locality'",
-              file=sys.stderr)
-        return 2
-    _prime_context(args, context, f"fig{args.figure}",
-                   _fig_pairs(args.figure, context))
-    with context.time_experiment(f"fig-{args.figure}"):
-        result = module.run(context)
-    print(result.render())
-    _print_timings(context)
-    _record_experiment(args, context, f"fig{args.figure}", result,
-                       kind="figure")
-    return 0
+    figure = args.figure
+    return _experiment(
+        args, "fig-locality" if figure == "locality" else f"fig{figure}",
+        _FIGURES[figure], timer=f"fig-{figure}", kind="figure",
+        pairs=lambda context: _fig_pairs(figure, context),
+    )
 
 
 def _cmd_table(args) -> int:
-    if args.table == "1":
-        context = ExperimentContext(scale=args.scale, seed=args.seed)
-        with context.time_experiment("table-1"):
-            result = table1_datasets.run()
-        print(result.render())
-        _record_experiment(args, context, "table1", result, kind="table")
-        return 0
-    module = _TABLES.get(args.table)
-    if module is None:
-        print(f"unknown table {args.table!r}; choose 1, 2 or 4", file=sys.stderr)
-        return 2
-    context = ExperimentContext(scale=args.scale, seed=args.seed)
-    pairs = [(d.workload_id, context.xeon) for d in REPRESENTATIVE_WORKLOADS]
-    if args.table == "4":
-        pairs += [
-            (d.workload_id, context.atom) for d in REPRESENTATIVE_WORKLOADS
-        ]
-    _prime_context(args, context, f"table{args.table}", pairs)
-    with context.time_experiment(f"table-{args.table}"):
-        result = module.run(context)
-    print(result.render())
-    _print_timings(context)
-    platforms = (
-        [XEON_E5645.name, ATOM_D510.name] if args.table == "4" else None
+    table = args.table
+
+    def pairs(context):
+        platforms = [context.xeon] + ([context.atom] if table == "4" else [])
+        return [(d.workload_id, platform) for platform in platforms
+                for d in REPRESENTATIVE_WORKLOADS]
+
+    return _experiment(
+        args, f"table{table}", _TABLES[table], timer=f"table-{table}", kind="table",
+        pairs=None if table == "1" else pairs,
+        platforms=(
+            [XEON_E5645.name, ATOM_D510.name] if table == "4" else None
+        ),
     )
-    _record_experiment(args, context, f"table{args.table}", result,
-                       kind="table", platforms=platforms)
+
+
+def _cmd_reduce(args) -> int:
+    return _experiment(
+        args, "reduce",
+        lambda context: table2_reduction.run(context, k=args.k,
+                                             seed=args.seed),
+        series=True, config={"k": args.k},
+        render=lambda result: "\n".join(
+            f"{rep:26s} represents {len(result.reduction.clusters[rep])}"
+            for rep in result.reduction.representatives
+        ),
+    )
+
+
+def _cmd_stacks(args) -> int:
+    return _experiment(args, "stacks", stack_impact.run, series=True)
+
+
+def _cmd_system(args) -> int:
+    return _experiment(args, "system", system_behaviors.run, series=True)
+
+
+def _cmd_faults(args) -> int:
+    return _experiment(args, "faults", fault_resilience.run, series=True,
+                       kind="faults", payload=lambda result: result.to_dict())
+
+
+# ---- single-workload verbs --------------------------------------------------
+def _cmd_list(args) -> int:
+    lines = [f"{'workload':26s} {'stack':8s} {'dataset':16s} "
+             f"{'category':22s} rep"]
+    for definition in ALL_WORKLOADS + MPI_WORKLOADS:
+        marker = f"x{definition.represents}" if definition.representative else ""
+        lines.append(
+            f"{definition.workload_id:26s} {definition.stack:8s} "
+            f"{definition.dataset:16s} {definition.category.value:22s} {marker}"
+        )
+    lines.append(f"\n{len(ALL_WORKLOADS)} catalog workloads + "
+                 f"{len(MPI_WORKLOADS)} MPI versions")
+    _emit(args, "\n".join(lines))
     return 0
 
 
+def _cmd_run(args) -> int:
+    definition = workload(args.workload)
+    platform = _platform(args)
+    print(f"running {definition.workload_id} ({definition.description}) ...",
+          file=sys.stderr)
+    result = definition.runner(scale=args.scale, seed=args.seed,
+                               cluster=Cluster() if args.cluster else None)
+    counters = characterize(result.profile, platform, seed=1234 + args.seed)
+    metrics = dict(counters.metric_dict())
+    if result.system is not None:
+        for name, value in result.system.to_dict().items():
+            metrics[f"system.{name}"] = float(value)
+    record = _record(args, f"run.{definition.workload_id}", "run", metrics,
+                     [platform.name])
+    _emit(
+        args,
+        "\n".join([f"platform: {platform.name}"] + [
+            f"  {name:26s} {value:12.4f}" for name, value in metrics.items()
+        ]),
+        lambda: {
+            "workload": definition.workload_id,
+            "platform": platform.name,
+            "scale": args.scale,
+            "seed": args.seed,
+            "run_id": record.run_id,
+            "metrics": metrics,
+        },
+        record,
+    )
+    return 0
+
+
+def _cmd_trace(args) -> int:
+    definition = workload(args.workload)
+    tracer = Tracer(sample_interval=args.sample_interval)
+    print(f"tracing {definition.workload_id} ({definition.description}) ...",
+          file=sys.stderr)
+    definition.runner(scale=args.scale, cluster=Cluster(
+        sim=Simulation(tracer=tracer)), seed=args.seed)
+    n_events = write_chrome_trace(
+        tracer, args.out, process_name=f"repro {definition.workload_id}"
+    )
+    # Span counts and simulated durations are deterministic for a fixed
+    # seed/scale, so the trace summary is a legitimate registry metric.
+    metrics = {"trace.events": float(n_events)}
+    by_category = {}
+    for span in tracer.spans:
+        bucket = by_category.setdefault(span.category, [0, 0.0])
+        bucket[0] += 1
+        bucket[1] += span.duration
+    for category, (count, seconds) in sorted(by_category.items()):
+        metrics[f"trace.{category}.spans"] = float(count)
+        metrics[f"trace.{category}.seconds"] = seconds
+    _emit(
+        args,
+        f"{render_trace_summary(tracer)}\n\nwrote {n_events} trace events "
+        f"to {args.out} — load it in Perfetto (ui.perfetto.dev) or "
+        f"chrome://tracing",
+        record=_record(args, f"trace.{definition.workload_id}", "trace",
+                       metrics),
+    )
+    return 0
+
+
+def _cmd_profile(args) -> int:
+    """Host hot-path profile of one workload characterization.
+
+    Every measured number is wall-clock and therefore quarantined: the
+    record's ``metrics`` are the ordinary (deterministic) performance
+    counters, while the whole attribution lands in ``timings``.
+    """
+    definition = workload(args.workload)
+    platform = _platform(args)
+    print(f"profiling {definition.workload_id} on {platform.name} "
+          f"(host wall-clock, scale {args.scale}) ...", file=sys.stderr)
+    context = ExperimentContext(scale=args.scale, seed=args.seed)
+    counters, profile = profile_call(
+        context.counters, definition.workload_id, platform
+    )
+    _emit(
+        args,
+        f"{profile.render_table(args.top)}\n\n{profile.render_flame()}\n\n"
+        f"attributed {100 * profile.attributed_fraction():.1f}% of "
+        f"{profile.total_s:.3f}s measured self time "
+        f"({100 * profile.uarch_fraction():.1f}% inside repro.uarch)",
+        record=_record(
+            args, f"profile.{definition.workload_id}", "profile",
+            dict(counters.metric_dict()), [platform.name],
+            timings=profile.timings(),
+        ),
+    )
+    return 0
+
+
+# ---- sweeps and campaigns ---------------------------------------------------
 def _cmd_sweep(args) -> int:
     """The supervised parallel sweep over workload x platform x seed."""
-    from repro.errors import InvalidParameterError
-    from repro.exec import (
-        SweepCheckpoint,
-        SweepExecutor,
-        decompose,
-        merge_results,
-        sweep_id,
-        telemetry_lines,
-    )
-    from repro.exec.cells import PLATFORM_KEYS, platform_for
-    from repro.obs.registry import config_hash
-
     if args.workloads:
         workload_ids = [w.strip() for w in args.workloads.split(",") if w.strip()]
     else:
@@ -477,186 +459,60 @@ def _cmd_sweep(args) -> int:
             )
     seeds = list(range(args.seed, args.seed + args.seeds))
     cells = decompose(workload_ids, platforms, args.scale, seeds)
-
     config = {
         "workloads": workload_ids,
         "platforms": platforms,
         "scale": args.scale,
         "seeds": seeds,
     }
-    chash = config_hash(config)
-    name = args.name or "sweep"
-    sweep_key = sweep_id(name, chash, args.seed)
-    checkpoint = SweepCheckpoint(args.runs_dir, sweep_key)
-    if args.resume and not checkpoint.exists():
-        print(f"no checkpoint for this sweep config yet; starting fresh",
-              file=sys.stderr)
-    checkpoint.initialise(
-        config_hash=chash, seed=args.seed, config=config,
-        n_cells=len(cells),
+    outcome, counters = _run_sweep(
+        args, args.name or "sweep", config, len(cells),
+        lambda checkpoint, tracer, observer: SweepExecutor(
+            jobs=args.jobs, cell_timeout=args.cell_timeout,
+            tracer=tracer, observer=observer,
+        ).run(cells, checkpoint=checkpoint, resume=args.resume),
     )
-    tracer, stream = _sweep_observability(args, checkpoint, sweep_key)
-    executor = SweepExecutor(
-        jobs=args.jobs, cell_timeout=args.cell_timeout,
-        tracer=tracer, observer=stream,
-    )
-    outcome = executor.run(cells, checkpoint=checkpoint, resume=args.resume)
-    _merge_observability(tracer, stream, checkpoint, quiet=args.json)
-    outcome.telemetry.update(_observability_telemetry(tracer, stream))
-
+    outcome.telemetry.update(counters)
     if outcome.quarantined:
         print(
             f"sweep incomplete: {len(outcome.quarantined)} of "
-            f"{len(cells)} cell(s) quarantined",
+            f"{len(cells)} cell(s) quarantined\n"
+            f"{outcome.render_quarantine()}\n"
+            f"re-run with --resume after fixing the cause",
             file=sys.stderr,
         )
-        print(outcome.render_quarantine(), file=sys.stderr)
-        print("re-run with --resume after fixing the cause", file=sys.stderr)
         return 1
-
     merged = merge_results(cells, outcome.results,
                            single_seed=len(seeds) == 1)
-    experiment = f"sweep.{args.name}" if args.name else "sweep"
-    record = RunRecord(
-        experiment=experiment,
-        kind="sweep",
-        metrics=merged,
-        provenance=build_provenance(
-            experiment=experiment,
-            seed=args.seed,
-            scale=args.scale,
-            platforms=[platform_for(key).name for key in platforms],
-            config=config,
+    _emit(
+        args,
+        "\n".join(
+            [f"sweep of {len(workload_ids)} workload(s) x {len(platforms)} "
+             f"platform(s) x {len(seeds)} seed(s) = {len(cells)} cells "
+             f"({len(merged)} metrics)"]
+            + [f"  {line}" for line in telemetry_lines(outcome.telemetry)]
         ),
-        timings={f"exec.{k}": v for k, v in outcome.telemetry.items()},
-    )
-    if args.json:
-        _save_record(args, record, quiet=True)
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
-        return 0
-    print(
-        f"sweep of {len(workload_ids)} workload(s) x {len(platforms)} "
-        f"platform(s) x {len(seeds)} seed(s) = {len(cells)} cells "
-        f"({len(merged)} metrics)"
-    )
-    for line in telemetry_lines(outcome.telemetry):
-        print(f"  {line}")
-    _save_record(args, record)
-    return 0
-
-
-def _cmd_profile(args) -> int:
-    """Host hot-path profile of one workload characterization.
-
-    Every measured number is wall-clock and therefore quarantined: the
-    record's ``metrics`` are the ordinary (deterministic) performance
-    counters, while the whole attribution lands in ``timings``.
-    """
-    from repro.obs.hostprof import profile_call
-
-    definition = workload(args.workload)
-    platform = ATOM_D510 if args.platform == "d510" else XEON_E5645
-    context = ExperimentContext(scale=args.scale, seed=args.seed)
-    if not args.json:
-        print(
-            f"profiling {definition.workload_id} on {platform.name} "
-            f"(host wall-clock, scale {args.scale}) ..."
-        )
-    counters, profile = profile_call(
-        context.counters, definition.workload_id, platform
-    )
-    experiment = f"profile.{definition.workload_id}"
-    record = RunRecord(
-        experiment=experiment,
-        kind="profile",
-        metrics=dict(counters.metric_dict()),
-        provenance=build_provenance(
-            experiment=experiment,
-            seed=args.seed,
-            scale=args.scale,
-            platforms=[platform.name],
+        record=_record(
+            args, f"sweep.{args.name}" if args.name else "sweep", "sweep",
+            merged, [platform_for(key).name for key in platforms], config,
+            timings={f"exec.{k}": v for k, v in outcome.telemetry.items()},
         ),
-        timings=profile.timings(),
     )
-    if args.json:
-        _save_record(args, record, quiet=True)
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
-        return 0
-    print(profile.render_table(args.top))
-    print()
-    print(profile.render_flame())
-    print(
-        f"\nattributed {100 * profile.attributed_fraction():.1f}% of "
-        f"{profile.total_s:.3f}s measured self time "
-        f"({100 * profile.uarch_fraction():.1f}% inside repro.uarch)"
-    )
-    _save_record(args, record)
     return 0
 
 
-def _cmd_metrics(args) -> int:
-    """OpenMetrics-style exposition of registry and sweep counters."""
-    from repro.obs.stream import render_openmetrics
+def _check_chaos(args) -> None:
+    from repro.chaos import STACKS, WORKLOADS
 
-    sys.stdout.write(render_openmetrics(args.runs_dir))
-    return 0
-
-
-def _cmd_stacks(args) -> int:
-    context = ExperimentContext(scale=args.scale, seed=args.seed)
-    with context.time_experiment("stacks"):
-        result = stack_impact.run(context)
-    record = context.make_record(
-        "stacks", result.fidelity_metrics(), series=result.to_dict()
-    )
-    if args.json:
-        _save_record(args, record, quiet=True)
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
-        return 0
-    print(result.render())
-    _save_record(args, record)
-    return 0
-
-
-def _cmd_system(args) -> int:
-    context = ExperimentContext(scale=args.scale, seed=args.seed)
-    with context.time_experiment("system"):
-        result = system_behaviors.run(context)
-    record = context.make_record(
-        "system", result.fidelity_metrics(), series=result.to_dict()
-    )
-    if args.json:
-        _save_record(args, record, quiet=True)
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
-        return 0
-    print(result.render())
-    _save_record(args, record)
-    return 0
-
-
-def _cmd_faults(args) -> int:
-    from repro.errors import InvariantViolation
-
-    context = ExperimentContext(scale=args.scale, seed=args.seed)
-    try:
-        with context.time_experiment("faults"):
-            result = fault_resilience.run(context)
-    except InvariantViolation as violation:
-        # A lost wave or broken invariant is a simulator bug, never a
-        # legitimate stack outcome: fail the command.
-        print(f"invariant violation: {violation}", file=sys.stderr)
-        return 1
-    record = context.make_record(
-        "faults", result.fidelity_metrics(), kind="faults",
-        series=result.to_dict(),
-    )
-    if args.json:
-        _save_record(args, record, quiet=True)
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-        return 0
-    print(result.render())
-    _save_record(args, record)
-    return 0
+    for flag, value, known in (("--workloads", args.workloads, WORKLOADS),
+                               ("--stacks", args.stacks, STACKS)):
+        unknown = [n for n in (value.split(",") if value else [])
+                   if n not in known]
+        if unknown:
+            raise InvalidParameterError(
+                f"{flag}: unknown {', '.join(map(repr, unknown))}; choose "
+                f"from {', '.join(sorted(known))}"
+            )
 
 
 def _cmd_chaos(args) -> int:
@@ -676,20 +532,15 @@ def _cmd_chaos(args) -> int:
             data["workload"], data["stack"], data["plan"],
             scale=data.get("scale", args.scale),
         )
-        if args.json:
-            print(json.dumps(case.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(
-                f"replayed {data['workload']}/{data['stack']} "
-                f"({len(data['plan'].faults)} faults): outcome={case.outcome}"
-            )
-            for violation in case.violations:
-                print(f"  {violation.invariant}: {violation.detail}")
+        lines = [f"replayed {data['workload']}/{data['stack']} "
+                 f"({len(data['plan'].faults)} faults): outcome={case.outcome}"]
+        lines += [f"  {v.invariant}: {v.detail}" for v in case.violations]
+        if not case.violations:
+            lines.append("clean: the violation no longer reproduces")
+        _emit(args, "\n".join(lines), case.to_dict())
         if case.violations:
             print("violation reproduced", file=sys.stderr)
             return 1
-        if not args.json:
-            print("clean: the violation no longer reproduces")
         return 0
 
     workloads = args.workloads.split(",") if args.workloads else None
@@ -738,36 +589,66 @@ def _cmd_chaos(args) -> int:
         config={"seeds": args.seeds, "workloads": workloads,
                 "stacks": stacks},
     )
-    if args.json:
-        _save_record(args, record, quiet=True)
-        payload = result.to_dict()
-        payload["artifacts"] = artifacts
-        payload["run_id"] = record.run_id
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(result.render())
-        for path in artifacts:
-            print(f"minimized replay written to {path}")
-        _save_record(args, record)
+    _emit(
+        args,
+        "\n".join([result.render()] + [
+            f"minimized replay written to {path}" for path in artifacts
+        ]),
+        lambda: dict(result.to_dict(), artifacts=artifacts,
+                     run_id=record.run_id),
+        record,
+    )
     return 0 if result.clean else 1
 
 
-def _cmd_report(args) -> int:
-    from repro.obs.report import scorecard
+def _check_crashsim(args) -> None:
+    if args.max_points + args.errno_points + args.fsync_lie_points == 0:
+        raise InvalidParameterError(
+            "--max-points, --errno-points and --fsync-lie-points are all "
+            "0; a campaign needs at least one fault point"
+        )
 
+
+def _cmd_crashsim(args) -> int:
+    """Run the crash-consistency campaign over a scratch sweep."""
+    import shutil
+    import tempfile
+
+    from repro.analysis.crashsim import run_campaign
+
+    work_dir = args.work_dir or tempfile.mkdtemp(prefix="repro-crashsim-")
+    config = {"max_points": args.max_points,
+              "errno_points": args.errno_points,
+              "fsync_lie_points": args.fsync_lie_points,
+              "jobs": args.jobs}
+    try:
+        result = run_campaign(work_dir, seed=args.seed, scale=args.scale,
+                              artifact_dir=args.artifact_dir, **config)
+    finally:
+        if args.work_dir is None:
+            shutil.rmtree(work_dir, ignore_errors=True)
+    _emit(args, result.render(), result.to_dict(),
+          _record(args, "crashsim", "analysis", result.fidelity_metrics(),
+                  config=config))
+    return 0 if result.ok else 1
+
+
+# ---- registry readers and gates ---------------------------------------------
+def _cmd_metrics(args) -> int:
+    """OpenMetrics-style exposition of registry and sweep counters."""
+    _emit(args, render_openmetrics(args.runs_dir).rstrip("\n"))
+    return 0
+
+
+def _cmd_report(args) -> int:
     experiments = args.experiments.split(",") if args.experiments else None
-    card = scorecard(_registry(args), experiments=experiments)
-    if args.json:
-        print(json.dumps(card.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(card.render())
+    card = scorecard(RunRegistry(args.runs_dir), experiments=experiments)
+    _emit(args, card.render(), card.to_dict())
     return 1 if args.strict and not card.ok else 0
 
 
 def _cmd_diff(args) -> int:
-    from repro.obs.report import diff_records
-
-    registry = _registry(args)
+    registry = RunRegistry(args.runs_dir)
     try:
         record_a = registry.resolve(args.run_a)
         record_b = registry.resolve(args.run_b)
@@ -779,29 +660,22 @@ def _cmd_diff(args) -> int:
         rel_threshold=args.rel_threshold,
         abs_threshold=args.abs_threshold,
     )
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(result.render())
+    _emit(args, result.render(), result.to_dict())
     return result.exit_code
 
 
 def _cmd_history(args) -> int:
-    from repro.obs.report import history
-
     result = history(
-        _registry(args), args.experiment, metrics=args.metric or None
+        RunRegistry(args.runs_dir), args.experiment,
+        metrics=args.metric or None,
     )
     if args.html:
         out = args.out or f"history-{args.experiment}.html"
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(result.to_html())
-        print(f"wrote {out}")
+        _emit(args, f"wrote {out}")
         return 0
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-        return 0
-    print(result.render())
+    _emit(args, result.render(), result.to_dict())
     return 0
 
 
@@ -818,12 +692,10 @@ def _cmd_lint(args) -> int:
         rule_catalog,
         save_baseline,
     )
-    from repro.errors import InvalidParameterError
 
     if args.rules:
-        for doc in rule_catalog():
-            print(doc.render())
-            print()
+        _emit(args, "\n\n".join(doc.render() for doc in rule_catalog())
+              + "\n")
         return 0
 
     if args.dynamic:
@@ -842,35 +714,21 @@ def _cmd_lint(args) -> int:
             seed=args.seed,
             hash_seeds=hash_seeds,
         )
-        if args.json:
-            print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(result.render())
+        _emit(args, result.render(), result.to_dict())
         return 0 if result.identical else 1
 
-    root = args.path or default_lint_root()
-    report = lint_tree(root)
-
+    report = lint_tree(args.path or default_lint_root())
     baseline_path = args.baseline or default_baseline_path()
     if args.update_baseline:
-        target = args.baseline or default_baseline_path() or "tools/lint_baseline.json"
+        target = baseline_path or "tools/lint_baseline.json"
         count = save_baseline(target, report.findings)
-        print(
-            f"baseline {target} updated: {count} finding(s) grandfathered"
-        )
+        _emit(args, f"baseline {target} updated: {count} finding(s) "
+                    f"grandfathered")
         return 0
     baseline = load_baseline(baseline_path) if baseline_path else None
     fresh = new_findings(report.findings, baseline or {})
-    if args.json:
-        print(
-            json.dumps(
-                render_json(report, fresh, baseline_path, baseline),
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        print(render_text(report, fresh, baseline_path, baseline))
+    _emit(args, render_text(report, fresh, baseline_path, baseline),
+          render_json(report, fresh, baseline_path, baseline))
     return 1 if fresh else 0
 
 
@@ -885,22 +743,18 @@ def _cmd_fsck(args) -> int:
               file=sys.stderr)
         return 3
     payload = result.to_dict()
-    exit_clean = result.clean
+    text = result.render()
+    clean = result.clean
     if args.repair and result.findings:
         fsck_repair(result)
         after = fsck_scan(args.runs_dir)
-        payload = result.to_dict()
-        payload["post_repair"] = after.to_dict()
-        exit_clean = after.clean
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(result.render())
-        if args.repair and "post_repair" in payload:
-            repaired = sum(1 for f in result.findings if f.repaired)
-            print(f"\nrepaired {repaired} finding(s); post-repair scan: "
-                  + ("clean" if exit_clean else "still has errors"))
-    return 0 if exit_clean else 1
+        payload = dict(result.to_dict(), post_repair=after.to_dict())
+        clean = after.clean
+        repaired = sum(1 for f in result.findings if f.repaired)
+        text += (f"\n\nrepaired {repaired} finding(s); post-repair scan: "
+                 + ("clean" if clean else "still has errors"))
+    _emit(args, text, payload)
+    return 0 if clean else 1
 
 
 def _cmd_dash(args) -> int:
@@ -908,16 +762,19 @@ def _cmd_dash(args) -> int:
 
     Strictly read-only over ``--runs-dir`` (corrupt artifacts are
     reported on the health page, never touched) and byte-deterministic
-    for a fixed directory state, so the output is diffable and
-    cacheable.  No run record is written: the dash *reads* the
-    registry, it is not an experiment.
+    for a fixed directory state.  No run record is written: the dash
+    *reads* the registry, it is not an experiment.
     """
-    from repro.obs.dashboard import render_site
-    from repro.obs.observatory import build_model
-
     model = build_model(args.runs_dir)
     paths = render_site(model, args.out)
-    summary = {
+    lines = [f"observatory: {len(model.records)} record(s), "
+             f"{len(model.experiments())} experiment(s), "
+             f"{len(model.sweeps)} sweep(s) from {args.runs_dir}"]
+    if model.skipped:
+        lines.append(f"  {len(model.skipped)} damaged/foreign artifact(s) "
+                     "skipped (see health.html)")
+    lines += [f"  wrote {path}" for path in paths]
+    _emit(args, "\n".join(lines), {
         "out": args.out,
         "pages": [os.path.basename(p) for p in paths],
         "records": len(model.records),
@@ -925,146 +782,348 @@ def _cmd_dash(args) -> int:
         "sweeps": len(model.sweeps),
         "skipped_artifacts": len(model.skipped),
         "health_errors": len(model.error_findings),
-    }
-    if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    print(
-        f"observatory: {len(model.records)} record(s), "
-        f"{len(model.experiments())} experiment(s), "
-        f"{len(model.sweeps)} sweep(s) from {args.runs_dir}"
-    )
-    if model.skipped:
-        print(
-            f"  {len(model.skipped)} damaged/foreign artifact(s) skipped "
-            "(see health.html)"
-        )
-    for path in paths:
-        print(f"  wrote {path}")
+    })
     return 0
 
 
-def _cmd_bench(args) -> int:
-    """Noise-aware wall-clock benchmark of one named target."""
-    from repro.obs.perf import bench_targets, run_bench
-
+def _check_bench(args) -> None:
     if args.list:
-        targets = bench_targets()
-        width = max(len(name) for name in targets)
-        for name in sorted(targets):
-            target = targets[name]
-            print(f"{name:<{width}s}  [{target.kind}] {target.description}")
-        return 0
+        return
     if not args.target:
-        print("bench: name a target (or use --list)", file=sys.stderr)
-        return 2
+        raise InvalidParameterError("bench: name a target (or use --list)")
     targets = bench_targets()
     if args.target not in targets:
-        from repro.errors import InvalidParameterError
-
         raise InvalidParameterError(
             f"unknown bench target {args.target!r} "
             f"(known: {', '.join(sorted(targets))})"
         )
-    result = run_bench(
-        targets[args.target],
-        reps=args.reps,
-        warmup=args.warmup,
-        scale=args.scale,
-        seed=args.seed,
-    )
-    record = result.to_record()
-    if args.json:
-        _save_record(args, record, quiet=True)
-        print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
+
+
+def _cmd_bench(args) -> int:
+    """Noise-aware wall-clock benchmark of one named target."""
+    targets = bench_targets()
+    if args.list:
+        width = max(len(name) for name in targets)
+        _emit(args, "\n".join(
+            f"{name:<{width}s}  [{targets[name].kind}] "
+            f"{targets[name].description}" for name in sorted(targets)
+        ))
         return 0
-    # Save before printing: a closed stdout (| head) must not cost the
-    # measurement.
-    path = _save_record(args, record, quiet=True)
-    print(result.render())
-    if path:
-        print(f"\nrecorded {record.run_id} -> {path}")
+    result = run_bench(targets[args.target], reps=args.reps,
+                       warmup=args.warmup, scale=args.scale, seed=args.seed)
+    _emit(args, result.render(), record=result.to_record())
     return 0
 
 
 def _cmd_perfdiff(args) -> int:
     """Gate the latest bench records against the committed budgets."""
-    from repro.obs.perf import load_budgets, perfdiff, update_budgets
-
-    registry = _registry(args)
+    registry = RunRegistry(args.runs_dir)
     targets = (
         [t for t in args.targets.split(",") if t.strip()]
         if args.targets else None
     )
     if args.update_budgets:
         manifest = update_budgets(registry, args.budgets, targets=targets)
-        print(
-            f"budget manifest {args.budgets} updated: "
-            f"{len(manifest['budgets'])} target(s)"
-        )
+        _emit(args, f"budget manifest {args.budgets} updated: "
+                    f"{len(manifest['budgets'])} target(s)")
         return 0
-    manifest = load_budgets(args.budgets)
-    result = perfdiff(
-        registry, manifest, budgets_path=args.budgets, targets=targets
-    )
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(result.render())
+    result = perfdiff(registry, load_budgets(args.budgets),
+                      budgets_path=args.budgets, targets=targets)
+    _emit(args, result.render(), result.to_dict())
     if args.warn_only and result.exit_code != 0:
         # CI annotation format; the gate reports but does not fail
         # until enough baselines exist to trust the intervals.
         for verdict in result.regressions:
-            print(
-                f"::warning title=perf regression ({verdict.target})::"
-                f"{verdict.detail}"
-            )
+            print(f"::warning title=perf regression ({verdict.target})::"
+                  f"{verdict.detail}")
         print("perfdiff: regressions found, but --warn-only is set (exit 0)")
         return 0
     return result.exit_code
 
 
-def _cmd_crashsim(args) -> int:
-    """Run the crash-consistency campaign over a scratch sweep."""
-    import shutil
-    import tempfile
+# ---- the verb table ---------------------------------------------------------
+def _arg(*flags, check=None, **kwargs):
+    """One argument: argparse ``flags``/``kwargs`` plus an optional range
+    ``check``, a ``(predicate, requirement)`` pair."""
+    return flags, kwargs, check
 
-    from repro.analysis.crashsim import run_campaign
 
-    work_dir = args.work_dir or tempfile.mkdtemp(prefix="repro-crashsim-")
-    cleanup = args.work_dir is None
-    try:
-        result = run_campaign(
-            work_dir,
-            seed=args.seed,
-            scale=args.scale,
-            jobs=args.jobs,
-            max_points=args.max_points,
-            errno_points=args.errno_points,
-            fsync_lie_points=args.fsync_lie_points,
-            artifact_dir=args.artifact_dir,
-        )
-    finally:
-        if cleanup:
-            shutil.rmtree(work_dir, ignore_errors=True)
-    _save_record(args, RunRecord(
-        experiment="crashsim",
-        kind="analysis",
-        metrics=result.fidelity_metrics(),
-        provenance=build_provenance(
-            experiment="crashsim", seed=args.seed, scale=args.scale,
-            platforms=[],
-            config={"max_points": args.max_points,
-                    "errno_points": args.errno_points,
-                    "fsync_lie_points": args.fsync_lie_points,
-                    "jobs": args.jobs},
-        ),
-    ), quiet=True)
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(result.render())
-    return 0 if result.ok else 1
+_NONNEG = (lambda value: value >= 0, ">= 0")
+_POSITIVE = (lambda value: value > 0, "> 0")
+_ONE_PLUS = (lambda value: value >= 1, ">= 1")
+
+_SCALE = _arg("--scale", type=float, default=0.5,
+              check=(lambda value: 0 < value <= 100, "in (0, 100]"),
+              help="workload scale factor (default 0.5)")
+_WORKLOAD = _arg("workload", help="workload id, e.g. S-WordCount")
+_PLATFORM = _arg("--platform", choices=("e5645", "d510"), default="e5645")
+
+_EXECUTOR_ARGS = (
+    _arg("--jobs", type=int, default=1, metavar="N", check=_ONE_PLUS,
+         help="worker processes for the characterization sweep "
+              "(default 1: serial in-process)"),
+    _arg("--cell-timeout", type=float, default=None, metavar="S",
+         check=_POSITIVE,
+         help="wall-clock seconds one sweep cell may take before its "
+              "worker is SIGKILLed and the cell retried (default 300)"),
+    _arg("--resume", action="store_true",
+         help="resume from this configuration's sweep checkpoint, "
+              "re-running only incomplete cells"),
+    _arg("--no-trace", action="store_true",
+         help="skip the per-process span files and merged Chrome "
+              "trace this run would otherwise record"),
+    _arg("--progress", action=argparse.BooleanOptionalAction, default=None,
+         help="force the live progress line on (or off with "
+              "--no-progress); default: on when stderr is a tty"),
+)
+
+_RECORD_JSON = "emit the registry run-record schema instead of a table"
+
+
+@dataclass(frozen=True)
+class Verb:
+    """One ``repro`` verb: what ``build_parser`` declares, ``main`` runs."""
+
+    name: str
+    help: str
+    handler: Callable
+    args: Tuple = ()
+    #: the ``--seed`` default (and its help); None means no ``--seed``
+    seed: Optional[int] = None
+    seed_help: Optional[str] = None
+    #: the ``--json`` help; None means no ``--json``
+    json_help: Optional[str] = None
+    #: takes --jobs/--cell-timeout/--resume/--no-trace/--progress
+    executor: bool = False
+    #: cross-argument validation, run with the range checks
+    check: Optional[Callable] = None
+
+    def arguments(self) -> Tuple:
+        """Every argument but ``--json`` (which has no range to check)."""
+        extra = () if self.seed is None else (_arg(
+            "--seed", type=int, default=self.seed, check=_NONNEG,
+            help=self.seed_help,
+        ),)
+        return self.args + extra + (_EXECUTOR_ARGS if self.executor else ())
+
+
+VERBS = (
+    Verb("list", "list the workload catalog", _cmd_list),
+    Verb("run", "run one workload", _cmd_run, (
+        _WORKLOAD, _PLATFORM,
+        _arg("--cluster", action="store_true",
+             help="replay the workload on the simulated cluster and record "
+                  "system.* metrics (partition-layout sensitive)"),
+    ), seed=0, seed_help="workload + characterization seed (default 0)",
+        json_help="emit metrics as JSON instead of a table"),
+    Verb("trace", "run one workload on a traced cluster; export a Chrome "
+                  "trace", _cmd_trace, (
+        _WORKLOAD,
+        _arg("--out", default="trace.json",
+             help="Chrome trace_event output path (default trace.json)"),
+        _arg("--sample-interval", type=float, default=None, metavar="S",
+             check=_POSITIVE,
+             help="sample per-node utilization every S simulated seconds "
+                  "(default: wave boundaries only)"),
+    ), seed=0),
+    Verb("reduce", "the 77 -> 17 reduction", _cmd_reduce, (
+        _arg("--k", type=int, default=17,
+             check=(lambda k: 1 <= k <= len(ALL_WORKLOADS),
+                    f"in [1, {len(ALL_WORKLOADS)}] (the catalog size)"),
+             help="representatives to keep (default 17)"),
+    ), seed=0, json_help=_RECORD_JSON),
+    Verb("fig", "regenerate a figure", _cmd_fig, (
+        _arg("figure", check=(lambda f: f in _FIGURES, "1-5 or 'locality'"),
+             help="1-5 or 'locality' (6-9)"),
+    ), seed=0, executor=True),
+    Verb("table", "regenerate a table", _cmd_table, (
+        _arg("table", check=(lambda t: t in _TABLES, "1, 2 or 4"),
+             help="1, 2 or 4"),
+    ), seed=0, executor=True),
+    Verb("sweep", "characterize a workload x platform x seed matrix across "
+                  "supervised worker processes, with checkpoint/resume",
+         _cmd_sweep, (
+        _arg("--workloads", default=None, metavar="A,B,...",
+             help="comma-separated workload ids (default: the 17 "
+                  "representatives)"),
+        _arg("--platforms", default="e5645", metavar="P,Q",
+             help="comma-separated platforms: e5645, d510 (default e5645)"),
+        _arg("--seeds", type=int, default=1, metavar="N", check=_ONE_PLUS,
+             help="number of consecutive seeds starting at --seed "
+                  "(default 1)"),
+        _arg("--name", default=None,
+             help="sweep name, used in the record id and checkpoint key "
+                  "(default 'sweep')"),
+    ), seed=0, seed_help="first seed of the matrix (default 0)",
+        json_help=_RECORD_JSON, executor=True),
+    Verb("profile", "host hot-path profiler: attribute one workload "
+                    "characterization's wall-clock to repro functions "
+                    "(cProfile; all timings quarantined)", _cmd_profile, (
+        _WORKLOAD, _PLATFORM,
+        _arg("--top", type=int, default=20, metavar="N", check=_ONE_PLUS,
+             help="rows in the hot-function table (default 20)"),
+    ), seed=0, seed_help="characterization seed (default 0)",
+        json_help="emit the registry run-record schema instead of the report"),
+    Verb("metrics", "OpenMetrics-style text exposition of registry record "
+                    "counts, executor telemetry and sweep progress",
+         _cmd_metrics),
+    Verb("stacks", "the §5.5 software-stack study", _cmd_stacks,
+         seed=0, json_help=_RECORD_JSON),
+    Verb("system", "§3.2 system-behaviour classification", _cmd_system,
+         seed=0, json_help=_RECORD_JSON),
+    Verb("faults", "fault resilience: Hadoop vs Spark vs MPI under a node "
+                   "crash", _cmd_faults, seed=7,
+         seed_help="fault-plan seed (same seed, same faults, same metrics)",
+         json_help="emit the resilience results as JSON instead of a table"),
+    Verb("chaos", "invariant-audited chaos campaigns over the workload x "
+                  "stack matrix; exits nonzero on any violation",
+         _cmd_chaos, (
+        _arg("--seeds", type=int, default=5, check=_ONE_PLUS,
+             help="number of consecutive campaign seeds to run (default 5)"),
+        _arg("--workloads", default=None,
+             help="comma-separated workloads (default wordcount,grep; "
+                  "also: sort)"),
+        _arg("--stacks", default=None,
+             help="comma-separated stacks (default Hadoop,Spark,MPI)"),
+        _arg("--artifact-dir", default="chaos-artifacts",
+             help="where minimized replay files for violations land "
+                  "(default chaos-artifacts/)"),
+        _arg("--replay", default=None, metavar="FILE",
+             help="re-run one saved replay file instead of a campaign; "
+                  "exits 1 if its violation still reproduces"),
+        _arg("--no-shrink", action="store_true",
+             help="save violating plans as-is instead of minimizing them"),
+    ), seed=0, seed_help="first campaign seed (default 0)",
+        json_help="emit campaign verdicts as JSON instead of a table",
+        check=_check_chaos),
+    Verb("report", "paper-fidelity scorecard: latest recorded runs vs the "
+                   "paper's anchor numbers", _cmd_report, (
+        _arg("--experiments", default=None, metavar="A,B,...",
+             help="restrict the scorecard to these experiments "
+                  "(default: every anchored experiment)"),
+        _arg("--strict", action="store_true",
+             help="exit 1 if any anchor fails or lacks a recorded run"),
+    ), json_help="emit the scorecard as JSON instead of a table"),
+    Verb("diff", "per-metric drift between two run records; exits 1 on "
+                 "drift, 2 on metric-set mismatch", _cmd_diff, (
+        _arg("run_a", help="baseline: a record path, run id, experiment "
+                           "name (latest), or experiment~N"),
+        _arg("run_b", help="candidate, same forms"),
+        _arg("--rel-threshold", type=float, default=0.005, metavar="R",
+             check=_NONNEG,
+             help="relative drift a metric must exceed to count "
+                  "(default 0.005)"),
+        _arg("--abs-threshold", type=float, default=1e-9, metavar="A",
+             check=_NONNEG, help="absolute drift floor (default 1e-9)"),
+    ), json_help="emit the per-metric verdicts as JSON instead of a table"),
+    Verb("history", "one experiment's metric trajectory across recorded "
+                    "runs", _cmd_history, (
+        _arg("experiment", help="e.g. fig3 or faults"),
+        _arg("--metric", action="append", metavar="NAME",
+             help="restrict to this metric (repeatable; default: all)"),
+        _arg("--html", action="store_true",
+             help="write a standalone HTML page with SVG trend lines"),
+        _arg("--out", default=None,
+             help="HTML output path (default history-<experiment>.html)"),
+    ), json_help="emit the trajectory as JSON instead of sparklines"),
+    Verb("lint", "determinism sanitizer: AST lint of src/repro against the "
+                 "committed baseline; exits 1 on new findings", _cmd_lint, (
+        _arg("path", nargs="?", default=None,
+             help="file or directory to lint (default: the installed "
+                  "repro package tree)"),
+        _arg("--baseline", default=None, metavar="FILE",
+             help="baseline of grandfathered findings "
+                  "(default: tools/lint_baseline.json when present)"),
+        _arg("--update-baseline", action="store_true",
+             help="rewrite the baseline to grandfather the current findings"),
+        _arg("--rules", action="store_true",
+             help="print the rule catalogue (IDs, rationale, fix hints) "
+                  "and exit"),
+        _arg("--dynamic", action="store_true",
+             help="runtime cross-check instead of static rules: run one "
+                  "fixed-seed workload under two PYTHONHASHSEED values and "
+                  "require byte-identical registry records"),
+        _arg("--workload", default="H-WordCount",
+             help="workload for --dynamic (default H-WordCount; Hadoop "
+                  "workloads expose partition skew to the cluster replay)"),
+        _arg("--hash-seeds", default="1,731", metavar="A,B",
+             help="PYTHONHASHSEED values for --dynamic (default 1,731)"),
+    ), seed=0, seed_help="workload seed for --dynamic (default 0)",
+        json_help="emit findings as JSON instead of a report"),
+    Verb("fsck", "scan the runs directory for torn, corrupt or orphaned "
+                 "artifacts; exits 1 on errors, 3 if the directory is "
+                 "missing", _cmd_fsck, (
+        _arg("--repair", action="store_true",
+             help="quarantine corrupt artifacts, drop torn journal tails, "
+                  "rebuild divergent snapshots and remove leaked tmp files "
+                  "/ stale locks, then rescan"),
+    ), json_help="emit typed findings as JSON instead of a report"),
+    Verb("dash", "render the static HTML observatory (scorecard, history, "
+                 "sweep timelines, hot functions, bench trends, health) "
+                 "from the runs directory", _cmd_dash, (
+        _arg("--out", default="observatory", metavar="DIR",
+             help="output directory for the site (default observatory/)"),
+    ), json_help="emit a render summary as JSON instead of the page list"),
+    Verb("bench", "noise-aware wall-clock benchmark of one target "
+                  "(experiment regen or repro.uarch kernel); records a "
+                  "kind=bench run record with median/MAD/bootstrap-CI",
+         _cmd_bench, (
+        _arg("target", nargs="?", default=None,
+             help="target name, e.g. fig4 or uarch.cache-walk (see --list)"),
+        _arg("--reps", type=int, default=5, metavar="N", check=_ONE_PLUS,
+             help="measured repetitions (default 5)"),
+        _arg("--warmup", type=int, default=1, metavar="K", check=_NONNEG,
+             help="discarded warmup repetitions (default 1)"),
+        _arg("--list", action="store_true",
+             help="list the bench targets and exit"),
+    ), seed=0, seed_help="workload/characterization seed (default 0)",
+        json_help="emit the registry run-record schema instead of the report",
+        check=_check_bench),
+    Verb("perfdiff", "compare the latest kind=bench records against the "
+                     "committed perf budgets; exits 1 only when a "
+                     "candidate's confidence interval separates above its "
+                     "budget's", _cmd_perfdiff, (
+        _arg("--budgets", metavar="FILE", default=os.path.join(
+            "benchmarks", "baselines", "perf_budgets.json"),
+             help="budget manifest (default benchmarks/baselines/"
+                  "perf_budgets.json)"),
+        _arg("--targets", default=None, metavar="A,B,...",
+             help="restrict the gate to these targets (default: every "
+                  "budgeted target)"),
+        _arg("--warn-only", action="store_true",
+             help="report regressions as CI warning annotations but exit 0"),
+        _arg("--update-budgets", action="store_true",
+             help="rewrite the manifest from the latest bench records "
+                  "(preserves hot_functions/note annotations)"),
+    ), json_help="emit the gate verdicts as JSON instead of a table"),
+    Verb("crashsim", "crash-consistency campaign: crash/errno/fsync-lie "
+                     "faults at every sampled syscall of an instrumented "
+                     "sweep must leave a state repro fsck can certify or "
+                     "repair, with bit-identical resumed metrics",
+         _cmd_crashsim, (
+        _arg("--jobs", type=int, default=2, check=_ONE_PLUS,
+             help="worker processes for the instrumented sweeps "
+                  "(default 2)"),
+        _arg("--max-points", type=int, default=24, metavar="N",
+             check=_NONNEG,
+             help="crash points sampled across the op space (default 24)"),
+        _arg("--errno-points", type=int, default=6, metavar="N",
+             check=_NONNEG, help="ENOSPC/EIO injection points (default 6)"),
+        _arg("--fsync-lie-points", type=int, default=4, metavar="N",
+             check=_NONNEG,
+             help="crash points additionally re-run with a lying fsync "
+                  "(default 4)"),
+        _arg("--work-dir", default=None, metavar="DIR",
+             help="scratch directory for campaign sweeps (default: a "
+                  "temporary directory, removed afterwards)"),
+        _arg("--artifact-dir", default="crashsim-artifacts", metavar="DIR",
+             help="where minimized crash traces for failing points land "
+                  "(default crashsim-artifacts/)"),
+    ), seed=0, seed_help="campaign seed: drives torn-write lengths and "
+                         "rename rollback choices (default 0)",
+        json_help="emit the campaign verdict as JSON instead of a report",
+        check=_check_crashsim),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1073,8 +1132,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproduce 'Characterization and Architectural "
                     "Implications of Big Data Workloads' (ISPASS 2016).",
     )
-    parser.add_argument("--scale", type=float, default=0.5,
-                        help="workload scale factor (default 0.5)")
+    flags, kwargs, _ = _SCALE
+    parser.add_argument(*flags, **kwargs)
     parser.add_argument(
         "--runs-dir", default=runs_dir_default(), metavar="DIR",
         help="run-record registry directory (default .repro-runs/, "
@@ -1085,534 +1144,44 @@ def build_parser() -> argparse.ArgumentParser:
         help="do not write a run record for this invocation",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    commands.add_parser("list", help="list the workload catalog")
-
-    run_parser = commands.add_parser("run", help="run one workload")
-    run_parser.add_argument("workload", help="workload id, e.g. S-WordCount")
-    run_parser.add_argument("--platform", choices=("e5645", "d510"),
-                            default="e5645")
-    run_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="workload + characterization seed (default 0)",
-    )
-    run_parser.add_argument(
-        "--cluster", action="store_true",
-        help="replay the workload on the simulated cluster and record "
-             "system.* metrics (partition-layout sensitive)",
-    )
-    run_parser.add_argument("--json", action="store_true",
-                            help="emit metrics as JSON instead of a table")
-
-    trace_parser = commands.add_parser(
-        "trace",
-        help="run one workload on a traced cluster; export a Chrome trace",
-    )
-    trace_parser.add_argument("workload", help="workload id, e.g. S-WordCount")
-    trace_parser.add_argument(
-        "--out", default="trace.json",
-        help="Chrome trace_event output path (default trace.json)",
-    )
-    trace_parser.add_argument(
-        "--sample-interval", type=float, default=None, metavar="S",
-        help="sample per-node utilization every S simulated seconds "
-             "(default: wave boundaries only)",
-    )
-    trace_parser.add_argument("--seed", type=int, default=0)
-
-    reduce_parser = commands.add_parser("reduce", help="the 77 -> 17 reduction")
-    reduce_parser.add_argument("--k", type=int, default=17)
-    reduce_parser.add_argument("--seed", type=int, default=0)
-    reduce_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the registry run-record schema instead of a table",
-    )
-
-    def add_executor_flags(sub) -> None:
-        sub.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help="worker processes for the characterization sweep "
-                 "(default 1: serial in-process)",
-        )
-        sub.add_argument(
-            "--cell-timeout", type=float, default=None, metavar="S",
-            help="wall-clock seconds one sweep cell may take before its "
-                 "worker is SIGKILLed and the cell retried (default 300)",
-        )
-        sub.add_argument(
-            "--resume", action="store_true",
-            help="resume from this configuration's sweep checkpoint, "
-                 "re-running only incomplete cells",
-        )
-        sub.add_argument(
-            "--no-trace", action="store_true",
-            help="skip the per-process span files and merged Chrome "
-                 "trace this run would otherwise record",
-        )
-        sub.add_argument(
-            "--progress", action=argparse.BooleanOptionalAction,
-            default=None,
-            help="force the live progress line on (or off with "
-                 "--no-progress); default: on when stderr is a tty",
-        )
-
-    fig_parser = commands.add_parser("fig", help="regenerate a figure")
-    fig_parser.add_argument("figure", help="1-5 or 'locality' (6-9)")
-    fig_parser.add_argument("--seed", type=int, default=0)
-    add_executor_flags(fig_parser)
-
-    table_parser = commands.add_parser("table", help="regenerate a table")
-    table_parser.add_argument("table", help="1, 2 or 4")
-    table_parser.add_argument("--seed", type=int, default=0)
-    add_executor_flags(table_parser)
-
-    sweep_parser = commands.add_parser(
-        "sweep",
-        help="characterize a workload x platform x seed matrix across "
-             "supervised worker processes, with checkpoint/resume",
-    )
-    sweep_parser.add_argument(
-        "--workloads", default=None, metavar="A,B,...",
-        help="comma-separated workload ids (default: the 17 "
-             "representatives)",
-    )
-    sweep_parser.add_argument(
-        "--platforms", default="e5645", metavar="P,Q",
-        help="comma-separated platforms: e5645, d510 (default e5645)",
-    )
-    sweep_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="first seed of the matrix (default 0)",
-    )
-    sweep_parser.add_argument(
-        "--seeds", type=int, default=1, metavar="N",
-        help="number of consecutive seeds starting at --seed (default 1)",
-    )
-    sweep_parser.add_argument(
-        "--name", default=None,
-        help="sweep name, used in the record id and checkpoint key "
-             "(default 'sweep')",
-    )
-    sweep_parser.add_argument("--json", action="store_true")
-    add_executor_flags(sweep_parser)
-
-    profile_parser = commands.add_parser(
-        "profile",
-        help="host hot-path profiler: attribute one workload "
-             "characterization's wall-clock to repro functions "
-             "(cProfile; all timings quarantined)",
-    )
-    profile_parser.add_argument(
-        "workload", help="workload id, e.g. S-WordCount"
-    )
-    profile_parser.add_argument(
-        "--platform", choices=("e5645", "d510"), default="e5645"
-    )
-    profile_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="characterization seed (default 0)",
-    )
-    profile_parser.add_argument(
-        "--top", type=int, default=20, metavar="N",
-        help="rows in the hot-function table (default 20)",
-    )
-    profile_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the registry run-record schema instead of the report",
-    )
-
-    commands.add_parser(
-        "metrics",
-        help="OpenMetrics-style text exposition of registry record "
-             "counts, executor telemetry and sweep progress",
-    )
-
-    stacks_parser = commands.add_parser(
-        "stacks", help="the §5.5 software-stack study"
-    )
-    stacks_parser.add_argument("--seed", type=int, default=0)
-    stacks_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the registry run-record schema instead of a table",
-    )
-
-    system_parser = commands.add_parser(
-        "system", help="§3.2 system-behaviour classification"
-    )
-    system_parser.add_argument("--seed", type=int, default=0)
-    system_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the registry run-record schema instead of a table",
-    )
-
-    faults_parser = commands.add_parser(
-        "faults",
-        help="fault resilience: Hadoop vs Spark vs MPI under a node crash",
-    )
-    faults_parser.add_argument(
-        "--seed", type=int, default=7,
-        help="fault-plan seed (same seed, same faults, same metrics)",
-    )
-    faults_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the resilience results as JSON instead of a table",
-    )
-
-    chaos_parser = commands.add_parser(
-        "chaos",
-        help="invariant-audited chaos campaigns over the workload x stack "
-             "matrix; exits nonzero on any violation",
-    )
-    chaos_parser.add_argument(
-        "--seeds", type=int, default=5,
-        help="number of consecutive campaign seeds to run (default 5)",
-    )
-    chaos_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="first campaign seed (default 0)",
-    )
-    chaos_parser.add_argument(
-        "--workloads", default=None,
-        help="comma-separated workloads (default wordcount,grep; "
-             "also: sort)",
-    )
-    chaos_parser.add_argument(
-        "--stacks", default=None,
-        help="comma-separated stacks (default Hadoop,Spark,MPI)",
-    )
-    chaos_parser.add_argument(
-        "--artifact-dir", default="chaos-artifacts",
-        help="where minimized replay files for violations land "
-             "(default chaos-artifacts/)",
-    )
-    chaos_parser.add_argument(
-        "--replay", default=None, metavar="FILE",
-        help="re-run one saved replay file instead of a campaign; "
-             "exits 1 if its violation still reproduces",
-    )
-    chaos_parser.add_argument(
-        "--no-shrink", action="store_true",
-        help="save violating plans as-is instead of minimizing them",
-    )
-    chaos_parser.add_argument(
-        "--json", action="store_true",
-        help="emit campaign verdicts as JSON instead of a table",
-    )
-
-    report_parser = commands.add_parser(
-        "report",
-        help="paper-fidelity scorecard: latest recorded runs vs the "
-             "paper's anchor numbers",
-    )
-    report_parser.add_argument(
-        "--experiments", default=None, metavar="A,B,...",
-        help="restrict the scorecard to these experiments "
-             "(default: every anchored experiment)",
-    )
-    report_parser.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 if any anchor fails or lacks a recorded run",
-    )
-    report_parser.add_argument("--json", action="store_true")
-
-    diff_parser = commands.add_parser(
-        "diff",
-        help="per-metric drift between two run records; exits 1 on "
-             "drift, 2 on metric-set mismatch",
-    )
-    diff_parser.add_argument(
-        "run_a",
-        help="baseline: a record path, run id, experiment name "
-             "(latest), or experiment~N",
-    )
-    diff_parser.add_argument("run_b", help="candidate, same forms")
-    diff_parser.add_argument(
-        "--rel-threshold", type=float, default=0.005, metavar="R",
-        help="relative drift a metric must exceed to count (default 0.005)",
-    )
-    diff_parser.add_argument(
-        "--abs-threshold", type=float, default=1e-9, metavar="A",
-        help="absolute drift floor (default 1e-9)",
-    )
-    diff_parser.add_argument("--json", action="store_true")
-
-    history_parser = commands.add_parser(
-        "history",
-        help="one experiment's metric trajectory across recorded runs",
-    )
-    history_parser.add_argument("experiment", help="e.g. fig3 or faults")
-    history_parser.add_argument(
-        "--metric", action="append", metavar="NAME",
-        help="restrict to this metric (repeatable; default: all)",
-    )
-    history_parser.add_argument("--json", action="store_true")
-    history_parser.add_argument(
-        "--html", action="store_true",
-        help="write a standalone HTML page with SVG trend lines",
-    )
-    history_parser.add_argument(
-        "--out", default=None,
-        help="HTML output path (default history-<experiment>.html)",
-    )
-
-    lint_parser = commands.add_parser(
-        "lint",
-        help="determinism sanitizer: AST lint of src/repro against the "
-             "committed baseline; exits 1 on new findings",
-    )
-    lint_parser.add_argument(
-        "path", nargs="?", default=None,
-        help="file or directory to lint (default: the installed repro "
-             "package tree)",
-    )
-    lint_parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline of grandfathered findings "
-             "(default: tools/lint_baseline.json when present)",
-    )
-    lint_parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline to grandfather the current findings",
-    )
-    lint_parser.add_argument(
-        "--rules", action="store_true",
-        help="print the rule catalogue (IDs, rationale, fix hints) and exit",
-    )
-    lint_parser.add_argument(
-        "--dynamic", action="store_true",
-        help="runtime cross-check instead of static rules: run one "
-             "fixed-seed workload under two PYTHONHASHSEED values and "
-             "require byte-identical registry records",
-    )
-    lint_parser.add_argument(
-        "--workload", default="H-WordCount",
-        help="workload for --dynamic (default H-WordCount; Hadoop "
-             "workloads expose partition skew to the cluster replay)",
-    )
-    lint_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="workload seed for --dynamic (default 0)",
-    )
-    lint_parser.add_argument(
-        "--hash-seeds", default="1,731", metavar="A,B",
-        help="PYTHONHASHSEED values for --dynamic (default 1,731)",
-    )
-    lint_parser.add_argument("--json", action="store_true")
-
-    fsck_parser = commands.add_parser(
-        "fsck",
-        help="scan the runs directory for torn, corrupt or orphaned "
-             "artifacts; exits 1 on errors, 3 if the directory is missing",
-    )
-    fsck_parser.add_argument(
-        "--repair", action="store_true",
-        help="quarantine corrupt artifacts, drop torn journal tails, "
-             "rebuild divergent snapshots and remove leaked tmp files / "
-             "stale locks, then rescan",
-    )
-    fsck_parser.add_argument(
-        "--json", action="store_true",
-        help="emit typed findings as JSON instead of a report",
-    )
-
-    dash_parser = commands.add_parser(
-        "dash",
-        help="render the static HTML observatory (scorecard, history, "
-             "sweep timelines, hot functions, bench trends, health) "
-             "from the runs directory",
-    )
-    dash_parser.add_argument(
-        "--out", default="observatory", metavar="DIR",
-        help="output directory for the site (default observatory/)",
-    )
-    dash_parser.add_argument(
-        "--json", action="store_true",
-        help="emit a render summary as JSON instead of the page list",
-    )
-
-    bench_parser = commands.add_parser(
-        "bench",
-        help="noise-aware wall-clock benchmark of one target "
-             "(experiment regen or repro.uarch kernel); records a "
-             "kind=bench run record with median/MAD/bootstrap-CI",
-    )
-    bench_parser.add_argument(
-        "target", nargs="?", default=None,
-        help="target name, e.g. fig4 or uarch.cache-walk (see --list)",
-    )
-    bench_parser.add_argument(
-        "--reps", type=int, default=5, metavar="N",
-        help="measured repetitions (default 5)",
-    )
-    bench_parser.add_argument(
-        "--warmup", type=int, default=1, metavar="K",
-        help="discarded warmup repetitions (default 1)",
-    )
-    bench_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="workload/characterization seed (default 0)",
-    )
-    bench_parser.add_argument(
-        "--list", action="store_true",
-        help="list the bench targets and exit",
-    )
-    bench_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the registry run-record schema instead of the report",
-    )
-
-    perfdiff_parser = commands.add_parser(
-        "perfdiff",
-        help="compare the latest kind=bench records against the "
-             "committed perf budgets; exits 1 only when a candidate's "
-             "confidence interval separates above its budget's",
-    )
-    perfdiff_parser.add_argument(
-        "--budgets", default=os.path.join(
-            "benchmarks", "baselines", "perf_budgets.json"
-        ), metavar="FILE",
-        help="budget manifest (default benchmarks/baselines/"
-             "perf_budgets.json)",
-    )
-    perfdiff_parser.add_argument(
-        "--targets", default=None, metavar="A,B,...",
-        help="restrict the gate to these targets (default: every "
-             "budgeted target)",
-    )
-    perfdiff_parser.add_argument(
-        "--warn-only", action="store_true",
-        help="report regressions as CI warning annotations but exit 0",
-    )
-    perfdiff_parser.add_argument(
-        "--update-budgets", action="store_true",
-        help="rewrite the manifest from the latest bench records "
-             "(preserves hot_functions/note annotations)",
-    )
-    perfdiff_parser.add_argument("--json", action="store_true")
-
-    crashsim_parser = commands.add_parser(
-        "crashsim",
-        help="crash-consistency campaign: crash/errno/fsync-lie faults "
-             "at every sampled syscall of an instrumented sweep must "
-             "leave a state repro fsck can certify or repair, with "
-             "bit-identical resumed metrics",
-    )
-    crashsim_parser.add_argument(
-        "--seed", type=int, default=0,
-        help="campaign seed: drives torn-write lengths and rename "
-             "rollback choices (default 0)",
-    )
-    crashsim_parser.add_argument(
-        "--jobs", type=int, default=2,
-        help="worker processes for the instrumented sweeps (default 2)",
-    )
-    crashsim_parser.add_argument(
-        "--max-points", type=int, default=24, metavar="N",
-        help="crash points sampled across the op space (default 24)",
-    )
-    crashsim_parser.add_argument(
-        "--errno-points", type=int, default=6, metavar="N",
-        help="ENOSPC/EIO injection points (default 6)",
-    )
-    crashsim_parser.add_argument(
-        "--fsync-lie-points", type=int, default=4, metavar="N",
-        help="crash points additionally re-run with a lying fsync "
-             "(default 4)",
-    )
-    crashsim_parser.add_argument(
-        "--work-dir", default=None, metavar="DIR",
-        help="scratch directory for campaign sweeps (default: a "
-             "temporary directory, removed afterwards)",
-    )
-    crashsim_parser.add_argument(
-        "--artifact-dir", default="crashsim-artifacts", metavar="DIR",
-        help="where minimized crash traces for failing points land "
-             "(default crashsim-artifacts/)",
-    )
-    crashsim_parser.add_argument(
-        "--json", action="store_true",
-        help="emit the campaign verdict as JSON instead of a report",
-    )
+    for verb in VERBS:
+        sub = commands.add_parser(verb.name, help=verb.help)
+        sub.set_defaults(verb=verb, json=False)
+        for flags, kwargs, _ in verb.arguments():
+            sub.add_argument(*flags, **kwargs)
+        if verb.json_help is not None:
+            sub.add_argument("--json", action="store_true",
+                             help=verb.json_help)
     return parser
 
 
-_HANDLERS = {
-    "list": _cmd_list,
-    "run": _cmd_run,
-    "trace": _cmd_trace,
-    "reduce": _cmd_reduce,
-    "fig": _cmd_fig,
-    "table": _cmd_table,
-    "sweep": _cmd_sweep,
-    "profile": _cmd_profile,
-    "metrics": _cmd_metrics,
-    "stacks": _cmd_stacks,
-    "system": _cmd_system,
-    "faults": _cmd_faults,
-    "chaos": _cmd_chaos,
-    "report": _cmd_report,
-    "diff": _cmd_diff,
-    "history": _cmd_history,
-    "lint": _cmd_lint,
-    "fsck": _cmd_fsck,
-    "dash": _cmd_dash,
-    "bench": _cmd_bench,
-    "perfdiff": _cmd_perfdiff,
-    "crashsim": _cmd_crashsim,
-}
-
-
-def _validate_args(args) -> None:
-    """Range-check shared numeric options before any work starts."""
-    from repro.errors import InvalidParameterError
-
-    scale = getattr(args, "scale", None)
-    if scale is not None and not (0 < scale <= 100):
-        raise InvalidParameterError(
-            f"--scale must be in (0, 100], got {scale!r}"
-        )
-    seed = getattr(args, "seed", None)
-    if seed is not None and seed < 0:
-        raise InvalidParameterError(f"--seed must be >= 0, got {seed!r}")
-    seeds = getattr(args, "seeds", None)
-    if seeds is not None and seeds < 1:
-        raise InvalidParameterError(f"--seeds must be >= 1, got {seeds!r}")
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None and jobs < 1:
-        raise InvalidParameterError(f"--jobs must be >= 1, got {jobs!r}")
-    cell_timeout = getattr(args, "cell_timeout", None)
-    if cell_timeout is not None and cell_timeout <= 0:
-        raise InvalidParameterError(
-            f"--cell-timeout must be > 0, got {cell_timeout!r}"
-        )
-    top = getattr(args, "top", None)
-    if top is not None and top < 1:
-        raise InvalidParameterError(f"--top must be >= 1, got {top!r}")
-    reps = getattr(args, "reps", None)
-    if reps is not None and reps < 1:
-        raise InvalidParameterError(f"--reps must be >= 1, got {reps!r}")
-    warmup = getattr(args, "warmup", None)
-    if warmup is not None and warmup < 0:
-        raise InvalidParameterError(
-            f"--warmup must be >= 0, got {warmup!r}"
-        )
+def _validate(args) -> None:
+    """Range-check every flag of the chosen verb before any work starts."""
+    for flags, kwargs, check in (_SCALE,) + args.verb.arguments():
+        value = getattr(args, flags[0].lstrip("-").replace("-", "_"))
+        if check is not None and value is not None and not check[0](value):
+            raise InvalidParameterError(
+                f"{flags[0]} must be {check[1]}, got {value!r}"
+            )
+    if args.verb.check is not None:
+        args.verb.check(args)
 
 
 def main(argv=None) -> int:
-    from repro.errors import FaultPlanError, LintError, UsageError
-
     args = build_parser().parse_args(argv)
     try:
-        _validate_args(args)
-        return _HANDLERS[args.command](args)
-    except UsageError as error:
-        # Bad input is a one-line answer, never a traceback (exit 2).
+        _validate(args)
+        return args.verb.handler(args)
+    except (UsageError, FaultPlanError) as error:
+        # Bad input — malformed replay/fault plans included — is a
+        # one-line answer, never a traceback (exit 2).
         print(f"{type(error).__name__}: {error}", file=sys.stderr)
-        return error.exit_code
-    except FaultPlanError as error:
-        # Malformed replay/fault plans are input errors too.
-        print(f"{type(error).__name__}: {error}", file=sys.stderr)
-        return 2
+        return getattr(error, "exit_code", 2)
+    except InvariantViolation as violation:
+        # A lost wave or broken invariant is a simulator bug, never a
+        # legitimate stack outcome: fail the command.
+        print(f"invariant violation: {violation}", file=sys.stderr)
+        return 1
     except LintError as error:
         # A sanitizer that cannot analyse is a failing sanitizer.
         print(f"{type(error).__name__}: {error}", file=sys.stderr)

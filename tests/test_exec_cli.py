@@ -2,6 +2,9 @@
 
 import json
 import os
+import time
+
+import pytest
 
 from repro.cli import main
 from repro.obs.registry import RunRegistry
@@ -88,3 +91,30 @@ class TestTypedExitCodes:
         open(bad, "w").write("{ not json")
         assert main(["chaos", "--replay", bad]) == 2
         assert "ReplayFileError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--k", "0"],
+        ["reduce", "--k", "78"],
+        ["trace", "H-Grep", "--sample-interval", "0"],
+        ["trace", "H-Grep", "--sample-interval", "-0.5"],
+        ["chaos", "--workloads", "nope"],
+        ["chaos", "--stacks", "Nope"],
+        ["crashsim", "--max-points", "-1"],
+        ["crashsim", "--errno-points", "-1"],
+        ["crashsim", "--fsync-lie-points", "-1"],
+        ["crashsim", "--max-points", "0", "--errno-points", "0",
+         "--fsync-lie-points", "0"],
+        ["diff", "a", "b", "--rel-threshold", "-0.1"],
+        ["diff", "a", "b", "--abs-threshold", "-1"],
+    ])
+    def test_bad_value_is_refused_before_any_work(self, argv, tmp_path,
+                                                   capsys):
+        runs = tmp_path / "runs"
+        start = time.perf_counter()
+        assert main(["--runs-dir", str(runs)] + argv) == 2
+        # Faster than any characterization: the check ran first.
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert err.startswith("InvalidParameterError: ")
+        assert err.count("\n") == 1
+        assert not runs.exists()

@@ -5,12 +5,19 @@ channel).  Each case runs the verb with the registry pointed at a
 fresh directory — once via the ``--runs-dir`` flag (with
 ``$REPRO_RUNS_DIR`` deliberately aimed elsewhere, proving flag
 precedence) and once via the environment variable alone — and asserts
-the run record lands there and nowhere else.  A final case proves the
-read side: ``repro metrics`` scrapes the directory it is pointed at.
+the run record lands there and nowhere else, with the ``recorded``
+line naming that file.  Over the cheapest recording verbs,
+``--no-record`` writes and names nothing, and a closed stdout cannot
+cost the record, because it is saved before anything is printed.  A
+final case proves the read side: ``repro metrics`` scrapes the
+directory it is pointed at.
 """
 
 import glob
+import io
+import json
 import os
+import sys
 
 import pytest
 
@@ -53,6 +60,10 @@ RECORDING_VERBS = [
 ]
 
 
+#: The cheapest recording verbs, for the record-then-print contract.
+CONTRACT_VERBS = ["run", "table", "faults", "trace"]
+
+
 def records_in(path):
     return sorted(
         os.path.basename(p) for p in glob.glob(os.path.join(path, "*.json"))
@@ -61,7 +72,8 @@ def records_in(path):
 
 @pytest.mark.parametrize("verb", RECORDING_VERBS)
 @pytest.mark.parametrize("channel", ["flag", "env"])
-def test_record_lands_in_requested_dir(verb, channel, tmp_path, monkeypatch):
+def test_record_lands_in_requested_dir(verb, channel, tmp_path, monkeypatch,
+                                       capsys):
     target = tmp_path / "target-runs"
     decoy = tmp_path / "decoy-runs"
     if channel == "flag":
@@ -75,6 +87,14 @@ def test_record_lands_in_requested_dir(verb, channel, tmp_path, monkeypatch):
 
     assert main(argv) == 0
     assert records_in(str(target)), f"{verb} wrote no record to {target}"
+    # Text mode ends by naming the record, and that file holds the run id.
+    recorded = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("recorded ")]
+    assert len(recorded) == 1
+    run_id, path = recorded[0][len("recorded "):].split(" -> ")
+    assert os.path.dirname(os.path.abspath(path)) == str(target)
+    with open(path, encoding="utf-8") as handle:
+        assert json.load(handle)["run_id"] == run_id
     assert not os.path.isdir(decoy) or not records_in(str(decoy))
     # No stray default registry next to the working directory either.
     assert not os.path.isdir(tmp_path / ".repro-runs")
@@ -83,8 +103,29 @@ def test_record_lands_in_requested_dir(verb, channel, tmp_path, monkeypatch):
 def test_no_record_suppresses_registry(tmp_path, monkeypatch, capsys):
     target = tmp_path / "target-runs"
     monkeypatch.setenv("REPRO_RUNS_DIR", str(target))
-    assert main(["--scale", "0.1", "--no-record", "run", "H-Grep"]) == 0
-    assert not os.path.isdir(target) or not records_in(str(target))
+    monkeypatch.chdir(tmp_path)
+    for verb in CONTRACT_VERBS:
+        assert main(["--no-record"] + _invocation(verb, tmp_path)) == 0
+        assert not os.path.isdir(target) or not records_in(str(target))
+        assert "recorded" not in capsys.readouterr().out, verb
+
+
+class _ClosedStdout(io.TextIOBase):
+    """A stdout whose reader went away (``repro ... | head``)."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("verb", CONTRACT_VERBS)
+def test_closed_stdout_cannot_cost_the_record(verb, tmp_path, monkeypatch):
+    # The record is saved before the first write to stdout.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    target = tmp_path / "target-runs"
+    with pytest.raises(BrokenPipeError):
+        main(["--runs-dir", str(target)] + _invocation(verb, tmp_path))
+    assert records_in(str(target))
 
 
 def test_metrics_reads_requested_dir(tmp_path, monkeypatch, capsys):
