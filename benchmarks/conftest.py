@@ -7,14 +7,8 @@ experiment harnesses, not micro-benchmarks).
 
 Each bench also appends a ``kind="bench"`` run record to the registry
 (``.repro-runs/`` or ``$REPRO_RUNS_DIR``) carrying the experiment's
-deterministic fidelity metrics plus the measured wall time — and, when
-``$REPRO_BENCH_FILE`` is set, the same records accumulate into that
-single JSON file (the committed ``BENCH_*.json`` trajectory baselines
-are generated this way).
+deterministic fidelity metrics plus the measured wall time.
 """
-
-import json
-import os
 
 import pytest
 
@@ -58,18 +52,6 @@ def _record_bench(name: str, benchmark, result, extra_timings=None) -> None:
         timings=timings,
     )
     RunRegistry().save(record)
-    bench_file = os.environ.get("REPRO_BENCH_FILE")
-    if bench_file:
-        existing = []
-        if os.path.exists(bench_file):
-            with open(bench_file, "r", encoding="utf-8") as handle:
-                existing = json.load(handle)
-        existing = [e for e in existing if e["experiment"] != record.experiment]
-        existing.append(record.to_dict())
-        existing.sort(key=lambda e: e["experiment"])
-        with open(bench_file, "w", encoding="utf-8") as handle:
-            json.dump(existing, handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
 
 def run_once(benchmark, fn, *args, extra_timings=None, **kwargs):

@@ -379,20 +379,19 @@ def _cmd_run(args) -> int:
 
 def _cmd_trace(args) -> int:
     definition = workload(args.workload)
-    tracer = Tracer(sample_interval=args.sample_interval)
+    tracer = Tracer(sample_interval=args.sample_interval,
+                    lane=f"repro {definition.workload_id}")
     print(f"tracing {definition.workload_id} ({definition.description}) ...",
           file=sys.stderr)
     definition.runner(scale=args.scale, cluster=Cluster(
         sim=Simulation(tracer=tracer)), seed=args.seed)
-    n_events = write_chrome_trace(
-        tracer, args.out, process_name=f"repro {definition.workload_id}"
-    )
+    n_events = len(write_chrome_trace(tracer.records, args.out)["traceEvents"])
     # Span counts and simulated durations are deterministic for a fixed
     # seed/scale, so the trace summary is a legitimate registry metric.
     metrics = {"trace.events": float(n_events)}
     by_category = {}
-    for span in tracer.spans:
-        bucket = by_category.setdefault(span.category, [0, 0.0])
+    for span in tracer.of_kind("span"):
+        bucket = by_category.setdefault(span.cat, [0, 0.0])
         bucket[0] += 1
         bucket[1] += span.duration
     for category, (count, seconds) in sorted(by_category.items()):
@@ -400,8 +399,8 @@ def _cmd_trace(args) -> int:
         metrics[f"trace.{category}.seconds"] = seconds
     _emit(
         args,
-        f"{render_trace_summary(tracer)}\n\nwrote {n_events} trace events "
-        f"to {args.out} — load it in Perfetto (ui.perfetto.dev) or "
+        f"{render_trace_summary(tracer.records)}\n\nwrote {n_events} trace "
+        f"events to {args.out} — load it in Perfetto (ui.perfetto.dev) or "
         f"chrome://tracing",
         record=_record(args, f"trace.{definition.workload_id}", "trace",
                        metrics),

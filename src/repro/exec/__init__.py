@@ -10,54 +10,32 @@ and merges cells back into one record only after provenance-hash
 validation (:mod:`~repro.exec.merge`).
 """
 
-from repro.exec.cells import (  # noqa: F401
-    DEFAULT_CELL_FN,
-    CellResult,
-    SweepCell,
-    decompose,
-    platform_for,
-    provenance_hash,
-)
+from repro.exec.cells import SweepCell, decompose  # noqa: F401
 from repro.exec.checkpoint import (  # noqa: F401
     SweepCheckpoint,
     SweepLock,
     sweep_id,
 )
-from repro.exec.merge import (  # noqa: F401
-    merge_results,
-    telemetry_lines,
-    validate_cell,
-)
-from repro.exec.supervisor import (  # noqa: F401
-    SweepExecutor,
-    SweepOutcome,
-)
+from repro.exec.merge import merge_results, telemetry_lines  # noqa: F401
+from repro.exec.supervisor import SweepExecutor  # noqa: F401
 from repro.exec.tracing import (  # noqa: F401
     SpanWriter,
     SweepTracer,
     merge_sweep_trace,
-    read_span_records,
     worker_lane,
 )
 
 __all__ = [
-    "DEFAULT_CELL_FN",
-    "CellResult",
     "SpanWriter",
     "SweepCell",
     "SweepCheckpoint",
     "SweepExecutor",
     "SweepLock",
-    "SweepOutcome",
     "SweepTracer",
     "decompose",
     "merge_results",
     "merge_sweep_trace",
-    "platform_for",
-    "provenance_hash",
-    "read_span_records",
     "sweep_id",
     "telemetry_lines",
-    "validate_cell",
     "worker_lane",
 ]

@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import CheckpointError, SweepLockError
 from repro.fsio import (
@@ -55,7 +55,9 @@ from repro.fsio import (
     write_json_atomic,
 )
 from repro.exec.cells import CellResult
-from repro.exec.tracing import SPAN_KINDS, span_files
+
+if TYPE_CHECKING:
+    from repro.obs.tracer import Span
 
 #: Bumped on incompatible checkpoint-layout changes.
 CHECKPOINT_VERSION = 1
@@ -118,8 +120,8 @@ class SweepState:
     torn_journal: bool = False
     #: Progress events (``progress.jsonl`` lines with an ``event``).
     events: List[dict] = field(default_factory=list)
-    #: Span and instant records from every span file.
-    spans: List[dict] = field(default_factory=list)
+    #: Host-clock span and instant records from every span file.
+    spans: List[Span] = field(default_factory=list)
     #: ``(path, reason)`` for every artifact that did not read cleanly.
     damage: List[Tuple[str, str]] = field(default_factory=list)
 
@@ -184,11 +186,12 @@ class SweepDir:
 
         progress, _, _ = _read_lines(self.progress_path, damage)
         state.events = [e for _, e in progress if "event" in e]
-        for path in span_files(self.trace_dir):
-            spans, _, _ = _read_lines(path, damage)
-            state.spans.extend(
-                r for _, r in spans if r.get("kind") in SPAN_KINDS
-            )
+        # Imported here: repro.exec.tracing imports repro.obs, whose
+        # observatory imports this module.
+        from repro.exec.tracing import read_spans
+
+        state.spans, span_damage = read_spans(self.trace_dir)
+        damage.extend(span_damage)
         _read_object(self.trace_path, damage)
         return state
 

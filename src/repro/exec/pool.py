@@ -1,14 +1,19 @@
 """Worker processes for the sweep executor.
 
 One worker is one forked process running :func:`_worker_main`: it
-receives cell specs over a private pipe, runs them, and reports on a
-queue shared with the supervisor.  A daemon heartbeat thread beats
+receives cell specs over a private task pipe, runs them, and reports
+on a private result pipe.  Nothing is shared between workers: a
+``multiprocessing.Queue`` shared by the pool carries a cross-process
+write lock, and a worker SIGKILLed while holding it (its heartbeat
+thread mid-put) would silence every later worker for good.  A killed
+worker can only break its own pipes, which the supervisor then reads
+as end-of-file.  A daemon heartbeat thread beats
 every ``heartbeat_interval`` seconds while a cell is in flight, so the
 supervisor can tell a *slow* cell (beats arriving, deadline not yet
 passed) from a *frozen* worker (no beats: SIGSTOPped, deadlocked in C,
 or already dead) without waiting for the full cell timeout.
 
-Messages on the result queue (tuples, first element is the kind):
+Messages on the result pipe (tuples, first element is the kind):
 
 - ``("ready", worker_id)`` — worker finished booting
 - ``("heartbeat", worker_id, cell_id)`` — still alive on this cell
@@ -52,6 +57,16 @@ def _worker_main(worker_id: int, conn, results, heartbeat_interval: float,
     """
     state = {"cell": None}
     stop = threading.Event()
+    # The heartbeat thread and the main loop share one pipe end.
+    send_lock = threading.Lock()
+
+    def report(message: tuple) -> bool:
+        try:
+            with send_lock:
+                results.send(message)
+            return True
+        except OSError:
+            return False  # pipe torn down; supervisor is gone
     writer = lane = None
     if trace_dir is not None:
         lane = worker_lane(os.getpid(), worker_id)
@@ -61,14 +76,12 @@ def _worker_main(worker_id: int, conn, results, heartbeat_interval: float,
     def beat() -> None:
         while not stop.wait(heartbeat_interval):
             cell_id = state["cell"]
-            if cell_id is not None:
-                try:
-                    results.put(("heartbeat", worker_id, cell_id))
-                except Exception:
-                    return  # queue torn down; supervisor is gone
+            if cell_id is not None and not report(
+                    ("heartbeat", worker_id, cell_id)):
+                return
 
     threading.Thread(target=beat, daemon=True).start()
-    results.put(("ready", worker_id))
+    report(("ready", worker_id))
     if writer is not None:
         writer.span(lane, "boot", "boot", boot_wall, time.time(),
                     worker=worker_id)
@@ -91,7 +104,7 @@ def _worker_main(worker_id: int, conn, results, heartbeat_interval: float,
         except KeyboardInterrupt:
             break
         except BaseException as error:  # report, stay alive for more cells
-            results.put((
+            sent = report((
                 "error", worker_id, cell_id,
                 type(error).__name__, str(error),
                 time.perf_counter() - started,
@@ -104,7 +117,7 @@ def _worker_main(worker_id: int, conn, results, heartbeat_interval: float,
                     attempt=trace_meta.get("attempt"),
                 )
         else:
-            results.put((
+            sent = report((
                 "ok", worker_id, cell_id, payload,
                 time.perf_counter() - started,
             ))
@@ -116,6 +129,8 @@ def _worker_main(worker_id: int, conn, results, heartbeat_interval: float,
                 )
         finally:
             state["cell"] = None
+        if not sent:
+            break
     stop.set()
     if writer is not None:
         writer.close()
@@ -128,6 +143,8 @@ class WorkerHandle:
     worker_id: int
     process: mp.Process = None
     conn: object = None  # parent end of the task pipe
+    #: Read end of the worker's result pipe; None once it hit EOF.
+    results: object = None
     #: In-flight cell spec (None when idle).
     cell: Optional[dict] = None
     #: Monotonic deadline for the in-flight cell (wall-clock timeout).
@@ -190,38 +207,47 @@ class WorkerHandle:
                 return
         self._close()
 
+    def close_results(self) -> None:
+        """Stop reading the result pipe (end-of-file, or retirement)."""
+        if self.results is not None:
+            try:
+                self.results.close()
+            except OSError:
+                pass
+            self.results = None
+
     def _close(self) -> None:
         try:
             self.conn.close()
         except (OSError, AttributeError):
             pass
+        self.close_results()
         self.retired = True
 
 
-def spawn_worker(worker_id: int, results,
+def spawn_worker(worker_id: int,
                  heartbeat_interval: float = HEARTBEAT_INTERVAL,
                  trace_dir: Optional[str] = None,
                  ) -> WorkerHandle:
     """Fork one worker and return its handle (not yet marked ready)."""
     parent_conn, child_conn = _CTX.Pipe()
+    results_reader, results_writer = _CTX.Pipe(duplex=False)
     process = _CTX.Process(
         target=_worker_main,
-        args=(worker_id, child_conn, results, heartbeat_interval, trace_dir),
+        args=(worker_id, child_conn, results_writer, heartbeat_interval,
+              trace_dir),
         daemon=True,
         name=f"repro-sweep-worker-{worker_id}",
     )
     process.start()
+    # Only the worker may hold the write end: its death is then EOF.
     child_conn.close()
+    results_writer.close()
     now = time.monotonic()
     return WorkerHandle(
         worker_id=worker_id, process=process, conn=parent_conn,
-        last_beat=now, pid=process.pid or 0,
+        results=results_reader, last_beat=now, pid=process.pid or 0,
     )
-
-
-def make_result_queue():
-    """The shared worker->supervisor queue."""
-    return _CTX.Queue()
 
 
 def default_jobs() -> int:

@@ -47,6 +47,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence
 
 from repro.exec.cells import CellResult, SweepCell, run_cell
@@ -54,7 +55,6 @@ from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.pool import (
     HEARTBEAT_INTERVAL,
     WorkerHandle,
-    make_result_queue,
     spawn_worker,
 )
 
@@ -296,7 +296,6 @@ class SweepExecutor:
                   checkpoint: Optional[SweepCheckpoint],
                   outcome: SweepOutcome) -> None:
         telemetry = outcome.telemetry
-        results_queue = make_result_queue()
         workers: Dict[int, WorkerHandle] = {}
         next_id = 0
         now = time.monotonic()
@@ -319,8 +318,7 @@ class SweepExecutor:
         def spawn() -> WorkerHandle:
             nonlocal next_id
             handle = spawn_worker(
-                next_id, results_queue, self.heartbeat_interval,
-                trace_dir=trace_dir,
+                next_id, self.heartbeat_interval, trace_dir=trace_dir,
             )
             workers[handle.worker_id] = handle
             next_id += 1
@@ -435,8 +433,8 @@ class SweepExecutor:
                         if not handle.send(spec):
                             fail_worker(handle, "worker-died: send failed",
                                         kill=True)
-                self._drain(results_queue, workers, checkpoint, outcome,
-                            attempts, requeue)
+                self._drain(workers, checkpoint, outcome, attempts,
+                            requeue)
                 now = time.monotonic()
                 for handle in list(workers.values()):
                     if not handle.alive():
@@ -461,8 +459,6 @@ class SweepExecutor:
             for handle in list(workers.values()):
                 handle.terminate()
             workers.clear()
-            results_queue.close()
-            results_queue.cancel_join_thread()
 
         leftovers = [spec for _, spec in delayed]
         leftovers.extend(pending)
@@ -486,60 +482,74 @@ class SweepExecutor:
             self._run_serial(remaining, checkpoint, outcome,
                              attempts, failures)
 
-    def _drain(self, results_queue, workers, checkpoint, outcome,
-               attempts, requeue) -> None:
-        """Pull every queued worker message, blocking briefly for one."""
-        import queue as queue_mod
+    def _drain(self, workers, checkpoint, outcome, attempts,
+               requeue) -> None:
+        """Read every pending worker message, blocking briefly for one.
 
+        Each worker reports on its own pipe.  A pipe at end-of-file
+        belongs to a dead worker: it is closed here and the death is
+        handled by the liveness check that follows.
+        """
+        by_conn = {
+            handle.results: handle
+            for handle in workers.values() if handle.results is not None
+        }
+        if not by_conn:
+            time.sleep(self.heartbeat_interval / 2)
+            return
+        for conn in wait(list(by_conn), timeout=self.heartbeat_interval / 2):
+            handle = by_conn[conn]
+            while handle.results is not None:
+                try:
+                    if not conn.poll():
+                        break
+                    message = conn.recv()
+                except (EOFError, OSError):
+                    handle.close_results()
+                    break
+                self._on_message(handle, message, checkpoint, outcome,
+                                 attempts, requeue)
+
+    def _on_message(self, handle, message, checkpoint, outcome, attempts,
+                    requeue) -> None:
+        """Apply one worker message to the handle and the outcome."""
         telemetry = outcome.telemetry
-        block = True
-        while True:
-            try:
-                message = results_queue.get(
-                    timeout=self.heartbeat_interval / 2 if block else 0
-                )
-            except queue_mod.Empty:
-                return
-            block = False
-            kind, worker_id = message[0], message[1]
-            handle = workers.get(worker_id)
-            if handle is None:
-                continue  # late message from a killed worker; rerun wins
-            if kind == "ready":
-                handle.ready = True
+        kind, worker_id = message[0], message[1]
+        if kind == "ready":
+            handle.ready = True
+            handle.last_beat = time.monotonic()
+        elif kind == "heartbeat":
+            if handle.busy and handle.cell["cell_id"] == message[2]:
                 handle.last_beat = time.monotonic()
-            elif kind == "heartbeat":
-                if handle.busy and handle.cell["cell_id"] == message[2]:
-                    handle.last_beat = time.monotonic()
-                    handle.beats += 1
-            elif kind == "ok":
-                _, _, cell_id, payload, seconds = message
-                if not handle.busy or handle.cell["cell_id"] != cell_id:
-                    continue
-                handle.cell = None
-                if cell_id in outcome.results:
-                    continue
-                result = CellResult(
-                    cell_id=cell_id,
-                    status="ok",
-                    metrics=payload["metrics"],
-                    counters=payload.get("counters"),
-                    provenance_hash=payload["provenance_hash"],
-                    attempts=attempts.get(cell_id, 0) + 1,
-                    seconds=seconds,
-                    worker=worker_id,
-                )
-                self._commit(result, checkpoint, outcome)
-            elif kind == "error":
-                _, _, cell_id, error_type, text, _seconds = message
-                if not handle.busy or handle.cell["cell_id"] != cell_id:
-                    continue
-                spec = handle.cell
-                handle.cell = None
-                # The worker survived the exception; only the cell failed.
-                telemetry.setdefault("cell_errors", 0.0)
-                telemetry["cell_errors"] += 1
-                requeue(spec, f"{error_type}: {text}")
+                handle.beats += 1
+        elif kind == "ok":
+            _, _, cell_id, payload, seconds = message
+            if not handle.busy or handle.cell["cell_id"] != cell_id:
+                return
+            handle.cell = None
+            if cell_id in outcome.results:
+                return
+            result = CellResult(
+                cell_id=cell_id,
+                status="ok",
+                metrics=payload["metrics"],
+                counters=payload.get("counters"),
+                provenance_hash=payload["provenance_hash"],
+                attempts=attempts.get(cell_id, 0) + 1,
+                seconds=seconds,
+                worker=worker_id,
+            )
+            self._commit(result, checkpoint, outcome)
+        elif kind == "error":
+            _, _, cell_id, error_type, text, _seconds = message
+            if not handle.busy or handle.cell["cell_id"] != cell_id:
+                return
+            spec = handle.cell
+            handle.cell = None
+            # The worker survived the exception; only the cell failed.
+            telemetry.setdefault("cell_errors", 0.0)
+            telemetry["cell_errors"] += 1
+            requeue(spec, f"{error_type}: {text}")
 
     # ---- shared policy ----------------------------------------------------
     def _stall_allowance(self, handle: WorkerHandle) -> float:

@@ -40,15 +40,15 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TraceMergeError
-from repro.fsio import BestEffortWriter, read_jsonl, write_json_atomic
+from repro.fsio import BestEffortWriter, read_jsonl
+from repro.obs.tracer import Span
 
 SPAN_FILE_SUFFIX = ".spans.jsonl"
 
-#: The ``kind`` values of span-file records; other lines are foreign.
+#: The ``kind`` values of span-file records; other lines are damage.
 SPAN_KINDS = ("span", "instant")
 
 __all__ = [
@@ -56,13 +56,11 @@ __all__ = [
     "SPAN_KINDS",
     "SpanWriter",
     "SweepTracer",
-    "TimelineLane",
-    "TimelineSpan",
     "worker_lane",
     "worker_span_path",
     "span_files",
-    "read_span_records",
-    "spans_to_timeline",
+    "parse_span",
+    "read_spans",
     "merge_sweep_trace",
 ]
 
@@ -183,130 +181,77 @@ def span_files(trace_dir: str) -> List[str]:
     ]
 
 
-def read_span_records(trace_dir: str) -> List[Dict]:
-    """Load every span record under ``trace_dir``, tolerating torn tails.
+def _time(value: object) -> Optional[float]:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return None
 
-    Files are visited in sorted order and lines that fail to parse (a
-    process died mid-write) are skipped; a missing directory or an
-    unreadable file is the caller's error and raises
-    :class:`TraceMergeError` (a merge must not silently lose a lane).
+
+def parse_span(obj: dict) -> Optional[Span]:
+    """One span-file line as a host-clock :class:`Span`, or None.
+
+    None for a line that is not a span or instant with a lane and
+    numeric times: such a line carries nothing that can be placed on a
+    timeline, and readers count it as damage.
     """
+    kind, lane = obj.get("kind"), obj.get("lane")
+    if kind not in SPAN_KINDS or not isinstance(lane, str) or not lane:
+        return None
+    t0 = _time(obj.get("t0" if kind == "span" else "t"))
+    t1 = _time(obj.get("t1")) if kind == "span" else t0
+    if t0 is None or t1 is None:
+        return None
+    args = obj.get("args")
+    return Span(kind, lane, lane, str(obj.get("name", "")),
+                str(obj.get("cat", "")), t0, t1,
+                dict(args) if isinstance(args, dict) else {}, clock="host")
 
-    if not os.path.isdir(trace_dir):
-        raise TraceMergeError("trace directory does not exist", trace_dir=trace_dir)
-    records: List[Dict] = []
+
+def read_spans(trace_dir: str) -> Tuple[List[Span], List[Tuple[str, str]]]:
+    """Every record of the span files under ``trace_dir``, and the damage.
+
+    Files are visited in sorted order.  Nothing raises: a file that
+    cannot be read, lines that do not parse (a process died mid-write)
+    and lines :func:`parse_span` rejects each become a ``(path,
+    reason)`` damage entry, and the rest is used.
+    """
+    records: List[Span] = []
+    damage: List[Tuple[str, str]] = []
     for path in span_files(trace_dir):
         try:
-            entries, _, _ = read_jsonl(path)
+            entries, bad, _ = read_jsonl(path)
         except OSError as exc:
-            raise TraceMergeError(
-                "unreadable span file", path=path, error=str(exc)
-            ) from exc
-        records.extend(r for _, r in entries if r.get("kind") in SPAN_KINDS)
-    return records
-
-
-@dataclass(frozen=True)
-class TimelineSpan:
-    """One closed span, rebased to the sweep's earliest timestamp."""
-
-    name: str
-    cat: str
-    t0: float
-    t1: float
-    args: Dict[str, object] = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        return max(0.0, self.t1 - self.t0)
-
-
-@dataclass
-class TimelineLane:
-    """One process's spans, ordered by start time."""
-
-    lane: str
-    spans: List[TimelineSpan] = field(default_factory=list)
-    instants: List[TimelineSpan] = field(default_factory=list)
-
-    @property
-    def is_supervisor(self) -> bool:
-        return self.lane.startswith("supervisor")
-
-
-def spans_to_timeline(records: List[Dict]) -> List[TimelineLane]:
-    """Group raw span records into per-lane timelines for rendering.
-
-    The adapter between the JSONL span files and any human-facing
-    lane view (the observatory's sweep page; a future ``repro serve``).
-    Timestamps are rebased so the earliest event of the sweep is
-    ``t=0`` — the absolute epoch values are wall-clock and must never
-    reach a deterministic rendering.  Lanes come supervisor-first, then
-    workers sorted by name; spans within a lane sort by
-    ``(t0, t1, name)``.  Malformed records are skipped, mirroring the
-    torn-tail tolerance of :func:`read_span_records`.
-    """
-
-    base: Optional[float] = None
-    for record in records:
-        t0 = record.get("t0") if record.get("kind") == "span" else record.get("t")
-        if isinstance(t0, (int, float)):
-            base = t0 if base is None else min(base, t0)
-    lanes: Dict[str, TimelineLane] = {}
-    for record in records:
-        lane_name = record.get("lane")
-        if not isinstance(lane_name, str) or not lane_name:
+            damage.append((path, f"unreadable: {exc}"))
             continue
-        lane = lanes.setdefault(lane_name, TimelineLane(lane=lane_name))
-        args = record.get("args")
-        args = dict(args) if isinstance(args, dict) else {}
-        if record.get("kind") == "span":
-            t0, t1 = record.get("t0"), record.get("t1")
-            if not isinstance(t0, (int, float)) or not isinstance(t1, (int, float)):
-                continue
-            lane.spans.append(TimelineSpan(
-                name=str(record.get("name", "")),
-                cat=str(record.get("cat", "")),
-                t0=t0 - (base or 0.0),
-                t1=t1 - (base or 0.0),
-                args=args,
-            ))
-        elif record.get("kind") == "instant":
-            t = record.get("t")
-            if not isinstance(t, (int, float)):
-                continue
-            stamp = t - (base or 0.0)
-            lane.instants.append(TimelineSpan(
-                name=str(record.get("name", "")),
-                cat=str(record.get("cat", "")),
-                t0=stamp,
-                t1=stamp,
-                args=args,
-            ))
-    for lane in lanes.values():
-        lane.spans.sort(key=lambda s: (s.t0, s.t1, s.name))
-        lane.instants.sort(key=lambda s: (s.t0, s.name))
-    return sorted(
-        lanes.values(), key=lambda lane: (not lane.is_supervisor, lane.lane)
-    )
+        if bad:
+            damage.append((path, f"{len(bad)} unparseable line(s)"))
+        parsed = [parse_span(obj) for _, obj in entries]
+        records.extend(r for r in parsed if r is not None)
+        if None in parsed:
+            damage.append((path, f"{parsed.count(None)} record(s) without "
+                                 "a lane and numeric times"))
+    return records, damage
 
 
 def merge_sweep_trace(trace_dir: str, out_path: str,
                       io=None) -> Tuple[int, int]:
     """Merge all span files under ``trace_dir`` into one Chrome trace.
 
-    Returns ``(n_events, n_flow_links)``.  The export shape (lane →
-    pid/tid assignment, flow derivation) lives in
-    :func:`repro.obs.export.sweep_records_to_chrome`.  The merged file
-    is written with the full atomic protocol — tmp + fsync +
-    ``os.replace`` + parent-dir fsync, tmp cleaned up on failure — so a
-    crash during merge can never leave a torn ``trace.json``.
+    Returns ``(n_events, n_flow_links)``.  The export (lane → process,
+    retry flows, rebasing) is :func:`repro.obs.export.to_chrome_trace`;
+    skipped input is listed under ``otherData.damage``.  The merged file
+    is written atomically, so a crash during merge can never leave a
+    torn ``trace.json``.
     """
 
-    from repro.obs.export import sweep_records_to_chrome
+    from repro.obs.export import write_chrome_trace
 
-    records = read_span_records(trace_dir)
-    trace = sweep_records_to_chrome(records)
-    write_json_atomic(out_path, trace, indent=1, io=io)
-    n_flows = int(trace.get("otherData", {}).get("flow_links", 0))
-    return len(trace["traceEvents"]), n_flows
+    if not os.path.isdir(trace_dir):
+        raise TraceMergeError("trace directory does not exist",
+                              trace_dir=trace_dir)
+    records, damage = read_spans(trace_dir)
+    trace = write_chrome_trace(
+        records, out_path, io=io,
+        damage=[f"{os.path.basename(p)}: {reason}" for p, reason in damage],
+    )
+    return len(trace["traceEvents"]), trace["otherData"]["flow_links"]

@@ -4,79 +4,26 @@ The measurement substrate the source paper had on real hardware —
 performance counters, framework logs, sampled system metrics — rebuilt
 for the simulator.  Everything is default-off: with no tracer attached
 the instrumented code paths record nothing and schedules stay
-bit-identical.
+bit-identical.  The package re-exports only the names its callers
+import from it; everything else lives in its submodule.
 """
 
-from repro.obs.anchors import (
-    PAPER_ANCHORS,
-    Anchor,
-    AnchorCheck,
-    anchored_experiments,
-    anchors_for,
-    evaluate_record,
-)
+from repro.obs.dashboard import render_site
 from repro.obs.export import (
     render_trace_summary,
-    sweep_records_to_chrome,
     to_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.dashboard import render_history_page, render_site
 from repro.obs.hostprof import (
     HostProfile,
     HotFunction,
     module_of,
     profile_call,
 )
-from repro.obs.observatory import (
-    ObservatoryModel,
-    SkippedArtifact,
-    SweepView,
-    build_model,
-)
-from repro.obs.perf import (
-    BenchResult,
-    BenchTarget,
-    PerfDiff,
-    bench_targets,
-    load_budgets,
-    perfdiff,
-    run_bench,
-)
-from repro.obs.stats import (
-    RobustStats,
-    bootstrap_ci_median,
-    intervals_separated,
-    mad,
-    median,
-    robust_summary,
-)
-from repro.obs.metrics import (
-    ClusterTelemetry,
-    Counter,
-    CounterRegistry,
-    NodeSample,
-    TimelineTotals,
-    UtilizationTimeline,
-)
-from repro.obs.profiler import PhaseProfiler, phase, profiler, set_profiler
-from repro.obs.registry import (
-    SCHEMA_VERSION,
-    RunRecord,
-    RunRegistry,
-    build_provenance,
-    flatten_rows,
-    runs_dir_default,
-)
-from repro.obs.report import (
-    DiffResult,
-    History,
-    Scorecard,
-    diff_records,
-    history,
-    scorecard,
-    sparkline,
-)
+from repro.obs.metrics import ClusterTelemetry, CounterRegistry
+from repro.obs.observatory import build_model
+from repro.obs.registry import SCHEMA_VERSION, RunRegistry
+from repro.obs.report import history
 from repro.obs.stream import (
     PROGRESS_SCHEMA_VERSION,
     ProgressStream,
@@ -84,79 +31,27 @@ from repro.obs.stream import (
     read_progress,
     render_openmetrics,
 )
-from repro.obs.tracer import (
-    SPAN_CATEGORIES,
-    CounterSample,
-    InstantEvent,
-    Span,
-    Tracer,
-)
+from repro.obs.tracer import Tracer
 
 __all__ = [
-    "PAPER_ANCHORS",
     "PROGRESS_SCHEMA_VERSION",
     "SCHEMA_VERSION",
-    "SPAN_CATEGORIES",
-    "Anchor",
-    "AnchorCheck",
-    "BenchResult",
-    "BenchTarget",
     "ClusterTelemetry",
-    "Counter",
     "CounterRegistry",
-    "CounterSample",
-    "DiffResult",
-    "History",
     "HostProfile",
     "HotFunction",
-    "InstantEvent",
-    "NodeSample",
-    "ObservatoryModel",
-    "PerfDiff",
-    "PhaseProfiler",
     "ProgressStream",
-    "RobustStats",
-    "RunRecord",
     "RunRegistry",
-    "Scorecard",
-    "SkippedArtifact",
-    "Span",
-    "SweepView",
     "TerminalRenderer",
-    "TimelineTotals",
     "Tracer",
-    "UtilizationTimeline",
-    "anchored_experiments",
-    "anchors_for",
-    "bench_targets",
-    "bootstrap_ci_median",
     "build_model",
-    "build_provenance",
-    "diff_records",
-    "evaluate_record",
-    "flatten_rows",
     "history",
-    "intervals_separated",
-    "load_budgets",
-    "mad",
-    "median",
     "module_of",
-    "perfdiff",
-    "phase",
     "profile_call",
-    "profiler",
     "read_progress",
-    "render_history_page",
     "render_openmetrics",
     "render_site",
     "render_trace_summary",
-    "robust_summary",
-    "run_bench",
-    "runs_dir_default",
-    "scorecard",
-    "set_profiler",
-    "sparkline",
-    "sweep_records_to_chrome",
     "to_chrome_trace",
     "write_chrome_trace",
 ]

@@ -29,6 +29,7 @@ from repro.obs.anchors import (
     anchored_experiments,
     evaluate_record,
 )
+from repro.obs.export import group_lanes
 from repro.obs.observatory import ObservatoryModel, SweepView
 from repro.obs.report import (
     DEFAULT_ABS_THRESHOLD,
@@ -394,50 +395,48 @@ _CAT_COLORS = {
 
 
 def _lane_svg(view: SweepView) -> str:
-    lanes = view.lanes
+    lanes = group_lanes(view.spans)
     if not lanes:
         return "<p class='note'>no span files recorded</p>"
-    total = max(
-        (span.t1 for lane in lanes for span in lane.spans), default=0.0
-    )
-    total = max(
-        total,
-        max((i.t0 for lane in lanes for i in lane.instants), default=0.0),
-    )
-    total = total or 1e-9
+    # Epoch times are wall-clock: only offsets from the sweep's first
+    # event reach the page.
+    base = min(r.t0 for r in view.spans)
+    total = max(r.t1 for r in view.spans) - base or 1e-9
     width, row_h, label_w = 760, 20, 170
     height = row_h * len(lanes) + 24
     parts = [
         f"<svg width='{width + label_w}' height='{height}' "
         f"viewBox='0 0 {width + label_w} {height}'>"
     ]
-    for row, lane in enumerate(lanes):
+    for row, (lane, records) in enumerate(lanes.items()):
         y = row * row_h + 4
         parts.append(
             f"<text x='0' y='{y + 11}' font-size='10' "
-            f"fill='#334'>{_esc(lane.lane)}</text>"
+            f"fill='#334'>{_esc(lane)}</text>"
         )
-        for span in lane.spans:
-            x0 = label_w + span.t0 / total * width
-            w = max(1.0, span.duration / total * width)
-            color = _CAT_COLORS.get(span.cat, "#8a93a8")
-            cell = span.args.get("cell", "")
+        # Spans first, so instant markers draw on top of them.
+        for record in sorted(records, key=lambda r: (
+                r.kind == "instant", r.t0, r.t1, r.name)):
+            x0 = label_w + (record.t0 - base) / total * width
+            if record.kind == "instant":
+                parts.append(
+                    f"<path d='M {x0:.1f} {y} l 4 {row_h - 6} l -8 0 z' "
+                    "fill='#e8a80c'>"
+                    f"<title>{_esc(record.name)} [{_esc(record.cat)}]</title>"
+                    "</path>"
+                )
+                continue
+            w = max(1.0, record.duration / total * width)
+            color = _CAT_COLORS.get(record.cat, "#8a93a8")
+            cell = record.args.get("cell", "")
             title = (
-                f"{span.name} [{span.cat}] {span.duration:.3f}s"
+                f"{record.name} [{record.cat}] {record.duration:.3f}s"
                 + (f" — {cell}" if cell else "")
             )
             parts.append(
                 f"<rect x='{x0:.1f}' y='{y}' width='{w:.1f}' "
                 f"height='{row_h - 6}' fill='{color}' rx='2'>"
                 f"<title>{_esc(title)}</title></rect>"
-            )
-        for instant in lane.instants:
-            x0 = label_w + instant.t0 / total * width
-            parts.append(
-                f"<path d='M {x0:.1f} {y} l 4 {row_h - 6} l -8 0 z' "
-                "fill='#e8a80c'>"
-                f"<title>{_esc(instant.name)} [{_esc(instant.cat)}]</title>"
-                "</path>"
             )
     axis_y = row_h * len(lanes) + 12
     parts.append(

@@ -1,11 +1,14 @@
 """Trace exporters: Chrome ``trace_event`` JSON and text summaries.
 
-The JSON exporter emits the Trace Event Format that Perfetto and
-``chrome://tracing`` load directly: complete (``"X"``) events for spans,
-instant (``"i"``) events for marks, counter (``"C"``) events for the
-sampled per-node utilization gauges, and metadata (``"M"``) events
-naming the process and per-track threads.  Simulated seconds become
-microseconds (the format's timestamp unit).
+One exporter serves both clocks.  :func:`to_chrome_trace` turns
+:class:`~repro.obs.tracer.Span` records — the simulated-clock
+:class:`~repro.obs.tracer.Tracer` behind ``repro trace``, or the
+host-clock span files of a sweep — into the Trace Event Format that
+Perfetto and ``chrome://tracing`` load directly: each lane becomes a
+process and each track within it a thread, spans become complete
+(``"X"``) events, marks instant (``"i"``) events and counter readings
+``"C"`` events.  Seconds become microseconds (the format's unit),
+rebased to the earliest event.
 
 The text exporter renders a per-category summary table and a flame-style
 listing of the slowest spans — the quick look before reaching for
@@ -14,308 +17,188 @@ Perfetto.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.obs.tracer import Span, Tracer
+from repro.errors import TraceMergeError
+from repro.fsio import write_json_atomic
+from repro.obs.tracer import Span
 from repro.report.tables import render_table
 
-#: Single simulated process: every track is a thread of it.
-TRACE_PID = 1
+_PHASES = {"span": "X", "instant": "i", "counter": "C"}
 
 
-def _track_ids(tracer: Tracer) -> Dict[str, int]:
-    """Stable tid assignment: scheduler first, then tracks by appearance."""
-    tids: Dict[str, int] = {"scheduler": 0}
-    sources = (
-        [s.track for s in tracer.spans]
-        + [i.track for i in tracer.instants]
-        + [c.track for c in tracer.samples]
-    )
-    for track in sources:
-        if track not in tids:
-            tids[track] = len(tids)
-    return tids
+def group_lanes(records: Iterable[Span]) -> Dict[str, List[Span]]:
+    """Records by lane, in display order: the one lane order.
 
-
-def to_chrome_trace(tracer: Tracer, process_name: str = "repro-sim") -> dict:
-    """The tracer's contents as a Chrome trace_event JSON object."""
-    tids = _track_ids(tracer)
-    events: List[dict] = [
-        {
-            "name": "process_name",
-            "cat": "__metadata",
-            "ph": "M",
-            "ts": 0,
-            "pid": TRACE_PID,
-            "tid": 0,
-            "args": {"name": process_name},
-        }
-    ]
-    for track, tid in tids.items():
-        events.append(
-            {
-                "name": "thread_name",
-                "cat": "__metadata",
-                "ph": "M",
-                "ts": 0,
-                "pid": TRACE_PID,
-                "tid": tid,
-                "args": {"name": track},
-            }
-        )
-    for span in tracer.spans:
-        end = span.end if span.end is not None else span.start
-        args = dict(span.args)
-        args["span_id"] = span.span_id
-        if span.parent_id is not None:
-            args["parent_id"] = span.parent_id
-        events.append(
-            {
-                "name": span.name,
-                "cat": span.category,
-                "ph": "X",
-                "ts": span.start * 1e6,
-                "dur": (end - span.start) * 1e6,
-                "pid": TRACE_PID,
-                "tid": tids[span.track],
-                "args": args,
-            }
-        )
-    for instant in tracer.instants:
-        events.append(
-            {
-                "name": instant.name,
-                "cat": instant.category,
-                "ph": "i",
-                "s": "t",
-                "ts": instant.time * 1e6,
-                "pid": TRACE_PID,
-                "tid": tids[instant.track],
-                "args": dict(instant.args),
-            }
-        )
-    for sample in tracer.samples:
-        events.append(
-            {
-                "name": sample.name,
-                "cat": "telemetry",
-                "ph": "C",
-                "ts": sample.time * 1e6,
-                "pid": TRACE_PID,
-                "tid": tids[sample.track],
-                "args": dict(sample.values),
-            }
-        )
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {"clock": "simulated seconds x 1e6"},
-    }
-
-
-def write_chrome_trace(
-    tracer: Tracer, path: str, process_name: str = "repro-sim"
-) -> int:
-    """Write the trace JSON to ``path``; returns the event count."""
-    trace = to_chrome_trace(tracer, process_name=process_name)
-    with open(path, "w") as handle:
-        json.dump(trace, handle)
-    return len(trace["traceEvents"])
-
-
-def sweep_records_to_chrome(
-    records: List[dict], trace_name: str = "repro-sweep"
-) -> dict:
-    """Merge raw sweep span records into one multi-process Chrome trace.
-
-    ``records`` are the dicts produced by
-    :class:`repro.exec.tracing.SpanWriter` across every process of a
-    sweep.  Each *lane* (one per OS process: supervisor, workers,
-    serial fallback) becomes its own Chrome ``pid`` with an explicit
-    ``tid`` of 0, named via ``process_name`` metadata — so Perfetto
-    renders one horizontal track per process, supervisors first.
-
-    Retries of one cell become flow events: the ``cat == "cell"``
-    spans of each ``cell_id`` are ordered by start time and every
-    consecutive pair is linked with a ``"s"``/``"f"`` arrow (flow id
-    ``<cell_id>#<k>``), which is what makes a cell hopping between
-    workers visually traceable.
-
-    Timestamps are epoch seconds; the whole trace is rebased to its
-    earliest event so viewers start at t=0.
+    Supervisor lanes first, then lanes by their earliest event, then by
+    name.  Both the Chrome process order and the dashboard's lane rows
+    come from here.  Records keep their input order within a lane.
     """
+    lanes: Dict[str, List[Span]] = {}
+    for record in records:
+        lanes.setdefault(record.lane, []).append(record)
+    order = sorted(lanes, key=lambda lane: (
+        not lane.startswith("supervisor"),
+        min(r.t0 for r in lanes[lane]),
+        lane,
+    ))
+    return {lane: lanes[lane] for lane in order}
 
-    spans = [r for r in records if r.get("kind") == "span"]
-    instants = [r for r in records if r.get("kind") == "instant"]
 
-    first_seen: Dict[str, float] = {}
-    os_pid: Dict[str, int] = {}
-    for record in spans + instants:
-        lane = str(record.get("lane", "unknown"))
-        when = float(record.get("t0", record.get("t", 0.0)))
-        if lane not in first_seen or when < first_seen[lane]:
-            first_seen[lane] = when
-        # The lane name embeds the owning OS pid (worker-<pid>-<id> /
-        # supervisor-<pid>); prefer it over the record's writer pid,
-        # because the supervisor writes queue and killed-attempt spans
-        # onto worker lanes.
-        if lane not in os_pid:
-            parts = lane.split("-")
-            embedded = parts[1] if len(parts) >= 2 and parts[1].isdigit() else None
-            os_pid[lane] = (
-                int(embedded) if embedded else int(record.get("pid", 0))
-            )
-    lanes = sorted(
-        first_seen,
-        key=lambda lane: (
-            0 if lane.startswith("supervisor") else 1,
-            first_seen[lane],
-            lane,
-        ),
-    )
-    pids = {lane: index + 1 for index, lane in enumerate(lanes)}
-    base = min(first_seen.values()) if first_seen else 0.0
+def _process_name(lane: str) -> str:
+    # Sweep lanes embed the owning OS pid (supervisor-<pid>,
+    # worker-<pid>-<id>); the supervisor also writes killed attempts
+    # onto worker lanes, so the lane, not the writer, names the process.
+    pid = lane.split("-")[1:2]
+    return f"{lane} (os pid {pid[0]})" if pid and pid[0].isdigit() else lane
 
-    events: List[dict] = []
-    for lane in lanes:
-        events.append(
-            {
-                "name": "process_name",
-                "cat": "__metadata",
-                "ph": "M",
-                "ts": 0,
-                "pid": pids[lane],
-                "tid": 0,
-                "args": {"name": f"{lane} (os pid {os_pid[lane]})"},
-            }
-        )
-        events.append(
-            {
-                "name": "process_sort_index",
-                "cat": "__metadata",
-                "ph": "M",
-                "ts": 0,
-                "pid": pids[lane],
-                "tid": 0,
-                "args": {"sort_index": pids[lane]},
-            }
-        )
 
+def _meta(kind: str, pid: int, tid: int, **args: object) -> dict:
+    return {"name": kind, "cat": "__metadata", "ph": "M", "ts": 0,
+            "pid": pid, "tid": tid, "args": args}
+
+
+def _retry_flows(records: Sequence[Span], base: float,
+                 threads: Dict[Tuple[str, str], Tuple[int, int]]
+                 ) -> List[dict]:
+    """Flow arrows linking consecutive ``cell`` attempts of one cell.
+
+    Attempts are ordered by start time regardless of which worker (or
+    run — resumed sweeps append to the same directory) executed them;
+    flow id ``<cell_id>#<k>`` links attempt k to attempt k+1.
+    """
+    chains: Dict[str, List[Span]] = {}
+    for record in records:
+        cell_id = record.args.get("cell_id")
+        if record.kind == "span" and record.cat == "cell" and cell_id:
+            chains.setdefault(str(cell_id), []).append(record)
+    flows: List[dict] = []
+    for cell_id in sorted(chains):
+        chain = sorted(chains[cell_id], key=lambda r: r.t0)
+        for k, (prev, nxt) in enumerate(zip(chain, chain[1:])):
+            start = ((prev.t0 if prev.t1 is None else prev.t1) - base) * 1e6
+            finish = max((nxt.t0 - base) * 1e6, start)
+            for ph, record, ts in (("s", prev, start), ("f", nxt, finish)):
+                pid, tid = threads[record.lane, record.track]
+                flows.append({"name": "retry", "cat": "flow", "ph": ph,
+                              "id": f"{cell_id}#{k}", "ts": ts,
+                              "pid": pid, "tid": tid})
+            flows[-1]["bp"] = "e"
+    return flows
+
+
+def to_chrome_trace(records: Sequence[Span], **other: object) -> dict:
+    """Records from one clock domain as a Chrome trace_event object.
+
+    Lanes become processes (pid 1, 2, ... in :func:`group_lanes` order,
+    with a ``process_sort_index`` so viewers keep that order) and the
+    tracks of a lane become its threads, numbered by first appearance.
+    Metadata events come first, then the body sorted by timestamp;
+    ``other`` adds keys to ``otherData``.
+    Raises :class:`TraceMergeError` for records from two clock domains:
+    simulated and epoch seconds cannot share one timeline.
+    """
+    clocks = sorted({r.clock for r in records})
+    if len(clocks) > 1:
+        raise TraceMergeError("records from two clock domains",
+                              clocks=",".join(clocks))
+    lanes = group_lanes(records)
+    base = min((r.t0 for r in records), default=0.0)
+    meta: List[dict] = []
     body: List[dict] = []
-    for record in spans:
-        lane = str(record.get("lane", "unknown"))
-        t0 = float(record.get("t0", 0.0))
-        t1 = float(record.get("t1", t0))
-        body.append(
-            {
-                "name": str(record.get("name", "?")),
-                "cat": str(record.get("cat", "span")),
-                "ph": "X",
-                "ts": (t0 - base) * 1e6,
-                "dur": max(0.0, (t1 - t0)) * 1e6,
-                "pid": pids[lane],
-                "tid": 0,
-                "args": dict(record.get("args", {})),
-            }
-        )
-    for record in instants:
-        lane = str(record.get("lane", "unknown"))
-        body.append(
-            {
-                "name": str(record.get("name", "?")),
-                "cat": str(record.get("cat", "mark")),
-                "ph": "i",
-                "s": "t",
-                "ts": (float(record.get("t", 0.0)) - base) * 1e6,
-                "pid": pids[lane],
-                "tid": 0,
-                "args": dict(record.get("args", {})),
-            }
-        )
-
-    # Flow events: consecutive attempts of the same cell, ordered by
-    # start time, regardless of which worker (or run — resumed sweeps
-    # append to the same directory) executed them.
-    attempts_by_cell: Dict[str, List[dict]] = {}
-    for record in spans:
-        if record.get("cat") != "cell":
-            continue
-        cell_id = dict(record.get("args", {})).get("cell_id")
-        if cell_id:
-            attempts_by_cell.setdefault(str(cell_id), []).append(record)
-    flow_links = 0
-    for cell_id in sorted(attempts_by_cell):
-        chain = sorted(
-            attempts_by_cell[cell_id], key=lambda r: float(r.get("t0", 0.0))
-        )
-        for k in range(len(chain) - 1):
-            prev, nxt = chain[k], chain[k + 1]
-            flow_id = f"{cell_id}#{k}"
-            start_ts = (float(prev.get("t1", prev.get("t0", 0.0))) - base) * 1e6
-            finish_ts = (float(nxt.get("t0", 0.0)) - base) * 1e6
-            body.append(
-                {
-                    "name": "retry",
-                    "cat": "flow",
-                    "ph": "s",
-                    "id": flow_id,
-                    "ts": start_ts,
-                    "pid": pids[str(prev.get("lane", "unknown"))],
-                    "tid": 0,
-                }
-            )
-            body.append(
-                {
-                    "name": "retry",
-                    "cat": "flow",
-                    "ph": "f",
-                    "bp": "e",
-                    "id": flow_id,
-                    "ts": max(finish_ts, start_ts),
-                    "pid": pids[str(nxt.get("lane", "unknown"))],
-                    "tid": 0,
-                }
-            )
-            flow_links += 1
-
+    # (lane, track) -> (pid, tid)
+    threads: Dict[Tuple[str, str], Tuple[int, int]] = {}
+    for pid, (lane, lane_records) in enumerate(lanes.items(), start=1):
+        meta.append(_meta("process_name", pid, 0, name=_process_name(lane)))
+        meta.append(_meta("process_sort_index", pid, 0, sort_index=pid))
+        for tid, track in enumerate(dict.fromkeys(r.track
+                                                  for r in lane_records)):
+            threads[lane, track] = (pid, tid)
+            meta.append(_meta("thread_name", pid, tid, name=track))
+        for record in lane_records:
+            event = {"name": record.name, "cat": record.cat,
+                     "ph": _PHASES[record.kind],
+                     "ts": (record.t0 - base) * 1e6,
+                     "pid": pid, "tid": threads[lane, record.track][1],
+                     "args": dict(record.args)}
+            if record.kind == "span":
+                event["dur"] = record.duration * 1e6
+            elif record.kind == "instant":
+                event["s"] = "t"
+            body.append(event)
+    flows = _retry_flows(records, base, threads)
+    body.extend(flows)
     body.sort(key=lambda event: event["ts"])
     return {
-        "traceEvents": events + body,
+        "traceEvents": meta + body,
         "displayTimeUnit": "ms",
         "otherData": {
-            "clock": "epoch seconds x 1e6, rebased to first event",
-            "trace_name": trace_name,
+            "clock": clocks[0] if clocks else None,
+            "time_unit": "seconds x 1e6, rebased to the earliest event",
             "lanes": len(lanes),
-            "flow_links": flow_links,
+            "flow_links": len(flows) // 2,
+            **other,
         },
     }
 
 
-def _depth(span: Span, by_id: Dict[int, Span]) -> int:
+def write_chrome_trace(records: Sequence[Span], path: str, *, io=None,
+                       **other: object) -> dict:
+    """Write the records' Chrome trace to ``path``; returns the trace.
+
+    Written with the full atomic protocol (tmp + fsync + ``os.replace``
+    + parent-dir fsync), so a crash can never leave a torn trace.
+    """
+    trace = to_chrome_trace(records, **other)
+    write_json_atomic(path, trace, indent=1, io=io)
+    return trace
+
+
+def trace_problems(trace: dict) -> List[str]:
+    """Structural faults of an exported trace; empty when it is sound.
+
+    The check CI applies to both ``repro trace`` output and merged sweep
+    traces: the clock domain is named and every event sits on a named
+    lane.
+    """
+    problems = []
+    if trace.get("otherData", {}).get("clock") not in ("sim", "host"):
+        problems.append("otherData.clock names no clock domain")
+    events = trace.get("traceEvents", [])
+    named = {e["pid"] for e in events if e.get("name") == "process_name"}
+    unnamed = [e for e in events if e.get("ph") != "M"
+               and e.get("pid") not in named]
+    if unnamed:
+        problems.append(f"{len(unnamed)} event(s) on an unnamed lane")
+    return problems
+
+
+def _depth(span: Span, by_id: Dict[object, Span]) -> int:
     depth = 0
     current = span
-    while current.parent_id is not None:
-        current = by_id[current.parent_id]
+    while current.args.get("parent_id") is not None:
+        current = by_id[current.args["parent_id"]]
         depth += 1
     return depth
 
 
-def render_trace_summary(tracer: Tracer, top: int = 8) -> str:
+def render_trace_summary(records: Sequence[Span], top: int = 8) -> str:
     """Category roll-up plus a flame-style view of the span tree."""
+    spans = [r for r in records if r.kind == "span"]
+    samples = [r for r in records if r.kind == "counter"]
     by_category: Dict[str, List[Span]] = {}
-    for span in tracer.spans:
-        by_category.setdefault(span.category, []).append(span)
+    for span in spans:
+        by_category.setdefault(span.cat, []).append(span)
     rows = []
-    for category, spans in sorted(
+    for category, group in sorted(
         by_category.items(),
         key=lambda item: -sum(s.duration for s in item[1]),
     ):
-        durations = [s.duration for s in spans]
+        durations = [s.duration for s in group]
         rows.append(
             [
                 category,
-                len(spans),
+                len(group),
                 sum(durations),
                 sum(durations) / len(durations),
                 max(durations),
@@ -328,12 +211,10 @@ def render_trace_summary(tracer: Tracer, top: int = 8) -> str:
         float_format="{:.6f}",
     )
 
-    by_id = {s.span_id: s for s in tracer.spans}
-    structural = [
-        s for s in tracer.spans if s.category in ("job", "stage", "wave")
-    ]
+    by_id = {s.args.get("span_id"): s for s in spans}
+    structural = [s for s in spans if s.cat in ("job", "stage", "wave")]
     slowest_work = sorted(
-        (s for s in tracer.spans if s.category in ("task", "attempt")),
+        (s for s in spans if s.cat in ("task", "attempt")),
         key=lambda s: -s.duration,
     )[:top]
     lines = ["", "Flame view (job/stage/wave, then slowest work):"]
@@ -346,11 +227,11 @@ def render_trace_summary(tracer: Tracer, top: int = 8) -> str:
         where = span.args.get("node", span.track)
         lines.append(
             f"  * {span.name:<22s} {span.duration:12.6f} s  on {where}"
-            f"  [{span.category}]"
+            f"  [{span.cat}]"
         )
-    if tracer.samples:
+    if samples:
         lines.append(
-            f"  counters: {len(tracer.samples)} samples across "
-            f"{len({s.track for s in tracer.samples})} nodes"
+            f"  counters: {len(samples)} samples across "
+            f"{len({s.track for s in samples})} nodes"
         )
     return summary + "\n" + "\n".join(lines)

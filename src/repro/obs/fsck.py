@@ -46,13 +46,14 @@ from repro.exec.checkpoint import (
     sweep_dirs,
     sweeps_root,
 )
+from repro.exec.tracing import parse_span
 from repro.fsio import (
     quarantine_corrupt,
-    read_json,
     read_jsonl,
     write_json_atomic,
     write_jsonl_atomic,
 )
+from repro.obs.registry import RunRegistry
 
 ERROR = "error"
 NOTE = "note"
@@ -204,6 +205,8 @@ def _is_tmp_name(name: str) -> bool:
 
 
 def _scan_registry_root(root: str, findings: List[Finding]) -> None:
+    _, problems = RunRegistry(root).scan(quarantine=False)
+    corrupt = {path: reason for path, reason, bad in problems if bad}
     for name in sorted(os.listdir(root)):
         path = os.path.join(root, name)
         if os.path.isdir(path):
@@ -214,19 +217,15 @@ def _scan_registry_root(root: str, findings: List[Finding]) -> None:
                 "tmp file leaked by a crashed atomic write",
                 repair="remove",
             ))
-            continue
-        if ".corrupt" in name:
+        elif ".corrupt" in name:
             findings.append(_finding(
                 "quarantined-artifact", path,
                 "previously quarantined file kept as evidence",
             ))
-            continue
-        if not name.endswith(".json"):
-            continue
-        _, error = read_json(path)
-        if error is not None:
+        elif path in corrupt:
             findings.append(_finding(
-                "corrupt-record", path, f"unparseable run record ({error})",
+                "corrupt-record", path,
+                f"unparseable run record ({corrupt[path]})",
                 repair="quarantine to .corrupt",
             ))
 
@@ -485,7 +484,10 @@ def fsck_repair(result: FsckResult) -> None:
         elif kind in ("torn-progress", "torn-span"):
             if os.path.isfile(path):
                 entries, _, _ = read_jsonl(path)
-                write_jsonl_atomic(path, [obj for _, obj in entries])
+                write_jsonl_atomic(path, [
+                    obj for _, obj in entries
+                    if kind == "torn-progress" or parse_span(obj) is not None
+                ])
         elif kind == "orphaned-sweep":
             if os.path.isdir(path):
                 _quarantine_dir(path)

@@ -4,8 +4,7 @@ Two cooperating pieces:
 
 - :class:`CounterRegistry` — a process-local registry of named counters
   and wall-clock timers, used for experiment timings
-  (:class:`repro.experiments.runner.ExperimentContext`) and the uarch
-  sweep profiling hooks (:mod:`repro.obs.profiler`).
+  (:class:`repro.experiments.runner.ExperimentContext`).
 - :class:`ClusterTelemetry` — samples every node's cumulative CPU /
   disk / network accounting on the *simulated* clock, building the
   :class:`UtilizationTimeline` that :meth:`repro.cluster.cluster.Cluster.metrics`

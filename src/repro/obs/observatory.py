@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.exec.checkpoint import SweepDir, sweep_dirs
-from repro.exec.tracing import TimelineLane, spans_to_timeline
 from repro.obs.registry import RunRecord, RunRegistry
+from repro.obs.tracer import Span
 
 __all__ = [
     "ObservatoryModel",
@@ -66,7 +66,8 @@ class SweepView:
     #: Journal lines that are not valid cells (torn tails, corruption).
     torn_journal_lines: int = 0
     events: List[Dict] = field(default_factory=list)
-    lanes: List[TimelineLane] = field(default_factory=list)
+    #: Host-clock records of the sweep's span files.
+    spans: List[Span] = field(default_factory=list)
     has_merged_trace: bool = False
 
     @property
@@ -133,7 +134,7 @@ def _build_sweep_view(
     view.quarantined = statuses.count("quarantined")
     view.torn_journal_lines = len(state.bad_journal_lines)
     view.events = state.events
-    view.lanes = spans_to_timeline(state.spans)
+    view.spans = state.spans
     view.has_merged_trace = os.path.isfile(sweep.trace_path)
     return view
 
@@ -150,7 +151,7 @@ def build_model(runs_dir: str, *, fsck: bool = True) -> ObservatoryModel:
     registry = RunRegistry(runs_dir)
     records, problems = registry.scan(quarantine=False)
     model.records = records
-    for path, reason in problems:
+    for path, reason, _ in problems:
         model.skipped.append(SkippedArtifact(path, reason))
 
     for sweep in sweep_dirs(runs_dir):

@@ -31,9 +31,14 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-from repro.fsio import fsync_dir, quarantine_corrupt, write_json_atomic
+from repro.fsio import (
+    fsync_dir,
+    quarantine_corrupt,
+    read_json,
+    write_json_atomic,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -239,42 +244,48 @@ class RunRegistry:
 
     # ---- reading ----------------------------------------------------------
     def load_path(self, path: str) -> RunRecord:
-        with open(path, "r", encoding="utf-8") as handle:
-            return RunRecord.from_dict(json.load(handle))
+        """The record at ``path``; ValueError if it cannot be one."""
+        payload, error = read_json(path)
+        if error is None and not isinstance(payload, dict):
+            error = "not a JSON object"
+        if error is not None:
+            raise ValueError(f"{path}: {error}")
+        return RunRecord.from_dict(payload)
 
     def scan(self, *, quarantine: bool = False):
-        """One sweep over every record file: ``(records, problems)``.
+        """One parse of every record file: ``(records, problems)``.
 
-        ``problems`` is a list of ``(path, reason)`` pairs for files
-        that could not be read as current-schema records.  With
-        ``quarantine=True`` (what :meth:`records` uses) corrupt files
-        are renamed aside; with the default ``False`` the scan is
-        strictly read-only — the observatory renders the same runs
-        directory twice and must find it byte-identical both times.
+        ``problems`` holds a ``(path, reason, corrupt)`` triple for each
+        file that could not be read as a current-schema record;
+        ``corrupt`` marks files that are not JSON at all (``fsck``
+        reports exactly those), as opposed to foreign or future-schema
+        records.  With ``quarantine=True`` (what :meth:`records` uses)
+        corrupt files are renamed aside; with the default ``False`` the
+        scan is strictly read-only — the observatory renders the same
+        runs directory twice and must find it byte-identical both times.
         """
         loaded: List[RunRecord] = []
-        problems: List[tuple] = []
+        problems: List[Tuple[str, str, bool]] = []
         if not os.path.isdir(self.root):
             return loaded, problems
         for name in sorted(os.listdir(self.root)):
             if not name.endswith(".json"):
                 continue
             path = os.path.join(self.root, name)
-            try:
-                record = self.load_path(path)
-            except (json.JSONDecodeError, UnicodeDecodeError, OSError):  # repro: allow[ERR002] — corrupt record is surfaced (and optionally quarantined), not lost
+            payload, error = read_json(path)
+            if error is not None:
                 # Truncated or corrupt on disk (a crash mid-write under a
                 # pre-atomic writer): move it aside so report/history keep
                 # working, and keep the evidence for inspection.
                 if quarantine:
                     quarantine_corrupt(path)
-                problems.append((path, "corrupt or truncated record"))
+                problems.append((path, error, True))
                 continue
-            except (ValueError, KeyError) as error:
+            try:
+                loaded.append(RunRecord.from_dict(payload))
+            except (ValueError, KeyError, TypeError, AttributeError) as error:
                 # Foreign or future-schema file; not ours to read.
-                problems.append((path, str(error)))
-                continue
-            loaded.append(record)
+                problems.append((path, str(error), False))
         loaded.sort(key=lambda r: (r.created_at, r.run_id))
         return loaded, problems
 

@@ -1,13 +1,16 @@
-"""Span tracing on the simulated clock.
+"""Span records, and the tracer that makes them on the simulated clock.
 
 The paper's methodology is observation: counters, logs and sampled
-system metrics turn opaque executions into explainable behaviour.  The
-tracer is the simulator's equivalent of that measurement substrate — a
-recorder of *spans* (intervals on the simulated clock: job → stage →
-wave → task → attempt, plus per-node compute and I/O operations),
-*instant events* (fault injections, failure detections, retries) and
-*counter samples* (per-node utilization time-series taken by
-:class:`repro.obs.metrics.ClusterTelemetry`).
+system metrics turn opaque executions into explainable behaviour.  One
+record type, :class:`Span`, carries every observation on either clock:
+intervals (``kind="span"``: job → stage → wave → task → attempt, plus
+per-node compute and I/O operations), instant marks (fault injections,
+failure detections, retries) and counter readings (per-node utilization
+samples taken by :class:`repro.obs.metrics.ClusterTelemetry`).  The
+simulated-clock :class:`Tracer` builds them in memory; the sweep
+executor's span files parse into the same records on the host clock
+(:func:`repro.exec.tracing.read_spans`), and one exporter
+(:mod:`repro.obs.export`) turns either into a Chrome trace.
 
 Everything is default-off: components look up ``sim.tracer`` and skip
 all recording when it is ``None``, so a traced run and an untraced run
@@ -17,7 +20,6 @@ guarantee of the scheduler is untouched.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -32,57 +34,41 @@ SPAN_CATEGORIES = (
 
 @dataclass
 class Span:
-    """One interval on the simulated clock.
+    """One trace record: an interval, an instant mark or a counter reading.
 
     Attributes:
-        span_id: Unique id within the tracer (monotone in begin order).
+        kind: ``"span"``, ``"instant"`` or ``"counter"``.
+        lane: The process the record belongs to (a Chrome process): the
+            traced run for simulated records, ``supervisor-<pid>`` /
+            ``worker-<pid>-<id>`` for sweep records.
+        track: Timeline within the lane (a Chrome thread) — "scheduler"
+            for job/stage/wave, a node name for attempts, ``"<node>.cpu"``
+            etc. for node operations; sweep records use their lane.
         name: Human-readable label ("map", "task3.attempt1", ...).
-        category: One of :data:`SPAN_CATEGORIES`.
-        track: Timeline the span belongs to — "scheduler" for job/stage/
-            wave, a node name for attempts, ``"<node>.cpu"`` etc. for
-            node operations.  Becomes the Chrome-trace thread.
-        start: Simulated time the span opened.
-        end: Simulated time it closed (None while still open).
-        parent_id: Enclosing span's id (None for the job root).
-        args: Free-form annotations (node, bytes, outcome, cause, ...).
+        cat: Category (:data:`SPAN_CATEGORIES` on the simulated clock).
+        t0: Start time (the only time of an instant or counter).
+        t1: End time; None while a span is still open.
+        args: Annotations (node, bytes, outcome, ...; a counter's values).
+            Simulated spans carry their ``span_id`` and ``parent_id`` here.
+        clock: ``"sim"`` (simulated seconds) or ``"host"`` (epoch seconds).
     """
 
-    span_id: int
-    name: str
-    category: str
+    kind: str
+    lane: str
     track: str
-    start: float
-    end: Optional[float] = None
-    parent_id: Optional[int] = None
+    name: str
+    cat: str
+    t0: float
+    t1: Optional[float] = None
     args: Dict[str, object] = field(default_factory=dict)
+    clock: str = "sim"
 
     @property
     def duration(self) -> float:
-        """Span length in simulated seconds (0 while open)."""
-        if self.end is None:
+        """Interval length in seconds (0 while open, and for marks)."""
+        if self.t1 is None:
             return 0.0
-        return self.end - self.start
-
-
-@dataclass
-class InstantEvent:
-    """A zero-duration mark on the simulated clock (fault, retry, ...)."""
-
-    name: str
-    category: str
-    track: str
-    time: float
-    args: Dict[str, object] = field(default_factory=dict)
-
-
-@dataclass
-class CounterSample:
-    """One multi-value counter reading (a Chrome ``ph:"C"`` event)."""
-
-    name: str
-    track: str
-    time: float
-    values: Dict[str, float] = field(default_factory=dict)
+        return max(0.0, self.t1 - self.t0)
 
 
 class Tracer:
@@ -93,16 +79,17 @@ class Tracer:
     it observes.  ``sample_interval`` is the cadence, in simulated
     seconds, at which the scheduler's telemetry sampler takes per-node
     utilization readings; ``None`` disables periodic sampling (wave
-    boundaries are always sampled).
+    boundaries are always sampled).  ``lane`` names the traced run.
     """
 
-    def __init__(self, sample_interval: Optional[float] = None):
+    def __init__(self, sample_interval: Optional[float] = None,
+                 lane: str = "repro-sim"):
         if sample_interval is not None and sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
         self.sample_interval = sample_interval
-        self.spans: List[Span] = []
-        self.instants: List[InstantEvent] = []
-        self.samples: List[CounterSample] = []
+        self.lane = lane
+        #: Every record, in the order it was made.
+        self.records: List[Span] = []
         self._clock: Optional[Callable[[], float]] = None
         self._next_id = 0
 
@@ -117,6 +104,12 @@ class Tracer:
             return 0.0
         return self._clock()
 
+    def _record(self, kind: str, name: str, cat: str, track: str,
+                t0: float, t1: Optional[float], args: dict) -> Span:
+        record = Span(kind, self.lane, track, name, cat, t0, t1, args)
+        self.records.append(record)
+        return record
+
     # ---- spans -----------------------------------------------------------
     def begin(
         self,
@@ -127,61 +120,31 @@ class Tracer:
         **args: object,
     ) -> Span:
         """Open a span at the current simulated time."""
-        span = Span(
-            span_id=self._next_id,
-            name=name,
-            category=category,
-            track=track,
-            start=self.now,
-            parent_id=parent.span_id if parent is not None else None,
-            args=dict(args),
-        )
+        ids: Dict[str, object] = {"span_id": self._next_id}
+        if parent is not None:
+            ids["parent_id"] = parent.args["span_id"]
         self._next_id += 1
-        self.spans.append(span)
-        return span
+        return self._record("span", name, category, track, self.now, None,
+                            {**ids, **args})
 
     def end(self, span: Span, **args: object) -> Span:
         """Close ``span`` at the current simulated time."""
-        if span.end is not None:
+        if span.t1 is not None:
             raise SimulationError(
-                f"span {span.name!r} already ended", span_id=span.span_id
+                f"span {span.name!r} already ended",
+                span_id=span.args["span_id"],
             )
-        span.end = self.now
-        if args:
-            span.args.update(args)
+        span.t1 = self.now
+        span.args.update(args)
         return span
-
-    @contextmanager
-    def span(
-        self,
-        name: str,
-        category: str,
-        track: str = "scheduler",
-        parent: Optional[Span] = None,
-        **args: object,
-    ):
-        """Context manager form of :meth:`begin`/:meth:`end`.
-
-        Only usable around plain (non-yielding) code: a generator that
-        yields to the event loop inside the ``with`` body would close
-        the span at the wrong simulated time on interrupt.
-        """
-        span = self.begin(name, category, track=track, parent=parent, **args)
-        try:
-            yield span
-        finally:
-            self.end(span)
 
     # ---- instants and counters ------------------------------------------
     def instant(
         self, name: str, category: str, track: str = "scheduler", **args: object
-    ) -> InstantEvent:
-        event = InstantEvent(
-            name=name, category=category, track=track, time=self.now,
-            args=dict(args),
-        )
-        self.instants.append(event)
-        return event
+    ) -> Span:
+        now = self.now
+        return self._record("instant", name, category, track, now, now,
+                            dict(args))
 
     def sample(
         self,
@@ -189,29 +152,17 @@ class Tracer:
         track: str,
         time: Optional[float] = None,
         **values: float,
-    ) -> CounterSample:
-        sample = CounterSample(
-            name=name,
-            track=track,
-            time=self.now if time is None else time,
-            values=dict(values),
-        )
-        self.samples.append(sample)
-        return sample
+    ) -> Span:
+        when = self.now if time is None else time
+        return self._record("counter", name, "telemetry", track, when, when,
+                            dict(values))
 
     # ---- queries ---------------------------------------------------------
+    def of_kind(self, kind: str) -> List[Span]:
+        """Records of one kind, in the order they were made."""
+        return [r for r in self.records if r.kind == kind]
+
     def spans_of(self, *categories: str) -> List[Span]:
         """Spans whose category is one of ``categories``."""
         wanted = set(categories)
-        return [s for s in self.spans if s.category in wanted]
-
-    def find(self, span_id: int) -> Span:
-        """Lookup by id (ids are assigned densely in begin order)."""
-        span = self.spans[span_id]
-        if span.span_id != span_id:  # pragma: no cover - defensive
-            raise KeyError(span_id)
-        return span
-
-    def open_spans(self) -> List[Span]:
-        """Spans still missing an end time (should be empty after a run)."""
-        return [s for s in self.spans if s.end is None]
+        return [s for s in self.of_kind("span") if s.cat in wanted]

@@ -295,18 +295,7 @@ def merge_profiles(name: str, parts: Sequence[BehaviorProfile]) -> BehaviorProfi
 
     Used to combine e.g. map/shuffle/reduce phases, weighting every
     statistical component by each phase's dynamic instruction count.
-    Timed under the ``uarch.merge-profiles`` phase when a
-    :mod:`repro.obs.profiler` profiler is installed.
     """
-    from repro.obs.profiler import phase
-
-    with phase("uarch.merge-profiles"):
-        return _merge_profiles(name, parts)
-
-
-def _merge_profiles(
-    name: str, parts: Sequence[BehaviorProfile]
-) -> BehaviorProfile:
     if not parts:
         raise ValueError("cannot merge zero profiles")
     total_instructions = sum(p.instructions for p in parts)

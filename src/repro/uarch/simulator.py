@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.profiler import phase
 from repro.uarch.cache import CacheConfig, lru_misses
 from repro.uarch.profile import CodeFootprint, DataFootprint
 from repro.uarch.trace import generate_data_trace, generate_fetch_trace
@@ -96,10 +95,9 @@ class CacheSweepSimulator:
             config = CacheConfig(
                 f"L1@{size_kb}KB", size_kb * 1024, ways=self.ways
             )
-            with phase("uarch.measure"):
-                misses = lru_misses(
-                    trace, config.num_sets, config.ways, start=half
-                )
+            misses = lru_misses(
+                trace, config.num_sets, config.ways, start=half
+            )
             ratios.append(misses / measured if measured else 0.0)
         return SweepResult(name=name, sizes_kb=list(self.sizes_kb), miss_ratios=ratios)
 
@@ -107,18 +105,16 @@ class CacheSweepSimulator:
         self, name: str, footprint: CodeFootprint
     ) -> SweepResult:
         """Instruction-cache miss ratio versus capacity (Figures 6, 9)."""
-        with phase("uarch.trace-gen"):
-            trace = generate_fetch_trace(
-                footprint, 2 * self.trace_refs, seed=self.seed
-            )
+        trace = generate_fetch_trace(
+            footprint, 2 * self.trace_refs, seed=self.seed
+        )
         return self._sweep(name, trace)
 
     def data_curve(self, name: str, data: DataFootprint) -> SweepResult:
         """Data-cache miss ratio versus capacity (Figure 7)."""
-        with phase("uarch.trace-gen"):
-            trace = generate_data_trace(
-                data, 2 * self.trace_refs, seed=self.seed + 1
-            )
+        trace = generate_data_trace(
+            data, 2 * self.trace_refs, seed=self.seed + 1
+        )
         return self._sweep(name, trace)
 
     def unified_curve(
@@ -138,15 +134,14 @@ class CacheSweepSimulator:
         total = 2 * self.trace_refs
         n_fetch = int(total * fetch_share)
         n_data = total - n_fetch
-        with phase("uarch.trace-gen"):
-            fetch = generate_fetch_trace(footprint, n_fetch, seed=self.seed)
-            data_trace = generate_data_trace(data, n_data, seed=self.seed + 1)
-            rng = np.random.default_rng(self.seed + 2)
-            merged = np.empty(total, dtype=np.int64)
-            is_fetch = np.zeros(total, dtype=bool)
-            is_fetch[rng.choice(total, size=n_fetch, replace=False)] = True
-            merged[is_fetch] = fetch
-            merged[~is_fetch] = data_trace
+        fetch = generate_fetch_trace(footprint, n_fetch, seed=self.seed)
+        data_trace = generate_data_trace(data, n_data, seed=self.seed + 1)
+        rng = np.random.default_rng(self.seed + 2)
+        merged = np.empty(total, dtype=np.int64)
+        is_fetch = np.zeros(total, dtype=bool)
+        is_fetch[rng.choice(total, size=n_fetch, replace=False)] = True
+        merged[is_fetch] = fetch
+        merged[~is_fetch] = data_trace
         return self._sweep(name, merged)
 
     @staticmethod

@@ -153,6 +153,9 @@ class TestScan:
         assert "torn-progress" in kinds(result)
         assert "torn-span" in kinds(result)
         assert result.clean  # best-effort tier damage never fails fsck
+        # The repair also drops the span line without a lane and times.
+        assert "torn-span" not in kinds(repair_and_rescan(runs))
+        assert open(span).read() == ""
 
 
 class TestRepair:

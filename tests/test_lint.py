@@ -115,7 +115,7 @@ class TestRuleFixtures:
 
             def stamp():
                 return time.time()
-        """, module="repro.obs.profiler")
+        """, module="repro.obs.metrics")
         assert findings == []
 
     def test_det003_quarantine_covers_observability_modules(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Observability tests: spans, telemetry, exporters, profiling hooks.
+"""Observability tests: spans, telemetry, exporters.
 
 The pinned guarantees:
 
@@ -19,17 +19,17 @@ import pytest
 from repro.cluster import Cluster
 from repro.cluster.events import Simulation
 from repro.cluster.faults import FaultPlan, NodeCrash
+from repro.errors import TraceMergeError
 from repro.obs import (
     ClusterTelemetry,
     CounterRegistry,
-    PhaseProfiler,
     Tracer,
-    phase,
     render_trace_summary,
-    set_profiler,
     to_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs.export import trace_problems
+from repro.obs.tracer import Span
 from repro.stacks.scheduler import (
     HADOOP_POLICY,
     TaskDescriptor,
@@ -37,6 +37,10 @@ from repro.stacks.scheduler import (
 )
 
 RATE = 1e9
+
+
+def spans_by_id(tracer):
+    return {s.args["span_id"]: s for s in tracer.of_kind("span")}
 
 
 def small_waves():
@@ -66,9 +70,8 @@ class TestTracerCore:
         tracer = Tracer()
         parent = tracer.begin("job", "job")
         child = tracer.begin("map", "stage", parent=parent)
-        assert child.parent_id == parent.span_id
-        assert tracer.find(parent.span_id) is parent
-        assert tracer.find(child.span_id) is child
+        assert child.args["parent_id"] == parent.args["span_id"]
+        assert spans_by_id(tracer) == {0: parent, 1: child}
 
     def test_end_twice_raises(self):
         tracer = Tracer()
@@ -91,7 +94,7 @@ class TestTracerCore:
         sim.run()
         assert tracer.now == 2.5
         span = tracer.begin("late", "task")
-        assert span.start == 2.5
+        assert span.t0 == 2.5 and span.clock == "sim"
 
 
 class TestTracedRun:
@@ -119,28 +122,30 @@ class TestTracedRun:
         assert [j.name for j in jobs] == ["wordcount"]
         assert [s.name for s in stages] == ["map", "reduce"]
         assert len(waves) == 2
+        by_id = spans_by_id(tracer)
         for stage in stages:
-            assert stage.parent_id == jobs[0].span_id
+            assert stage.args["parent_id"] == jobs[0].args["span_id"]
         for wave in waves:
-            assert tracer.find(wave.parent_id).category == "stage"
+            assert by_id[wave.args["parent_id"]].cat == "stage"
 
     def test_no_open_spans_after_run(self, traced):
         tracer, _ = traced
-        assert tracer.open_spans() == []
+        assert [s for s in tracer.of_kind("span") if s.t1 is None] == []
 
     def test_nesting_invariants(self, traced):
         """Child spans lie within their parent's interval; time is
         monotone (begin order follows simulated time)."""
         tracer, _ = traced
         eps = 1e-9
-        for span in tracer.spans:
-            assert span.end is not None
-            assert span.end >= span.start
-            if span.parent_id is not None:
-                parent = tracer.find(span.parent_id)
-                assert parent.start - eps <= span.start
-                assert span.end <= parent.end + eps
-        starts = [s.start for s in tracer.spans]
+        by_id = spans_by_id(tracer)
+        for span in by_id.values():
+            assert span.t1 is not None
+            assert span.t1 >= span.t0
+            if "parent_id" in span.args:
+                parent = by_id[span.args["parent_id"]]
+                assert parent.t0 - eps <= span.t0
+                assert span.t1 <= parent.t1 + eps
+        starts = [s.t0 for s in tracer.of_kind("span")]
         assert starts == sorted(starts)
 
     def test_attempts_attributed_to_nodes(self, traced):
@@ -153,11 +158,11 @@ class TestTracedRun:
 
     def test_counter_samples_cover_all_nodes(self, traced):
         tracer, _ = traced
-        tracks = {s.track for s in tracer.samples}
-        assert tracks == {f"node{i}" for i in range(5)}
-        for sample in tracer.samples:
-            assert set(sample.values) == {"cpu", "disk", "disk_mbps", "net_mbps"}
-            assert sample.values["cpu"] >= 0.0
+        samples = tracer.of_kind("counter")
+        assert {s.track for s in samples} == {f"node{i}" for i in range(5)}
+        for sample in samples:
+            assert set(sample.args) == {"cpu", "disk", "disk_mbps", "net_mbps"}
+            assert sample.args["cpu"] >= 0.0
 
     def test_metrics_carry_timeline(self, traced):
         _, metrics = traced
@@ -223,7 +228,7 @@ class TestFaultAnnotations:
             cluster, small_waves(), RATE,
             faults=plan, policy=HADOOP_POLICY.scaled(0.001),
         )
-        names = {i.name for i in tracer.instants}
+        names = {i.name for i in tracer.of_kind("instant")}
         assert "node down" in names
         if metrics.tasks_retried:
             assert "retry scheduled" in names
@@ -240,12 +245,14 @@ class TestChromeExport:
         tracer = Tracer(sample_interval=0.01)
         cluster = Cluster(sim=Simulation(tracer=tracer))
         run_waves(cluster, small_waves(), RATE, job_name="export-job")
-        return tracer, to_chrome_trace(tracer)
+        return tracer, to_chrome_trace(tracer.records)
 
     def test_event_schema(self, trace):
         tracer, chrome = trace
         events = chrome["traceEvents"]
         assert events, "trace must not be empty"
+        assert trace_problems(chrome) == []
+        assert chrome["otherData"]["clock"] == "sim"
         for event in events:
             assert {"name", "ph", "ts", "pid", "tid"} <= set(event)
             assert event["ph"] in ("X", "i", "C", "M")
@@ -261,8 +268,10 @@ class TestChromeExport:
     def test_span_and_sample_counts(self, trace):
         tracer, chrome = trace
         events = chrome["traceEvents"]
-        assert len([e for e in events if e["ph"] == "X"]) == len(tracer.spans)
-        assert len([e for e in events if e["ph"] == "C"]) == len(tracer.samples)
+        assert len([e for e in events if e["ph"] == "X"]) == len(
+            tracer.of_kind("span"))
+        assert len([e for e in events if e["ph"] == "C"]) == len(
+            tracer.of_kind("counter"))
 
     def test_thread_metadata_names_tracks(self, trace):
         tracer, chrome = trace
@@ -273,20 +282,27 @@ class TestChromeExport:
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
         assert "scheduler" in named
-        assert {s.track for s in tracer.spans} <= named
+        assert {s.track for s in tracer.records} <= named
 
     def test_json_round_trip(self, trace, tmp_path):
         tracer, _ = trace
         path = tmp_path / "trace.json"
-        count = write_chrome_trace(tracer, str(path))
+        written = write_chrome_trace(tracer.records, str(path))
         loaded = json.loads(path.read_text())
-        assert len(loaded["traceEvents"]) == count
+        assert loaded == written
 
     def test_summary_renders(self, trace):
         tracer, _ = trace
-        text = render_trace_summary(tracer)
+        text = render_trace_summary(tracer.records)
         assert "Span summary" in text
         assert "export-job" in text
+
+    def test_refuses_two_clock_domains(self, trace):
+        tracer, _ = trace
+        host = Span("span", "worker-1-0", "worker-1-0", "cell-a", "cell",
+                    1.7e9, 1.7e9 + 1.0, clock="host")
+        with pytest.raises(TraceMergeError):
+            to_chrome_trace(tracer.records + [host])
 
 
 class TestTelemetry:
@@ -340,54 +356,6 @@ class TestCounterRegistry:
         assert registry.value("work.seconds") >= 0.0
         snapshot = registry.snapshot()
         assert list(snapshot) == sorted(snapshot)
-
-
-class TestProfiler:
-    def test_phase_noop_without_profiler(self):
-        assert set_profiler(None) is None
-        with phase("uarch.warmup"):
-            pass  # must not raise or record anywhere
-
-    def test_phase_records_when_installed(self):
-        profiler = PhaseProfiler()
-        previous = set_profiler(profiler)
-        try:
-            with phase("uarch.warmup"):
-                pass
-            with phase("uarch.measure"):
-                pass
-            with phase("uarch.measure"):
-                pass
-        finally:
-            set_profiler(previous)
-        assert profiler.calls("uarch.warmup") == 1
-        assert profiler.calls("uarch.measure") == 2
-        assert profiler.phases() == ["uarch.measure", "uarch.warmup"]
-        assert len(profiler.report_lines()) == 2
-
-    def test_sweep_phases_are_counted(self):
-        from repro.uarch.profile import CodeFootprint, CodeRegion
-        from repro.uarch.simulator import CacheSweepSimulator
-
-        profiler = PhaseProfiler()
-        previous = set_profiler(profiler)
-        try:
-            simulator = CacheSweepSimulator(
-                sizes_kb=(16, 32), trace_refs=2_000
-            )
-            footprint = CodeFootprint(
-                regions=[
-                    CodeRegion("hot", 16 * 1024, weight=0.7, sequentiality=6),
-                    CodeRegion("rest", 96 * 1024, weight=0.3, sequentiality=4),
-                ]
-            )
-            simulator.instruction_curve("probe", footprint)
-        finally:
-            set_profiler(previous)
-        assert profiler.calls("uarch.trace-gen") == 1
-        # One kernel call (warm half + measured half) per swept size.
-        assert profiler.calls("uarch.measure") == 2
-        assert profiler.phases() == ["uarch.measure", "uarch.trace-gen"]
 
 
 class TestExperimentTimings:

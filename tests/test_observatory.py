@@ -9,14 +9,21 @@ must be byte-identical, including across interpreter hash seeds.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
+import pytest
+
 import repro
 from repro.cli import main
-from repro.exec.tracing import spans_to_timeline
-from repro.obs import build_model, render_site
+from repro.exec import SweepTracer, merge_sweep_trace
+from repro.exec.tracing import parse_span
+from repro.obs import build_model, render_site, to_chrome_trace
 from repro.obs.dashboard import PAGES
+from repro.obs.export import group_lanes
+
+from tests.test_exec_supervisor import fast_executor, make_cells
 
 
 def write(path, text):
@@ -200,8 +207,9 @@ class TestAggregation:
         assert sweep.torn_journal_lines == 1
         assert sweep.finished and sweep.retries == 1
         assert sweep.last_throughput == 1.0
-        lanes = [lane.lane for lane in sweep.lanes]
-        assert lanes == ["supervisor-99", "worker-100-0"]
+        assert list(group_lanes(sweep.spans)) == [
+            "supervisor-99", "worker-100-0",
+        ]
 
     def test_damage_is_skipped_and_reported_not_fatal(self, tmp_path):
         runs = build_fixture(str(tmp_path))
@@ -236,27 +244,106 @@ class TestAggregation:
         assert model.findings == []
 
 
+def span_line(lane, name, t0, t1, **extra):
+    record = {"kind": "span", "lane": lane, "pid": 1, "name": name,
+              "cat": "cell", "t0": t0, "t1": t1, "args": {}}
+    record.update(extra)
+    return json.dumps(record)
+
+
+def process_order(trace):
+    """Lane names of a Chrome trace, in process (pid) order."""
+    names = {e["pid"]: e["args"]["name"] for e in trace["traceEvents"]
+             if e["name"] == "process_name"}
+    return [names[pid].split(" (os pid")[0] for pid in sorted(names)]
+
+
+def dashboard_rows(out_dir):
+    """Lane labels of the sweeps page, top to bottom."""
+    page = open(os.path.join(out_dir, "sweeps.html"), encoding="utf-8").read()
+    return re.findall(r"fill='#334'>([^<]+)</text>", page)
+
+
 class TestTimelineAdapter:
     def test_rebased_sorted_supervisor_first(self):
-        lanes = spans_to_timeline([
+        lines = [
             {"kind": "span", "lane": "worker-1-0", "pid": 1, "name": "b",
              "cat": "cell", "t0": 10.5, "t1": 11.0, "args": {}},
             {"kind": "span", "lane": "worker-1-0", "pid": 1, "name": "a",
              "cat": "cell", "t0": 10.5, "t1": 11.0, "args": {}},
+            {"kind": "span", "lane": "worker-2-0", "pid": 2, "name": "c",
+             "cat": "cell", "t0": 10.2, "t1": 10.4, "args": {}},
             {"kind": "span", "lane": "supervisor-9", "pid": 9,
              "name": "sweep", "cat": "queue", "t0": 10.0, "t1": 12.0,
              "args": {}},
-            {"not": "a span"},
-        ])
-        assert [lane.lane for lane in lanes] == [
-            "supervisor-9", "worker-1-0",
         ]
-        assert lanes[0].spans[0].t0 == 0.0  # rebased to the sweep start
-        assert [s.name for s in lanes[1].spans] == ["a", "b"]
-        assert lanes[0].is_supervisor and not lanes[1].is_supervisor
+        assert parse_span({"not": "a span"}) is None
+        records = [parse_span(line) for line in lines]
+        lanes = group_lanes(records)
+        # Supervisor first, then workers by their first event.
+        assert list(lanes) == ["supervisor-9", "worker-2-0", "worker-1-0"]
+        assert [s.name for s in lanes["worker-1-0"]] == ["b", "a"]
+        trace = to_chrome_trace(records)
+        assert process_order(trace) == list(lanes)
+        spans = {e["name"]: e for e in trace["traceEvents"]
+                 if e["ph"] == "X"}
+        assert spans["sweep"]["ts"] == 0.0  # rebased to the sweep start
 
     def test_empty_input(self):
-        assert spans_to_timeline([]) == []
+        assert group_lanes([]) == {}
+        trace = to_chrome_trace([])
+        assert trace["traceEvents"] == []
+        assert trace["otherData"]["lanes"] == 0
+
+    @pytest.mark.parametrize("bad_t0", [None, "soon"],
+                             ids=["missing", "non-numeric"])
+    def test_untimed_span_is_skipped_and_counted(self, tmp_path, bad_t0):
+        runs = str(tmp_path / "runs")
+        sweep = os.path.join(runs, "sweeps", "untimed")
+        span_file = os.path.join(sweep, "trace", "worker-5-0.spans.jsonl")
+        bad = json.loads(span_line("worker-5-0", "bad", bad_t0, 1.7e9 + 2))
+        if bad_t0 is None:
+            del bad["t0"]
+        write(span_file, "\n".join([
+            span_line("worker-5-0", "good", 1.7e9, 1.7e9 + 1),
+            json.dumps(bad),
+        ]) + "\n")
+
+        trace_path = os.path.join(sweep, "trace.json")
+        merge_sweep_trace(os.path.join(sweep, "trace"), trace_path)
+        trace = json.load(open(trace_path))
+        spans = [e for e in trace["traceEvents"] if e["ph"] == "X"]
+        assert [(e["name"], e["ts"]) for e in spans] == [("good", 0.0)]
+        assert len(trace["otherData"]["damage"]) == 1
+
+        model = build_model(runs, fsck=False)
+        assert [s.name for s in model.sweeps[0].spans] == ["good"]
+        assert [s.path for s in model.skipped
+                if "numeric times" in s.reason] == [span_file]
+
+    def test_chrome_process_order_is_dashboard_row_order(self, tmp_path):
+        runs = str(tmp_path / "runs")
+        sweep = os.path.join(runs, "sweeps", "recorded")
+        tracer = SweepTracer(os.path.join(sweep, "trace"))
+        outcome = fast_executor(2, tracer=tracer).run(
+            make_cells("ok_cell", count=4))
+        tracer.close()
+        assert outcome.complete
+        # A resumed run's worker whose recycled pid sorts first by name
+        # but whose lane starts last.
+        end = max(s.t1 for s in build_model(runs, fsck=False).sweeps[0].spans)
+        write(os.path.join(sweep, "trace", "worker-1-0.spans.jsonl"),
+              span_line("worker-1-0", "late", end + 1, end + 2) + "\n")
+
+        merge_sweep_trace(os.path.join(sweep, "trace"),
+                          os.path.join(sweep, "trace.json"))
+        trace = json.load(open(os.path.join(sweep, "trace.json")))
+        out = str(tmp_path / "site")
+        render_site(build_model(runs, fsck=False), out)
+        rows = dashboard_rows(out)
+        assert len(rows) >= 4  # supervisor, two workers, the late lane
+        assert rows == process_order(trace)
+        assert rows[0].startswith("supervisor-") and rows[-1] == "worker-1-0"
 
 
 class TestGoldenDeterminism:

@@ -19,10 +19,11 @@ from repro.exec import (
     SweepTracer,
     merge_results,
     merge_sweep_trace,
-    read_span_records,
     worker_lane,
 )
-from repro.obs import sweep_records_to_chrome
+from repro.exec.tracing import parse_span, read_spans
+from repro.obs import to_chrome_trace
+from repro.obs.export import trace_problems
 
 from tests.test_exec_supervisor import fast_executor, make_cells
 
@@ -43,13 +44,15 @@ class TestSpanWriter:
         writer.span("lane-a", "cell-1", "cell", 10.0, 12.5, cell_id="cell-1")
         writer.instant("lane-a", "retry", "retry", 13.0, attempt=2)
         writer.close()
-        records = read_span_records(str(tmp_path))
-        assert [r["kind"] for r in records] == ["span", "instant"]
+        records, damage = read_spans(str(tmp_path))
+        assert damage == []
+        assert [r.kind for r in records] == ["span", "instant"]
         span = records[0]
-        assert span["lane"] == "lane-a"
-        assert span["t0"] == 10.0 and span["t1"] == 12.5
-        assert span["args"]["cell_id"] == "cell-1"
-        assert records[1]["t"] == 13.0
+        assert span.lane == span.track == "lane-a"
+        assert span.t0 == 10.0 and span.t1 == 12.5
+        assert span.args["cell_id"] == "cell-1"
+        assert records[1].t0 == records[1].t1 == 13.0
+        assert {r.clock for r in records} == {"host"}
 
     def test_torn_tail_is_skipped(self, tmp_path):
         path = tmp_path / "w.spans.jsonl"
@@ -58,12 +61,9 @@ class TestSpanWriter:
         writer.close()
         with open(path, "a") as handle:
             handle.write('{"kind": "span", "truncated')
-        records = read_span_records(str(tmp_path))
+        records, damage = read_spans(str(tmp_path))
         assert len(records) == 1
-
-    def test_missing_dir_raises(self, tmp_path):
-        with pytest.raises(TraceMergeError):
-            read_span_records(str(tmp_path / "nope"))
+        assert damage == [(str(path), "1 unparseable line(s)")]
 
     def test_worker_lane_embeds_pid(self):
         assert worker_lane(4242, 1) == "worker-4242-1"
@@ -77,11 +77,11 @@ class TestTracedSweep:
         files = sorted(os.listdir(trace_dir))
         assert any(f.startswith("supervisor-") for f in files)
         assert sum(f.startswith("worker-") for f in files) >= 2
-        records = read_span_records(trace_dir)
-        cats = {r["cat"] for r in records}
+        records, _ = read_spans(trace_dir)
+        cats = {r.cat for r in records}
         assert {"sweep", "boot", "queue", "cell"} <= cats
-        cell_spans = [r for r in records if r["cat"] == "cell"]
-        assert {s["args"]["cell_id"] for s in cell_spans} == {
+        cell_spans = [r for r in records if r.cat == "cell"]
+        assert {s.args["cell_id"] for s in cell_spans} == {
             c.cell_id for c in cells
         }
 
@@ -89,8 +89,8 @@ class TestTracedSweep:
         cells = make_cells("ok_cell", count=2)
         outcome, trace_dir = run_traced(tmp_path, cells, jobs=1)
         assert outcome.complete
-        records = read_span_records(trace_dir)
-        lanes = {r["lane"] for r in records}
+        records, _ = read_spans(trace_dir)
+        lanes = {r.lane for r in records}
         assert len(lanes) == 1 and next(iter(lanes)).startswith("supervisor-")
 
     def test_traced_run_bit_identical_to_untraced(self, tmp_path):
@@ -108,13 +108,13 @@ class TestTracedSweep:
         cells = make_cells("sigkill_once_cell", count=2, tmp_path=tmp_path)
         outcome, trace_dir = run_traced(tmp_path, cells, jobs=2)
         assert outcome.complete
-        records = read_span_records(trace_dir)
+        records, _ = read_spans(trace_dir)
         killed = [
             r for r in records
-            if r["cat"] == "cell" and r["args"].get("status") == "killed"
+            if r.cat == "cell" and r.args.get("status") == "killed"
         ]
         assert killed, "supervisor should write the killed attempt's span"
-        trace = sweep_records_to_chrome(records)
+        trace = to_chrome_trace(records)
         flows = [e for e in trace["traceEvents"] if e["ph"] in ("s", "f")]
         assert trace["otherData"]["flow_links"] >= 1
         assert flows, "a retried cell must produce a flow link"
@@ -141,6 +141,9 @@ class TestChromeExport:
         events = trace["traceEvents"]
         assert len(events) == n_events
         assert trace["otherData"]["flow_links"] == n_flows
+        assert trace_problems(trace) == []
+        assert trace["otherData"]["clock"] == "host"
+        assert trace["otherData"]["damage"] == []
 
         meta = [e for e in events if e["ph"] == "M"]
         body = [e for e in events if e["ph"] != "M"]
@@ -168,14 +171,12 @@ class TestChromeExport:
         assert len(names) == trace["otherData"]["lanes"]
 
     def test_lane_metadata_uses_embedded_os_pid(self):
-        records = [
-            {
-                "kind": "span", "lane": "worker-777-0", "pid": 1,
-                "name": "q", "cat": "queue", "t0": 0.0, "t1": 1.0,
-                "args": {"cell_id": "c"},
-            },
-        ]
-        trace = sweep_records_to_chrome(records)
+        records = [parse_span({
+            "kind": "span", "lane": "worker-777-0", "pid": 1,
+            "name": "q", "cat": "queue", "t0": 0.0, "t1": 1.0,
+            "args": {"cell_id": "c"},
+        })]
+        trace = to_chrome_trace(records)
         names = [
             e["args"]["name"]
             for e in trace["traceEvents"]
@@ -184,6 +185,7 @@ class TestChromeExport:
         assert names == ["worker-777-0 (os pid 777)"]
 
     def test_merge_into_missing_dir_raises(self, tmp_path):
+        assert read_spans(str(tmp_path / "absent")) == ([], [])
         with pytest.raises(TraceMergeError):
             merge_sweep_trace(str(tmp_path / "absent"), str(tmp_path / "t"))
 
