@@ -9,6 +9,7 @@ These benches quantify both on our models:
 - L1I capacity sweep for a Hadoop workload (the front-end implication).
 """
 
+import numpy as np
 import pytest
 from conftest import run_once
 
@@ -71,7 +72,9 @@ def test_ablation_loop_predictor(benchmark):
     def compare():
         with_loop = HybridPredictor(loop_entries=1024)
         without_loop = HybridPredictor(loop_entries=1024)
-        without_loop.loop.predict = lambda pc: None  # disable component
+        # Disable the component: no confident prediction for any branch.
+        without_loop.loop.replay = lambda pcs, taken: np.full(
+            len(pcs), -1, dtype=np.int8)
         results = {}
         for name, predictor in (("with", with_loop), ("without", without_loop)):
             simulate_branches(warm, predictor)

@@ -13,6 +13,13 @@ supervisor can tell a *slow* cell (beats arriving, deadline not yet
 passed) from a *frozen* worker (no beats: SIGSTOPped, deadlocked in C,
 or already dead) without waiting for the full cell timeout.
 
+A worker also watches its parent: the heartbeat thread and the idle
+wait for the next spec both check it every ``heartbeat_interval``, and
+the worker exits once the supervisor is gone.  Pipe end-of-file cannot
+tell it so, because forked siblings inherit copies of every pipe end,
+so a SIGKILLed supervisor would otherwise leave its workers idling
+forever (and holding open whatever stdout they inherited).
+
 Messages on the result pipe (tuples, first element is the kind):
 
 - ``("ready", worker_id)`` — worker finished booting
@@ -47,8 +54,11 @@ _CTX = mp.get_context("fork")
 
 
 def _worker_main(worker_id: int, conn, results, heartbeat_interval: float,
-                 trace_dir: Optional[str] = None) -> None:
+                 trace_dir: Optional[str], supervisor: int) -> None:
     """Worker loop: recv spec, run, report; ``None`` means shut down.
+
+    ``supervisor`` is the pid of the forking process; the worker exits
+    once it is no longer its parent.
 
     When ``trace_dir`` is set the worker appends its own span file
     (boot span, one ``cell`` span per completed attempt).  Kills cannot
@@ -57,6 +67,10 @@ def _worker_main(worker_id: int, conn, results, heartbeat_interval: float,
     """
     state = {"cell": None}
     stop = threading.Event()
+
+    def orphaned() -> bool:
+        return os.getppid() != supervisor
+
     # The heartbeat thread and the main loop share one pipe end.
     send_lock = threading.Lock()
 
@@ -75,6 +89,8 @@ def _worker_main(worker_id: int, conn, results, heartbeat_interval: float,
 
     def beat() -> None:
         while not stop.wait(heartbeat_interval):
+            if orphaned():
+                os._exit(1)  # mid-cell: nobody is left to report to
             cell_id = state["cell"]
             if cell_id is not None and not report(
                     ("heartbeat", worker_id, cell_id)):
@@ -85,8 +101,10 @@ def _worker_main(worker_id: int, conn, results, heartbeat_interval: float,
     if writer is not None:
         writer.span(lane, "boot", "boot", boot_wall, time.time(),
                     worker=worker_id)
-    while True:
+    while not orphaned():
         try:
+            if not conn.poll(heartbeat_interval):
+                continue
             spec = conn.recv()
         except (EOFError, OSError):
             break
@@ -235,7 +253,7 @@ def spawn_worker(worker_id: int,
     process = _CTX.Process(
         target=_worker_main,
         args=(worker_id, child_conn, results_writer, heartbeat_interval,
-              trace_dir),
+              trace_dir, os.getpid()),
         daemon=True,
         name=f"repro-sweep-worker-{worker_id}",
     )

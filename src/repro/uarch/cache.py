@@ -6,7 +6,9 @@ Two models of the same LRU cache, which agree on every reference:
   with array operations, from an exact recurrence over reuse order (see
   its docstring).  The hierarchy walk of :class:`CacheHierarchy` (the
   L1I/L1D/L2/L3 MPKI of Figure 4), the TLBs and the capacity sweeps of
-  Figures 6-9 all run on it.
+  Figures 6-9 all run on it, and so does the branch predictors' BTB.
+  :func:`lru_hits_full` is its fully-associative case for capacities
+  in the thousands (the loop predictor's table).
 - :class:`SetAssociativeCache` keeps explicit per-set LRU state and
   handles one access at a time.  It serves callers that interleave
   references with decisions (the prefetchers of
@@ -197,6 +199,67 @@ def lru_hits(lines: Sequence[int], num_sets: int, ways: int) -> np.ndarray:
         np.maximum.accumulate(recent, out=recent)
     hits[order] = previous >= recent
     return hits
+
+
+def lru_hits_full(lines: Sequence[int], entries: int) -> np.ndarray:
+    """:func:`lru_hits` of a fully-associative cache of ``entries`` lines,
+    in ``O(n log n)`` instead of ``O(n * entries)``.
+
+    A line hits iff it was referenced before and fewer than ``entries``
+    distinct lines came in between.  A reuse window shorter than
+    ``entries`` always hits, and so does every repeat when the trace has
+    no more than ``entries`` distinct lines.  For the remaining windows
+    the distinct lines are counted as the window positions whose
+    line's previous reference lies before the window.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    n = len(lines)
+    by_line = np.argsort(lines, kind="stable")
+    repeat = np.flatnonzero(lines[by_line[1:]] == lines[by_line[:-1]]) + 1
+    previous = np.full(n, -1, dtype=np.int64)
+    previous[by_line[repeat]] = by_line[repeat - 1]
+    hits = previous >= 0
+    if n - len(repeat) > entries:
+        far = np.flatnonzero(hits & (np.arange(n) - previous > entries))
+        if len(far):
+            begin = previous[far]
+            hits[far] = _count_at_most(
+                previous, begin + 1, far, begin) < entries
+    return hits
+
+
+def _count_at_most(values: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                   bound: np.ndarray) -> np.ndarray:
+    """For each query ``q``, how many of ``values[lo[q]:hi[q]]`` are at
+    most ``bound[q]``.
+
+    A merge-sort tree: level ``s`` holds every aligned block of ``2**s``
+    positions sorted, each query range splits into at most two blocks
+    per level, and each block is counted with one binary search.
+    """
+    counts = np.zeros(len(lo), dtype=np.int64)
+    position = np.arange(len(values))
+    low = int(values.min())
+    span = int(values.max()) - low + 1
+    bound = np.clip(bound - low, -1, span - 1)
+    lo, hi = lo.copy(), hi.copy()
+    shift = 0
+    while True:
+        active = lo < hi
+        if not active.any():
+            return counts
+        keys = np.sort((position >> shift) * span + (values - low))
+        left = active & (lo % 2 == 1)
+        right = active & (hi % 2 == 1)
+        hi[right] -= 1
+        for take, block in ((left, lo[left]), (right, hi[right])):
+            counts[take] += np.searchsorted(
+                keys, block * span + bound[take], side="right"
+            ) - (block << shift)
+        lo[left] += 1
+        lo >>= 1
+        hi >>= 1
+        shift += 1
 
 
 def lru_misses(lines: Sequence[int], num_sets: int, ways: int,

@@ -1,58 +1,112 @@
-"""Tests for branch predictors and the branch stream generator."""
+"""Tests for branch predictors and the branch stream generator.
 
+The array replay of :mod:`repro.uarch.branch` is held to the per-branch
+model in ``tests/branch_oracle.py``: the packed stream must equal the
+oracle's events element by element, and every replay count must be
+identical, over warm-then-measure sequences that include heavy table
+aliasing and heavy LRU eviction.
+"""
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.uarch.branch import (
-    BranchEvent,
-    BranchOutcome,
     BranchStreamGenerator,
     BranchTargetBuffer,
     HybridPredictor,
-    LocalHistoryPredictor,
     LoopPredictor,
-    SaturatingCounterTable,
     SimplePredictor,
+    _counter_scan,
+    _hash_pc,
+    _histories,
+    _pht,
     simulate_branches,
 )
 from repro.uarch.profile import BranchProfile
+from tests import branch_oracle as oracle
+
+
+def counter_predictions(index, up, train=None, entries=16):
+    return _counter_scan(
+        _pht(entries), np.asarray(index), np.asarray(up),
+        None if train is None else np.asarray(train),
+    ).tolist()
 
 
 class TestSaturatingCounterTable:
     def test_initial_prediction_weakly_taken(self):
-        table = SaturatingCounterTable(16)
-        assert table.predict(0) is True
+        assert counter_predictions([0], [True]) == [True]
 
     def test_training_not_taken(self):
-        table = SaturatingCounterTable(16)
-        table.update(3, False)
-        table.update(3, False)
-        assert table.predict(3) is False
+        assert counter_predictions([3, 3, 3], [False, False, False])[2] is False
 
     def test_saturation(self):
-        table = SaturatingCounterTable(16)
-        for _ in range(10):
-            table.update(1, True)
-        table.update(1, False)
-        assert table.predict(1) is True  # one not-taken cannot flip saturated
+        # One not-taken cannot flip a saturated counter.
+        predictions = counter_predictions([1] * 12, [True] * 10 + [False, True])
+        assert predictions[-1] is True
 
     def test_requires_power_of_two(self):
         with pytest.raises(ValueError):
-            SaturatingCounterTable(12)
+            SimplePredictor(table_entries=12)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 40), st.booleans(), st.booleans()),
+                 max_size=300),
+        st.integers(0, 5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_counters_in_two_calls(self, events, log_entries):
+        entries = 1 << log_entries
+        table = _pht(entries)
+        scalar = oracle.SaturatingCounterTable(entries)
+        expected = []
+        for index, up, train in events:
+            expected.append(scalar.predict(index))
+            if train:
+                scalar.update(index, up)
+        got = []
+        half = len(events) // 2
+        for part in (events[:half], events[half:]):
+            index = np.array([e[0] for e in part], dtype=np.int64)
+            up = np.array([e[1] for e in part], dtype=bool)
+            train = np.array([e[2] for e in part], dtype=bool)
+            got += _counter_scan(table, index, up, train).tolist()
+        assert got == expected
+
+
+class TestHistories:
+    @given(
+        st.lists(st.tuples(st.integers(0, 7), st.booleans()), max_size=200),
+        st.integers(0, 10),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_previous_outcomes_of_the_slot(self, events, bits):
+        table = np.zeros(8, dtype=np.int64)
+        slots = np.array([slot for slot, _ in events], dtype=np.int64)
+        taken = np.array([outcome for _, outcome in events], dtype=bool)
+        got = _histories(slots, taken, table, bits).tolist()
+        registers = [0] * 8
+        mask = (1 << bits) - 1
+        for (slot, outcome), history in zip(events, got):
+            assert history == registers[slot]
+            registers[slot] = ((registers[slot] << 1) | outcome) & mask
+        assert table.tolist() == registers
 
 
 class TestBranchTargetBuffer:
     def test_miss_then_hit(self):
         btb = BranchTargetBuffer(16, ways=4)
-        assert btb.lookup(100) is None
-        btb.update(100, 200)
-        assert btb.lookup(100) == 200
+        hits, stored = btb.access(np.array([100, 100]), np.array([200, 200]))
+        assert hits.tolist() == [False, True]
+        assert stored[1] == 200
 
     def test_capacity_eviction(self):
         btb = BranchTargetBuffer(4, ways=4)  # one set of 4
-        for pc in range(5):
-            btb.update(pc * 1024, pc)
-        hits = sum(btb.lookup(pc * 1024) is not None for pc in range(5))
-        assert hits <= 4
+        pcs = np.arange(5) * 1024
+        btb.access(pcs, pcs)
+        hits, _ = btb.access(pcs, pcs)
+        assert hits.sum() <= 4
 
 
 class TestLoopPredictor:
@@ -60,34 +114,27 @@ class TestLoopPredictor:
         predictor = LoopPredictor()
         pc = 0x100
         trip = 5
-        # Two full loop executions teach the trip count.
-        for _iteration in range(2):
-            for i in range(trip):
-                predictor.update(pc, taken=i < trip - 1)
-        # Third execution should be predicted perfectly.
-        for i in range(trip):
-            expected = i < trip - 1
-            assert predictor.predict(pc) == expected
-            predictor.update(pc, taken=expected)
+        execution = [i < trip - 1 for i in range(trip)]
+        # Two full loop executions teach the trip count ...
+        predictor.replay(np.full(2 * trip, pc), np.array(execution * 2))
+        # ... and the third is predicted perfectly.
+        predicted = predictor.replay(np.full(trip, pc), np.array(execution))
+        assert predicted.tolist() == [int(taken) for taken in execution]
 
-    def test_unknown_pc_returns_none(self):
-        assert LoopPredictor().predict(0x42) is None
+    def test_unknown_pc_has_no_prediction(self):
+        predicted = LoopPredictor().replay(np.array([0x42]), np.array([True]))
+        assert predicted.tolist() == [-1]
 
 
 class TestLocalHistoryPredictor:
     def test_learns_periodic_pattern(self):
-        predictor = LocalHistoryPredictor()
-        pc = 0x200
+        # The hybrid's local-history component alone.
         pattern = [True, True, False, True]
-        for _ in range(40):
-            for outcome in pattern:
-                predictor.update(pc, outcome)
-        mistakes = 0
-        for _ in range(5):
-            for outcome in pattern:
-                if predictor.predict(pc) != outcome:
-                    mistakes += 1
-                predictor.update(pc, outcome)
+        taken = np.array(pattern * 45)
+        slots = np.full(len(taken), _hash_pc(0x200) & 4095, dtype=np.int64)
+        history = _histories(slots, taken, np.zeros(4096, np.int64), 8)
+        predicted = _counter_scan(_pht(1 << 18), (slots << 8) | history, taken)
+        mistakes = np.count_nonzero(predicted[-20:] != taken[-20:])
         assert mistakes <= 2
 
 
@@ -162,7 +209,8 @@ class TestBranchStreamGenerator:
         )
         a = BranchStreamGenerator(profile, seed=9).generate(500)
         b = BranchStreamGenerator(profile, seed=9).generate(500)
-        assert a == b
+        for field in ("pc", "taken", "is_indirect", "target"):
+            assert np.array_equal(getattr(a, field), getattr(b, field))
 
     def test_event_count(self):
         profile = BranchProfile(
@@ -179,8 +227,7 @@ class TestBranchStreamGenerator:
             static_sites=128,
         )
         events = BranchStreamGenerator(profile, seed=2).generate(4000)
-        indirect = sum(e.is_indirect for e in events)
-        assert 0.18 < indirect / len(events) < 0.32
+        assert 0.18 < events.is_indirect.mean() < 0.32
 
     def test_taken_bias(self):
         profile = BranchProfile(
@@ -189,5 +236,113 @@ class TestBranchStreamGenerator:
             indirect_fraction=0.0, static_sites=64,
         )
         events = BranchStreamGenerator(profile, seed=3).generate(5000)
-        taken = sum(e.taken for e in events)
-        assert 0.05 < taken / len(events) < 0.18
+        assert 0.05 < events.taken.mean() < 0.18
+
+
+# --- Differential tests against the per-branch oracle -------------------
+
+
+@st.composite
+def branch_profiles(draw, min_sites=1, max_sites=512):
+    weights = draw(st.lists(st.integers(0, 8), min_size=3, max_size=3)
+                   .filter(any))
+    fractions = [w / sum(weights) for w in weights]
+    return BranchProfile(
+        loop_fraction=fractions[0],
+        pattern_fraction=fractions[1],
+        data_dependent_fraction=fractions[2],
+        taken_prob=draw(st.sampled_from([0.0, 0.04, 0.3, 0.5, 0.9, 1.0])),
+        loop_trip=draw(st.integers(2, 40)),
+        pattern_period=draw(st.integers(2, 9)),
+        indirect_fraction=draw(st.sampled_from([0.0, 0.02, 0.1, 0.4, 1.0])),
+        indirect_targets=draw(st.integers(1, 16)),
+        static_sites=draw(st.integers(min_sites, max_sites)),
+    )
+
+
+def event_tuples(stream):
+    return list(zip(stream.pc.tolist(), stream.taken.tolist(),
+                    stream.is_indirect.tolist(), stream.target.tolist()))
+
+
+def oracle_tuples(events):
+    return [(e.pc, bool(e.taken), e.is_indirect, e.target) for e in events]
+
+
+def assert_replays_match(profile, seed, lengths, make, make_oracle):
+    """Warm-then-measure on one predictor of each model; every call's
+    stream and statistics must agree exactly."""
+    arrays = BranchStreamGenerator(profile, seed=seed)
+    scalar = BranchStreamGenerator(profile, seed=seed)
+    predictor, reference = make(), make_oracle()
+    for n in lengths:
+        stream = arrays.generate(n)
+        events = oracle.oracle_generate(scalar, n)
+        assert event_tuples(stream) == oracle_tuples(events)
+        assert simulate_branches(stream, predictor) == oracle.oracle_simulate(
+            events, reference)
+
+
+call_lengths = st.lists(st.integers(0, 1500), min_size=1, max_size=3)
+
+
+class TestAgainstOracle:
+    @given(branch_profiles(), st.integers(0, 2**16), call_lengths)
+    @settings(max_examples=40, deadline=None)
+    def test_generator_matches_event_loop(self, profile, seed, lengths):
+        arrays = BranchStreamGenerator(profile, seed=seed)
+        scalar = BranchStreamGenerator(profile, seed=seed)
+        for n in lengths:
+            assert event_tuples(arrays.generate(n)) == oracle_tuples(
+                oracle.oracle_generate(scalar, n))
+
+    @given(branch_profiles(), st.integers(0, 2**16), call_lengths)
+    @settings(max_examples=30, deadline=None)
+    def test_default_predictors_match(self, profile, seed, lengths):
+        assert_replays_match(profile, seed, lengths,
+                             HybridPredictor, oracle.HybridPredictor)
+        assert_replays_match(profile, seed, lengths,
+                             SimplePredictor, oracle.SimplePredictor)
+
+    @given(
+        branch_profiles(min_sites=4096, max_sites=9000),
+        st.integers(0, 2**16),
+        call_lengths,
+        st.integers(4, 64),
+        st.sampled_from([16, 32, 64, 128]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_heavy_eviction(self, profile, seed, lengths, loop_entries,
+                            btb_entries):
+        def config(cls):
+            return lambda: cls(loop_entries=loop_entries,
+                               btb_entries=btb_entries)
+        assert_replays_match(profile, seed, lengths,
+                             config(HybridPredictor),
+                             config(oracle.HybridPredictor))
+        assert_replays_match(
+            profile, seed, lengths,
+            lambda: SimplePredictor(btb_entries=btb_entries),
+            lambda: oracle.SimplePredictor(btb_entries=btb_entries))
+
+    @given(
+        branch_profiles(),
+        st.integers(0, 2**16),
+        call_lengths,
+        st.integers(0, 12),
+        st.integers(0, 12),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_heavy_aliasing(self, profile, seed, lengths, history_bits,
+                            log_entries):
+        # Local PHTs of 1..4096 counters, far below 4096 << history_bits.
+        def config(cls):
+            return lambda: cls(history_bits=history_bits,
+                               table_entries=1 << log_entries,
+                               btb_entries=16)
+        assert_replays_match(profile, seed, lengths,
+                             config(HybridPredictor),
+                             config(oracle.HybridPredictor))
+        assert_replays_match(profile, seed, lengths,
+                             config(SimplePredictor),
+                             config(oracle.SimplePredictor))

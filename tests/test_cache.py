@@ -10,7 +10,9 @@ from repro.uarch.cache import (
     CacheConfig,
     CacheHierarchy,
     SetAssociativeCache,
+    _count_at_most,
     lru_hits,
+    lru_hits_full,
     lru_misses,
 )
 from tests.cache_oracle import ScalarHierarchy, hierarchy_counts, oracle_hits
@@ -191,6 +193,38 @@ class TestLruKernel:
     def test_empty_trace(self):
         assert lru_hits([], 8, 4).shape == (0,)
         assert lru_misses([], 8, 4) == 0
+        assert lru_hits_full([], 1024).shape == (0,)
+
+
+class TestFullyAssociativeKernel:
+    @given(lru_cases(max_sets=1, max_ways=40))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_cache(self, case):
+        trace, _, ways = case
+        assert lru_hits_full(trace, ways).tolist() == oracle_hits(
+            trace, 1, ways)
+
+    @given(st.lists(st.integers(0, 3000), max_size=2000),
+           st.sampled_from([1, 16, 512, 1024]))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_set_kernel_at_large_capacity(self, trace, entries):
+        assert lru_hits_full(trace, entries).tolist() == lru_hits(
+            trace, 1, entries).tolist()
+
+    @given(st.lists(st.integers(-1, 30), min_size=1, max_size=120),
+           st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_range_count_matches_brute_force(self, values, data):
+        n = len(values)
+        queries = data.draw(st.lists(
+            st.tuples(st.integers(0, n), st.integers(0, n),
+                      st.integers(-3, 40)), min_size=1, max_size=20))
+        lo = np.array([min(a, b) for a, b, _ in queries])
+        hi = np.array([max(a, b) for a, b, _ in queries])
+        bound = np.array([c for _, _, c in queries])
+        got = _count_at_most(np.array(values), lo, hi, bound).tolist()
+        assert got == [sum(v <= c for v in values[a:b])
+                       for a, b, c in zip(lo, hi, bound)]
 
 
 def walk_both(configs, fetch, data, fetch_warm, data_warm, prewarm):

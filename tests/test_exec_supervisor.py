@@ -8,9 +8,13 @@ serial, and checkpoint resume with byte-identical merges.
 
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import repro
 from repro.errors import CellIntegrityError, ExecError
 from repro.exec import (
     SweepCell,
@@ -18,6 +22,7 @@ from repro.exec import (
     SweepExecutor,
     merge_results,
 )
+from repro.exec.pool import HEARTBEAT_INTERVAL
 
 
 def make_cells(fn, count=3, tmp_path=None, **extra):
@@ -241,3 +246,56 @@ class TestMergeIntegrity:
         outcome.results[b].cell_id = b
         with pytest.raises(CellIntegrityError):
             merge_results(cells, outcome.results)
+
+
+def _process_table():
+    """pid -> (state, ppid) for every process, read from /proc."""
+    table = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we looked
+        table[int(entry)] = (fields[0], int(fields[1]))
+    return table
+
+
+def _running(pids):
+    table = _process_table()
+    return [pid for pid in pids if table.get(pid, ("X",))[0] not in "ZX"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads the process table from /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_supervisor_is_sigkilled(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        supervisor = subprocess.Popen(
+            [sys.executable, "-m", "repro", "--scale", "0.2",
+             "--runs-dir", str(tmp_path), "sweep",
+             "--workloads", "H-Grep,S-WordCount,M-Grep",
+             "--jobs", "2", "--name", "orphans"],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            give_up = time.monotonic() + 60
+            workers = []
+            while len(workers) < 2 and time.monotonic() < give_up:
+                time.sleep(0.05)
+                workers = [pid for pid, (_, ppid) in _process_table().items()
+                           if ppid == supervisor.pid]
+            assert len(workers) >= 2, "the sweep never forked its workers"
+        finally:
+            supervisor.kill()
+            supervisor.wait()
+        bound = time.monotonic() + 4 * HEARTBEAT_INTERVAL + 3.0
+        while _running(workers) and time.monotonic() < bound:
+            time.sleep(0.05)
+        survivors = _running(workers)
+        for pid in survivors:
+            os.kill(pid, 9)
+        assert survivors == [], "workers outlived their supervisor"
