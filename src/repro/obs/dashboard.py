@@ -273,7 +273,7 @@ def _scorecard_page(model: ObservatoryModel) -> str:
                     _fmt(check.value) if check.value is not None
                     else "missing"
                 )
-                + "</td><td>&plusmn;" + _fmt(anchor.band)
+                + "</td><td>" + _esc(anchor.band_label)
                 + f"</td><td class='{check.status}'>" + _esc(check.status)
                 + "</td><td>" + _esc(anchor.source) + "</td></tr>"
             )
@@ -570,32 +570,25 @@ def _bench_page(model: ObservatoryModel) -> str:
             ("95% CI high", "bench.ci_hi_s"),
             ("mean", "bench.mean_s"),
             ("reps", "bench.reps"),
-            ("overhead ratio", "bench.overhead_ratio"),
-            ("seconds", "bench.seconds"),
         ):
             if key in timings:
                 rows.append(
                     f"<tr><th>{_esc(label)}</th>"
                     f"<td>{_fmt(timings[key])}</td></tr>"
                 )
-        trend_key = (
-            "bench.median_s" if "bench.median_s" in timings
-            else "bench.overhead_ratio"
-            if "bench.overhead_ratio" in timings
-            else "bench.seconds"
-        )
-        trend = [r.timings.get(trend_key) for r in records]
+        trend = [r.timings.get("bench.median_s") for r in records]
         sections.append(
             f"<h2>{_esc(experiment)} "
             f"<span class='note'>({len(records)} runs)</span></h2>"
-            f"<div class='m'><h3>{_esc(trend_key)}</h3>"
+            "<div class='m'><h3>bench.median_s</h3>"
             + _series_svg(trend, drift_marks=False)
             + f"<p>latest run {_esc(latest.run_id)}</p></div>"
             f"<table>{''.join(rows)}</table>"
         )
     body = "".join(sections) or (
-        "<p>no bench records — run `repro bench fig4 --reps 5` (or the "
-        "pytest benchmarks) to produce kind=bench records.</p>"
+        "<p>no bench records — run `repro bench fig4 --reps 5` (or "
+        "`repro bench --list` for every target) to produce kind=bench "
+        "records.</p>"
     )
     return render_page(
         "observatory — bench trends", body, active="bench",

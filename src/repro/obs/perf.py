@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -49,7 +50,6 @@ __all__ = [
     "bench_experiment",
     "bench_targets",
     "load_budgets",
-    "obs_overhead_record",
     "perfdiff",
     "run_bench",
     "stats_from_timings",
@@ -208,6 +208,41 @@ def _make_branch(scale: float, seed: int):
     return run
 
 
+def _make_obs_overhead(scale: float, seed: int):
+    """Fig 4 as the ``fig4`` target runs it, under full observation.
+
+    The characterization goes through the serial sweep executor, where
+    a :class:`~repro.exec.SweepTracer` and a progress stream attach, and
+    the spans merge into one Chrome trace, all in the timed region.  The payload is fig4's, so a zero-threshold
+    ``repro diff`` of the ``bench.fig4`` and ``bench.obs-overhead``
+    records proves observation changed no number; the ratio of their
+    medians is the tracing overhead.
+    """
+
+    def run() -> Dict[str, float]:
+        from repro.exec import SweepTracer, merge_sweep_trace
+        from repro.experiments import ExperimentContext, fig4_cache
+        from repro.obs.stream import ProgressStream
+        from repro.workloads import MPI_WORKLOADS, REPRESENTATIVE_WORKLOADS
+
+        context = ExperimentContext(scale=scale, seed=seed)
+        pairs = [(d.workload_id, context.xeon)
+                 for d in REPRESENTATIVE_WORKLOADS + MPI_WORKLOADS]
+        with tempfile.TemporaryDirectory() as scratch:
+            tracer = SweepTracer(os.path.join(scratch, "trace"))
+            stream = ProgressStream(os.path.join(scratch, "progress.jsonl"),
+                                    sweep="obs-overhead")
+            context.prime(pairs, jobs=1, tracer=tracer, observer=stream)
+            result = fig4_cache.run(context)
+            stream.close()
+            tracer.close()
+            merge_sweep_trace(tracer.trace_dir,
+                              os.path.join(scratch, "trace.json"))
+        return {k: float(v) for k, v in result.fidelity_metrics().items()}
+
+    return run
+
+
 #: ``repro fig``/``repro table`` verbs exposed as bench targets.
 _EXPERIMENT_TARGETS = (
     ("fig1", "fig1_instruction_mix", "Fig 1: instruction-mix figure"),
@@ -266,6 +301,10 @@ def bench_targets() -> Dict[str, BenchTarget]:
                 module_name, name
             )
         )
+    targets["obs-overhead"] = BenchTarget(
+        "obs-overhead", "Fig 4 with the span tracer and progress stream "
+        "attached (compare with fig4)", "experiment", _make_obs_overhead,
+    )
     for target in _MICRO_TARGETS:
         targets[target.name] = target
     return targets
@@ -416,57 +455,6 @@ def run_bench(
         samples_s=samples,
         stats=robust_summary(samples),
         metrics=payload,
-    )
-
-
-def obs_overhead_record(
-    *,
-    untraced_s: float,
-    traced_s: float,
-    scale: float,
-    seed: int,
-    extra_timings: Optional[Dict[str, float]] = None,
-) -> RunRecord:
-    """The tracing-overhead ratio as a trendable ``kind="bench"`` record.
-
-    Written by ``benchmarks/bench_obs_overhead.py`` so the dashboard
-    can plot observability overhead across PRs.  The ratio and both
-    wall-clock legs are quarantined in ``timings``; ``metrics`` stays
-    empty (nothing here is deterministic).
-    """
-    experiment = bench_experiment("obs-overhead")
-    timings = {
-        "bench.schema": float(BENCH_RECORD_SCHEMA),
-        "bench.untraced_s": float(untraced_s),
-        "bench.traced_s": float(traced_s),
-        "bench.overhead_ratio": (
-            float(traced_s) / float(untraced_s) if untraced_s > 0 else 0.0
-        ),
-    }
-    if extra_timings:
-        timings.update(extra_timings)
-    return RunRecord(
-        experiment=experiment,
-        kind="bench",
-        metrics={},
-        provenance=build_provenance(
-            experiment=experiment,
-            seed=seed,
-            scale=scale,
-            platforms=[],
-            config={
-                "bench_schema": BENCH_RECORD_SCHEMA,
-                "target": "obs-overhead",
-            },
-        ),
-        series={
-            "bench": {
-                "schema_version": BENCH_RECORD_SCHEMA,
-                "target": "obs-overhead",
-                "target_kind": "overhead",
-            }
-        },
-        timings=timings,
     )
 
 

@@ -86,9 +86,9 @@ class Scorecard:
                 [
                     anchor.experiment,
                     anchor.metric,
-                    anchor.paper_value,
+                    "-" if anchor.paper_value is None else anchor.paper_value,
                     check.value if check.value is not None else "missing",
-                    f"±{anchor.band:.3g}",
+                    anchor.band_label,
                     check.status.upper() if check.status != PASS else "pass",
                     anchor.source,
                 ]

@@ -1,4 +1,4 @@
-"""ASCII table and series rendering used by benches and EXPERIMENTS.md."""
+"""ASCII table and series rendering used by the CLI and EXPERIMENTS.md."""
 
 from __future__ import annotations
 

@@ -9,10 +9,12 @@ from repro.experiments import (
     fig4_cache,
     fig5_tlb,
     fig6to9_locality,
+    implications,
     stack_impact,
     system_behaviors,
     table1_datasets,
     table4_branch,
+    wimpy_core,
 )
 
 
@@ -139,8 +141,10 @@ class TestLocality:
         mpi = result.instruction["MPI-workloads"]
         hadoop = result.instruction["Hadoop-workloads"]
         at_32kb = result.sizes_kb.index(32)
-        # Figure 9: MPI far below Hadoop at L1I-like sizes.
+        # Figure 9: MPI far below Hadoop at L1I-like sizes, near PARSEC.
         assert mpi[at_32kb] < 0.5 * hadoop[at_32kb]
+        parsec = result.instruction["PARSEC-workloads"]
+        assert abs(mpi[at_32kb] - parsec[at_32kb]) < 0.12
 
     def test_data_curves_converge(self, result):
         hadoop = result.data["Hadoop-workloads"]
@@ -205,6 +209,35 @@ class TestTable4:
 
     def test_renders(self, result):
         assert "E5645" in result.render()
+
+
+class TestImplications:
+    """§5.1: big data leaves the FP units idle; HPC does not."""
+
+    @pytest.fixture(scope="class")
+    def result(self, ctx):
+        return implications.run(ctx)
+
+    def test_bigdata_uses_vanishing_share_of_peak_fp(self, result):
+        assert result.bigdata_fp_utilization < 0.05
+
+    def test_hpcc_uses_far_more_fp_than_bigdata(self, result):
+        suite_gflops = {row[0]: row[1] for row in result.suite_rows}
+        assert suite_gflops["HPCC"] > 10 * result.bigdata_gflops
+
+
+class TestWimpyCore:
+    """§5.2: every workload is slower on the Atom, by varying factors."""
+
+    @pytest.fixture(scope="class")
+    def result(self, ctx):
+        return wimpy_core.run(ctx)
+
+    def test_atom_slower_on_every_workload(self, result):
+        assert result.min_slowdown > 1.0
+
+    def test_no_one_size_fits_all_core(self, result):
+        assert result.spread > 1.3
 
 
 class TestTable1:

@@ -6,7 +6,14 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.obs.anchors import FAIL, PASS, WARN, Anchor, evaluate_record
+from repro.obs.anchors import (
+    FAIL,
+    PASS,
+    WARN,
+    Anchor,
+    Ordering,
+    evaluate_record,
+)
 from repro.obs.registry import (
     SCHEMA_VERSION,
     RunRecord,
@@ -142,6 +149,57 @@ class TestAnchors:
         checks = evaluate_record(record)
         assert checks and all(c.status == FAIL for c in checks)
         assert all(c.value is None for c in checks)
+
+
+class TestOrdering:
+    def test_pass_and_fail(self):
+        ordering = Ordering("e", "a", "b")
+        assert ordering.metric == "a < b"
+        assert ordering.evaluate({"a": 1.0, "b": 1.5}) == (0.5, PASS)
+        assert ordering.evaluate({"a": 2.0, "b": 1.5}) == (-0.5, FAIL)
+        assert ordering.evaluate({"a": 1.5, "b": 1.5}) == (0.0, FAIL)
+
+    def test_missing_metric_fails(self):
+        assert Ordering("e", "a", "b").evaluate({"a": 1.0}) == (None, FAIL)
+
+    def test_star_matching_nothing_fails(self):
+        ordering = Ordering("e", "w.*.x", "w.*.y")
+        assert ordering.evaluate({"other.q.x": 1.0}) == (None, FAIL)
+
+    def test_star_needs_both_sides_for_every_key(self):
+        ordering = Ordering("e", "w.*.x", "w.*.y")
+        metrics = {"w.A.x": 1.0, "w.A.y": 2.0, "w.B.x": 1.0}
+        assert ordering.evaluate(metrics) == (None, FAIL)
+
+    def test_for_all_with_one_violating_workload(self):
+        ordering = Ordering("e", "w.*.x", "w.*.y")
+        metrics = {f"w.{name}.x": 1.0 for name in "ABCD"}
+        metrics.update({f"w.{name}.y": 2.0 for name in "ABCD"})
+        assert ordering.evaluate(metrics) == (1.0, PASS)
+        metrics["w.C.y"] = 0.75
+        assert ordering.evaluate(metrics) == (-0.25, FAIL)
+
+    def test_scorecard_and_dashboard_show_ordering_rows(self, tmp_path):
+        from repro.obs import build_model, render_site
+
+        registry = RunRegistry(str(tmp_path / "runs"))
+        registry.save(make_record("fig3", metrics={
+            "suite.SPECINT.ipc": 0.9, "suite.PARSEC.ipc": 1.2,
+            "suite.HPCC.ipc": 1.1,
+        }))
+        card = scorecard(registry, experiments=["fig3"])
+        rows = {row["metric"]: row for row in card.to_dict()["checks"]}
+        good = rows["suite.SPECINT.ipc < suite.PARSEC.ipc"]
+        bad = rows["suite.PARSEC.ipc < suite.HPCC.ipc"]
+        assert good["status"] == PASS and good["paper"] is None
+        assert good["value"] == pytest.approx(0.3)
+        assert bad["status"] == FAIL and bad["value"] == pytest.approx(-0.1)
+        assert "margin > 0" in card.render()
+        site = str(tmp_path / "site")
+        render_site(build_model(str(tmp_path / "runs")), site)
+        with open(os.path.join(site, "index.html"), encoding="utf-8") as page:
+            index = page.read()
+        assert "suite.PARSEC.ipc &lt; suite.HPCC.ipc" in index
 
 
 class TestDiff:
