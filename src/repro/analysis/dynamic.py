@@ -116,17 +116,6 @@ class CrossCheckResult:
         )
         return "\n".join(lines)
 
-    def raise_on_divergence(self) -> None:
-        if not self.identical:
-            from repro.errors import DynamicDivergenceError
-
-            raise DynamicDivergenceError(
-                f"registry records diverge under PYTHONHASHSEED "
-                f"{self.hash_seeds[0]} vs {self.hash_seeds[1]}",
-                workload=self.workload,
-                paths=len(self.divergent),
-            )
-
 
 def _source_root() -> str:
     """The directory ``repro`` imports from, for the child PYTHONPATH."""

@@ -230,7 +230,6 @@ class WallClockRule(Rule):
         "measurement into the quarantined profiler/telemetry modules"
     )
     exempt_modules = (
-        "repro.obs.metrics",
         "repro.obs.hostprof",
         "repro.obs.stream",
         "repro.obs.perf",

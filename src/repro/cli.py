@@ -83,7 +83,8 @@ from repro.obs.registry import (
     config_hash,
     runs_dir_default,
 )
-from repro.obs.report import diff_records, history, scorecard
+from repro.obs.anchors import evaluate_record
+from repro.obs.report import Scorecard, diff_records, history, scorecard
 from repro.obs.stream import (
     ProgressStream,
     TerminalRenderer,
@@ -229,8 +230,7 @@ def _prime_context(args, context: ExperimentContext, name: str,
             observer=observer,
         ),
     )
-    for key, value in counters.items():
-        context.registry.add(f"exec.{key}", value)
+    context.add_telemetry(counters)
     if outcome.quarantined:
         print(
             f"warning: {len(outcome.quarantined)} sweep cell(s) "
@@ -241,31 +241,29 @@ def _prime_context(args, context: ExperimentContext, name: str,
 
 
 # ---- experiment verbs -------------------------------------------------------
-def _experiment(args, name: str, run, *, timer: str = None, pairs=None,
-                series: bool = False, render=None, payload=None,
-                **record) -> int:
-    """context -> prime -> time -> run -> render -> record, for one verb.
+def _experiment(args, name: str, run, *, pairs=None, series: bool = False,
+                render=None, payload=None, **record_fields) -> int:
+    """context -> prime -> run -> render -> record, for one verb.
 
-    ``pairs(context)`` names the cells ``--jobs`` may prime; verbs with
-    executor flags also print the wall-clock timings.  ``payload``
-    maps the result to its ``--json`` document (default: the record).
+    ``pairs(context)`` names the cells ``--jobs`` may prime.  The text
+    output ends with the record's paper-fidelity scorecard (the rows
+    ``repro report`` prints for it), unless the experiment has no
+    anchors.  ``payload`` maps the result to its ``--json`` document
+    (default: the record).
     """
     context = ExperimentContext(scale=args.scale, seed=args.seed)
     if pairs is not None:
         _prime_context(args, context, name, pairs(context))
-    with context.time_experiment(timer or name):
-        result = run(context)
-    text = render(result) if render else result.render()
-    timings = context.timing_lines() if args.verb.executor else []
-    if timings:
-        text += "\n\ntimings:" + "".join(f"\n  {line}" for line in timings)
-    _emit(
-        args, text, payload and payload(result),
-        context.make_record(
-            name, result.fidelity_metrics(),
-            series=result.to_dict() if series else None, **record,
-        ),
+    result = run(context)
+    record = context.make_record(
+        name, result.fidelity_metrics(),
+        series=result.to_dict() if series else None, **record_fields,
     )
+    text = render(result) if render else result.render()
+    checks = evaluate_record(record)
+    if checks:
+        text += "\n\n" + Scorecard(checks=checks).render()
+    _emit(args, text, payload and payload(result), record)
     return 0
 
 
@@ -281,7 +279,7 @@ def _cmd_fig(args) -> int:
     figure = args.figure
     return _experiment(
         args, "fig-locality" if figure == "locality" else f"fig{figure}",
-        _FIGURES[figure], timer=f"fig-{figure}", kind="figure",
+        _FIGURES[figure], kind="figure",
         pairs=lambda context: _fig_pairs(figure, context),
     )
 
@@ -295,7 +293,7 @@ def _cmd_table(args) -> int:
                 for d in REPRESENTATIVE_WORKLOADS]
 
     return _experiment(
-        args, f"table{table}", _TABLES[table], timer=f"table-{table}", kind="table",
+        args, f"table{table}", _TABLES[table], kind="table",
         pairs=None if table == "1" else pairs,
         platforms=(
             [XEON_E5645.name, ATOM_D510.name] if table == "4" else None

@@ -39,11 +39,9 @@ wrong without parsing messages:
   determinism hazard.
 - :class:`LintError` — the determinism sanitizer (``repro lint``)
   could not complete an analysis: an unreadable file, a failed
-  subprocess probe.  :class:`DynamicDivergenceError` is the probe's
-  *positive* result — two ``PYTHONHASHSEED`` values produced different
-  registry records, i.e. a metric depends on hash salting.
-  :class:`LintBaselineError` is the usage-error side (exit 2): a
-  ``--baseline`` file that is missing, unreadable or malformed.
+  subprocess probe.  :class:`LintBaselineError` is the usage-error
+  side (exit 2): a ``--baseline`` file that is missing, unreadable or
+  malformed.
 
 Every error carries an optional ``context`` dict of diagnostic
 key/values (sim time, node, wave, task indices) rendered into ``str()``
@@ -166,14 +164,6 @@ class BudgetManifestError(UsageError):
 
 class LintError(SimulationError):
     """The determinism sanitizer could not complete its analysis."""
-
-
-class DynamicDivergenceError(LintError):
-    """Two PYTHONHASHSEED runs produced different registry records.
-
-    This is the runtime proof of a determinism bug: some metric or
-    series value depends on Python's per-process string-hash salt.
-    """
 
 
 class LintBaselineError(UsageError):

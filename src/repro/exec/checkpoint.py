@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.errors import CheckpointError, SweepLockError
 from repro.fsio import (
@@ -419,10 +419,3 @@ class SweepCheckpoint(SweepDir):
             for cell_id, result in self._results.items()
             if result.status == "ok"
         }
-
-
-def prune_results(results: Dict[str, CellResult],
-                  wanted: Iterable[str]) -> Dict[str, CellResult]:
-    """Restrict loaded results to the cells a sweep actually contains."""
-    wanted_set = set(wanted)
-    return {k: v for k, v in results.items() if k in wanted_set}

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -266,17 +265,3 @@ def spawn_worker(worker_id: int,
         worker_id=worker_id, process=process, conn=parent_conn,
         results=results_reader, last_beat=now, pid=process.pid or 0,
     )
-
-
-def default_jobs() -> int:
-    """A conservative worker-count default: cores, capped at 8."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):
-        cores = os.cpu_count() or 1
-    return max(1, min(8, cores))
-
-
-def self_sigkill() -> None:  # pragma: no cover - used by failure tests
-    """Kill the current process the hard way (test helper)."""
-    os.kill(os.getpid(), signal.SIGKILL)

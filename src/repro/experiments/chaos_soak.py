@@ -132,11 +132,9 @@ def run(
     chosen = workloads if workloads is not None else DEFAULT_WORKLOADS
     result = ChaosSoakResult(scale=context.scale)
     for seed in range(context.seed, context.seed + n_seeds):
-        with context.time_experiment(f"chaos-seed-{seed}"):
-            result.campaigns.append(
-                run_campaign(
-                    seed, workloads=chosen, stacks=stacks,
-                    scale=context.scale,
-                )
+        result.campaigns.append(
+            run_campaign(
+                seed, workloads=chosen, stacks=stacks, scale=context.scale,
             )
+        )
     return result

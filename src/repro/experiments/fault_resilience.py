@@ -68,12 +68,6 @@ class FaultResilienceResult:
     seed: int = 0
     results: List[StackResilience] = field(default_factory=list)
 
-    def by_stack(self, stack: str) -> StackResilience:
-        for entry in self.results:
-            if entry.stack == stack:
-                return entry
-        raise KeyError(stack)
-
     def fidelity_metrics(self) -> dict:
         """Registry metrics: per-stack outcome and recovery accounting."""
         metrics = {}

@@ -27,16 +27,6 @@ from repro.obs.registry import flatten_rows
 from repro.report.tables import render_table
 from repro.workloads import MPI_WORKLOADS, REPRESENTATIVE_WORKLOADS
 
-#: §5.1's headline averages for comparison columns.
-PAPER_AVERAGES = {
-    "bigdata_branch": 0.187,
-    "bigdata_integer": 0.38,
-    "specint_integer": 0.41,
-    "cloudsuite_integer": 0.34,
-    "tpcc_integer": 0.33,
-    "tpcc_branch": 0.30,
-}
-
 MIX_METRICS = ("ratio_integer", "ratio_fp", "ratio_branch", "ratio_load", "ratio_store")
 
 
@@ -72,11 +62,8 @@ class InstructionMixResult:
                          title="\nFigure 1 — instruction breakdown (comparison suites)"),
             render_table(["group", "branch", "integer"], self.group_rows,
                          title="\n§5.1 subclass averages"),
-            (
-                f"\nbig data averages: branch {self.bigdata_branch:.3f} "
-                f"(paper {PAPER_AVERAGES['bigdata_branch']}), integer "
-                f"{self.bigdata_integer:.3f} (paper {PAPER_AVERAGES['bigdata_integer']})"
-            ),
+            f"\nbig data averages: branch {self.bigdata_branch:.3f}, "
+            f"integer {self.bigdata_integer:.3f}",
         ]
         return "\n".join(parts)
 

@@ -18,14 +18,6 @@ from repro.report.tables import render_table
 from repro.uarch.isa import data_movement_share, data_movement_with_branches
 from repro.workloads import REPRESENTATIVE_WORKLOADS
 
-PAPER = {
-    "int_addr": 0.64,
-    "fp_addr": 0.18,
-    "other": 0.18,
-    "data_movement": 0.73,
-    "with_branches": 0.92,
-}
-
 
 @dataclass
 class IntegerBreakdownResult:
@@ -64,11 +56,10 @@ class IntegerBreakdownResult:
             title="Figure 2 — integer instruction breakdown",
         )
         summary = (
-            f"\naverages: int addr {self.avg_int_addr:.2f} (paper {PAPER['int_addr']}), "
-            f"fp addr {self.avg_fp_addr:.2f} (paper {PAPER['fp_addr']}), "
-            f"other {self.avg_other:.2f} (paper {PAPER['other']})\n"
-            f"data movement share {self.avg_data_movement:.2f} (paper ~{PAPER['data_movement']}), "
-            f"with branches {self.avg_with_branches:.2f} (paper up to {PAPER['with_branches']})"
+            f"\naverages: int addr {self.avg_int_addr:.2f}, "
+            f"fp addr {self.avg_fp_addr:.2f}, other {self.avg_other:.2f}\n"
+            f"data movement share {self.avg_data_movement:.2f}, "
+            f"with branches {self.avg_with_branches:.2f}"
         )
         return table + summary
 

@@ -21,18 +21,6 @@ from repro.experiments.runner import (
 from repro.report.tables import render_table
 from repro.workloads import MPI_WORKLOADS, REPRESENTATIVE_WORKLOADS
 
-PAPER = {
-    "bigdata": 1.28,
-    "SPECINT": 0.9,
-    "SPECFP": 1.1,
-    "PARSEC": 1.28,
-    "HPCC": 1.5,
-    "service": 0.8,
-    "data analysis": 1.2,
-    "interactive analysis": 1.3,
-    "H-Read": 0.8,
-}
-
 
 @dataclass
 class IpcResult:
@@ -58,17 +46,12 @@ class IpcResult:
         parts = [
             render_table(["workload", "IPC"], self.workload_rows,
                          title="Figure 3 — IPC (Xeon E5645)"),
-            render_table(
-                ["suite", "IPC", "paper"],
-                [
-                    [name, ipc, PAPER.get(name, "-")]
-                    for name, ipc in self.suite_ipcs.items()
-                ],
-                title="\nsuite averages",
-            ),
+            render_table(["suite", "IPC"],
+                         [list(item) for item in self.suite_ipcs.items()],
+                         title="\nsuite averages"),
             render_table(["group", "IPC"], self.group_rows,
                          title="\nsubclass averages"),
-            f"\nbig data average IPC {self.bigdata_ipc:.2f} (paper {PAPER['bigdata']})",
+            f"\nbig data average IPC {self.bigdata_ipc:.2f}",
         ]
         return "\n".join(parts)
 

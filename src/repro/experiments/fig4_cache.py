@@ -21,17 +21,6 @@ from repro.experiments.runner import (
 from repro.report.tables import render_table
 from repro.workloads import MPI_WORKLOADS, REPRESENTATIVE_WORKLOADS
 
-PAPER = {
-    "bigdata_l1i": 15.0,
-    "bigdata_l2": 11.0,
-    "bigdata_l3": 1.2,
-    "cloudsuite_l1i": 32.0,
-    "h_read_l1i": 51.0,
-    "service_l1i": 51.0,
-    "data_analysis_l1i": 13.0,
-    "interactive_l1i": 14.0,
-}
-
 LEVELS = ("l1i_mpki", "l1d_mpki", "l2_mpki", "l3_mpki")
 
 
@@ -67,12 +56,9 @@ class CacheBehaviorResult:
                          title="\nsuite averages"),
             render_table(["group", "L1I", "L2", "L3"], self.group_rows,
                          title="\nsubclass averages"),
-            (
-                f"\nbig data averages: L1I {self.bigdata['l1i_mpki']:.1f} "
-                f"(paper {PAPER['bigdata_l1i']}), L2 {self.bigdata['l2_mpki']:.1f} "
-                f"(paper {PAPER['bigdata_l2']}), L3 {self.bigdata['l3_mpki']:.2f} "
-                f"(paper {PAPER['bigdata_l3']})"
-            ),
+            f"\nbig data averages: L1I {self.bigdata['l1i_mpki']:.1f}, "
+            f"L2 {self.bigdata['l2_mpki']:.1f}, "
+            f"L3 {self.bigdata['l3_mpki']:.2f}",
         ]
         return "\n".join(parts)
 

@@ -20,8 +20,6 @@ from repro.experiments.runner import (
 from repro.report.tables import render_table
 from repro.workloads import MPI_WORKLOADS, REPRESENTATIVE_WORKLOADS
 
-PAPER = {"bigdata_itlb": 0.05, "bigdata_dtlb": 0.9, "service_itlb": 0.2}
-
 
 @dataclass
 class TlbBehaviorResult:
@@ -54,11 +52,8 @@ class TlbBehaviorResult:
                          title="\nsuite averages"),
             render_table(["group", "ITLB", "DTLB"], self.group_rows,
                          title="\nsubclass averages"),
-            (
-                f"\nbig data averages: ITLB {self.bigdata_itlb:.3f} "
-                f"(paper {PAPER['bigdata_itlb']}), DTLB {self.bigdata_dtlb:.2f} "
-                f"(paper {PAPER['bigdata_dtlb']})"
-            ),
+            f"\nbig data averages: ITLB {self.bigdata_itlb:.3f}, "
+            f"DTLB {self.bigdata_dtlb:.2f}",
         ]
         return "\n".join(parts)
 

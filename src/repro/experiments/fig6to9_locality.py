@@ -31,8 +31,6 @@ HADOOP_WORKLOADS = ("H-WordCount", "H-Grep", "H-Sort", "H-NaiveBayes", "H-Index"
 #: The MPI versions added for Figure 9.
 MPI_WORKLOADS_F9 = ("M-WordCount", "M-Grep", "M-Sort", "M-Bayes")
 
-PAPER_KNEES_KB = {"hadoop_instruction": 1024, "parsec_instruction": 128}
-
 
 @dataclass
 class LocalityResult:
@@ -72,9 +70,7 @@ class LocalityResult:
                           title="\nFigure 8 — unified miss ratio vs size"),
             render_series("KB", self.sizes_kb, self.instruction,
                           title="\nFigure 9 — instruction miss ratio incl. MPI"),
-            f"\nfootprint knees (curve within 10% of its floor): {self.knees_kb}"
-            f"\npaper: Hadoop ≈ {PAPER_KNEES_KB['hadoop_instruction']} KB, "
-            f"PARSEC ≈ {PAPER_KNEES_KB['parsec_instruction']} KB",
+            f"\nfootprint knees (curve within 10% of its floor): {self.knees_kb}",
         ]
         return "\n".join(parts)
 

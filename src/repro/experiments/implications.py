@@ -16,12 +16,8 @@ from typing import List
 from repro.comparison import SUITES
 from repro.experiments.runner import ExperimentContext
 from repro.report.tables import render_table
+from repro.uarch.platforms import XEON_E5645
 from repro.workloads import REPRESENTATIVE_WORKLOADS
-
-PAPER = {
-    "peak_gflops": 57.6,
-    "bigdata_gflops": 0.1,
-}
 
 
 @dataclass
@@ -46,9 +42,8 @@ class ImplicationsResult:
             ),
             (
                 f"\nbig data mean {self.bigdata_gflops:.2f} GFLOPS of "
-                f"{PAPER['peak_gflops']} peak "
-                f"({100 * self.bigdata_fp_utilization:.1f}% used; paper: "
-                f"~{PAPER['bigdata_gflops']} GFLOPS) — "
+                f"{XEON_E5645.peak_gflops} peak "
+                f"({100 * self.bigdata_fp_utilization:.1f}% used) — "
                 f"{100 * self.bigdata_flush_share:.1f}% of cycles lost to "
                 f"branch flushes"
             ),

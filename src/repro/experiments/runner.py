@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.comparison import SUITES
-from repro.obs.metrics import CounterRegistry
 from repro.obs.registry import RunRecord, build_provenance
 from repro.stacks.base import WorkloadResult
 from repro.uarch.counters import PerfCounters, characterize
@@ -33,19 +32,17 @@ class ExperimentContext:
         self._results: Dict[str, WorkloadResult] = {}
         self._counters: Dict[tuple, PerfCounters] = {}
         self._suite_counters: Dict[tuple, List[PerfCounters]] = {}
-        #: Wall-clock accounting: ``workload.<id>.seconds/.calls`` per
-        #: cached execution, read back via :meth:`timing_lines`.
-        self.registry = CounterRegistry()
+        #: Executor telemetry (``exec.*``), summed per key; it rides
+        #: into the run record's quarantined ``timings``.
+        self.timings: Dict[str, float] = {}
 
     # ---- workload layer ---------------------------------------------------
     def result(self, workload_id: str) -> WorkloadResult:
         """Functional + profiled execution of one catalog workload."""
         if workload_id not in self._results:
-            definition = workload(workload_id)
-            with self.registry.timer(f"workload.{workload_id}"):
-                self._results[workload_id] = definition.runner(
-                    scale=self.scale, seed=self.seed
-                )
+            self._results[workload_id] = workload(workload_id).runner(
+                scale=self.scale, seed=self.seed
+            )
         return self._results[workload_id]
 
     def counters(
@@ -230,24 +227,14 @@ class ExperimentContext:
         )
         outcome = executor.run(cells, checkpoint=checkpoint, resume=resume)
         self.adopt_cells(outcome.results)
-        for name, value in outcome.telemetry.items():
-            self.registry.add(f"exec.{name}", value)
+        self.add_telemetry(outcome.telemetry)
         return outcome
 
-    # ---- wall-clock accounting ---------------------------------------------
-    def time_experiment(self, name: str):
-        """Context manager timing one experiment under ``experiment.<name>``."""
-        return self.registry.timer(f"experiment.{name}")
-
-    def timing_lines(self) -> List[str]:
-        """One ``name: seconds`` line per timed workload and experiment."""
-        lines = []
-        for key, value in self.registry.snapshot().items():
-            if not key.endswith(".seconds"):
-                continue
-            name = key[: -len(".seconds")]
-            lines.append(f"{name}: {value:.3f}s wall")
-        return lines
+    def add_telemetry(self, telemetry: Dict[str, float]) -> None:
+        """Sum executor counters into :attr:`timings` as ``exec.<name>``."""
+        for name, value in telemetry.items():
+            key = f"exec.{name}"
+            self.timings[key] = self.timings.get(key, 0.0) + value
 
     # ---- run records --------------------------------------------------------
     def make_record(
@@ -263,9 +250,9 @@ class ExperimentContext:
         """A registry record of one experiment run under this context.
 
         Provenance captures this context's seed/scale plus any
-        experiment-specific ``config``; the wall-clock counter snapshot
-        rides along under ``timings`` (informational — never part of a
-        drift comparison).
+        experiment-specific ``config``; the executor telemetry rides
+        along under ``timings`` (informational — never part of a drift
+        comparison).
         """
         return RunRecord(
             experiment=experiment,
@@ -283,5 +270,5 @@ class ExperimentContext:
                 config=config,
             ),
             series=dict(series) if series else {},
-            timings=self.registry.snapshot(),
+            timings=dict(sorted(self.timings.items())),
         )

@@ -28,19 +28,6 @@ ALGORITHM_STACKS = {
     "Bayes": ("M-Bayes", "H-NaiveBayes"),
 }
 
-PAPER = {
-    "m_wordcount_ipc": 1.8,
-    "h_wordcount_ipc": 1.1,
-    "s_wordcount_ipc": 0.9,
-    "mpi_avg_ipc": 1.4,
-    "others_avg_ipc": 1.16,
-    "m_wordcount_l1i": 2.0,
-    "h_wordcount_l1i": 7.0,
-    "s_wordcount_l1i": 17.0,
-    "mpi_avg_l1i": 3.4,
-    "others_avg_l1i": 12.6,
-}
-
 
 @dataclass
 class StackImpactResult:
@@ -89,15 +76,12 @@ class StackImpactResult:
             title="§5.5 — software-stack impact (Xeon E5645)",
         )
         summary = (
-            f"\nMPI averages: IPC {self.mpi_avg['ipc']:.2f} "
-            f"(paper {PAPER['mpi_avg_ipc']}), L1I {self.mpi_avg['l1i_mpki']:.1f} "
-            f"(paper {PAPER['mpi_avg_l1i']})\n"
-            f"Hadoop/Spark averages: IPC {self.others_avg['ipc']:.2f} "
-            f"(paper {PAPER['others_avg_ipc']}), L1I {self.others_avg['l1i_mpki']:.1f} "
-            f"(paper {PAPER['others_avg_l1i']})\n"
-            f"IPC gap {100 * self.ipc_gap:.0f}% (paper 21%), "
-            f"L1I ratio {self.l1i_ratio:.1f}x (paper ~3.7x; "
-            f"order of magnitude for WordCount)"
+            f"\nMPI averages: IPC {self.mpi_avg['ipc']:.2f}, "
+            f"L1I {self.mpi_avg['l1i_mpki']:.1f}\n"
+            f"Hadoop/Spark averages: IPC {self.others_avg['ipc']:.2f}, "
+            f"L1I {self.others_avg['l1i_mpki']:.1f}\n"
+            f"IPC gap {100 * self.ipc_gap:.0f}%, "
+            f"L1I ratio {self.l1i_ratio:.1f}x"
         )
         return table + summary
 

@@ -18,13 +18,6 @@ from repro.experiments.runner import ExperimentContext
 from repro.report.tables import render_table
 from repro.workloads import ALL_WORKLOADS, REPRESENTATIVE_WORKLOADS
 
-#: Table 2's representative -> represents counts.
-PAPER_CLUSTER_SIZES = {
-    definition.workload_id: definition.represents
-    for definition in REPRESENTATIVE_WORKLOADS
-}
-
-
 @dataclass
 class ReductionExperimentResult:
     reduction: ReductionResult = None
@@ -71,11 +64,10 @@ class ReductionExperimentResult:
             title="Table 2 — WCRT reduction (77 workloads, K = 17)",
         )
         summary = (
-            f"\nclusters: {self.n_clusters} (paper: 17); "
-            f"cluster sizes sum to "
-            f"{sum(len(m) for m in self.reduction.clusters.values())} (paper: 77)\n"
-            f"{self.representative_hits}/17 clusters are led by a paper "
-            f"representative or contain one"
+            f"\nclusters: {self.n_clusters}; cluster sizes sum to "
+            f"{self.members_total}\n"
+            f"{self.representative_hits}/{self.n_clusters} clusters are led "
+            f"by a paper representative or contain one"
         )
         return table + summary
 
@@ -88,7 +80,7 @@ def run(
     reduction = wcrt.reduce(ALL_WORKLOADS, k=k, seed=seed)
 
     result = ReductionExperimentResult(reduction=reduction)
-    paper_ids = set(PAPER_CLUSTER_SIZES)
+    paper_ids = {d.workload_id for d in REPRESENTATIVE_WORKLOADS}
     for representative in reduction.representatives:
         members = reduction.clusters[representative]
         result.rows.append(

@@ -15,8 +15,6 @@ from repro.experiments.runner import ExperimentContext
 from repro.report.tables import render_table
 from repro.workloads import REPRESENTATIVE_WORKLOADS
 
-PAPER = {"e5645_mispred": 0.028, "d510_mispred": 0.078}
-
 
 @dataclass
 class BranchStudyResult:
@@ -26,7 +24,7 @@ class BranchStudyResult:
 
     @property
     def ratio(self) -> float:
-        """How many times worse the D510 predicts (paper ~2.8x)."""
+        """How many times worse the D510 predicts than the E5645."""
         return self.d510_avg / max(1e-9, self.e5645_avg)
 
     def fidelity_metrics(self) -> dict:
@@ -49,10 +47,8 @@ class BranchStudyResult:
             title="Table 4 study — branch misprediction by platform",
         )
         summary = (
-            f"\naverages: E5645 {self.e5645_avg:.3f} "
-            f"(paper {PAPER['e5645_mispred']}), D510 {self.d510_avg:.3f} "
-            f"(paper {PAPER['d510_mispred']}); ratio {self.ratio:.1f}x "
-            f"(paper ~2.8x)"
+            f"\naverages: E5645 {self.e5645_avg:.3f}, "
+            f"D510 {self.d510_avg:.3f}; ratio {self.ratio:.1f}x"
         )
         return table + summary
 

@@ -20,7 +20,7 @@ from repro.obs.hostprof import (
     module_of,
     profile_call,
 )
-from repro.obs.metrics import ClusterTelemetry, CounterRegistry
+from repro.obs.metrics import ClusterTelemetry
 from repro.obs.observatory import build_model
 from repro.obs.registry import SCHEMA_VERSION, RunRegistry
 from repro.obs.report import history
@@ -37,7 +37,6 @@ __all__ = [
     "PROGRESS_SCHEMA_VERSION",
     "SCHEMA_VERSION",
     "ClusterTelemetry",
-    "CounterRegistry",
     "HostProfile",
     "HotFunction",
     "ProgressStream",

@@ -1,84 +1,17 @@
-"""Counters, gauges and the per-node utilization timeline.
+"""Gauges and the per-node utilization timeline.
 
-Two cooperating pieces:
-
-- :class:`CounterRegistry` — a process-local registry of named counters
-  and wall-clock timers, used for experiment timings
-  (:class:`repro.experiments.runner.ExperimentContext`).
-- :class:`ClusterTelemetry` — samples every node's cumulative CPU /
-  disk / network accounting on the *simulated* clock, building the
-  :class:`UtilizationTimeline` that :meth:`repro.cluster.cluster.Cluster.metrics`
-  aggregates its scalar totals from.  The final timeline sample reads
-  exactly the accounting fields the scalar path used to read, so totals
-  stay bit-identical whether or not telemetry is attached.
+:class:`ClusterTelemetry` samples every node's cumulative CPU / disk /
+network accounting on the *simulated* clock, building the
+:class:`UtilizationTimeline` that :meth:`repro.cluster.cluster.Cluster.metrics`
+aggregates its scalar totals from.  The final timeline sample reads
+exactly the accounting fields the scalar path used to read, so totals
+stay bit-identical whether or not telemetry is attached.
 """
 
 from __future__ import annotations
 
-import time as _time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, List, Optional
-
-
-class Counter:
-    """A named monotonically accumulating value."""
-
-    __slots__ = ("name", "value", "events")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0.0
-        self.events = 0
-
-    def add(self, delta: float = 1.0) -> None:
-        self.value += delta
-        self.events += 1
-
-
-class CounterRegistry:
-    """Named counters plus wall-clock timers built on them.
-
-    ``timer(name)`` accumulates into two counters: ``<name>.seconds``
-    (wall time) and ``<name>.calls``.
-    """
-
-    def __init__(self):
-        self._counters: Dict[str, Counter] = {}
-
-    def counter(self, name: str) -> Counter:
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = Counter(name)
-        return counter
-
-    def add(self, name: str, delta: float = 1.0) -> None:
-        self.counter(name).add(delta)
-
-    @contextmanager
-    def timer(self, name: str):
-        started = _time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(f"{name}.seconds", _time.perf_counter() - started)
-            self.add(f"{name}.calls", 1.0)
-
-    def value(self, name: str) -> float:
-        return self.counter(name).value
-
-    def snapshot(self) -> Dict[str, float]:
-        """Current values, sorted by name."""
-        return {
-            name: counter.value
-            for name, counter in sorted(self._counters.items())
-        }
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._counters
-
-    def __len__(self) -> int:
-        return len(self._counters)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ CLI's ``--runs-dir``), carrying:
   :mod:`repro.obs.anchors` scores against the paper);
 - **series** — the experiment's full rows/series payload, for humans
   and export;
-- **timings** — the wall-clock ``CounterRegistry`` snapshot.  Wall
-  time is hardware noise, so it lives outside ``metrics`` and is never
-  part of a drift comparison.
+- **timings** — host-side telemetry: executor counters and wall
+  seconds, profiler and bench timings.  Wall time is hardware noise,
+  so it lives outside ``metrics`` and is never part of a drift
+  comparison.
 
 Determinism contract: for a fixed seed + scale + platform, ``metrics``
 and ``series`` are byte-identical across runs; only ``created_at``,

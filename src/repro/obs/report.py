@@ -97,7 +97,7 @@ class Scorecard:
             ["experiment", "metric", "paper", "ours", "band", "status",
              "source"],
             rows,
-            title="Paper-fidelity scorecard (latest recorded runs)",
+            title="Paper-fidelity scorecard",
         )
         counts = self.counts
         lines = [

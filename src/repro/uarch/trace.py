@@ -13,8 +13,6 @@ are reproducible.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.uarch.profile import (
@@ -230,16 +228,3 @@ def split_for_tlb(trace: np.ndarray) -> np.ndarray:
     from repro.uarch.tlb import LINES_PER_PAGE
 
     return trace // LINES_PER_PAGE
-
-
-def fetch_and_data_traces(
-    footprint: CodeFootprint,
-    data: DataFootprint,
-    n_fetch: int,
-    n_data: int,
-    seed: int = 17,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Convenience wrapper producing both streams from one seed."""
-    fetch = generate_fetch_trace(footprint, n_fetch, seed=seed)
-    data_trace = generate_data_trace(data, n_data, seed=seed + 1)
-    return fetch, data_trace

@@ -16,6 +16,7 @@ from repro.experiments import (
     table4_branch,
     wimpy_core,
 )
+from repro.obs.anchors import FAIL, PASS, anchors_for
 
 
 class TestFig1:
@@ -54,6 +55,15 @@ class TestFig2:
 
     def test_renders(self, result):
         assert "Figure 2" in result.render()
+
+    def test_paper_shares_anchored(self, result):
+        # §5.1: 64% integer-array addresses, ~73% data movement.
+        metrics = result.fidelity_metrics()
+        status = {anchor.metric: anchor.evaluate(metrics)[1]
+                  for anchor in anchors_for("fig2")}
+        assert status["avg.int_addr"] == PASS
+        assert status["avg.data_movement"] == PASS
+        assert FAIL not in status.values()
 
 
 class TestFig3:
@@ -209,6 +219,29 @@ class TestTable4:
 
     def test_renders(self, result):
         assert "E5645" in result.render()
+
+
+class TestAnchorCoverage:
+    def test_every_anchor_names_a_recorded_metric(self, ctx):
+        # A misspelt anchor metric would only show as "missing" in
+        # `repro report`; here it fails instead.
+        experiments = {
+            "fig1": fig1_instruction_mix.run,
+            "fig2": fig2_integer_breakdown.run,
+            "fig3": fig3_ipc.run,
+            "fig4": fig4_cache.run,
+            "fig5": fig5_tlb.run,
+            "table4": table4_branch.run,
+            "stacks": stack_impact.run,
+        }
+        missing = []
+        for experiment, run in experiments.items():
+            metrics = run(ctx).fidelity_metrics()
+            anchors = anchors_for(experiment)
+            assert anchors, experiment
+            missing += [f"{experiment}: {anchor.metric}" for anchor in anchors
+                        if anchor.evaluate(metrics)[0] is None]
+        assert missing == []
 
 
 class TestImplications:

@@ -115,8 +115,19 @@ class TestRuleFixtures:
 
             def stamp():
                 return time.time()
-        """, module="repro.obs.metrics")
+        """, module="repro.exec.supervisor")
         assert findings == []
+
+    def test_det003_fires_in_simulated_clock_telemetry(self, tmp_path):
+        # repro.obs.metrics samples the simulated clock only, so it is
+        # not quarantined: a wall-clock read there must fire.
+        findings, _ = lint_source(tmp_path, """
+            import time
+
+            def stamp():
+                return time.time()
+        """, module="repro.obs.metrics")
+        assert rule_ids(findings) == ["DET003"]
 
     def test_det003_quarantine_covers_observability_modules(self, tmp_path):
         for module in (

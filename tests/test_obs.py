@@ -22,7 +22,6 @@ from repro.cluster.faults import FaultPlan, NodeCrash
 from repro.errors import TraceMergeError
 from repro.obs import (
     ClusterTelemetry,
-    CounterRegistry,
     Tracer,
     render_trace_summary,
     to_chrome_trace,
@@ -335,39 +334,3 @@ class TestTelemetry:
         )
         with pytest.raises(ValueError):
             timeline.final_totals(["node0", "node1"])
-
-
-class TestCounterRegistry:
-    def test_counters_accumulate(self):
-        registry = CounterRegistry()
-        registry.add("tasks", 2)
-        registry.add("tasks", 3)
-        assert registry.value("tasks") == 5
-        assert "tasks" in registry
-        assert len(registry) == 1
-
-    def test_timer_records_seconds_and_calls(self):
-        registry = CounterRegistry()
-        with registry.timer("work"):
-            pass
-        with registry.timer("work"):
-            pass
-        assert registry.value("work.calls") == 2
-        assert registry.value("work.seconds") >= 0.0
-        snapshot = registry.snapshot()
-        assert list(snapshot) == sorted(snapshot)
-
-
-class TestExperimentTimings:
-    def test_context_records_workload_timings(self):
-        from repro.experiments import ExperimentContext
-
-        context = ExperimentContext(scale=0.1)
-        context.result("S-WordCount")
-        context.result("S-WordCount")  # cached: timed once
-        assert context.registry.value("workload.S-WordCount.calls") == 1
-        with context.time_experiment("probe"):
-            pass
-        lines = context.timing_lines()
-        assert any(line.startswith("workload.S-WordCount:") for line in lines)
-        assert any(line.startswith("experiment.probe:") for line in lines)

@@ -22,6 +22,8 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.obs.registry import RunRegistry
+from repro.obs.report import scorecard
 
 
 def _invocation(verb, tmp_path):
@@ -87,8 +89,14 @@ def test_record_lands_in_requested_dir(verb, channel, tmp_path, monkeypatch,
 
     assert main(argv) == 0
     assert records_in(str(target)), f"{verb} wrote no record to {target}"
+    out = capsys.readouterr().out
+    if verb == "fig":
+        # The figure's text ends with the scorecard `repro report`
+        # prints for the saved record.
+        card = scorecard(RunRegistry(str(target)), ["fig2"])
+        assert card.checks and card.render() in out
     # Text mode ends by naming the record, and that file holds the run id.
-    recorded = [line for line in capsys.readouterr().out.splitlines()
+    recorded = [line for line in out.splitlines()
                 if line.startswith("recorded ")]
     assert len(recorded) == 1
     run_id, path = recorded[0][len("recorded "):].split(" -> ")
