@@ -9,7 +9,7 @@ workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List
+from typing import Iterator
 
 import numpy as np
 
@@ -122,18 +122,3 @@ class ProfSearchResumes(TableGenerator):
                     summary,
                 ),
             )
-
-
-def rows_to_columns(rows: List[Row]) -> Dict[int, list]:
-    """Pivot a row list into columns (used by the column-oriented
-    Impala-model scans)."""
-    if not rows:
-        return {}
-    n_fields = len(rows[0].fields)
-    columns: Dict[int, list] = {i: [] for i in range(n_fields)}
-    for row in rows:
-        if len(row.fields) != n_fields:
-            raise ValueError("ragged rows cannot be columnised")
-        for i, value in enumerate(row.fields):
-            columns[i].append(value)
-    return columns

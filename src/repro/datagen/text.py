@@ -10,6 +10,7 @@ Sort, Naive Bayes) are sensitive to.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, List
 
@@ -21,17 +22,78 @@ _SYLLABLES = (
     "ta te ti to tu va ve vi vo vu za ze zi zo zu"
 ).split()
 
+#: Syllable by draw value; a rejected draw (-1) indexes the trailing None.
+_SYLLABLE_BY_DRAW = np.array(_SYLLABLES + [None], dtype=object)
+
+#: Syllables per word are drawn as ``integers(1, 5)``: 1 + a range-4 draw.
+_MAX_SYLLABLES = 4
+
+#: Most raw draws per block: 8 KB, about 400 words.  Larger
+#: blocks save little time and raise the process's peak memory.
+_MAX_BLOCK = 2048
+
+
+def _lemire(draws: np.ndarray, n: int) -> np.ndarray:
+    """numpy's bounded draw ``integers(0, n)`` on each 32-bit draw ``u``.
+
+    The value is ``(u * n) >> 32`` (Lemire's rule).  Where the low 32
+    bits of ``u * n`` fall below ``2**32 % n``, numpy rejects ``u`` and
+    takes the next draw instead; those entries are -1.  The threshold
+    is 0 for a power of two, so range 4 never rejects.
+    """
+    product = draws.astype(np.int64) * n  # below 2**38: no overflow
+    values = product >> 32
+    values[(product & 0xFFFFFFFF) < (1 << 32) % n] = -1
+    return values
+
 
 def _make_vocabulary(size: int, rng: np.random.Generator) -> List[str]:
-    """Deterministic pronounceable vocabulary of ``size`` distinct words."""
-    words = []
+    """Deterministic pronounceable vocabulary of ``size`` distinct words.
+
+    Word by word, ``rng.integers(1, 5)`` syllables each drawn by
+    ``rng.choice(_SYLLABLES)``, repeats skipped.  Each of those draws
+    maps one raw 32-bit draw by Lemire's rule, so the raw draws come in
+    blocks and ``rng`` ends where drawing word by word leaves it
+    (DESIGN.md §5l).
+    """
+    pending = np.empty(0, dtype=np.uint32)  # draws of an unfinished word
+    words: List[str] = []
     seen = set()
     while len(words) < size:
-        n_syllables = int(rng.integers(1, 5))
-        word = "".join(rng.choice(_SYLLABLES) for _ in range(n_syllables))
-        if word not in seen:
-            seen.add(word)
-            words.append(word)
+        # Each missing word takes at least two draws (a count and a
+        # syllable), so this block never reads past the loop's last draw.
+        block = min(_MAX_BLOCK, max(1, 2 * (size - len(words)) - len(pending)))
+        draws = np.concatenate([
+            pending, rng.integers(0, 1 << 32, size=block, dtype=np.uint32)
+        ])
+        counts = (_lemire(draws, _MAX_SYLLABLES) + 1).tolist()
+        syllables = _lemire(draws, len(_SYLLABLES))
+        names = _SYLLABLE_BY_DRAW[syllables].tolist()
+        # Draws a syllable rejects, then the end of the block.
+        stops = np.flatnonzero(syllables < 0).tolist() + [len(names)]
+        pos, stop = 0, stops[0]
+        while len(words) < size and pos < len(names):
+            count = counts[pos]
+            end = pos + 1 + count
+            if end <= stop:
+                word = "".join(names[pos + 1:end])
+            else:
+                # A rejected draw (skipped, as numpy draws again) or the
+                # end of the block lies inside this word.
+                parts, end = [], pos + 1
+                while len(parts) < count and end < len(names):
+                    if names[end] is not None:
+                        parts.append(names[end])
+                    end += 1
+                if len(parts) < count:
+                    break  # finish this word with the next block
+                word = "".join(parts)
+                stop = stops[bisect_left(stops, end)]
+            pos = end
+            if word not in seen:
+                seen.add(word)
+                words.append(word)
+        pending = draws[pos:]
     return words
 
 

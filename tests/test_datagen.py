@@ -16,8 +16,9 @@ from repro.datagen import (
     dataset,
 )
 from repro.datagen.graph import GraphConfig, GraphGenerator
-from repro.datagen.table import rows_to_columns
-from repro.datagen.text import TextConfig, TextGenerator
+from repro.datagen import text
+from repro.datagen.text import TextConfig, TextGenerator, _lemire, _make_vocabulary
+from tests import text_oracle as oracle
 
 
 class TestTextGenerator:
@@ -111,6 +112,159 @@ class TestGraphGenerator:
             GoogleWebGraph(scale=0.0)
 
 
+#: PCG64's 128-bit LCG multiplier (numpy's PCG_DEFAULT_MULTIPLIER_128).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+
+
+def _rng_emitting(first: int, second: int, buffered=None) -> np.random.Generator:
+    """A PCG64 generator whose next two raw outputs are ``first``, ``second``.
+
+    With ``buffered``, that 32-bit half is held as if left by an earlier
+    draw, so the next bounded draw reads it before either output.
+
+    PCG64 steps its state ``s`` to ``s * MULT + inc`` and outputs the
+    XOR of the state's two 64-bit halves rotated right by its top six
+    bits.  So a state that outputs a given word can be solved for, and
+    ``inc`` chosen (odd) to step from the first such state to the second.
+    """
+    def state_emitting(out, high):
+        rot = high >> 58
+        return high << 64 | (((out << rot | out >> (64 - rot)) & _MASK64) ^ high)
+
+    s1 = state_emitting(first, 0x5EED_0000_1234_5678)
+    high2 = 0x0BAD_C0DE_8765_4320
+    if (state_emitting(second, high2) - s1) % 2 == 0:
+        high2 ^= 1  # flips the low bit of the state, so inc is odd
+    s2 = state_emitting(second, high2)
+    inc = (s2 - s1 * _PCG_MULT) & _MASK128
+    s0 = ((s1 - inc) * pow(_PCG_MULT, -1, 1 << 128)) & _MASK128
+    bitgen = np.random.PCG64()
+    bitgen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": s0, "inc": inc},
+        "has_uint32": int(buffered is not None),
+        "uinteger": buffered or 0,
+    }
+    return np.random.Generator(bitgen)
+
+
+def _halves_rejected_by_55():
+    """32-bit values whose product with 55 has low bits below 2**32 % 55."""
+    candidates = [-(-(k << 32) // 55) for k in range(1, 55)]  # ceil(k * 2**32 / 55)
+    return [0] + [u for u in candidates if (u * 55) & 0xFFFFFFFF < 26]
+
+
+_BAD = _halves_rejected_by_55()[1:3]
+_GOOD = 0x8000_0000  # accepted by range 55
+_COUNT1 = 0x1000_0000  # one syllable; accepted by range 55
+
+
+class TestVocabularyBuild:
+    """The block build against the word-by-word scalar oracle."""
+
+    @staticmethod
+    def assert_same_stream(fast, slow):
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert fast.integers(0, 1000) == slow.integers(0, 1000)
+        assert fast.random() == slow.random()
+        assert fast.choice(text._SYLLABLES) == slow.choice(text._SYLLABLES)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=9000),
+        st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_scalar_oracle(self, seed, size, half_buffered):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        if half_buffered:  # a draw that leaves the high half buffered
+            fast.integers(0, 5)
+            slow.integers(0, 5)
+        assert _make_vocabulary(size, fast) == oracle._make_vocabulary(size, slow)
+        self.assert_same_stream(fast, slow)
+
+    @pytest.mark.parametrize("max_block", [1, 3])
+    @pytest.mark.parametrize("half_buffered", [False, True])
+    def test_short_blocks_chain_exactly(self, monkeypatch, max_block, half_buffered):
+        # Blocks shorter than a word: most words straddle block ends.
+        monkeypatch.setattr(text, "_MAX_BLOCK", max_block)
+        fast, slow = np.random.default_rng(9), np.random.default_rng(9)
+        if half_buffered:
+            fast.integers(0, 5)
+            slow.integers(0, 5)
+        assert _make_vocabulary(400, fast) == oracle._make_vocabulary(400, slow)
+        self.assert_same_stream(fast, slow)
+
+    def test_zero_size_leaves_generator_untouched(self):
+        rng = np.random.default_rng(4)
+        rng.integers(0, 5)
+        before = rng.bit_generator.state
+        assert _make_vocabulary(0, rng) == []
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize(
+        "bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64]
+    )
+    def test_exact_on_other_bit_generators(self, bit_generator):
+        # Bounded draws read the bit generator's own 32-bit stream, so the
+        # build is exact whatever produces it.
+        fast, slow = (np.random.Generator(bit_generator(5)) for _ in range(2))
+        fast.integers(0, 5)
+        slow.integers(0, 5)
+        assert _make_vocabulary(3000, fast) == oracle._make_vocabulary(3000, slow)
+        assert fast.integers(0, 1000) == slow.integers(0, 1000)
+        assert fast.random() == slow.random()
+
+    def test_lemire_rejection_zone(self):
+        rejected = np.array(_halves_rejected_by_55(), dtype=np.uint32)
+        assert len(rejected) > 20
+        assert (_lemire(rejected, 55) == -1).all()
+        accepted = rejected + np.uint32(27)  # low product bits rise by 27 * 55
+        assert (_lemire(accepted, 55) == (accepted.astype(np.uint64) * 55) >> 32).all()
+        # 2**32 % 4 == 0: range 4 never rejects, whatever the half.
+        edges = np.array([0, 1, 2**30 - 1, 2**30, 2**32 - 1], dtype=np.uint32)
+        for halves in (rejected, edges):
+            assert (_lemire(halves, 4) == halves >> 30).all()
+
+    def test_rejected_halves_retry_like_integers(self):
+        (bad1, bad2), good, after = _BAD, _GOOD, 0x1234_5678
+        rng = _rng_emitting(bad2 << 32 | bad1, after << 32 | good)
+        halves = np.array([bad1, bad2, good], dtype=np.uint32)
+        assert _lemire(halves, 55).tolist() == [-1, -1, (good * 55) >> 32]
+        # numpy consumes both rejected halves, takes the third, and buffers
+        # the fourth: a full-range 32-bit draw returns it unchanged.
+        assert rng.integers(0, 55) == (good * 55) >> 32
+        assert rng.integers(0, 2**32) == after
+
+    @pytest.mark.parametrize(
+        "halves",
+        [
+            # A one-syllable count of 0, which 55 would reject (counts never
+            # reject), then two rejected syllable halves before an accepted one.
+            (None, 0, _BAD[0], _BAD[1], _GOOD),
+            # A buffered one-syllable count; a rejection inside the first
+            # word, then another inside the second.
+            (_COUNT1, _BAD[0], _GOOD, _COUNT1, _BAD[1]),
+        ],
+        ids=["consecutive", "buffered"],
+    )
+    def test_vocabulary_through_rejected_syllables(self, halves):
+        buffered, lo0, hi0, lo1, hi1 = halves
+
+        def build(builder):
+            rng = _rng_emitting(hi0 << 32 | lo0, hi1 << 32 | lo1, buffered)
+            return builder(300, rng), rng
+
+        (fast_words, fast), (slow_words, slow) = (
+            build(_make_vocabulary), build(oracle._make_vocabulary)
+        )
+        assert fast_words == slow_words
+        assert text._SYLLABLES[(_GOOD * 55) >> 32] in fast_words[0]
+        self.assert_same_stream(fast, slow)
+
+
 class TestTableGenerators:
     def test_ecommerce_item_ratio(self):
         generator = EcommerceTransactions(seed=7)
@@ -133,15 +287,6 @@ class TestTableGenerators:
     def test_resume_record_size(self):
         row = next(ProfSearchResumes(seed=9).rows(1))
         assert 1000 < row.size_bytes() < 1200  # ~1128 bytes per Table 2
-
-    def test_rows_to_columns(self):
-        rows = list(EcommerceTransactions(seed=10).orders(5))
-        columns = rows_to_columns(rows)
-        assert len(columns) == 3
-        assert len(columns[0]) == 5
-
-    def test_rows_to_columns_empty(self):
-        assert rows_to_columns([]) == {}
 
 
 class TestTpcDs:

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import main
 from repro.obs.anchors import (
     FAIL,
+    PAPER_ANCHORS,
     PASS,
     WARN,
     Anchor,
@@ -200,6 +201,44 @@ class TestOrdering:
         with open(os.path.join(site, "index.html"), encoding="utf-8") as page:
             index = page.read()
         assert "suite.PARSEC.ipc &lt; suite.HPCC.ipc" in index
+
+
+EXPERIMENTS_MD = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "EXPERIMENTS.md"
+)
+SCORECARD_HEADER = "| metric | paper | ours | band | status | source |"
+
+
+def documented_scorecard_rows():
+    """``(metric, paper, band, source)`` of every EXPERIMENTS.md scorecard row."""
+    rows, in_table = [], False
+    with open(EXPERIMENTS_MD, encoding="utf-8") as doc:
+        for line in doc:
+            line = line.rstrip("\n")
+            if line == SCORECARD_HEADER:
+                in_table = True
+            elif in_table and line.startswith("|") and not line.startswith("|---"):
+                metric, paper, _ours, band, _status, source = (
+                    cell.strip() for cell in line.strip("|").split("|")
+                )
+                rows.append((metric.strip("`"), paper, band, source))
+            elif not line.startswith("|"):
+                in_table = False
+    return rows
+
+
+class TestExperimentsDoc:
+    def test_scorecard_rows_quote_paper_anchors(self):
+        # Each paper value, band and source EXPERIMENTS.md prints is the
+        # anchor's own, and every anchor has its row.
+        anchors = [
+            (anchor.metric,
+             "-" if anchor.paper_value is None else f"{anchor.paper_value:.3f}",
+             anchor.band_label,
+             anchor.source)
+            for anchor in PAPER_ANCHORS
+        ]
+        assert sorted(documented_scorecard_rows()) == sorted(anchors)
 
 
 class TestDiff:
