@@ -75,11 +75,6 @@ class LocalityResult:
         return "\n".join(parts)
 
 
-def _average(simulator: CacheSweepSimulator, curves: List[SweepResult],
-             name: str) -> SweepResult:
-    return CacheSweepSimulator.average_curves(name, curves)
-
-
 def run(context: ExperimentContext, trace_refs: int = 40_000) -> LocalityResult:
     """Regenerate Figures 6-9.
 
@@ -135,17 +130,19 @@ def run(context: ExperimentContext, trace_refs: int = 40_000) -> LocalityResult:
          {kind: curves(parsec_profiles, kind)
           for kind in ("instruction", "data", "unified")}),
     ):
-        icurve = _average(simulator, curve_sets["instruction"], label)
-        dcurve = _average(simulator, curve_sets["data"], label)
-        ucurve = _average(simulator, curve_sets["unified"], label)
+        icurve = CacheSweepSimulator.average_curves(
+            label, curve_sets["instruction"])
+        dcurve = CacheSweepSimulator.average_curves(label, curve_sets["data"])
+        ucurve = CacheSweepSimulator.average_curves(
+            label, curve_sets["unified"])
         instruction[label] = icurve.miss_ratios
         data[label] = dcurve.miss_ratios
         unified[label] = ucurve.miss_ratios
         knee = icurve.knee_kb()
         knees[label] = knee if knee is not None else -1
 
-    mpi_curve = _average(
-        simulator, curves(mpi_profiles, "instruction"), "MPI-workloads"
+    mpi_curve = CacheSweepSimulator.average_curves(
+        "MPI-workloads", curves(mpi_profiles, "instruction")
     )
     instruction["MPI-workloads"] = mpi_curve.miss_ratios
     knee = mpi_curve.knee_kb()

@@ -3,10 +3,12 @@
 Two models of the same LRU cache, which agree on every reference:
 
 - :func:`lru_hits` computes the hit/miss outcome of a whole trace at once
-  with array operations, from an exact recurrence over reuse order (see
-  its docstring).  The hierarchy walk of :class:`CacheHierarchy` (the
-  L1I/L1D/L2/L3 MPKI of Figure 4), the TLBs and the capacity sweeps of
-  Figures 6-9 all run on it, and so does the branch predictors' BTB.
+  with array operations: two packed-key sorts, then an exact recurrence
+  over reuse order that runs only over the sets receiving more distinct
+  lines than they have ways (see its docstring).  The hierarchy walk of
+  :class:`CacheHierarchy` (the L1I/L1D/L2/L3 MPKI of Figure 4), the
+  TLBs and the capacity sweeps of Figures 6-9 all run on it, and so
+  does the branch predictors' BTB.
   :func:`lru_hits_full` is its fully-associative case for capacities
   in the thousands (the loop predictor's table).
 - :class:`SetAssociativeCache` keeps explicit per-set LRU state and
@@ -130,75 +132,129 @@ def lru_hits(lines: Sequence[int], num_sets: int, ways: int) -> np.ndarray:
     Exactly the outcomes :meth:`SetAssociativeCache.access` returns for
     the same references, computed without a Python loop over them:
 
-    1. A reference that repeats the one just before it (in its set) is a
-       hit and leaves the LRU order unchanged, so such references are
-       marked hits and dropped.
-    2. The rest are stable-sorted by set; every later step runs on that
-       order, in which each set's references are contiguous and keep
-       their trace order.  Let ``p(i)`` be the position of the previous
-       reference to the same line (or below every position if none) and
-       ``A_k(i)`` the position of the last reference to the k-th most
-       recently used distinct line of the set just before ``i`` (or
-       ``set_start - 1`` when the set holds fewer than ``k`` lines).
-    3. Reference ``i`` hits iff its line is among the ``ways`` most
-       recent, i.e. iff ``p(i) >= A_ways(i)``.
+    1. The references are stable-sorted by set; every later step runs on
+       that order, in which each set's references are contiguous and
+       keep their trace order.  A reference that repeats the one just
+       before it in that order is a hit and leaves the LRU order
+       unchanged, so such references are marked hits and dropped.
+    2. Let ``p(i)`` be the position of the previous reference to the
+       same line (or below every position if none).  A set that receives
+       at most ``ways`` distinct lines never evicts, so there a reference
+       hits iff ``p(i)`` exists.  The other sets are *crowded*.
+    3. In a crowded set let ``A_k(i)`` be the position of the last
+       reference to the k-th most recently used distinct line of the set
+       just before ``i`` (or any position below the set's first when the
+       set holds fewer than ``k`` lines).  Reference ``i`` hits iff its
+       line is among the ``ways`` most recent, i.e. iff
+       ``p(i) >= A_ways(i)``.
     4. ``A_1(i) = i - 1``.  Referencing line ``y`` at ``i - 1`` moves it
        to the top and shifts down exactly the lines used more recently
        than ``y``, so ``A_k(i) = A_{k-1}(i-1)`` if ``p(i-1) < A_{k-1}(i-1)``
        and ``A_k(i - 1)`` otherwise.  Within a set ``A_k`` never
        decreases, so it is the running maximum of the values that rule
-       assigns; each level is one ``np.maximum.accumulate``, floored at
-       ``set_start - 1`` (every position of an earlier set is below it).
+       assigns; each level is one ``np.maximum.accumulate`` over the
+       crowded sets' references laid end to end.  No floor is needed at
+       a set's start: a value carried over from an earlier set lies below
+       every position of this one, so every ``p`` compares with it as
+       with ``set_start - 1``.
 
-    Cost: two sorts plus ``O(n * ways)`` array work.
+    Both sorts are one :func:`_stable_order` each.  Cost: two sorts plus
+    ``O(m * ways)`` array work, where ``m`` counts the references to
+    crowded sets.
     """
     lines = np.asarray(lines, dtype=np.int64)
     hits = np.ones(len(lines), dtype=bool)
     if len(lines) == 0:
         return hits
-    sets = lines % num_sets
-    if num_sets <= 1 << 16:
-        # Stable sorts of 16-bit keys are radix sorts.
-        sets = sets.astype(np.uint16)
-    order = np.argsort(sets, kind="stable")
-    del sets
+    if num_sets & (num_sets - 1):
+        sets = lines % num_sets
+    else:
+        sets = lines & (num_sets - 1)
+    order, sets = _stable_order(sets, num_sets)
     seq = lines[order]
-    keep = np.empty(len(seq), dtype=bool)
-    keep[0] = True
-    np.not_equal(seq[1:], seq[:-1], out=keep[1:])
-    order = order[keep]
-    seq = seq[keep]
-    del keep
-    n = len(seq)
-    index = np.int32 if n < 2**31 else np.int64
-    position = np.arange(n, dtype=index)
+    kept = np.empty(len(seq), dtype=bool)
+    kept[0] = True
+    np.not_equal(seq[1:], seq[:-1], out=kept[1:])
+    kept = np.flatnonzero(kept)
+    order = order[kept]
+    sets = sets[kept]
+    seq = seq[kept]
+    del kept
 
-    # p(i), and p(i - 1) shifted into place for the recurrence.
-    by_line = np.argsort(seq, kind="stable").astype(index)
-    repeat = seq[by_line[1:]] == seq[by_line[:-1]]
-    previous = np.full(n, -2, dtype=index)
-    previous[by_line[1:][repeat]] = by_line[:-1][repeat]
+    # p(i): the line sort lists each line's references in order.
+    seq -= int(seq.min())
+    by_line, seq = _stable_order(seq, int(seq.max()) + 1)
+    repeat = seq[1:] == seq[:-1]
+    del seq
+    # -2 marks a first reference: below every A_k, which is at least -1.
+    previous = np.empty(len(by_line), dtype=by_line.dtype)
+    previous[by_line[0]] = -2
+    previous[by_line[1:]] = (by_line[:-1] + 2) * repeat - 2
     del by_line, repeat
-    previous_before = np.empty(n, dtype=index)
-    previous_before[0] = -2
-    previous_before[1:] = previous[:-1]
 
-    set_ids = seq % num_sets
-    floor = np.zeros(n, dtype=index)
-    floor[1:] = np.where(set_ids[1:] != set_ids[:-1], position[1:], 0)
-    np.maximum.accumulate(floor, out=floor)
-    floor -= 1
-    del seq, set_ids
-
-    recent = position - 1  # A_1
-    before = np.empty(n, dtype=index)
-    for _ in range(ways - 1):
-        before[0] = -1
-        before[1:] = recent[:-1]
-        recent = np.where(previous_before < before, before, floor)
-        np.maximum.accumulate(recent, out=recent)
-    hits[order] = previous >= recent
+    distinct = np.bincount(sets[previous < 0], minlength=num_sets)
+    crowded = distinct > ways
+    set_hits = previous >= 0
+    if np.array_equal(crowded, distinct > 0):
+        set_hits = _crowded_hits(previous, ways)
+    elif crowded.any():
+        at = np.flatnonzero(crowded[sets]).astype(previous.dtype)
+        # Shift each crowded set's positions down by the references to
+        # the uncrowded sets before it; p(i) stays in the same set.
+        shift = at - np.arange(len(at), dtype=at.dtype)
+        set_hits[at] = _crowded_hits(previous[at] - shift, ways)
+    hits[order] = set_hits
     return hits
+
+
+def _stable_order(keys: np.ndarray, bound: int):
+    """``(order, keys[order])`` for the stable sort of ``keys``, integers
+    in ``[0, bound)``; ``keys`` may be overwritten.
+
+    Packing each key with its position, ``(key << b) | position``, makes
+    every key distinct, so an unstable ``np.sort`` of the packed values
+    (a SIMD sort) gives exactly the stable order.  Only when the packed
+    values would not fit in 63 bits does it fall back to a stable
+    ``np.argsort``.  ``order`` is int32 up to ``2**30`` keys.
+    """
+    n = len(keys)
+    index = np.int32 if n <= 2**30 else np.int64
+    bits = max(1, (n - 1).bit_length())
+    width = (bound - 1).bit_length() + bits
+    if width > 63:
+        order = np.argsort(keys, kind="stable")
+        return order.astype(index), keys[order]
+    packed_type = np.uint32 if width <= 32 else np.int64
+    packed = keys.astype(packed_type, copy=False)
+    packed <<= bits
+    packed |= np.arange(n, dtype=packed_type)
+    packed.sort()
+    order = (packed & ((1 << bits) - 1)).astype(index)
+    packed >>= bits
+    return order, packed
+
+
+def _crowded_hits(previous: np.ndarray, ways: int) -> np.ndarray:
+    """Steps 3-4 of :func:`lru_hits`: the hit mask of references laid out
+    set by set, ``previous`` holding each one's ``p`` (below -1 if none).
+
+    The levels hold ``A_k + 1``, which is never negative.  The rule then
+    takes ``A_{k-1}(i-1) + 1`` where ``p(i-1) < A_{k-1}(i-1)`` and 0
+    elsewhere -- one multiply by the comparison -- and 0 leaves the
+    running maximum at ``A_k(i-1) + 1``.
+    """
+    n = len(previous)
+    earlier = previous[:-1] + 1
+    recent = np.arange(n, dtype=previous.dtype)  # A_1 + 1
+    level = np.zeros(n, dtype=previous.dtype)
+    moved = np.empty(n - 1, dtype=bool)
+    for _ in range(ways - 1):
+        np.less(earlier, recent[:-1], out=moved)
+        np.multiply(recent[:-1], moved, out=level[1:])
+        np.maximum.accumulate(level, out=level)
+        recent, level = level, recent
+    recent -= 1
+    return previous >= recent
 
 
 def lru_hits_full(lines: Sequence[int], entries: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from repro.datagen.table import ProfSearchResumes
 from repro.stacks.base import KernelTraits, Meter, WorkloadResult
 from repro.stacks.hadoop import Hadoop, MapReduceJob
 from repro.stacks.hbase import HBase
-from repro.stacks.mpi import MpiRuntime
 from repro.stacks.spark import Spark
 from repro.stacks.sql import HiveEngine, ImpalaEngine, Query, SharkEngine
 from repro.workloads.kernels import wiki_documents
@@ -135,56 +134,6 @@ def hadoop_bfs(
     result.meter.merge(probe)
     result.output = {"reached": len(distances)}
     return result
-
-
-def mpi_bfs(
-    scale: float = 1.0, cluster: Optional[Cluster] = None, seed: int = 0
-) -> WorkloadResult:
-    """M-BFS: frontier exchange per superstep."""
-    adjacency = _pagerank_graph(scale, seed)
-    nodes = sorted(adjacency)
-    n_ranks = 6
-    shards = [set(nodes[r::n_ranks]) for r in range(n_ranks)]
-
-    source = _bfs_source(adjacency)
-
-    def program(rank, comm, data, meter):
-        my_nodes = shards[rank]
-        visited = {source} if source in my_nodes else set()
-        frontier = set(visited)
-        for _level in range(12):
-            next_frontier = set()
-            edges = 0
-            for node in sorted(frontier):
-                for neighbor in adjacency.get(node, ()):
-                    edges += 1
-                    next_frontier.add(neighbor)
-            meter.ops(hash=float(2 * edges + len(next_frontier)), compare=float(edges))
-            merged = yield comm.allreduce(
-                sorted(next_frontier), lambda a, b: sorted(set(a) | set(b))
-            )
-            frontier = {
-                node
-                for node in merged
-                if node in my_nodes and node not in visited
-            }
-            visited |= frontier
-            if not any(merged):
-                break
-        return len(visited)
-
-    runtime = MpiRuntime(n_ranks=n_ranks)
-    partitions = [[(n, adjacency[n]) for n in sorted(shard)] for shard in shards]
-    return runtime.run(
-        name="M-BFS",
-        program=program,
-        partitions=partitions,
-        kernel=BFS_KERNEL,
-        state_bytes=_graph_state_bytes(adjacency),
-        state_fraction=0.08,
-        stream_fraction=0.004,
-        cluster=cluster,
-    )
 
 
 def spark_connected_components(

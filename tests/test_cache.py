@@ -117,11 +117,16 @@ def lru_cases(draw, max_sets=24, max_ways=16):
     """(trace, num_sets, ways): random geometry, including set counts that
     are not powers of two, and traces mixing immediate repeats, random
     reuse (at depths around the associativity, or far beyond it) and
-    cyclic scans just under and over the cache's capacity."""
+    cyclic scans just under and over the cache's capacity.  Lines sit
+    above a base; when ``spread``, only every other reference does, so
+    the trace holds both ``x`` and ``x + base`` (with ``1 << 40`` and
+    ``1 << 62`` the kernel's line sort then packs into int64, or cannot
+    pack into 63 bits at all)."""
     num_sets = draw(st.integers(1, max_sets))
     ways = draw(st.integers(1, max_ways))
     capacity = num_sets * ways
-    base = draw(st.sampled_from([0, 7, 1 << 40]))
+    base = draw(st.sampled_from([0, 7, 1 << 40, 1 << 62]))
+    spread = draw(st.booleans())
     kind = draw(st.sampled_from(["near", "wide", "scan"]))
     if kind == "scan":
         period = max(1, capacity + draw(st.integers(-2, 2)))
@@ -138,7 +143,11 @@ def lru_cases(draw, max_sets=24, max_ways=16):
             max_size=250,
         ))
         lines = [line for line, repeat in refs for _ in range(repeat)]
-    return [base + line for line in lines], num_sets, ways
+    if spread:
+        lines = [line + base * (i % 2) for i, line in enumerate(lines)]
+    else:
+        lines = [base + line for line in lines]
+    return lines, num_sets, ways
 
 
 class TestLruKernel:
@@ -182,6 +191,22 @@ class TestLruKernel:
         lines = (letters * n_traces + np.arange(n_traces)[:, None]).ravel()
         expected = oracle_hits(lines, n_traces, ways)
         assert lru_hits(lines, n_traces, ways).tolist() == expected
+
+    @pytest.mark.parametrize("num_sets, ways", [(12, 16), (12, 4), (5, 2)])
+    def test_crowded_and_uncrowded_sets_in_one_call(self, num_sets, ways):
+        """L3's shape (a set count that is not a power of two): the odd
+        sets receive more distinct lines than they have ways, the even
+        ones at most ``ways`` (some none), and the references
+        interleave."""
+        rng = np.random.default_rng(num_sets * ways)
+        per_set = [3 * ways + 1 if s % 2 else ways - s % 3
+                   for s in range(num_sets)]
+        universe = np.array([s + num_sets * tag for s in range(num_sets)
+                             for tag in range(per_set[s])])
+        trace = universe[rng.zipf(1.3, size=4000) % len(universe)]
+        trace = np.concatenate([universe, trace])
+        assert lru_hits(trace, num_sets, ways).tolist() == oracle_hits(
+            trace, num_sets, ways)
 
     def test_direct_mapped_hits_only_on_repeats(self):
         trace = [0, 0, 4, 0, 1, 1, 5, 1]

@@ -11,12 +11,12 @@ from repro.workloads.extra import (
     hive_aggregation,
     hive_join,
     impala_aggregation,
-    mpi_bfs,
     spark_bfs,
     spark_connected_components,
     spark_index,
 )
 from repro.workloads.kernels import wiki_documents
+from repro.workloads.ml import mpi_pagerank
 
 SCALE = 0.25
 
@@ -27,10 +27,6 @@ class TestGraphOperations:
         hadoop = hadoop_bfs(scale=SCALE)
         assert spark.output["reached"] == hadoop.output["reached"]
         assert spark.output["reached"] > 1
-
-    def test_mpi_bfs_visits_nodes(self):
-        result = mpi_bfs(scale=SCALE)
-        assert sum(result.output) > 0
 
     def test_connected_components_positive(self):
         result = spark_connected_components(scale=SCALE)
@@ -100,7 +96,7 @@ class TestStackFingerprints:
     @pytest.mark.parametrize(
         "runner,min_kb,max_kb",
         [
-            (mpi_bfs, 64, 512),
+            (mpi_pagerank, 64, 512),
             (spark_bfs, 512, 2048),
             (hadoop_bfs, 512, 2048),
         ],
