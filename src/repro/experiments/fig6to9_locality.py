@@ -4,7 +4,8 @@ The paper's simulator configuration: Atom-like in-order single core,
 8-way L1 with 64-byte lines, L1 size swept from 16 KB to 8192 KB;
 Hadoop workloads sampled in five segments (Map 0-1%, Map 50-51%,
 Map 99-100%, Reduce 0-1%, Reduce 99-100%) and compared against PARSEC
-(simsmall) and, for Figure 9, the MPI versions.
+(simsmall) and, for Figure 9, the MPI versions.  Here each Hadoop run
+is swept once per phase (see :func:`run`).
 
 Expected shapes:
 
@@ -78,10 +79,12 @@ class LocalityResult:
 def run(context: ExperimentContext, trace_refs: int = 40_000) -> LocalityResult:
     """Regenerate Figures 6-9.
 
-    Hadoop workloads are simulated per the paper's five-segment rule:
-    each run is sampled at Map 0-1% / 50-51% / 99-100% and Reduce
-    0-1% / 99-100%, and the per-segment sweeps are combined as a
-    weighted mean (:meth:`CacheSweepSimulator.weighted_curve`).
+    Each Hadoop run's map and reduce profiles are swept once each and
+    combined by :meth:`CacheSweepSimulator.weighted_curve`, weighted by
+    the phases' instruction counts.  The paper's five points (three in
+    Map, two in Reduce, each weighted by its share of its phase) give
+    the same mean, because the engine is stationary within a phase: the
+    points of one phase would sweep the same profile.
     """
     simulator = CacheSweepSimulator(trace_refs=trace_refs)
 
@@ -104,20 +107,14 @@ def run(context: ExperimentContext, trace_refs: int = 40_000) -> LocalityResult:
         return [one_curve(profile, kind) for profile in profiles]
 
     def hadoop_curves(kind: str) -> List[SweepResult]:
-        """One five-segment weighted curve per Hadoop workload."""
-        results = []
-        for result in hadoop_results:
-            if result.segments:
-                parts = [
-                    (one_curve(profile, kind), weight)
-                    for profile, weight in result.segments
-                ]
-                results.append(
-                    CacheSweepSimulator.weighted_curve(result.name, parts)
-                )
-            else:
-                results.append(one_curve(result.profile, kind))
-        return results
+        """One phase-weighted curve per Hadoop workload."""
+        return [
+            CacheSweepSimulator.weighted_curve(result.name, [
+                (one_curve(profile, kind), weight)
+                for profile, weight in result.segments
+            ])
+            for result in hadoop_results
+        ]
 
     instruction = {}
     data = {}

@@ -485,11 +485,13 @@ class WorkloadResult:
         meter: The merged meter (data-flow volumes for §3.2.2).
         system: Cluster system metrics (None for unclustered runs).
         elapsed: Simulated wall-clock seconds (None for unclustered runs).
-        segments: Optional per-phase (profile, weight) samples — the
-            paper's §5.4 study samples Hadoop runs at five execution
-            points (Map 0-1%, Map 50-51%, Map 99-100%, Reduce 0-1%,
-            Reduce 99-100%) and takes the weighted mean of the segment
-            simulations.
+        segments: Optional per-phase ``(profile, weight)`` samples, one
+            per phase, each weighted by the phase's instruction count.
+            The paper's §5.4 study samples Hadoop runs at five points
+            (Map 0-1%, 50-51% and 99-100%; Reduce 0-1% and 99-100%) and
+            takes the weighted mean of their simulations; behaviour here
+            is stationary within a phase, so one sample per phase gives
+            the same mean.
     """
 
     name: str

@@ -206,7 +206,7 @@ class Hadoop(SoftwareStack):
             threads=6,
         )
 
-        # ---- Phase segments (the §5.4 five-segment sampling) ----------------
+        # ---- Phase segments (one sample per phase, §5.4) -------------------
         segments = self._phase_segments(job, map_task_stats, reduce_task_stats)
 
         # ---- Cluster simulation --------------------------------------------
@@ -229,33 +229,26 @@ class Hadoop(SoftwareStack):
         )
 
     def _phase_segments(self, job, map_stats, reduce_stats):
-        """(profile, weight) samples per the paper's five segments.
+        """One ``(profile, weight)`` sample per phase: ``<job>/map`` and
+        ``<job>/reduce``, each weighted by the phase's instruction count
+        (kernel + framework).
 
-        Map-phase and reduce-phase meters yield distinct profiles; the
-        paper samples each phase at its start, middle and end (maps) and
-        start/end (reduces), weighting by the phase's instruction share.
-        The per-phase behaviour in this engine is stationary within a
-        phase, so the three map samples share the map profile.
+        The paper samples Map at three points and Reduce at two, each
+        point weighted by its share of its phase.  This engine is
+        stationary within a phase, so those points share one profile and
+        their weighted mean equals this one sample per phase.
         """
-        map_meter = Meter()
-        for stats in map_stats:
-            map_meter.merge(stats["meter"])
-        reduce_meter = Meter()
-        for stats in reduce_stats:
-            reduce_meter.merge(stats["meter"])
         segments = []
-        for phase_meter, sample_points in (
-            (map_meter, ("map-0%", "map-50%", "map-99%")),
-            (reduce_meter, ("reduce-0%", "reduce-99%")),
-        ):
-            if phase_meter.kernel_mix().total <= 0 and (
-                self.traits.framework_instructions(phase_meter) <= 0
-            ):
-                continue
+        for phase, stats in (("map", map_stats), ("reduce", reduce_stats)):
+            phase_meter = Meter()
+            for task in stats:
+                phase_meter.merge(task["meter"])
             weight = (
                 phase_meter.kernel_mix().total
                 + self.traits.framework_instructions(phase_meter)
-            ) / len(sample_points)
+            )
+            if weight <= 0:
+                continue
             state_bytes = (
                 job.state_bytes(phase_meter)
                 if callable(job.state_bytes)
@@ -269,15 +262,14 @@ class Hadoop(SoftwareStack):
                 stream_fraction=job.stream_fraction,
             )
             phase_profile = build_profile(
-                name=f"{job.name}/{sample_points[0].split('-')[0]}",
+                name=f"{job.name}/{phase}",
                 meter=phase_meter,
                 stack=self.traits,
                 kernel=job.kernel,
                 data=data,
                 threads=6,
             )
-            for _point in sample_points:
-                segments.append((phase_profile, weight))
+            segments.append((phase_profile, weight))
         return segments
 
     # ------------------------------------------------------------------

@@ -37,7 +37,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.uarch.cache import lru_hits, lru_hits_full
+from repro.uarch.cache import _stable_order, lru_hits, lru_hits_full
 from repro.uarch.profile import BranchProfile
 
 
@@ -69,16 +69,8 @@ def _hash_pc(pc):
 def _segments(keys: np.ndarray):
     """Stable sort by non-negative integer key: the order, the sorted keys,
     each element's rank in its run of equal keys, and a mask of the last
-    element of each run.  Keys below ``2**32`` sort as two 16-bit passes,
-    since NumPy radix-sorts only keys of 16 bits or less."""
-    if len(keys) == 0 or keys.max() >= 1 << 32:
-        order = np.argsort(keys, kind="stable")
-    else:
-        order = np.argsort(keys.astype(np.uint16), kind="stable")
-        high = (keys >> 16).astype(np.uint16)
-        if high.any():
-            order = order[np.argsort(high[order], kind="stable")]
-    keys = keys[order]
+    element of each run.  Sorts a copy: callers reuse their keys."""
+    order, keys = _stable_order(keys.copy(), int(keys.max(initial=0)) + 1)
     last = np.ones(len(keys), dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=last[:-1])
     position = np.arange(len(keys))

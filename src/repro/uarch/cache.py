@@ -270,8 +270,12 @@ def lru_hits_full(lines: Sequence[int], entries: int) -> np.ndarray:
     """
     lines = np.asarray(lines, dtype=np.int64)
     n = len(lines)
-    by_line = np.argsort(lines, kind="stable")
-    repeat = np.flatnonzero(lines[by_line[1:]] == lines[by_line[:-1]]) + 1
+    if n == 0:
+        return np.ones(0, dtype=bool)
+    keys = lines - lines.min()
+    by_line, keys = _stable_order(keys, int(keys.max()) + 1)
+    repeat = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+    del keys
     previous = np.full(n, -1, dtype=np.int64)
     previous[by_line[repeat]] = by_line[repeat - 1]
     hits = previous >= 0

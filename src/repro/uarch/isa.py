@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 
 class InstructionClass(enum.Enum):
@@ -171,43 +171,3 @@ def data_movement_with_branches(mix: InstructionMix, breakdown: IntBreakdown) ->
     """The paper's headline "up to 92%" statistic: data movement share plus
     branch instructions."""
     return data_movement_share(mix, breakdown) + mix.ratio(InstructionClass.BRANCH)
-
-
-def combine_breakdowns(
-    parts: Iterable[tuple[IntBreakdown, float]],
-) -> IntBreakdown:
-    """Weighted combination of integer breakdowns.
-
-    ``parts`` is an iterable of ``(breakdown, integer_instruction_count)``
-    pairs; the result is the breakdown of the pooled integer instructions.
-    """
-    total_weight = 0.0
-    int_addr = fp_addr = other = 0.0
-    for breakdown, weight in parts:
-        if weight < 0:
-            raise ValueError("weights must be non-negative")
-        total_weight += weight
-        int_addr += breakdown.int_addr * weight
-        fp_addr += breakdown.fp_addr * weight
-        other += breakdown.other * weight
-    if total_weight == 0:
-        raise ValueError("cannot combine breakdowns with zero total weight")
-    return IntBreakdown(
-        int_addr=int_addr / total_weight,
-        fp_addr=fp_addr / total_weight,
-        other=other / total_weight,
-    )
-
-
-def validate_mix_mapping(mapping: Mapping[str, float]) -> Dict[InstructionClass, float]:
-    """Validate a string-keyed mix mapping and convert keys to classes.
-
-    Raises ``ValueError`` for unknown class names or negative counts.
-    """
-    result: Dict[InstructionClass, float] = {}
-    for name, value in mapping.items():
-        kind = InstructionClass(name)
-        if value < 0:
-            raise ValueError(f"count for {name} must be non-negative")
-        result[kind] = float(value)
-    return result

@@ -15,15 +15,10 @@ mechanistic models of the same software, and the "PMU" is a simulator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import List, Sequence
+from dataclasses import dataclass, field
+from typing import List
 
-from repro.uarch.isa import (
-    InstructionClass,
-    InstructionMix,
-    IntBreakdown,
-    combine_breakdowns,
-)
+from repro.uarch.isa import InstructionMix, IntBreakdown
 
 #: Cache line size used throughout (matches the paper's MARSSx86 config).
 LINE_BYTES = 64
@@ -91,18 +86,6 @@ class CodeFootprint:
         """Region fetch weights normalised to sum to 1."""
         total = sum(r.weight for r in self.regions)
         return [r.weight / total for r in self.regions]
-
-    def merged_with(self, other: "CodeFootprint") -> "CodeFootprint":
-        """Union of two footprints (e.g. kernel + framework)."""
-        return CodeFootprint(regions=list(self.regions) + list(other.regions))
-
-    def scaled_weights(self, factor: float) -> "CodeFootprint":
-        """Return a copy with every region weight multiplied by ``factor``."""
-        if factor < 0:
-            raise ValueError("weight factor must be non-negative")
-        return CodeFootprint(
-            regions=[replace(r, weight=r.weight * factor) for r in self.regions]
-        )
 
 
 @dataclass(frozen=True)
@@ -288,95 +271,3 @@ class BehaviorProfile:
             raise ValueError("offcore_write_share must be in [0, 1]")
         if not 0.0 <= self.snoop_hitm_rate <= 1.0:
             raise ValueError("snoop_hitm_rate must be in [0, 1]")
-
-
-def merge_profiles(name: str, parts: Sequence[BehaviorProfile]) -> BehaviorProfile:
-    """Merge phase profiles into a whole-run profile.
-
-    Used to combine e.g. map/shuffle/reduce phases, weighting every
-    statistical component by each phase's dynamic instruction count.
-    """
-    if not parts:
-        raise ValueError("cannot merge zero profiles")
-    total_instructions = sum(p.instructions for p in parts)
-    mix = InstructionMix()
-    for part in parts:
-        mix += part.mix
-
-    weights = [p.instructions / total_instructions for p in parts]
-
-    def wavg(values: Sequence[float]) -> float:
-        return sum(w * v for w, v in zip(weights, values))
-
-    int_weights = [p.mix.counts[InstructionClass.INTEGER] for p in parts]
-    breakdown = combine_breakdowns(
-        [(p.int_breakdown, max(w, 1e-9)) for p, w in zip(parts, int_weights)]
-    )
-
-    code = parts[0].code
-    for part, weight in zip(parts[1:], weights[1:]):
-        code = code.merged_with(part.code.scaled_weights(weight / max(weights[0], 1e-9)))
-
-    hot_fraction = wavg([p.data.hot_fraction for p in parts])
-    state_fraction = wavg([p.data.state_fraction for p in parts])
-    if hot_fraction + state_fraction > 1.0:
-        scale = 1.0 / (hot_fraction + state_fraction)
-        hot_fraction *= scale
-        state_fraction *= scale
-    data = DataFootprint(
-        stream_bytes=int(sum(p.data.stream_bytes for p in parts)),
-        state_bytes=int(max(p.data.state_bytes for p in parts)),
-        state_fraction=state_fraction,
-        hot_bytes=int(max(p.data.hot_bytes for p in parts)),
-        hot_fraction=hot_fraction,
-        stream_reuse=wavg([p.data.stream_reuse for p in parts]),
-        state_zipf=wavg([p.data.state_zipf for p in parts]),
-    )
-
-    branch_parts = [p.branches for p in parts]
-    branches = BranchProfile(
-        loop_fraction=wavg([b.loop_fraction for b in branch_parts]),
-        pattern_fraction=wavg([b.pattern_fraction for b in branch_parts]),
-        data_dependent_fraction=wavg(
-            [b.data_dependent_fraction for b in branch_parts]
-        ),
-        taken_prob=wavg([b.taken_prob for b in branch_parts]),
-        loop_trip=max(2, int(round(wavg([b.loop_trip for b in branch_parts])))),
-        pattern_period=max(
-            2, int(round(wavg([b.pattern_period for b in branch_parts])))
-        ),
-        indirect_fraction=wavg([b.indirect_fraction for b in branch_parts]),
-        indirect_targets=max(
-            1, int(round(wavg([b.indirect_targets for b in branch_parts])))
-        ),
-        static_sites=max(b.static_sites for b in branch_parts),
-    )
-
-    # Re-normalise the branch kind fractions against float drift.
-    kind_total = (
-        branches.loop_fraction
-        + branches.pattern_fraction
-        + branches.data_dependent_fraction
-    )
-    branches = replace(
-        branches,
-        loop_fraction=branches.loop_fraction / kind_total,
-        pattern_fraction=branches.pattern_fraction / kind_total,
-        data_dependent_fraction=branches.data_dependent_fraction / kind_total,
-    )
-
-    return BehaviorProfile(
-        name=name,
-        mix=mix,
-        int_breakdown=breakdown,
-        code=code,
-        data=data,
-        branches=branches,
-        ilp=wavg([p.ilp for p in parts]),
-        instructions=total_instructions,
-        fp_ops=sum(p.fp_ops for p in parts),
-        bytes_processed=sum(p.bytes_processed for p in parts),
-        threads=max(p.threads for p in parts),
-        offcore_write_share=wavg([p.offcore_write_share for p in parts]),
-        snoop_hitm_rate=wavg([p.snoop_hitm_rate for p in parts]),
-    )

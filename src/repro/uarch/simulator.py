@@ -8,10 +8,13 @@ streams of :mod:`repro.uarch.trace` through the exact LRU kernel
 :func:`repro.uarch.cache.lru_hits`, once per swept size: the first half
 of each trace warms the cache, the second half is measured.
 
-Workloads may be simulated in *segments* (the paper samples Hadoop
-executions at Map 0-1%, Map 50-51%, Map 99-100%, Reduce 0-1% and
-Reduce 99-100% and takes the weighted mean); pass several profiles with
-weights to :meth:`CacheSweepSimulator.weighted_curve`.
+Workloads may be simulated in *segments*: sweep each segment's profile
+once and combine the curves with
+:meth:`CacheSweepSimulator.weighted_curve`.  The paper samples Hadoop
+executions at Map 0-1%, 50-51% and 99-100% and at Reduce 0-1% and
+99-100% and takes the weighted mean.  A mean over equal curves is that
+curve, so points of one stationary phase collapse into one segment
+carrying the phase's whole weight.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ class CacheSweepSimulator:
     def weighted_curve(
         name: str, parts: Sequence[Tuple[SweepResult, float]]
     ) -> SweepResult:
-        """Weighted mean of segment curves (the paper's five-segment rule)."""
+        """Weighted mean of segment curves (the paper's §5.4 sampling)."""
         if not parts:
             raise ValueError("need at least one segment")
         sizes = parts[0][0].sizes_kb

@@ -169,6 +169,16 @@ class TestLocality:
         at_2mb = result.sizes_kb.index(2048)
         assert abs(hadoop[at_2mb] - parsec[at_2mb]) < 0.06
 
+    def test_one_sample_per_hadoop_phase(self, ctx):
+        # A phase is stationary, so one sample carrying the phase's whole
+        # instruction count stands for the paper's points in that phase.
+        for workload_id in fig6to9_locality.HADOOP_WORKLOADS:
+            segments = ctx.result(workload_id).segments
+            assert [profile.name for profile, _ in segments] == [
+                f"{workload_id}/map", f"{workload_id}/reduce"]
+            for profile, weight in segments:
+                assert weight == pytest.approx(profile.instructions, rel=1e-12)
+
     def test_curves_monotone(self, result):
         # Each swept size doubles the set count at fixed associativity,
         # so LRU inclusion makes every curve exactly non-increasing.

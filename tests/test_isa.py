@@ -10,10 +10,8 @@ from repro.uarch.isa import (
     InstructionClass,
     InstructionMix,
     IntBreakdown,
-    combine_breakdowns,
     data_movement_share,
     data_movement_with_branches,
-    validate_mix_mapping,
 )
 
 
@@ -106,16 +104,6 @@ class TestIntBreakdown:
         with pytest.raises(ValueError):
             IntBreakdown(1.2, -0.1, -0.1)
 
-    def test_combine_weighted(self):
-        a = IntBreakdown(0.8, 0.1, 0.1)
-        b = IntBreakdown(0.4, 0.3, 0.3)
-        combined = combine_breakdowns([(a, 3.0), (b, 1.0)])
-        assert math.isclose(combined.int_addr, 0.7)
-
-    def test_combine_rejects_zero_weight(self):
-        with pytest.raises(ValueError):
-            combine_breakdowns([(IntBreakdown(0.5, 0.3, 0.2), 0.0)])
-
 
 class TestDataMovement:
     def test_headline_statistic(self):
@@ -129,11 +117,3 @@ class TestDataMovement:
         assert 0.65 < movement < 0.75
         with_branches = data_movement_with_branches(mix, breakdown)
         assert 0.85 < with_branches < 0.95
-
-    def test_validate_mix_mapping_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            validate_mix_mapping({"bogus": 1.0})
-
-    def test_validate_mix_mapping_rejects_negative(self):
-        with pytest.raises(ValueError):
-            validate_mix_mapping({"load": -1.0})

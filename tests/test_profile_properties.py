@@ -1,114 +1,9 @@
-"""Property-based tests for profile composition and merging."""
-
-import math
+"""Property-based tests for merging meters."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.stacks.base import Meter
-from repro.uarch.isa import InstructionClass, InstructionMix, IntBreakdown
-from repro.uarch.profile import (
-    BehaviorProfile,
-    BranchProfile,
-    CodeFootprint,
-    CodeRegion,
-    DataFootprint,
-    merge_profiles,
-)
-
-
-def make_profile(name, instructions, state_fraction=0.05, ilp=2.0,
-                 loop=0.4, datadep=0.5):
-    pattern = 1.0 - loop - datadep
-    return BehaviorProfile(
-        name=name,
-        mix=InstructionMix.from_ratios(
-            instructions, load=0.25, store=0.1, branch=0.2, integer=0.38,
-            fp=0.02, other=0.05,
-        ),
-        int_breakdown=IntBreakdown(0.6, 0.2, 0.2),
-        code=CodeFootprint(
-            [CodeRegion("kernel", 16 * 1024, weight=1.0)]
-        ),
-        data=DataFootprint(
-            stream_bytes=1024 * 1024, state_bytes=512 * 1024,
-            state_fraction=state_fraction,
-            hot_fraction=0.9 - state_fraction,
-        ),
-        branches=BranchProfile(
-            loop_fraction=loop, pattern_fraction=pattern,
-            data_dependent_fraction=datadep, static_sites=128,
-        ),
-        ilp=ilp,
-        instructions=instructions,
-    )
-
-
-class TestMergeProfiles:
-    @given(
-        st.floats(min_value=1e3, max_value=1e8),
-        st.floats(min_value=1e3, max_value=1e8),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_instructions_additive(self, a_instr, b_instr):
-        merged = merge_profiles(
-            "m", [make_profile("a", a_instr), make_profile("b", b_instr)]
-        )
-        assert merged.instructions == pytest.approx(a_instr + b_instr)
-
-    @given(
-        st.floats(min_value=1.0, max_value=3.9),
-        st.floats(min_value=1.0, max_value=3.9),
-        st.floats(min_value=1e3, max_value=1e6),
-        st.floats(min_value=1e3, max_value=1e6),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_ilp_between_parts(self, ilp_a, ilp_b, instr_a, instr_b):
-        merged = merge_profiles(
-            "m",
-            [
-                make_profile("a", instr_a, ilp=ilp_a),
-                make_profile("b", instr_b, ilp=ilp_b),
-            ],
-        )
-        assert min(ilp_a, ilp_b) - 1e-9 <= merged.ilp <= max(ilp_a, ilp_b) + 1e-9
-
-    @given(
-        st.floats(min_value=0.1, max_value=0.6),
-        st.floats(min_value=0.1, max_value=0.6),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_branch_fractions_renormalised(self, loop_a, loop_b):
-        merged = merge_profiles(
-            "m",
-            [
-                make_profile("a", 1e5, loop=loop_a, datadep=0.3),
-                make_profile("b", 1e5, loop=loop_b, datadep=0.3),
-            ],
-        )
-        total = (
-            merged.branches.loop_fraction
-            + merged.branches.pattern_fraction
-            + merged.branches.data_dependent_fraction
-        )
-        assert math.isclose(total, 1.0, abs_tol=1e-9)
-
-    def test_mix_ratios_preserved_for_identical_parts(self):
-        part = make_profile("a", 1e5)
-        merged = merge_profiles("m", [part, make_profile("b", 1e5)])
-        assert merged.mix.ratio(InstructionClass.BRANCH) == pytest.approx(
-            part.mix.ratio(InstructionClass.BRANCH)
-        )
-
-    def test_empty_merge_rejected(self):
-        with pytest.raises(ValueError):
-            merge_profiles("m", [])
-
-    def test_single_part_identity_like(self):
-        part = make_profile("a", 5e4)
-        merged = merge_profiles("m", [part])
-        assert merged.instructions == pytest.approx(part.instructions)
-        assert merged.ilp == pytest.approx(part.ilp)
 
 
 class TestMeterMerge:

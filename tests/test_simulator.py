@@ -1,6 +1,7 @@
 """Tests for the MARSSx86-style cache sweep simulator."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.uarch.profile import CodeFootprint, CodeRegion, DataFootprint
 from repro.uarch.simulator import DEFAULT_SIZES_KB, CacheSweepSimulator, SweepResult
@@ -65,6 +66,34 @@ class TestSweep:
         b = SweepResult("b", [16, 32], [0.2, 0.0])
         merged = CacheSweepSimulator.weighted_curve("m", [(a, 3.0), (b, 1.0)])
         assert merged.miss_ratios[0] == pytest.approx(0.35)
+
+    @given(
+        st.lists(
+            st.tuples(
+                # Miss ratios are miss counts over the measured references.
+                st.lists(st.integers(0, 80_000), min_size=3, max_size=3).map(
+                    lambda misses: [m / 80_000 for m in misses]),
+                st.floats(1.0, 1e12),
+            ),
+            min_size=1, max_size=4,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weighted_curve_split_part_unchanged(self, parts, data):
+        # k copies of a curve at weight w/k weigh the same as one at w:
+        # the paper's five points of two stationary phases reduce to one
+        # sample per phase.
+        curves = [(SweepResult(f"p{i}", [16, 32, 64], ratios), weight)
+                  for i, (ratios, weight) in enumerate(parts)]
+        split = data.draw(st.integers(0, len(curves) - 1))
+        k = data.draw(st.integers(2, 5))
+        curve, weight = curves[split]
+        copies = curves[:split] + [(curve, weight / k)] * k + curves[split + 1:]
+        whole = CacheSweepSimulator.weighted_curve("m", curves)
+        pieces = CacheSweepSimulator.weighted_curve("m", copies)
+        assert pieces.miss_ratios == pytest.approx(
+            whole.miss_ratios, rel=1e-12, abs=0)
 
     def test_weighted_curve_grid_mismatch(self):
         a = SweepResult("a", [16, 32], [0.4, 0.2])
