@@ -1,10 +1,10 @@
 """The paper's headline experiment: reduce 77 workloads to 17 (§3, Table 2).
 
-Deploys WCRT (five profilers + one analyzer), characterizes every
-workload in the BigDataBench catalog, normalises the 45-metric matrix
-to a Gaussian distribution, reduces dimensionality with PCA, clusters
-with K-means (K = 17) and selects one centroid-nearest representative
-per cluster.
+Characterizes every workload in the BigDataBench catalog through one
+shared experiment context (the cache every figure reads), normalises
+the 45-metric matrix to a Gaussian distribution, reduces
+dimensionality with PCA, clusters with K-means (K = 17) and selects
+one centroid-nearest representative per cluster.
 
     python examples/workload_reduction.py [--quick]
 
@@ -15,7 +15,11 @@ run time) so the pipeline can be explored interactively.
 import sys
 import time
 
-from repro.core import Wcrt
+import numpy as np
+
+from repro.core import render_pca_scatter
+from repro.experiments import ExperimentContext
+from repro.experiments.table2_reduction import reduce_population
 from repro.workloads import ALL_WORKLOADS
 
 
@@ -24,10 +28,10 @@ def main() -> None:
     population = ALL_WORKLOADS[:30] if quick else ALL_WORKLOADS
     k = 8 if quick else 17
 
-    print(f"characterizing {len(population)} workloads on 5 profilers ...")
+    print(f"characterizing {len(population)} workloads ...")
     start = time.time()
-    wcrt = Wcrt(n_profilers=5, scale=0.4)
-    result = wcrt.reduce(population, k=k)
+    context = ExperimentContext(scale=0.4, seed=0)
+    result = reduce_population(context, population, k=k)
     elapsed = time.time() - start
 
     print(f"\n{result.n_clusters} clusters in {elapsed:.0f}s "
@@ -41,7 +45,11 @@ def main() -> None:
     print("\nPCA retained "
           f"{result.pca.n_components} components explaining "
           f"{100 * result.pca.explained_variance_ratio.sum():.0f}% of variance\n")
-    print(wcrt.analyzer.render_pca_scatter(result))
+    # Cached: re-reading the rows costs nothing.
+    matrix = np.vstack(
+        [context.counters(d).metric_vector() for d in population]
+    )
+    print(render_pca_scatter(result, matrix))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,9 @@ Implications of Big Data Workloads" (Wang, Zhan, Jia, Han; ISPASS 2016).
 
 Top-level convenience re-exports; the subpackages hold the substance:
 
-- :mod:`repro.core` — WCRT (the paper's contribution)
+- :mod:`repro.core` — WCRT's normalise → PCA → K-means reduction (the
+  paper's contribution); :mod:`repro.experiments` feeds it the
+  characterizations
 - :mod:`repro.workloads` — the BigDataBench workload catalog
 - :mod:`repro.stacks` — Hadoop/Spark/MPI/SQL/HBase engines
 - :mod:`repro.uarch` — the simulated PMU and MARSSx86-style sweeps
@@ -15,7 +17,6 @@ Top-level convenience re-exports; the subpackages hold the substance:
 
 __version__ = "1.0.0"
 
-from repro.core import Wcrt
 from repro.uarch import ATOM_D510, XEON_E5645, characterize
 from repro.workloads import (
     ALL_WORKLOADS,
@@ -26,7 +27,6 @@ from repro.workloads import (
 
 __all__ = [
     "__version__",
-    "Wcrt",
     "ATOM_D510",
     "XEON_E5645",
     "characterize",

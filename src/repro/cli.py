@@ -277,10 +277,12 @@ def _fig_pairs(figure: str, context: ExperimentContext):
 
 def _cmd_fig(args) -> int:
     figure = args.figure
+    # Figs 6-9 sweep capacity over traces and read no counters.
     return _experiment(
         args, "fig-locality" if figure == "locality" else f"fig{figure}",
         _FIGURES[figure], kind="figure",
-        pairs=lambda context: _fig_pairs(figure, context),
+        pairs=None if figure == "locality"
+        else lambda context: _fig_pairs(figure, context),
     )
 
 
@@ -288,8 +290,10 @@ def _cmd_table(args) -> int:
     table = args.table
 
     def pairs(context):
-        platforms = [context.xeon] + ([context.atom] if table == "4" else [])
-        return [(d.workload_id, platform) for platform in platforms
+        if table == "2":  # the reduction reads the whole catalog
+            return [(d.workload_id, context.xeon) for d in ALL_WORKLOADS]
+        return [(d.workload_id, platform)
+                for platform in (context.xeon, context.atom)
                 for d in REPRESENTATIVE_WORKLOADS]
 
     return _experiment(
@@ -304,8 +308,7 @@ def _cmd_table(args) -> int:
 def _cmd_reduce(args) -> int:
     return _experiment(
         args, "reduce",
-        lambda context: table2_reduction.run(context, k=args.k,
-                                             seed=args.seed),
+        lambda context: table2_reduction.run(context, k=args.k),
         series=True, config={"k": args.k},
         render=lambda result: "\n".join(
             f"{rep:26s} represents {len(result.reduction.clusters[rep])}"
@@ -1168,7 +1171,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _validate(args)
-        return args.verb.handler(args)
+        status = args.verb.handler(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout early (`repro list | head -1`); any
+        # record is already saved.  Point stdout at devnull so the exit
+        # flush cannot fail again, and exit as a SIGPIPE'd command does.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (UsageError, FaultPlanError) as error:
         # Bad input — malformed replay/fault plans included — is a
         # one-line answer, never a traceback (exit 2).

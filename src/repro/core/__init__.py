@@ -1,19 +1,23 @@
 """WCRT — the Workload Characterization and Reduction Tool (§2.2, §3).
 
-The paper's primary contribution: per-node profilers collect the
-45-metric characterization of every workload; the analyzer normalises
-the metrics to a Gaussian distribution, reduces dimensionality with
-principal component analysis, clusters with K-means, and selects one
-representative workload per cluster — reducing BigDataBench's 77
-workloads to 17.
+The paper's primary contribution: the 45-metric characterization of
+every workload (gathered through
+:class:`repro.experiments.ExperimentContext`) is normalised to a
+Gaussian distribution, reduced in dimensionality with principal
+component analysis and clustered with K-means, and one representative
+workload is selected per cluster — reducing BigDataBench's 77
+workloads to 17
+(:func:`repro.experiments.table2_reduction.reduce_population`).
 """
 
 from repro.core.normalize import gaussian_normalize, NormalizationModel
 from repro.core.pca import PcaModel, fit_pca
 from repro.core.kmeans import KMeansModel, fit_kmeans, choose_k_bic
-from repro.core.subsetting import ReductionResult, reduce_workloads
-from repro.core.profiler import Profiler, ProfileRecord
-from repro.core.analyzer import Analyzer
+from repro.core.subsetting import (
+    ReductionResult,
+    reduce_workloads,
+    render_pca_scatter,
+)
 from repro.core.independent import (
     INDEPENDENT_METRIC_NAMES,
     adjusted_rand_index,
@@ -21,7 +25,6 @@ from repro.core.independent import (
     independent_vector,
     reduce_workloads_independent,
 )
-from repro.core.wcrt import Wcrt
 
 __all__ = [
     "gaussian_normalize",
@@ -33,10 +36,7 @@ __all__ = [
     "choose_k_bic",
     "ReductionResult",
     "reduce_workloads",
-    "Profiler",
-    "ProfileRecord",
-    "Analyzer",
-    "Wcrt",
+    "render_pca_scatter",
     "INDEPENDENT_METRIC_NAMES",
     "adjusted_rand_index",
     "independent_matrix",

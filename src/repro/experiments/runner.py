@@ -8,7 +8,7 @@ one sweep.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.comparison import SUITES
 from repro.obs.registry import RunRecord, build_provenance
@@ -16,6 +16,10 @@ from repro.stacks.base import WorkloadResult
 from repro.uarch.counters import PerfCounters, characterize
 from repro.uarch.platforms import ATOM_D510, XEON_E5645, Platform
 from repro.workloads import MPI_WORKLOADS, REPRESENTATIVE_WORKLOADS, workload
+from repro.workloads.base import WorkloadDefinition
+
+#: A catalog id, or a custom definition keyed by its own id.
+WorkloadRef = Union[str, WorkloadDefinition]
 
 #: Application-category and system-behaviour groupings used by several
 #: figures ("from the application category dimension ...").
@@ -29,6 +33,7 @@ class ExperimentContext:
     def __init__(self, scale: float = 0.5, seed: int = 0):
         self.scale = scale
         self.seed = seed
+        self._definitions: Dict[str, WorkloadDefinition] = {}
         self._results: Dict[str, WorkloadResult] = {}
         self._counters: Dict[tuple, PerfCounters] = {}
         self._suite_counters: Dict[tuple, List[PerfCounters]] = {}
@@ -37,21 +42,40 @@ class ExperimentContext:
         self.timings: Dict[str, float] = {}
 
     # ---- workload layer ---------------------------------------------------
-    def result(self, workload_id: str) -> WorkloadResult:
-        """Functional + profiled execution of one catalog workload."""
-        if workload_id not in self._results:
-            self._results[workload_id] = workload(workload_id).runner(
+    def _definition(self, ref: WorkloadRef) -> WorkloadDefinition:
+        """The definition the cache keys under ``ref``'s id.
+
+        An id names the definition this context already knows by it,
+        else the catalog entry.  A definition whose id is taken by a
+        different definition is refused, so it can never read another
+        workload's cached result.
+        """
+        if isinstance(ref, str):
+            ref = self._definitions.get(ref) or workload(ref)
+        known = self._definitions.setdefault(ref.workload_id, ref)
+        if known != ref:
+            raise ValueError(
+                f"workload id {ref.workload_id!r} is already cached from a "
+                f"different definition"
+            )
+        return ref
+
+    def result(self, ref: WorkloadRef) -> WorkloadResult:
+        """Functional + profiled execution of one workload."""
+        definition = self._definition(ref)
+        if definition.workload_id not in self._results:
+            self._results[definition.workload_id] = definition.runner(
                 scale=self.scale, seed=self.seed
             )
-        return self._results[workload_id]
+        return self._results[definition.workload_id]
 
     def counters(
-        self, workload_id: str, platform: Platform = XEON_E5645
+        self, ref: WorkloadRef, platform: Platform = XEON_E5645
     ) -> PerfCounters:
         """Characterization of one workload on one platform."""
-        key = (workload_id, platform.name)
+        key = (self._definition(ref).workload_id, platform.name)
         if key not in self._counters:
-            profile = self.result(workload_id).profile
+            profile = self.result(ref).profile
             self._counters[key] = characterize(
                 profile, platform, seed=1234 + self.seed
             )
@@ -190,6 +214,7 @@ class ExperimentContext:
             platform = platform_for(
                 "e5645" if counters.platform == XEON_E5645.name else "d510"
             )
+            self._definition(workload(counters.workload))
             self._counters[(counters.workload, platform.name)] = counters
             adopted += 1
         return adopted

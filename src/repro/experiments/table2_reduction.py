@@ -1,22 +1,26 @@
 """Table 2 / §3: the WCRT reduction of the 77 workloads to 17.
 
-Runs the full pipeline (characterize all 77 → normalise → PCA →
-K-means with K = 17 → pick centroid-nearest representatives) and
-compares the resulting cluster structure with Table 2: seventeen
-clusters whose sizes sum to 77, with the paper's representatives (or
-close stack/operation relatives) leading the large clusters.
+Runs the full pipeline (characterize all 77 through the shared
+:class:`ExperimentContext` → normalise → PCA → K-means with K = 17 →
+pick centroid-nearest representatives) and compares the resulting
+cluster structure with Table 2: seventeen clusters whose sizes sum to
+77, with the paper's representatives (or close stack/operation
+relatives) leading the large clusters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Sequence
 
-from repro.core.subsetting import ReductionResult
-from repro.core.wcrt import Wcrt
+import numpy as np
+
+from repro.core.subsetting import ReductionResult, reduce_workloads
 from repro.experiments.runner import ExperimentContext
 from repro.report.tables import render_table
 from repro.workloads import ALL_WORKLOADS, REPRESENTATIVE_WORKLOADS
+from repro.workloads.base import WorkloadDefinition
+
 
 @dataclass
 class ReductionExperimentResult:
@@ -72,12 +76,28 @@ class ReductionExperimentResult:
         return table + summary
 
 
-def run(
-    context: ExperimentContext, k: int = 17, seed: int = 0
-) -> ReductionExperimentResult:
+def reduce_population(
+    context: ExperimentContext,
+    population: Sequence[WorkloadDefinition] = ALL_WORKLOADS,
+    k: int = 17,
+) -> ReductionResult:
+    """Reduce a population on its 45-metric Xeon characterizations.
+
+    Every row is ``context.counters(d).metric_vector()``, so the
+    reduction shares the context's cache and seed with every figure,
+    and a custom definition rides alongside the catalog's.
+    """
+    return reduce_workloads(
+        [d.workload_id for d in population],
+        np.vstack([context.counters(d).metric_vector() for d in population]),
+        k=k,
+        seed=context.seed,
+    )
+
+
+def run(context: ExperimentContext, k: int = 17) -> ReductionExperimentResult:
     """Run the reduction on the full 77-workload catalog."""
-    wcrt = Wcrt(n_profilers=5, scale=context.scale)
-    reduction = wcrt.reduce(ALL_WORKLOADS, k=k, seed=seed)
+    reduction = reduce_population(context, ALL_WORKLOADS, k=k)
 
     result = ReductionExperimentResult(reduction=reduction)
     paper_ids = {d.workload_id for d in REPRESENTATIVE_WORKLOADS}

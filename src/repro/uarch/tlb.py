@@ -92,11 +92,6 @@ class Tlb:
         self._cache.flush()
 
 
-def lines_to_pages(lines: Iterable[int]) -> Iterable[int]:
-    """Convert a cache-line trace to the corresponding page trace."""
-    return (line // LINES_PER_PAGE for line in lines)
-
-
 def tlb_misses(lines: np.ndarray, config: TlbConfig, start: int = 0) -> int:
     """Misses of a cold TLB among the references ``lines[start:]`` of a
     cache-line trace (the first ``start`` references only warm it)."""

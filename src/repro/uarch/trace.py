@@ -221,10 +221,3 @@ def generate_data_trace(
         if counts[kind] > 0:
             trace[kinds == kind] = parts[kind][: counts[kind]]
     return trace
-
-
-def split_for_tlb(trace: np.ndarray) -> np.ndarray:
-    """Downsample a line trace to its page-number sequence."""
-    from repro.uarch.tlb import LINES_PER_PAGE
-
-    return trace // LINES_PER_PAGE

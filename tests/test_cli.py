@@ -1,7 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -158,3 +163,37 @@ class TestCommands:
         trace = json.loads(out.read_text())
         phases = {event["ph"] for event in trace["traceEvents"]}
         assert {"M", "X", "C"} <= phases
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early gets exit 141, not a traceback."""
+
+    @staticmethod
+    def spawn(args, stdout):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__))
+        ))
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro"] + args,
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+        )
+
+    def test_reader_closes_after_one_line(self):
+        proc = self.spawn(["list"], subprocess.PIPE)
+        assert proc.stdout.readline().startswith("workload")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        # Whether the rest of the output fit in the pipe first is a race.
+        assert proc.wait(timeout=60) in (0, 141)
+        assert "Traceback" not in stderr
+
+    def test_closed_pipe_exits_141_after_saving_the_record(self, tmp_path):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        runs = str(tmp_path / "runs")
+        proc = self.spawn(["--runs-dir", runs, "table", "1"], write_end)
+        os.close(write_end)
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert stderr == ""
+        assert any(name.startswith("table1-") for name in os.listdir(runs))

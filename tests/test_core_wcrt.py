@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core import (
-    Analyzer,
     NormalizationModel,
     choose_k_bic,
     fit_kmeans,
     fit_pca,
     gaussian_normalize,
     reduce_workloads,
+    render_pca_scatter,
 )
 from repro.core.kmeans import bic_score
 
@@ -208,76 +208,19 @@ class TestReduceWorkloads:
         assert sizes == sorted(sizes, reverse=True)
 
 
-class TestAnalyzer:
-    def make_record(self, workload_id, seed):
-        from repro.core.profiler import ProfileRecord
-        from repro.uarch.counters import METRIC_NAMES
-
-        rng = np.random.default_rng(seed)
-        return ProfileRecord(
-            workload_id=workload_id,
-            metrics=rng.normal(size=len(METRIC_NAMES)),
-            counters=None,
-        )
-
-    def test_collect_and_matrix(self):
-        analyzer = Analyzer()
-        analyzer.collect_all([self.make_record(f"w{i}", i) for i in range(5)])
-        assert analyzer.n_records == 5
-        assert analyzer.metric_matrix().shape == (5, 45)
-
-    def test_duplicate_rejected(self):
-        analyzer = Analyzer()
-        analyzer.collect(self.make_record("w", 1))
-        with pytest.raises(ValueError):
-            analyzer.collect(self.make_record("w", 2))
-
-    def test_summary(self):
-        analyzer = Analyzer()
-        analyzer.collect_all([self.make_record(f"w{i}", i) for i in range(4)])
-        summary = analyzer.metric_summary()
-        assert set(summary["ipc"]) == {"mean", "std", "min", "max"}
-
-    def test_render_metric_table(self):
-        analyzer = Analyzer()
-        analyzer.collect_all([self.make_record(f"w{i}", i) for i in range(3)])
-        text = analyzer.render_metric_table(["ipc", "l1i_mpki"])
-        assert "w0" in text and "ipc" in text
-
-    def test_render_distribution(self):
-        analyzer = Analyzer()
-        analyzer.collect_all([self.make_record(f"w{i}", i) for i in range(6)])
-        text = analyzer.render_distribution("ipc", bins=4)
-        assert "distribution" in text
-
-    def test_reduce_small_population(self):
-        analyzer = Analyzer()
-        analyzer.collect_all([self.make_record(f"w{i}", i) for i in range(10)])
-        result = analyzer.reduce(k=3, seed=1)
-        assert result.n_clusters == 3
-
-    def test_empty_matrix_raises(self):
-        with pytest.raises(ValueError):
-            Analyzer().metric_matrix()
-
-
 class TestPcaScatter:
-    def make_analyzer(self, n=12):
-        import numpy as np
-        from repro.core.profiler import ProfileRecord
-
+    def make_population(self, n=12):
         rng = np.random.default_rng(1)
-        analyzer = Analyzer()
-        for i in range(n):
-            analyzer.collect(
-                ProfileRecord(f"w{i}", rng.normal(size=45) + (i % 3) * 4, None)
-            )
-        return analyzer
+        names = [f"w{i}" for i in range(n)]
+        matrix = np.vstack(
+            [rng.normal(size=45) + (i % 3) * 4 for i in range(n)]
+        )
+        return names, matrix
 
     def test_scatter_renders_all_points(self):
-        analyzer = self.make_analyzer()
-        reduction = analyzer.reduce(k=3, seed=1)
-        text = analyzer.render_pca_scatter(reduction, width=40, height=12)
+        names, matrix = self.make_population()
+        reduction = reduce_workloads(names, matrix, k=3, seed=1)
+        text = render_pca_scatter(reduction, matrix, width=40, height=12)
         assert "PCA scatter" in text
         assert "legend:" in text
         # Three clusters -> at most three distinct letters on the grid.
@@ -286,6 +229,7 @@ class TestPcaScatter:
         assert 1 <= len(letters) <= 3
 
     def test_scatter_defaults_to_fresh_reduction(self):
-        analyzer = self.make_analyzer()
-        text = analyzer.render_pca_scatter(analyzer.reduce(k=2, seed=0))
+        names, matrix = self.make_population()
+        reduction = reduce_workloads(names, matrix, k=2, seed=0)
+        text = render_pca_scatter(reduction, matrix)
         assert text.count("\n") > 5

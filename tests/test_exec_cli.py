@@ -59,6 +59,17 @@ class TestSweepVerb:
         assert any(k.startswith("H-Grep.e5645.") for k in payload["metrics"])
 
 
+class TestPrimedVerbs:
+    def test_locality_primes_no_counter_cells(self, tmp_path):
+        # Figs 6-9 read no characterizations, so --jobs has nothing to
+        # fan out and no sweep checkpoint is opened.
+        runs = str(tmp_path / "runs")
+        assert main(["--scale", "0.1", "--runs-dir", runs, "fig",
+                     "locality", "--jobs", "2"]) == 0
+        assert not os.path.exists(os.path.join(runs, "sweeps"))
+        assert RunRegistry(runs).latest("fig-locality") is not None
+
+
 class TestTypedExitCodes:
     def test_unknown_workload_in_sweep(self, capsys):
         assert main(["sweep", "--workloads", "NoSuch"]) == 2

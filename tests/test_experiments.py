@@ -1,8 +1,13 @@
 """Integration tests: every experiment regenerates its paper shape."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
+from repro.core import reduce_workloads
 from repro.experiments import (
+    ExperimentContext,
     fig1_instruction_mix,
     fig2_integer_breakdown,
     fig3_ipc,
@@ -13,10 +18,12 @@ from repro.experiments import (
     stack_impact,
     system_behaviors,
     table1_datasets,
+    table2_reduction,
     table4_branch,
     wimpy_core,
 )
 from repro.obs.anchors import FAIL, PASS, anchors_for
+from repro.workloads import ALL_WORKLOADS, workload
 
 
 class TestFig1:
@@ -288,6 +295,74 @@ class TestTable1:
         result = table1_datasets.run()
         assert len(result.rows) == 7
         assert "Table 1" in result.render()
+
+
+class TestTable2:
+    @pytest.fixture(scope="class")
+    def result(self, ctx):
+        return table2_reduction.run(ctx)
+
+    def test_seventeen_clusters_cover_the_catalog(self, result):
+        assert result.n_clusters == 17
+        assert result.members_total == len(ALL_WORKLOADS) == 77
+
+    def test_rows_are_the_context_characterizations(self, ctx, result):
+        names = [d.workload_id for d in ALL_WORKLOADS]
+        matrix = np.vstack([ctx.counters(n).metric_vector() for n in names])
+        reduction = result.reduction
+        assert reduction.names == names
+        np.testing.assert_array_equal(reduction.normalization.mean,
+                                      matrix.mean(axis=0))
+        again = reduce_workloads(names, matrix, k=17, seed=ctx.seed)
+        np.testing.assert_array_equal(reduction.labels, again.labels)
+        assert reduction.representatives == again.representatives
+
+    def test_characterizes_with_the_context_seed(self, monkeypatch):
+        from repro.experiments import runner
+
+        population = [workload(i) for i in
+                      ("H-Grep", "S-Grep", "H-Read", "I-SelectQuery")]
+        monkeypatch.setattr(table2_reduction, "ALL_WORKLOADS", population)
+        seeds = []
+        characterize = runner.characterize
+
+        def spy(profile, platform, seed):
+            seeds.append(seed)
+            return characterize(profile, platform, seed=seed)
+
+        monkeypatch.setattr(runner, "characterize", spy)
+        result = table2_reduction.run(ExperimentContext(scale=0.1, seed=1),
+                                      k=2)
+        assert seeds == [1234 + 1] * len(population)
+        assert result.members_total == len(population)
+
+
+class TestCustomDefinitions:
+    def test_custom_definition_is_cached_under_its_id(self):
+        context = ExperimentContext(scale=0.1)
+        calls = []
+
+        def runner(scale, seed):
+            calls.append(seed)
+            return workload("H-Grep").runner(scale=scale, seed=seed)
+
+        mine = dataclasses.replace(
+            workload("H-Grep"), workload_id="X-Grep", runner=runner
+        )
+        assert context.result(mine) is context.result("X-Grep")
+        assert context.counters(mine) is context.counters("X-Grep")
+        assert calls == [0]
+
+    def test_alias_of_a_cached_id_is_rejected(self):
+        context = ExperimentContext(scale=0.1)
+        context.result("H-Grep")
+        impostor = dataclasses.replace(
+            workload("H-Grep"), runner=workload("S-Grep").runner
+        )
+        with pytest.raises(ValueError, match="H-Grep"):
+            context.counters(impostor)
+        with pytest.raises(ValueError, match="H-Grep"):
+            context.result(impostor)
 
 
 class TestSystemBehaviors:

@@ -121,18 +121,27 @@ def test_no_record_suppresses_registry(tmp_path, monkeypatch, capsys):
 class _ClosedStdout(io.TextIOBase):
     """A stdout whose reader went away (``repro ... | head``)."""
 
+    def __init__(self, sink):
+        self._sink = sink  # the descriptor main() points at devnull
+
+    def fileno(self):
+        return self._sink.fileno()
+
     def write(self, text):
         raise BrokenPipeError(32, "Broken pipe")
 
 
 @pytest.mark.parametrize("verb", CONTRACT_VERBS)
 def test_closed_stdout_cannot_cost_the_record(verb, tmp_path, monkeypatch):
-    # The record is saved before the first write to stdout.
+    # The record is saved before the first write to stdout, and the
+    # command then exits as a SIGPIPE'd one does (128 + 13).
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
     target = tmp_path / "target-runs"
-    with pytest.raises(BrokenPipeError):
-        main(["--runs-dir", str(target)] + _invocation(verb, tmp_path))
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(sink))
+        assert main(
+            ["--runs-dir", str(target)] + _invocation(verb, tmp_path)
+        ) == 141
     assert records_in(str(target))
 
 

@@ -1,12 +1,10 @@
-"""Tests for the task scheduler and the WCRT profiler on real workloads."""
+"""Tests for the task scheduler and the WCRT metric schema."""
 
 import pytest
 
 from repro.cluster import Cluster
-from repro.core.profiler import Profiler
 from repro.stacks.scheduler import TaskDescriptor, run_waves
 from repro.uarch.counters import METRIC_NAMES
-from repro.workloads import workload
 
 
 class TestTaskDescriptor:
@@ -76,36 +74,5 @@ class TestRunWaves:
 
 
 class TestProfilerOnRealWorkloads:
-    @pytest.fixture(scope="class")
-    def record(self):
-        profiler = Profiler(node="node3", scale=0.25)
-        return profiler.profile(workload("H-Grep"))
-
-    def test_record_shape(self, record):
-        assert record.workload_id == "H-Grep"
-        assert record.metrics.shape == (45,)
-        assert record.node == "node3"
-
-    def test_named_metric_lookup(self, record):
-        assert record.metric("ipc") == pytest.approx(
-            record.counters.ipc
-        )
-
-    def test_metric_subset_selection(self):
-        profiler = Profiler(scale=0.25, metric_names=["ipc", "l1i_mpki"])
-        record = profiler.profile(workload("M-Grep"))
-        assert record.metrics.shape == (2,)
-
-    def test_unknown_metric_rejected(self):
-        with pytest.raises(ValueError):
-            Profiler(metric_names=["ipc", "bogus"])
-
-    def test_profile_many(self):
-        profiler = Profiler(scale=0.2)
-        records = profiler.profile_many(
-            [workload("M-Grep"), workload("M-WordCount")]
-        )
-        assert [r.workload_id for r in records] == ["M-Grep", "M-WordCount"]
-
     def test_all_metric_names_covered(self):
         assert len(METRIC_NAMES) == 45

@@ -16,7 +16,6 @@ from repro.uarch.trace import (
     data_line_ranges,
     generate_data_trace,
     generate_fetch_trace,
-    split_for_tlb,
 )
 
 
@@ -137,13 +136,6 @@ class TestDataTrace:
                 stream_bytes=0, state_bytes=0, state_fraction=0.0,
                 hot_bytes=0, hot_fraction=0.0,
             )
-
-
-class TestTlbSplit:
-    def test_page_conversion(self):
-        lines = np.array([0, 63, 64, 127, 128])
-        pages = split_for_tlb(lines)
-        assert list(pages) == [0, 0, 1, 1, 2]
 
 
 @given(st.integers(min_value=100, max_value=5000))

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cluster import Cluster
-from repro.core import Wcrt
+from repro.experiments import ExperimentContext
+from repro.experiments.table2_reduction import reduce_population
 from repro.stacks.base import KernelTraits, WorkloadResult
 from repro.stacks.spark import Spark
 from repro.uarch import XEON_E5645, characterize
@@ -96,8 +97,8 @@ class TestTutorialWorkload:
         from repro.workloads import MPI_WORKLOADS
 
         population += [d for d in MPI_WORKLOADS if d.workload_id == "M-WordCount"]
-        reduction = Wcrt(n_profilers=2, scale=0.3).reduce(
-            population + [mine], k=5
+        reduction = reduce_population(
+            ExperimentContext(scale=0.3, seed=0), population + [mine], k=5
         )
         home = reduction.cluster_of("S-Distinct")
         members = reduction.clusters[home]

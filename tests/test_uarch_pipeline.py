@@ -25,7 +25,6 @@ from repro.uarch.tlb import (
     LINES_PER_PAGE,
     Tlb,
     TlbConfig,
-    lines_to_pages,
     tlb_misses,
 )
 from tests.cache_oracle import (
@@ -96,9 +95,6 @@ class TestTlb:
         warm = tlb.misses
         tlb.run(pages[3:])
         assert tlb_misses(lines, config, start=3) == tlb.misses - warm
-
-    def test_lines_to_pages(self):
-        assert list(lines_to_pages([0, 64, 65])) == [0, 1, 1]
 
 
 class TestPlatforms:
