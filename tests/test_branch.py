@@ -295,6 +295,8 @@ class TestAgainstOracle:
         for n in lengths:
             assert event_tuples(arrays.generate(n)) == oracle_tuples(
                 oracle.oracle_generate(scalar, n))
+        assert (arrays._rng.bit_generator.state
+                == scalar._rng.bit_generator.state)
 
     @given(branch_profiles(), st.integers(0, 2**16), call_lengths)
     @settings(max_examples=30, deadline=None)

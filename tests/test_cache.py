@@ -9,13 +9,17 @@ from hypothesis import given, settings, strategies as st
 from repro.uarch.cache import (
     CacheConfig,
     CacheHierarchy,
-    SetAssociativeCache,
     _count_at_most,
     lru_hits,
     lru_hits_full,
     lru_misses,
 )
-from tests.cache_oracle import ScalarHierarchy, hierarchy_counts, oracle_hits
+from tests.cache_oracle import (
+    ScalarHierarchy,
+    SetAssociativeCache,
+    hierarchy_counts,
+    oracle_hits,
+)
 
 
 def make_cache(size_kb=4, ways=4):

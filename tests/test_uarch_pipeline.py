@@ -21,14 +21,10 @@ from repro.uarch.counters import METRIC_NAMES
 from repro.uarch.isa import InstructionMix, IntBreakdown
 from repro.uarch.pipeline import estimate_mlp, model_pipeline
 from repro.uarch.platforms import Platform
-from repro.uarch.tlb import (
-    LINES_PER_PAGE,
-    Tlb,
-    TlbConfig,
-    tlb_misses,
-)
+from repro.uarch.tlb import LINES_PER_PAGE, TlbConfig, tlb_misses
 from tests.cache_oracle import (
     ScalarHierarchy,
+    Tlb,
     hierarchy_counts,
     oracle_tlb_misses,
 )
