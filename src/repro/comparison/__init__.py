@@ -8,7 +8,7 @@ through the same metering machinery as the big data workloads, with a
 thin native runtime model instead of a big-data software stack.
 """
 
-from repro.comparison.base import NativeBenchmark, run_suite
+from repro.comparison.base import NativeBenchmark
 from repro.comparison.spec import SPECINT, SPECFP
 from repro.comparison.parsec import PARSEC
 from repro.comparison.hpcc import HPCC
@@ -27,7 +27,6 @@ SUITES = {
 
 __all__ = [
     "NativeBenchmark",
-    "run_suite",
     "SPECINT",
     "SPECFP",
     "PARSEC",

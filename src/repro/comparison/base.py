@@ -9,7 +9,7 @@ footprints, no middleware dispatch, loop-dominated branching.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable
 
 from repro.stacks.base import Meter
 from repro.uarch.isa import IntBreakdown
@@ -132,7 +132,3 @@ class NativeBenchmark:
             threads=self.threads,
         )
 
-
-def run_suite(benchmarks: List[NativeBenchmark], scale: float = 1.0):
-    """Profiles for every member of a suite."""
-    return [benchmark.profile(scale) for benchmark in benchmarks]

@@ -13,11 +13,7 @@ workloads to 17
 from repro.core.normalize import gaussian_normalize, NormalizationModel
 from repro.core.pca import PcaModel, fit_pca
 from repro.core.kmeans import KMeansModel, fit_kmeans, choose_k_bic
-from repro.core.subsetting import (
-    ReductionResult,
-    reduce_workloads,
-    render_pca_scatter,
-)
+from repro.core.subsetting import ReductionResult, reduce_workloads
 from repro.core.independent import (
     INDEPENDENT_METRIC_NAMES,
     adjusted_rand_index,
@@ -36,7 +32,6 @@ __all__ = [
     "choose_k_bic",
     "ReductionResult",
     "reduce_workloads",
-    "render_pca_scatter",
     "INDEPENDENT_METRIC_NAMES",
     "adjusted_rand_index",
     "independent_matrix",

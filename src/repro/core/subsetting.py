@@ -115,45 +115,3 @@ def reduce_workloads(
         normalization=normalization,
     )
 
-
-def render_pca_scatter(
-    reduction: ReductionResult,
-    metric_matrix: np.ndarray,
-    width: int = 64,
-    height: int = 20,
-) -> str:
-    """ASCII scatter of the reduced workloads in the first two principal
-    components, labelled by cluster (one letter per cluster).
-
-    ``metric_matrix`` is the raw matrix ``reduction`` was fitted on.
-    """
-    normalized = reduction.normalization.transform(
-        np.asarray(metric_matrix, dtype=float)
-    )
-    projected = reduction.pca.transform(normalized)[:, :2]
-    if projected.shape[1] < 2:
-        # A single retained component: plot it against a zero axis.
-        projected = np.column_stack(
-            [projected[:, 0], np.zeros(projected.shape[0])]
-        )
-    x, y = projected[:, 0], projected[:, 1]
-    x_min, x_max = float(x.min()), float(x.max())
-    y_min, y_max = float(y.min()), float(y.max())
-    x_span = max(1e-9, x_max - x_min)
-    y_span = max(1e-9, y_max - y_min)
-    grid = [[" "] * width for _ in range(height)]
-    letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-    for i in range(len(reduction.names)):
-        column = int((x[i] - x_min) / x_span * (width - 1))
-        row = int((y[i] - y_min) / y_span * (height - 1))
-        cluster = int(reduction.labels[i]) % len(letters)
-        grid[height - 1 - row][column] = letters[cluster]
-    lines = ["PCA scatter (PC1 x PC2), letters = clusters"]
-    lines += ["|" + "".join(row) + "|" for row in grid]
-    label_of = dict(zip(reduction.names, reduction.labels))
-    legend = ", ".join(
-        f"{letters[int(label_of[rep]) % len(letters)]}={rep}"
-        for rep in reduction.representatives[:10]
-    )
-    lines.append(f"legend: {legend}")
-    return "\n".join(lines)

@@ -174,6 +174,12 @@ PAPER_ANCHORS: List[Union[Anchor, Ordering]] = [
              source="Fig. 3 PARSEC IPC above SPECINT"),
     Ordering("fig3", "suite.PARSEC.ipc", "suite.HPCC.ipc",
              source="Fig. 3 HPCC IPC above PARSEC"),
+    # -- §5.1: floating-point capacity (57.6 GFLOPS peak) -------------------
+    Anchor("fig3", "bigdata.gflops", 0.1,
+           source="§5.1 big-data mean GFLOPS (known deviation: the "
+                  "model's big data reads ~2.4x high)"),
+    Ordering("fig3", "bigdata.gflops", "suite.HPCC.gflops",
+             source="§5.1 HPCC GFLOPS above big data"),
     # -- Figure 4: cache MPKI ----------------------------------------------
     Anchor("fig4", "bigdata.l1i_mpki", 15.0, rel_tol=0.35,
            source="Fig. 4 L1I MPKI mean"),
@@ -252,6 +258,18 @@ PAPER_ANCHORS: List[Union[Anchor, Ordering]] = [
     *[Anchor("stacks", f"workload.{workload}.l1i_mpki", mpki,
              source=f"§5.5 {workload} L1I MPKI")
       for workload, mpki in (("H-WordCount", 7.0), ("S-WordCount", 17.0))],
+    Anchor("stacks", "workload.M-WordCount.l2_mpki", 0.8,
+           source="§5.5 M-WordCount L2 MPKI (known deviation: the model's "
+                  "MPI WordCount misses ~3x more)"),
+    Anchor("stacks", "workload.M-WordCount.l3_mpki", 0.1,
+           source="§5.5 M-WordCount L3 MPKI (known deviation: the model's "
+                  "MPI WordCount misses ~2.5x more)"),
+    *[Anchor("stacks", f"workload.{workload}.{metric}_mpki", mpki,
+             source=f"§5.5 {workload} {metric.upper()} MPKI")
+      for workload, metric, mpki in (("H-WordCount", "l2", 8.4),
+                                     ("H-WordCount", "l3", 1.9),
+                                     ("S-WordCount", "l2", 16.0),
+                                     ("S-WordCount", "l3", 2.7))],
     Anchor("stacks", "mpi_avg.ipc", 1.4, source="§5.5 MPI mean IPC"),
     Anchor("stacks", "others_avg.ipc", 1.16,
            source="§5.5 Hadoop/Spark mean IPC"),

@@ -59,22 +59,3 @@ def render_series(
         rows.append([x] + [values[i] for values in series.values()])
     return render_table(headers, rows, title=title, float_format=float_format)
 
-
-def render_grouped_bars(
-    groups: Dict[str, Dict[str, float]],
-    width: int = 40,
-    title: str = "",
-) -> str:
-    """ASCII bar chart: one bar per (group, key) pair."""
-    peak = max(
-        (value for bars in groups.values() for value in bars.values()),
-        default=1.0,
-    )
-    peak = max(peak, 1e-12)
-    lines = [title] if title else []
-    for group, bars in groups.items():
-        lines.append(group)
-        for key, value in bars.items():
-            bar = "#" * int(round(width * value / peak))
-            lines.append(f"  {key:20s} {bar} {value:.3f}")
-    return "\n".join(lines)

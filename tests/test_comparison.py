@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.comparison import SUITES, run_suite
+from repro.comparison import SUITES
 from repro.comparison.base import NativeBenchmark
 from repro.comparison.kernels import (
     dgemm,

@@ -12,7 +12,6 @@ from repro.core import (
     fit_pca,
     gaussian_normalize,
     reduce_workloads,
-    render_pca_scatter,
 )
 from repro.core.kmeans import bic_score
 
@@ -207,29 +206,3 @@ class TestReduceWorkloads:
         sizes = [result.represents(r) for r in result.representatives]
         assert sizes == sorted(sizes, reverse=True)
 
-
-class TestPcaScatter:
-    def make_population(self, n=12):
-        rng = np.random.default_rng(1)
-        names = [f"w{i}" for i in range(n)]
-        matrix = np.vstack(
-            [rng.normal(size=45) + (i % 3) * 4 for i in range(n)]
-        )
-        return names, matrix
-
-    def test_scatter_renders_all_points(self):
-        names, matrix = self.make_population()
-        reduction = reduce_workloads(names, matrix, k=3, seed=1)
-        text = render_pca_scatter(reduction, matrix, width=40, height=12)
-        assert "PCA scatter" in text
-        assert "legend:" in text
-        # Three clusters -> at most three distinct letters on the grid.
-        body = "".join(line.strip("|") for line in text.splitlines()[1:-1])
-        letters = {c for c in body if c.isalpha()}
-        assert 1 <= len(letters) <= 3
-
-    def test_scatter_defaults_to_fresh_reduction(self):
-        names, matrix = self.make_population()
-        reduction = reduce_workloads(names, matrix, k=2, seed=0)
-        text = render_pca_scatter(reduction, matrix)
-        assert text.count("\n") > 5

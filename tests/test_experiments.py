@@ -14,13 +14,11 @@ from repro.experiments import (
     fig4_cache,
     fig5_tlb,
     fig6to9_locality,
-    implications,
     stack_impact,
     system_behaviors,
     table1_datasets,
     table2_reduction,
     table4_branch,
-    wimpy_core,
 )
 from repro.obs.anchors import FAIL, PASS, anchors_for
 from repro.workloads import ALL_WORKLOADS, workload
@@ -93,6 +91,18 @@ class TestFig3:
     def test_ipc_disparities_exist(self, result):
         ipcs = [row[1] for row in result.workload_rows]
         assert max(ipcs) > 2 * min(ipcs)  # "significant disparities"
+
+    # §5.1: big data leaves the FP units idle; HPC does not.
+    def test_bigdata_uses_vanishing_share_of_peak_fp(self, ctx, result):
+        metrics = result.fidelity_metrics()
+        assert metrics["bigdata.fp_utilization"] < 0.05
+        assert metrics["bigdata.fp_utilization"] == (
+            metrics["bigdata.gflops"] / ctx.xeon.peak_gflops
+        )
+
+    def test_hpcc_uses_far_more_fp_than_bigdata(self, result):
+        metrics = result.fidelity_metrics()
+        assert metrics["suite.HPCC.gflops"] > 10 * metrics["bigdata.gflops"]
 
 
 class TestFig4:
@@ -237,6 +247,13 @@ class TestTable4:
     def test_renders(self, result):
         assert "E5645" in result.render()
 
+    # §5.2: every workload is slower on the Atom, by varying factors.
+    def test_atom_slower_on_every_workload(self, result):
+        assert result.fidelity_metrics()["summary.slowdown_min"] > 1.0
+
+    def test_no_one_size_fits_all_core(self, result):
+        assert result.fidelity_metrics()["summary.slowdown_spread"] > 1.3
+
 
 class TestAnchorCoverage:
     def test_every_anchor_names_a_recorded_metric(self, ctx):
@@ -259,35 +276,6 @@ class TestAnchorCoverage:
             missing += [f"{experiment}: {anchor.metric}" for anchor in anchors
                         if anchor.evaluate(metrics)[0] is None]
         assert missing == []
-
-
-class TestImplications:
-    """§5.1: big data leaves the FP units idle; HPC does not."""
-
-    @pytest.fixture(scope="class")
-    def result(self, ctx):
-        return implications.run(ctx)
-
-    def test_bigdata_uses_vanishing_share_of_peak_fp(self, result):
-        assert result.bigdata_fp_utilization < 0.05
-
-    def test_hpcc_uses_far_more_fp_than_bigdata(self, result):
-        suite_gflops = {row[0]: row[1] for row in result.suite_rows}
-        assert suite_gflops["HPCC"] > 10 * result.bigdata_gflops
-
-
-class TestWimpyCore:
-    """§5.2: every workload is slower on the Atom, by varying factors."""
-
-    @pytest.fixture(scope="class")
-    def result(self, ctx):
-        return wimpy_core.run(ctx)
-
-    def test_atom_slower_on_every_workload(self, result):
-        assert result.min_slowdown > 1.0
-
-    def test_no_one_size_fits_all_core(self, result):
-        assert result.spread > 1.3
 
 
 class TestTable1:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.report import render_grouped_bars, render_series, render_table
+from repro.report import render_series, render_table
 
 
 class TestRenderTable:
@@ -45,21 +45,3 @@ class TestRenderSeries:
         text = render_series("x", [1], {"s": [0.5]})
         assert "0.5000" in text
 
-
-class TestRenderGroupedBars:
-    def test_bars_scale_to_peak(self):
-        text = render_grouped_bars(
-            {"g": {"big": 1.0, "small": 0.25}}, width=8
-        )
-        lines = [l for l in text.splitlines() if "#" in l]
-        big_bar = next(l for l in lines if "big" in l)
-        small_bar = next(l for l in lines if "small" in l)
-        assert big_bar.count("#") == 8
-        assert small_bar.count("#") == 2
-
-    def test_empty_groups(self):
-        assert render_grouped_bars({}) == ""
-
-    def test_title(self):
-        text = render_grouped_bars({"g": {"k": 1.0}}, title="chart")
-        assert text.splitlines()[0] == "chart"
