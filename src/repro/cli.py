@@ -52,12 +52,9 @@ from repro.exec import (
 from repro.exec.cells import PLATFORM_KEYS, platform_for
 from repro.experiments import (
     ExperimentContext,
+    counter_figures,
     fault_resilience,
-    fig1_instruction_mix,
     fig2_integer_breakdown,
-    fig3_ipc,
-    fig4_cache,
-    fig5_tlb,
     fig6to9_locality,
     stack_impact,
     system_behaviors,
@@ -99,11 +96,11 @@ from repro.workloads import (
 )
 
 _FIGURES = {
-    "1": fig1_instruction_mix.run,
+    "1": counter_figures.FIG1.run,
     "2": fig2_integer_breakdown.run,
-    "3": fig3_ipc.run,
-    "4": fig4_cache.run,
-    "5": fig5_tlb.run,
+    "3": counter_figures.FIG3.run,
+    "4": counter_figures.FIG4.run,
+    "5": counter_figures.FIG5.run,
     "locality": fig6to9_locality.run,
 }
 

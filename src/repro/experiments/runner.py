@@ -15,16 +15,11 @@ from repro.obs.registry import RunRecord, build_provenance
 from repro.stacks.base import WorkloadResult
 from repro.uarch.counters import PerfCounters, characterize
 from repro.uarch.platforms import ATOM_D510, XEON_E5645, Platform
-from repro.workloads import MPI_WORKLOADS, REPRESENTATIVE_WORKLOADS, workload
+from repro.workloads import workload
 from repro.workloads.base import WorkloadDefinition
 
 #: A catalog id, or a custom definition keyed by its own id.
 WorkloadRef = Union[str, WorkloadDefinition]
-
-#: Application-category and system-behaviour groupings used by several
-#: figures ("from the application category dimension ...").
-CATEGORY_GROUPS = ("data analysis", "service", "interactive analysis")
-BEHAVIOR_GROUPS = ("CPU-Intensive", "IO-Intensive", "Hybrid")
 
 
 class ExperimentContext:
@@ -81,28 +76,6 @@ class ExperimentContext:
             )
         return self._counters[key]
 
-    def representative_counters(
-        self, platform: Platform = XEON_E5645
-    ) -> Dict[str, PerfCounters]:
-        """Counters for the 17 representatives, in Table 2 order."""
-        return {
-            definition.workload_id: self.counters(
-                definition.workload_id, platform
-            )
-            for definition in REPRESENTATIVE_WORKLOADS
-        }
-
-    def mpi_counters(
-        self, platform: Platform = XEON_E5645
-    ) -> Dict[str, PerfCounters]:
-        """Counters for the six MPI workloads of §4.1."""
-        return {
-            definition.workload_id: self.counters(
-                definition.workload_id, platform
-            )
-            for definition in MPI_WORKLOADS
-        }
-
     # ---- comparison suites ---------------------------------------------------
     def suite_counters(
         self, suite_name: str, platform: Platform = XEON_E5645
@@ -119,52 +92,6 @@ class ExperimentContext:
                 )
             self._suite_counters[key] = samples
         return self._suite_counters[key]
-
-    def suite_average(
-        self, suite_name: str, metric: str, platform: Platform = XEON_E5645
-    ) -> float:
-        """Suite-mean of one metric."""
-        samples = self.suite_counters(suite_name, platform)
-        values = [sample.metric_dict()[metric] for sample in samples]
-        return sum(values) / len(values)
-
-    # ---- grouping helpers -------------------------------------------------------
-    def category_of(self, workload_id: str) -> str:
-        return workload(workload_id).category.value
-
-    def behavior_of(self, workload_id: str) -> str:
-        return workload(workload_id).expected_system_behavior.value
-
-    def group_average(
-        self,
-        metric: str,
-        group_kind: str,
-        group_value: str,
-        platform: Platform = XEON_E5645,
-    ) -> float:
-        """Mean of a metric over a category or behaviour subgroup of the
-        17 representatives (the paper's per-subclass averages)."""
-        chooser = (
-            self.category_of if group_kind == "category" else self.behavior_of
-        )
-        values = [
-            self.counters(d.workload_id, platform).metric_dict()[metric]
-            for d in REPRESENTATIVE_WORKLOADS
-            if chooser(d.workload_id) == group_value
-        ]
-        if not values:
-            raise ValueError(f"no representatives in group {group_value!r}")
-        return sum(values) / len(values)
-
-    def bigdata_average(
-        self, metric: str, platform: Platform = XEON_E5645
-    ) -> float:
-        """Mean of a metric over all 17 representatives."""
-        values = [
-            self.counters(d.workload_id, platform).metric_dict()[metric]
-            for d in REPRESENTATIVE_WORKLOADS
-        ]
-        return sum(values) / len(values)
 
     @property
     def atom(self) -> Platform:

@@ -27,6 +27,7 @@ clock-free.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import tempfile
@@ -96,25 +97,31 @@ class BenchTarget:
     make: Callable[[float, int], Callable[[], Dict[str, float]]]
 
 
-def _experiment_runner(module_name: str, experiment: str):
+def _experiment_runner(path: str):
     """A target factory timing one full experiment regeneration.
 
-    A *fresh* :class:`~repro.experiments.runner.ExperimentContext` is
-    built inside the timed region on every rep — the context caches
-    workload runs and characterizations, so reusing one would time a
-    dictionary lookup instead of the experiment.
+    ``path`` names the object whose ``run(context)`` regenerates the
+    experiment: a module of :mod:`repro.experiments`, or
+    ``<module>.<attribute>`` for a figure spec such as
+    ``counter_figures.FIG4``.  A *fresh*
+    :class:`~repro.experiments.runner.ExperimentContext` is built inside
+    the timed region on every rep — the context caches workload runs and
+    characterizations, so reusing one would time a dictionary lookup
+    instead of the experiment.
     """
 
     def make(scale: float, seed: int) -> Callable[[], Dict[str, float]]:
-        import repro.experiments as experiments
-
-        module = getattr(experiments, module_name)
+        module_name, _, attribute = path.partition(".")
+        target = importlib.import_module(
+            f"repro.experiments.{module_name}")
+        if attribute:
+            target = getattr(target, attribute)
 
         def run() -> Dict[str, float]:
             from repro.experiments import ExperimentContext
 
             context = ExperimentContext(scale=scale, seed=seed)
-            result = module.run(context)
+            result = target.run(context)
             return {
                 k: float(v) for k, v in result.fidelity_metrics().items()
             }
@@ -221,7 +228,8 @@ def _make_obs_overhead(scale: float, seed: int):
 
     def run() -> Dict[str, float]:
         from repro.exec import SweepTracer, merge_sweep_trace
-        from repro.experiments import ExperimentContext, fig4_cache
+        from repro.experiments import ExperimentContext
+        from repro.experiments.counter_figures import FIG4
         from repro.obs.stream import ProgressStream
         from repro.workloads import MPI_WORKLOADS, REPRESENTATIVE_WORKLOADS
 
@@ -233,7 +241,7 @@ def _make_obs_overhead(scale: float, seed: int):
             stream = ProgressStream(os.path.join(scratch, "progress.jsonl"),
                                     sweep="obs-overhead")
             context.prime(pairs, jobs=1, tracer=tracer, observer=stream)
-            result = fig4_cache.run(context)
+            result = FIG4.run(context)
             stream.close()
             tracer.close()
             merge_sweep_trace(tracer.trace_dir,
@@ -245,11 +253,11 @@ def _make_obs_overhead(scale: float, seed: int):
 
 #: ``repro fig``/``repro table`` verbs exposed as bench targets.
 _EXPERIMENT_TARGETS = (
-    ("fig1", "fig1_instruction_mix", "Fig 1: instruction-mix figure"),
+    ("fig1", "counter_figures.FIG1", "Fig 1: instruction-mix figure"),
     ("fig2", "fig2_integer_breakdown", "Fig 2: integer-breakdown figure"),
-    ("fig3", "fig3_ipc", "Fig 3: IPC comparison figure"),
-    ("fig4", "fig4_cache", "Fig 4: cache-behaviour figure"),
-    ("fig5", "fig5_tlb", "Fig 5: TLB-behaviour figure"),
+    ("fig3", "counter_figures.FIG3", "Fig 3: IPC comparison figure"),
+    ("fig4", "counter_figures.FIG4", "Fig 4: cache-behaviour figure"),
+    ("fig5", "counter_figures.FIG5", "Fig 5: TLB-behaviour figure"),
     ("locality", "fig6to9_locality", "Figs 6-9: locality study"),
     ("table2", "table2_reduction", "Table 2: the 77->17 reduction"),
     ("table4", "table4_branch", "Table 4: branch characterization"),
@@ -295,11 +303,9 @@ _MICRO_TARGETS = (
 def bench_targets() -> Dict[str, BenchTarget]:
     """Every nameable bench target, keyed by CLI name."""
     targets: Dict[str, BenchTarget] = {}
-    for name, module_name, description in _EXPERIMENT_TARGETS:
+    for name, path, description in _EXPERIMENT_TARGETS:
         targets[name] = BenchTarget(
-            name, description, "experiment", _experiment_runner(
-                module_name, name
-            )
+            name, description, "experiment", _experiment_runner(path)
         )
     targets["obs-overhead"] = BenchTarget(
         "obs-overhead", "Fig 4 with the span tracer and progress stream "

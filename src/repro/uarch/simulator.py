@@ -77,9 +77,9 @@ class CacheSweepSimulator:
 
     def __init__(
         self,
+        trace_refs: int,
         sizes_kb: Sequence[int] = DEFAULT_SIZES_KB,
         ways: int = 8,
-        trace_refs: int = 60_000,
         seed: int = 2024,
     ):
         if not sizes_kb:

@@ -15,15 +15,3 @@ def _isolated_runs_dir(tmp_path, monkeypatch):
 def ctx():
     """A session-wide experiment context at test scale."""
     return ExperimentContext(scale=0.35)
-
-
-@pytest.fixture(scope="session")
-def rep_counters(ctx):
-    """Counters for all 17 representatives on the Xeon."""
-    return ctx.representative_counters()
-
-
-@pytest.fixture(scope="session")
-def mpi_counters(ctx):
-    """Counters for the six MPI workloads on the Xeon."""
-    return ctx.mpi_counters()

@@ -8,11 +8,7 @@ import pytest
 from repro.core import reduce_workloads
 from repro.experiments import (
     ExperimentContext,
-    fig1_instruction_mix,
     fig2_integer_breakdown,
-    fig3_ipc,
-    fig4_cache,
-    fig5_tlb,
     fig6to9_locality,
     stack_impact,
     system_behaviors,
@@ -20,20 +16,28 @@ from repro.experiments import (
     table2_reduction,
     table4_branch,
 )
+from repro.experiments.counter_figures import (
+    BEHAVIOR_GROUPS,
+    CATEGORY_GROUPS,
+    FIG1,
+    FIG3,
+    FIG4,
+    FIG5,
+)
 from repro.obs.anchors import FAIL, PASS, anchors_for
-from repro.workloads import ALL_WORKLOADS, workload
+from repro.workloads import ALL_WORKLOADS, REPRESENTATIVE_WORKLOADS, workload
 
 
 class TestFig1:
     @pytest.fixture(scope="class")
     def result(self, ctx):
-        return fig1_instruction_mix.run(ctx)
+        return FIG1.run(ctx)
 
     def test_branch_ratio_near_paper(self, result):
-        assert 0.15 < result.bigdata_branch < 0.23  # paper 18.7%
+        assert 0.15 < result.bigdata["ratio_branch"] < 0.23  # paper 18.7%
 
     def test_integer_ratio_near_paper(self, result):
-        assert 0.32 < result.bigdata_integer < 0.45  # paper 38%
+        assert 0.32 < result.bigdata["ratio_integer"] < 0.45  # paper 38%
 
     def test_renders(self, result):
         text = result.render()
@@ -74,7 +78,7 @@ class TestFig2:
 class TestFig3:
     @pytest.fixture(scope="class")
     def result(self, ctx):
-        return fig3_ipc.run(ctx)
+        return FIG3.run(ctx)
 
     def test_service_has_lowest_category_ipc(self, result):
         by_group = {row[0]: row[1] for row in result.group_rows}
@@ -83,10 +87,11 @@ class TestFig3:
         assert service < by_group["category: interactive analysis"]
 
     def test_bigdata_avg_in_band(self, result):
-        assert 0.8 < result.bigdata_ipc < 1.5  # paper 1.28
+        assert 0.8 < result.bigdata["ipc"] < 1.5  # paper 1.28
 
     def test_hpcc_fastest_suite(self, result):
-        assert result.suite_ipcs["HPCC"] == max(result.suite_ipcs.values())
+        suite_ipcs = {row[0]: row[1] for row in result.suite_rows}
+        assert suite_ipcs["HPCC"] == max(suite_ipcs.values())
 
     def test_ipc_disparities_exist(self, result):
         ipcs = [row[1] for row in result.workload_rows]
@@ -108,7 +113,7 @@ class TestFig3:
 class TestFig4:
     @pytest.fixture(scope="class")
     def result(self, ctx):
-        return fig4_cache.run(ctx)
+        return FIG4.run(ctx)
 
     def test_bigdata_l1i_band(self, result):
         assert 10 < result.bigdata["l1i_mpki"] < 22  # paper 15
@@ -132,17 +137,50 @@ class TestFig4:
 class TestFig5:
     @pytest.fixture(scope="class")
     def result(self, ctx):
-        return fig5_tlb.run(ctx)
+        return FIG5.run(ctx)
 
     def test_itlb_small(self, result):
-        assert result.bigdata_itlb < 0.5  # paper 0.05
+        assert result.bigdata["itlb_mpki"] < 0.5  # paper 0.05
 
     def test_dtlb_band(self, result):
-        assert 0.2 < result.bigdata_dtlb < 3.0  # paper 0.9
+        assert 0.2 < result.bigdata["dtlb_mpki"] < 3.0  # paper 0.9
 
     def test_service_has_highest_itlb(self, result):
         by_group = {row[0]: row[1] for row in result.group_rows}
         assert by_group["category: service"] >= by_group["category: data analysis"]
+
+
+@pytest.mark.parametrize("figure", [FIG1, FIG3, FIG4, FIG5],
+                         ids=["fig1", "fig3", "fig4", "fig5"])
+def test_counter_figure_rows_and_means(ctx, figure):
+    # Every counter figure: 17 representatives + 6 MPI rows, 6 suites,
+    # and each mean over exactly the representatives it names.
+    result = figure.run(ctx)
+    assert len(result.workload_rows) == 23
+    assert len(result.suite_rows) == 6
+    metrics = result.fidelity_metrics()
+
+    def mean(definitions, metric):
+        values = [metrics[f"workload.{d.workload_id}.{metric}"]
+                  for d in definitions]
+        return sum(values) / len(values)
+
+    assert len(REPRESENTATIVE_WORKLOADS) == 17
+    for metric in figure.bigdata_metrics:
+        assert metrics[f"bigdata.{metric}"] == mean(
+            REPRESENTATIVE_WORKLOADS, metric)
+    subclasses = [("category", g, lambda d, g=g: d.category.value == g)
+                  for g in CATEGORY_GROUPS]
+    subclasses += [
+        ("behavior", g, lambda d, g=g: d.expected_system_behavior.value == g)
+        for g in BEHAVIOR_GROUPS
+    ]
+    for kind, group, member in subclasses:
+        members = [d for d in REPRESENTATIVE_WORKLOADS if member(d)]
+        assert members, group
+        for metric in figure.group_metrics:
+            assert metrics[f"group.{kind}: {group}.{metric}"] == mean(
+                members, metric)
 
 
 class TestLocality:
@@ -260,11 +298,11 @@ class TestAnchorCoverage:
         # A misspelt anchor metric would only show as "missing" in
         # `repro report`; here it fails instead.
         experiments = {
-            "fig1": fig1_instruction_mix.run,
+            "fig1": FIG1.run,
             "fig2": fig2_integer_breakdown.run,
-            "fig3": fig3_ipc.run,
-            "fig4": fig4_cache.run,
-            "fig5": fig5_tlb.run,
+            "fig3": FIG3.run,
+            "fig4": FIG4.run,
+            "fig5": FIG5.run,
             "table4": table4_branch.run,
             "stacks": stack_impact.run,
         }
