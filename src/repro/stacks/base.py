@@ -25,8 +25,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.cluster.cluster import Cluster
+from repro.cluster.faults import FaultPlan
+from repro.stacks.scheduler import RecoveryPolicy, policy_for, run_waves
 from repro.uarch.isa import InstructionClass, InstructionMix, IntBreakdown
 from repro.uarch.profile import (
     LINE_BYTES,
@@ -646,8 +649,10 @@ class SoftwareStack:
     """Base class for stack engines.
 
     Concrete engines (Hadoop, Spark, MPI, SQL engines, HBase) execute
-    real kernels over generated data, meter the work, and return
-    :class:`WorkloadResult` objects via :func:`build_profile`.
+    real kernels over generated data and meter the work; they differ
+    only in how they shape that work into task waves.  :meth:`result`
+    is the shared tail: it builds the profile and, given a cluster,
+    replays the engine's waves on it.
     """
 
     traits: StackTraits
@@ -680,4 +685,91 @@ class SoftwareStack:
             hot_fraction=hot_fraction,
             stream_reuse=2.0,
             state_zipf=kernel.state_zipf,
+        )
+
+    def profile(
+        self,
+        name: str,
+        meter: Meter,
+        kernel: KernelTraits,
+        *,
+        state_bytes: int,
+        state_fraction: float,
+        stream_fraction: float,
+        threads: int = 6,
+        offcore_write_share: float = 0.3,
+    ) -> BehaviorProfile:
+        """The behaviour profile of a metered execution on this stack."""
+        data = self.data_footprint(
+            meter, kernel, state_bytes, state_fraction, stream_fraction
+        )
+        return build_profile(
+            name, meter, self.traits, kernel, data,
+            threads=threads, offcore_write_share=offcore_write_share,
+        )
+
+    def des_instructions(self, meter: Meter) -> float:
+        """Instructions a metered execution charges as cluster CPU time.
+
+        Startup costs are excluded: the paper measures after a 30 s
+        ramp-up, past JVM start and task-tracker spin-up.
+        """
+        return (
+            meter.kernel_mix().total + self.traits.framework_instructions(meter)
+        ) * self.traits.des_cpu_factor
+
+    def result(
+        self,
+        name: str,
+        output: object,
+        meter: Meter,
+        kernel: KernelTraits,
+        *,
+        state_bytes: int,
+        state_fraction: float,
+        stream_fraction: float,
+        threads: int = 6,
+        offcore_write_share: float = 0.3,
+        segments: Optional[list] = None,
+        cluster: Optional[Cluster] = None,
+        waves: Optional[Callable[[], Tuple[List[str], list]]] = None,
+        faults: Optional[FaultPlan] = None,
+        recovery: Optional[RecoveryPolicy] = None,
+    ) -> WorkloadResult:
+        """Profile a metered execution and, given a ``cluster``, replay it.
+
+        ``waves()`` returns the engine's wave names and the
+        :class:`~repro.stacks.scheduler.TaskDescriptor` list of each
+        wave; it is called only with a cluster, after the replay's start
+        time is read.  ``faults`` injects a fault plan into the replay;
+        lost tasks are recovered under ``recovery`` (the stack's own
+        :func:`~repro.stacks.scheduler.policy_for` policy by default).
+        """
+        profile = self.profile(
+            name, meter, kernel,
+            state_bytes=state_bytes, state_fraction=state_fraction,
+            stream_fraction=stream_fraction, threads=threads,
+            offcore_write_share=offcore_write_share,
+        )
+        system = None
+        elapsed = None
+        if cluster is not None:
+            start = cluster.sim.now
+            wave_names, task_waves = waves()
+            system = run_waves(
+                cluster, task_waves, self.traits.instruction_rate,
+                faults=faults,
+                policy=recovery if recovery is not None
+                else policy_for(self.traits.name),
+                job_name=name, wave_names=wave_names,
+            )
+            elapsed = cluster.sim.now - start
+        return WorkloadResult(
+            name=name,
+            output=output,
+            profile=profile,
+            meter=meter,
+            system=system,
+            elapsed=elapsed,
+            segments=segments,
         )

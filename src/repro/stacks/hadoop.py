@@ -24,15 +24,9 @@ from repro.stacks.base import (
     SoftwareStack,
     StackTraits,
     WorkloadResult,
-    build_profile,
     stable_hash,
 )
-from repro.stacks.scheduler import (
-    RecoveryPolicy,
-    TaskDescriptor,
-    policy_for,
-    run_waves,
-)
+from repro.stacks.scheduler import RecoveryPolicy, TaskDescriptor
 
 #: (key, value) pair type emitted by mappers and reducers.
 Pair = Tuple[object, object]
@@ -87,6 +81,11 @@ class MapReduceJob:
     #: extra disk traffic the §3.2.1 classification sees.
     sort_buffer_bytes: int = 4 * 1024 * 1024
 
+    def resident_bytes(self, meter: Meter) -> int:
+        """``state_bytes``, evaluated against ``meter`` when callable."""
+        state = self.state_bytes
+        return int(state(meter) if callable(state) else state)
+
 
 class Hadoop(SoftwareStack):
     """The MapReduce engine."""
@@ -99,10 +98,9 @@ class Hadoop(SoftwareStack):
         job: MapReduceJob,
         records: Sequence[object],
         cluster: Optional[Cluster] = None,
-        dfs: "DistributedFileSystem" = None,
+        dfs: Optional[DistributedFileSystem] = None,
         faults: Optional[FaultPlan] = None,
         recovery: Optional[RecoveryPolicy] = None,
-        tracer=None,
     ) -> WorkloadResult:
         """Execute ``job`` over ``records``.
 
@@ -112,8 +110,6 @@ class Hadoop(SoftwareStack):
         fault plan into the cluster simulation; lost tasks are
         re-executed under ``recovery`` (Hadoop's JobTracker policy by
         default: retries with backoff plus speculative execution).
-        ``tracer`` records the job's span tree and utilization samples
-        (defaults to the cluster simulation's tracer, if any).
         """
         if not records:
             raise ValueError(f"{job.name}: no input records")
@@ -186,46 +182,18 @@ class Hadoop(SoftwareStack):
             reduce_task_stats.append({"out_bytes": out_bytes, "meter": task_meter})
             meter.merge(task_meter)
 
-        # ---- Profile ------------------------------------------------------
-        state_bytes = (
-            job.state_bytes(meter) if callable(job.state_bytes) else job.state_bytes
-        )
-        data = self.data_footprint(
-            meter,
-            job.kernel,
-            state_bytes=int(state_bytes),
+        return self.result(
+            job.name, output, meter, job.kernel,
+            state_bytes=job.resident_bytes(meter),
             state_fraction=job.state_fraction,
             stream_fraction=job.stream_fraction,
-        )
-        profile = build_profile(
-            name=job.name,
-            meter=meter,
-            stack=self.traits,
-            kernel=job.kernel,
-            data=data,
-            threads=6,
-        )
-
-        # ---- Phase segments (one sample per phase, §5.4) -------------------
-        segments = self._phase_segments(job, map_task_stats, reduce_task_stats)
-
-        # ---- Cluster simulation --------------------------------------------
-        system = None
-        elapsed = None
-        if cluster is not None:
-            system, elapsed = self._simulate(
-                job, map_task_stats, reduce_task_stats, cluster, dfs,
-                faults=faults, recovery=recovery, tracer=tracer,
-            )
-
-        return WorkloadResult(
-            name=job.name,
-            output=output,
-            profile=profile,
-            meter=meter,
-            system=system,
-            elapsed=elapsed,
-            segments=segments,
+            segments=self._phase_segments(job, map_task_stats, reduce_task_stats),
+            cluster=cluster,
+            waves=lambda: self._waves(
+                job, map_task_stats, reduce_task_stats, dfs
+            ),
+            faults=faults,
+            recovery=recovery,
         )
 
     def _phase_segments(self, job, map_stats, reduce_stats):
@@ -249,25 +217,11 @@ class Hadoop(SoftwareStack):
             )
             if weight <= 0:
                 continue
-            state_bytes = (
-                job.state_bytes(phase_meter)
-                if callable(job.state_bytes)
-                else job.state_bytes
-            )
-            data = self.data_footprint(
-                phase_meter,
-                job.kernel,
-                state_bytes=int(state_bytes),
+            phase_profile = self.profile(
+                f"{job.name}/{phase}", phase_meter, job.kernel,
+                state_bytes=job.resident_bytes(phase_meter),
                 state_fraction=job.state_fraction,
                 stream_fraction=job.stream_fraction,
-            )
-            phase_profile = build_profile(
-                name=f"{job.name}/{phase}",
-                meter=phase_meter,
-                stack=self.traits,
-                kernel=job.kernel,
-                data=data,
-                threads=6,
             )
             segments.append((phase_profile, weight))
         return segments
@@ -311,18 +265,14 @@ class Hadoop(SoftwareStack):
             combiner(key, values, emit, meter)
         return combined
 
-    def _simulate(
+    def _waves(
         self,
         job: MapReduceJob,
         map_stats: List[dict],
         reduce_stats: List[dict],
-        cluster: Cluster,
-        dfs: "DistributedFileSystem" = None,
-        faults: Optional[FaultPlan] = None,
-        recovery: Optional[RecoveryPolicy] = None,
-        tracer=None,
+        dfs: Optional[DistributedFileSystem] = None,
     ) -> tuple:
-        """Schedule equivalent task waves on the cluster.
+        """The map and reduce task waves of a job.
 
         With a :class:`DistributedFileSystem`, the input is placed as
         replicated blocks and map tasks are scheduled *data-locally* on
@@ -330,9 +280,6 @@ class Hadoop(SoftwareStack):
         outputs are written back with pipeline replication, which adds
         the corresponding network and remote-disk traffic.
         """
-        rate = self.traits.instruction_rate
-        start = cluster.sim.now
-
         map_nodes = list(range(len(map_stats)))
         replicate_output = 1
         if dfs is not None:
@@ -345,14 +292,6 @@ class Hadoop(SoftwareStack):
                 for i in range(len(map_stats))
             ]
             replicate_output = dfs.replication
-
-        def task_instructions(task_meter: Meter) -> float:
-            # Startup costs are excluded: the paper measures after a 30 s
-            # ramp-up, past JVM start and task-tracker spin-up.
-            return (
-                task_meter.kernel_mix().total
-                + self.traits.framework_instructions(task_meter)
-            ) * self.traits.des_cpu_factor
 
         def spill_write_bytes(shuffle_bytes: int) -> int:
             """Map output written to disk, including multi-spill merges.
@@ -367,7 +306,7 @@ class Hadoop(SoftwareStack):
 
         map_wave = [
             TaskDescriptor(
-                cpu_instructions=task_instructions(stats["meter"]),
+                cpu_instructions=self.des_instructions(stats["meter"]),
                 read_bytes=stats["in_bytes"],
                 write_bytes=spill_write_bytes(stats["shuffle_bytes"]),
                 net_bytes=0,
@@ -379,7 +318,7 @@ class Hadoop(SoftwareStack):
         per_reduce_shuffle = total_shuffle // max(1, len(reduce_stats))
         reduce_wave = [
             TaskDescriptor(
-                cpu_instructions=task_instructions(stats["meter"]),
+                cpu_instructions=self.des_instructions(stats["meter"]),
                 read_bytes=per_reduce_shuffle,
                 write_bytes=stats["out_bytes"] * replicate_output,
                 net_bytes=per_reduce_shuffle
@@ -388,11 +327,4 @@ class Hadoop(SoftwareStack):
             )
             for i, stats in enumerate(reduce_stats)
         ]
-        if recovery is None:
-            recovery = policy_for("Hadoop")
-        metrics = run_waves(
-            cluster, [map_wave, reduce_wave], rate,
-            faults=faults, policy=recovery,
-            tracer=tracer, job_name=job.name, wave_names=["map", "reduce"],
-        )
-        return metrics, cluster.sim.now - start
+        return ["map", "reduce"], [map_wave, reduce_wave]

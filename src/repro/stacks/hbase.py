@@ -25,14 +25,8 @@ from repro.stacks.base import (
     SoftwareStack,
     StackTraits,
     WorkloadResult,
-    build_profile,
 )
-from repro.stacks.scheduler import (
-    RecoveryPolicy,
-    TaskDescriptor,
-    policy_for,
-    run_waves,
-)
+from repro.stacks.scheduler import RecoveryPolicy, TaskDescriptor
 
 
 class _BloomFilter:
@@ -80,6 +74,19 @@ class _SsTable:
         if index < len(self.keys) and self.keys[index] == key:
             return self.values[index]
         return None
+
+
+#: The get path's kernel: short loops, data-dependent branches.
+READ_KERNEL = KernelTraits(
+    code_kb=16.0,
+    ilp=1.6,
+    loop_fraction=0.22,
+    pattern_fraction=0.10,
+    data_dependent_fraction=0.68,
+    taken_prob=0.08,
+    loop_trip=10,
+    state_zipf=0.75,  # hot rows dominate the request stream
+)
 
 
 class HBase(SoftwareStack):
@@ -164,7 +171,6 @@ class HBase(SoftwareStack):
         cluster: Optional[Cluster] = None,
         faults: Optional[FaultPlan] = None,
         recovery: Optional[RecoveryPolicy] = None,
-        tracer=None,
     ) -> WorkloadResult:
         """Issue ``keys`` as client gets; every request crosses the RPC
         and region-server layers (heavy dispatch per record).
@@ -181,69 +187,40 @@ class HBase(SoftwareStack):
             if value is not None:
                 hits += 1
                 meter.record_out(self.value_bytes)
-        kernel = KernelTraits(
-            code_kb=16.0,
-            ilp=1.6,
-            loop_fraction=0.22,
-            pattern_fraction=0.10,
-            data_dependent_fraction=0.68,
-            taken_prob=0.08,
-            loop_trip=10,
-            state_zipf=0.75,  # hot rows dominate the request stream
-        )
         table_bytes = (
             sum(len(t.keys) for t in self._sstables) + len(self._memstore)
         ) * self.value_bytes
-        data = self.data_footprint(
-            meter,
-            kernel,
+        return self.result(
+            name, hits, meter, READ_KERNEL,
             state_bytes=min(max(table_bytes, 6 * 1024 * 1024), 8 * 1024 * 1024),
             state_fraction=0.045,
             stream_fraction=0.004,
+            cluster=cluster,
+            waves=lambda: self.request_waves(meter, cluster),
+            faults=faults,
+            recovery=recovery,
         )
-        profile = build_profile(
-            name=name,
-            meter=meter,
-            stack=self.traits,
-            kernel=kernel,
-            data=data,
-            threads=6,
-        )
-        system = None
-        elapsed = None
-        if cluster is not None:
-            rate = self.traits.instruction_rate
-            start = cluster.sim.now
-            total_instr = (
-                meter.kernel_mix().total
-                + self.traits.framework_instructions(meter)
-            ) * self.traits.des_cpu_factor
-            n_tasks = len(cluster) * cluster.nodes[0].spec.cores
-            # Random reads: each request is a small non-sequential disk
-            # read (block-cache misses dominate for a table this large).
-            read_bytes = meter.records_in * 8 * 1024 // n_tasks
-            wave = [
-                TaskDescriptor(
-                    cpu_instructions=total_instr / n_tasks,
-                    read_bytes=read_bytes,
-                    write_bytes=0,
-                    net_bytes=meter.bytes_out // n_tasks,
-                    preferred_node=t,
-                )
-                for t in range(n_tasks)
-            ]
-            if recovery is None:
-                recovery = policy_for("HBase")
-            system = run_waves(
-                cluster, [wave], rate, faults=faults, policy=recovery,
-                tracer=tracer, job_name=name, wave_names=["requests"],
+
+    def request_waves(
+        self, meter: Meter, cluster: Cluster, writes: bool = False
+    ) -> tuple:
+        """One wave serving every metered request, one task per core.
+
+        Each request is a small non-sequential disk access (block-cache
+        misses dominate for a table this large): a read, or with
+        ``writes`` a write of the same size.
+        """
+        total_instr = self.des_instructions(meter)
+        n_tasks = len(cluster) * cluster.nodes[0].spec.cores
+        request_bytes = meter.records_in * 8 * 1024 // n_tasks
+        wave = [
+            TaskDescriptor(
+                cpu_instructions=total_instr / n_tasks,
+                read_bytes=0 if writes else request_bytes,
+                write_bytes=request_bytes if writes else 0,
+                net_bytes=meter.bytes_out // n_tasks,
+                preferred_node=t,
             )
-            elapsed = cluster.sim.now - start
-        return WorkloadResult(
-            name=name,
-            output=hits,
-            profile=profile,
-            meter=meter,
-            system=system,
-            elapsed=elapsed,
-        )
+            for t in range(n_tasks)
+        ]
+        return ["requests"], [wave]

@@ -27,14 +27,8 @@ from repro.stacks.base import (
     SoftwareStack,
     StackTraits,
     WorkloadResult,
-    build_profile,
 )
-from repro.stacks.scheduler import (
-    RecoveryPolicy,
-    TaskDescriptor,
-    policy_for,
-    run_waves,
-)
+from repro.stacks.scheduler import RecoveryPolicy, TaskDescriptor
 
 
 @dataclass
@@ -105,7 +99,6 @@ class MpiRuntime(SoftwareStack):
         cluster: Optional[Cluster] = None,
         faults: Optional[FaultPlan] = None,
         recovery: Optional[RecoveryPolicy] = None,
-        tracer=None,
     ) -> WorkloadResult:
         """Execute ``program(rank, comm, data, meter)`` on every rank.
 
@@ -171,38 +164,16 @@ class MpiRuntime(SoftwareStack):
         for rank_meter in meters:
             merged.merge(rank_meter)
 
-        data_model = self.data_footprint(
-            merged,
-            kernel,
+        return self.result(
+            name, results, merged, kernel,
             state_bytes=state_bytes,
             state_fraction=state_fraction,
             stream_fraction=stream_fraction,
-        )
-        profile = build_profile(
-            name=name,
-            meter=merged,
-            stack=self.traits,
-            kernel=kernel,
-            data=data_model,
             threads=self.n_ranks,
-        )
-
-        system = None
-        elapsed = None
-        if cluster is not None:
-            system, elapsed = self._simulate(
-                merged, supersteps, net_bytes_total, cluster,
-                faults=faults, recovery=recovery,
-                tracer=tracer, name=name,
-            )
-
-        return WorkloadResult(
-            name=name,
-            output=results,
-            profile=profile,
-            meter=merged,
-            system=system,
-            elapsed=elapsed,
+            cluster=cluster,
+            waves=lambda: self._waves(merged, supersteps, net_bytes_total),
+            faults=faults,
+            recovery=recovery,
         )
 
     def _execute_collective(
@@ -252,22 +223,9 @@ class MpiRuntime(SoftwareStack):
             raise ValueError(f"unknown collective {op!r}")
         return total_bytes
 
-    def _simulate(
-        self,
-        meter: Meter,
-        supersteps: int,
-        net_bytes: int,
-        cluster: Cluster,
-        faults: Optional[FaultPlan] = None,
-        recovery: Optional[RecoveryPolicy] = None,
-        tracer=None,
-        name: str = "mpi-job",
-    ) -> tuple:
-        rate = self.traits.instruction_rate
-        start = cluster.sim.now
-        total_instr = (
-            meter.kernel_mix().total + self.traits.framework_instructions(meter)
-        ) * self.traits.des_cpu_factor
+    def _waves(self, meter: Meter, supersteps: int, net_bytes: int) -> tuple:
+        """One wave of one task per rank for every superstep."""
+        total_instr = self.des_instructions(meter)
         n_waves = max(1, supersteps)
         per_rank_instr = total_instr / self.n_ranks / n_waves
         per_rank_net = net_bytes // max(1, self.n_ranks * n_waves)
@@ -288,11 +246,4 @@ class MpiRuntime(SoftwareStack):
                     for rank in range(self.n_ranks)
                 ]
             )
-        if recovery is None:
-            recovery = policy_for("MPI")
-        metrics = run_waves(
-            cluster, waves, rate, faults=faults, policy=recovery,
-            tracer=tracer, job_name=name,
-            wave_names=[f"superstep{i}" for i in range(n_waves)],
-        )
-        return metrics, cluster.sim.now - start
+        return [f"superstep{i}" for i in range(n_waves)], waves

@@ -24,15 +24,9 @@ from repro.stacks.base import (
     SoftwareStack,
     StackTraits,
     WorkloadResult,
-    build_profile,
     stable_hash,
 )
-from repro.stacks.scheduler import (
-    RecoveryPolicy,
-    TaskDescriptor,
-    policy_for,
-    run_waves,
-)
+from repro.stacks.scheduler import RecoveryPolicy, TaskDescriptor
 
 
 def _value_bytes(value: object) -> int:
@@ -161,7 +155,6 @@ class Spark(SoftwareStack):
             if source.cache_requested:
                 source._cached = [list(p) for p in partitions]
 
-        stage_elements = sum(len(p) for p in partitions)
         for op in rdd._lineage:
             if op.kind in ("map", "flat_map", "filter"):
                 partitions = self._narrow(op, partitions)
@@ -169,9 +162,6 @@ class Spark(SoftwareStack):
                 partitions = self._wide(op, partitions)
             else:  # pragma: no cover
                 raise ValueError(f"unknown op {op.kind!r}")
-            stage_elements = max(
-                stage_elements, sum(len(p) for p in partitions)
-            )
         return partitions
 
     def _narrow(self, op: _Op, partitions: List[list]) -> List[list]:
@@ -192,12 +182,7 @@ class Spark(SoftwareStack):
                         result.append(element)
             out.append(result)
         self._stage_stats.append(
-            {
-                "kind": "narrow",
-                "elements": sum(len(p) for p in partitions),
-                "shuffle_bytes": 0,
-                "n_tasks": len(partitions),
-            }
+            {"kind": "narrow", "shuffle_bytes": 0, "n_tasks": len(partitions)}
         )
         return out
 
@@ -205,7 +190,6 @@ class Spark(SoftwareStack):
         # Shuffle: hash (or range) partition all elements.
         n_out = max(1, len(partitions))
         shuffle_bytes = 0
-        n_elements = 0
         buckets: List[list] = [[] for _ in range(n_out)]
         all_elements = [e for p in partitions for e in p]
         n_elements = len(all_elements)
@@ -247,12 +231,7 @@ class Spark(SoftwareStack):
             else:  # sort_by buckets are already the output
                 out.append(bucket)
         self._stage_stats.append(
-            {
-                "kind": "wide",
-                "elements": n_elements,
-                "shuffle_bytes": shuffle_bytes,
-                "n_tasks": n_out,
-            }
+            {"kind": "wide", "shuffle_bytes": shuffle_bytes, "n_tasks": n_out}
         )
         return out
 
@@ -269,15 +248,12 @@ class Spark(SoftwareStack):
         cluster: Optional[Cluster] = None,
         faults: Optional[FaultPlan] = None,
         recovery: Optional[RecoveryPolicy] = None,
-        tracer=None,
     ) -> WorkloadResult:
         """Assemble the WorkloadResult after the driver program ran.
 
         ``faults`` injects an infrastructure fault plan into the
         cluster replay; lost tasks are recomputed from lineage under
         ``recovery`` (Spark's task-retry policy by default).
-        ``tracer`` records the replay's span tree (defaults to the
-        cluster simulation's tracer, if any).
         """
         meter = self._meter
         if output_bytes is None:
@@ -287,61 +263,28 @@ class Spark(SoftwareStack):
                 output_bytes,
                 records=len(output) if isinstance(output, list) else 1,
             )
-        data = self.data_footprint(
-            meter,
-            kernel,
+        return self.result(
+            name, output, meter, kernel,
             state_bytes=state_bytes,
             state_fraction=state_fraction,
             stream_fraction=stream_fraction,
-        )
-        profile = build_profile(
-            name=name,
-            meter=meter,
-            stack=self.traits,
-            kernel=kernel,
-            data=data,
-            threads=6,
-        )
-        system = None
-        elapsed = None
-        if cluster is not None:
-            system, elapsed = self._simulate(
-                meter, cluster, faults=faults, recovery=recovery,
-                tracer=tracer, name=name,
-            )
-        return WorkloadResult(
-            name=name,
-            output=output,
-            profile=profile,
-            meter=meter,
-            system=system,
-            elapsed=elapsed,
+            cluster=cluster,
+            waves=self._waves,
+            faults=faults,
+            recovery=recovery,
         )
 
-    def _simulate(
-        self,
-        meter: Meter,
-        cluster: Cluster,
-        faults: Optional[FaultPlan] = None,
-        recovery: Optional[RecoveryPolicy] = None,
-        tracer=None,
-        name: str = "spark-job",
-    ) -> tuple:
-        """Replay stages as task waves.
+    def _waves(self) -> tuple:
+        """The job's stages as task waves.
 
         Spark reads input once from the DFS, keeps intermediate data in
         memory, and spills only shuffle data — hence lower disk traffic
         than Hadoop for the same job.
         """
-        rate = self.traits.instruction_rate
-        start = cluster.sim.now
-        total_instr = (
-            meter.kernel_mix().total
-            + self.traits.framework_instructions(meter)
-        ) * self.traits.des_cpu_factor
+        meter = self._meter
+        total_instr = self.des_instructions(meter)
         stage_stats = self._stage_stats or [
-            {"kind": "narrow", "elements": meter.records_in,
-             "shuffle_bytes": meter.bytes_shuffled,
+            {"kind": "narrow", "shuffle_bytes": meter.bytes_shuffled,
              "n_tasks": self.n_partitions}
         ]
         waves = []
@@ -362,17 +305,11 @@ class Spark(SoftwareStack):
                     random_writes=(shuffle // n_tasks) > 8 * 1024,
                     preferred_node=t,
                 )
-                for t, _ in zip(range(n_tasks), range(n_tasks))
+                for t in range(n_tasks)
             ]
             waves.append(wave)
-        if recovery is None:
-            recovery = policy_for("Spark")
         stage_names = [
             f"stage{i} ({stage['kind']})"
             for i, stage in enumerate(stage_stats)
         ]
-        metrics = run_waves(
-            cluster, waves, rate, faults=faults, policy=recovery,
-            tracer=tracer, job_name=name, wave_names=stage_names,
-        )
-        return metrics, cluster.sim.now - start
+        return stage_names, waves

@@ -28,16 +28,9 @@ from repro.stacks.base import (
     KernelTraits,
     Meter,
     SoftwareStack,
-    StackTraits,
     WorkloadResult,
-    build_profile,
 )
-from repro.stacks.scheduler import (
-    RecoveryPolicy,
-    TaskDescriptor,
-    policy_for,
-    run_waves,
-)
+from repro.stacks.scheduler import RecoveryPolicy, TaskDescriptor
 
 Rows = List[dict]
 
@@ -114,17 +107,6 @@ def _row_bytes(row: dict) -> int:
 class SqlEngine(SoftwareStack):
     """Shared executor; subclasses fix the stack traits and kernel."""
 
-    #: Per-row batch size for vectorised execution (Impala overrides).
-    batch_rows = 1
-
-    #: Which stack's recovery policy governs lost tasks — the engine a
-    #: query compiles to (Hive -> MapReduce retries, Shark -> Spark
-    #: lineage, Impala -> query abort).  See :func:`policy_for`.
-    recovery_stack = ""
-
-    def __init__(self, traits: StackTraits):
-        super().__init__(traits)
-
     def execute(
         self,
         name: str,
@@ -135,7 +117,6 @@ class SqlEngine(SoftwareStack):
         cluster: Optional[Cluster] = None,
         faults: Optional[FaultPlan] = None,
         recovery: Optional[RecoveryPolicy] = None,
-        tracer=None,
     ) -> WorkloadResult:
         """Run ``query`` against ``tables``; returns rows + profile."""
         if query.table not in tables:
@@ -159,36 +140,15 @@ class SqlEngine(SoftwareStack):
         out_bytes = sum(_row_bytes(r) for r in rows)
         meter.record_out(out_bytes, records=len(rows))
 
-        data = self.data_footprint(
-            meter,
-            kernel,
+        return self.result(
+            name, rows, meter, kernel,
             state_bytes=state_bytes,
             state_fraction=state_fraction,
             stream_fraction=0.012,
-        )
-        profile = build_profile(
-            name=name,
-            meter=meter,
-            stack=self.traits,
-            kernel=kernel,
-            data=data,
-            threads=6,
-        )
-        system = None
-        elapsed = None
-        if cluster is not None:
-            system, elapsed = self._simulate(
-                meter, shuffle_events, cluster,
-                faults=faults, recovery=recovery,
-                tracer=tracer, name=name,
-            )
-        return WorkloadResult(
-            name=name,
-            output=rows,
-            profile=profile,
-            meter=meter,
-            system=system,
-            elapsed=elapsed,
+            cluster=cluster,
+            waves=lambda: self._waves(meter, shuffle_events, cluster),
+            faults=faults,
+            recovery=recovery,
         )
 
     # ------------------------------------------------------------------
@@ -286,21 +246,11 @@ class SqlEngine(SoftwareStack):
         meter.record_shuffle(nbytes, records=len(rows))
         shuffle_events.append(nbytes)
 
-    def _simulate(
-        self,
-        meter: Meter,
-        shuffle_events: List[int],
-        cluster: Cluster,
-        faults: Optional[FaultPlan] = None,
-        recovery: Optional[RecoveryPolicy] = None,
-        tracer=None,
-        name: str = "query",
+    def _waves(
+        self, meter: Meter, shuffle_events: List[int], cluster: Cluster
     ) -> tuple:
-        rate = self.traits.instruction_rate
-        start = cluster.sim.now
-        total_instr = (
-            meter.kernel_mix().total + self.traits.framework_instructions(meter)
-        ) * self.traits.des_cpu_factor
+        """A scan wave, then one exchange wave per shuffle."""
+        total_instr = self.des_instructions(meter)
         n_waves = 1 + len(shuffle_events)
         # One task per core: the paper deploys with matching scale, so
         # every node runs cores-many workers sharing one disk.
@@ -328,22 +278,14 @@ class SqlEngine(SoftwareStack):
                     for t in range(n_tasks)
                 ]
             )
-        if recovery is None:
-            recovery = policy_for(self.recovery_stack)
         wave_names = ["scan"] + [
             f"exchange{i}" for i in range(len(shuffle_events))
         ]
-        metrics = run_waves(
-            cluster, waves, rate, faults=faults, policy=recovery,
-            tracer=tracer, job_name=name, wave_names=wave_names,
-        )
-        return metrics, cluster.sim.now - start
+        return wave_names, waves
 
 
 class HiveEngine(SqlEngine):
     """Hive 0.9: SQL compiled to MapReduce jobs on the JVM."""
-
-    recovery_stack = "Hive"
 
     def __init__(self):
         super().__init__(HIVE_TRAITS)
@@ -352,17 +294,12 @@ class HiveEngine(SqlEngine):
 class SharkEngine(SqlEngine):
     """Shark: SQL compiled to Spark RDD operations."""
 
-    recovery_stack = "Shark"
-
     def __init__(self):
         super().__init__(SHARK_TRAITS)
 
 
 class ImpalaEngine(SqlEngine):
     """Impala: a native C++ MPP engine with vectorised scans."""
-
-    batch_rows = 1024
-    recovery_stack = "Impala"
 
     def __init__(self):
         super().__init__(IMPALA_TRAITS)

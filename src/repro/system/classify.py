@@ -45,10 +45,6 @@ def characterize_system(
     cluster = Cluster(n_nodes=n_nodes)
     result = definition.runner(scale=scale, cluster=cluster, seed=seed)
     metrics = result.system
-    if metrics is None:
-        # Workloads without cluster scheduling still classify from a
-        # synthetic single-wave execution of their meter.
-        metrics = SystemMetrics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     behavior = classify_system_behavior(
         metrics.cpu_utilization,
         metrics.io_wait_ratio,

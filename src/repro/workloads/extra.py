@@ -298,24 +298,17 @@ def hbase_write(
         store.put(row.key, row.fields, meter)
         meter.record_out(row.size_bytes())
     store.flush()
-    from repro.stacks.base import build_profile
-
     kernel = KernelTraits(
         code_kb=14.0, ilp=1.7, loop_fraction=0.25,
         pattern_fraction=0.10, data_dependent_fraction=0.65,
         taken_prob=0.07, loop_trip=12, state_zipf=0.4,
     )
-    data = store.data_footprint(
-        meter, kernel,
+    return store.result(
+        "H-Write", store.n_sstables, meter, kernel,
         state_bytes=max(16 * 1024 * 1024, n_rows * 1128),
-        state_fraction=0.08, stream_fraction=0.01,
-    )
-    profile = build_profile(
-        name="H-Write", meter=meter, stack=store.traits,
-        kernel=kernel, data=data, threads=6, offcore_write_share=0.6,
-    )
-    return WorkloadResult(
-        name="H-Write", output=store.n_sstables, profile=profile, meter=meter,
+        state_fraction=0.08, stream_fraction=0.01, offcore_write_share=0.6,
+        cluster=cluster,
+        waves=lambda: store.request_waves(meter, cluster, writes=True),
     )
 
 
@@ -338,24 +331,17 @@ def hbase_scan(
             if value is not None:
                 scanned += 1
                 meter.record_out(1128)
-    from repro.stacks.base import build_profile
-
     kernel = KernelTraits(
         code_kb=12.0, ilp=2.1, loop_fraction=0.45,
         pattern_fraction=0.10, data_dependent_fraction=0.45,
         taken_prob=0.05, loop_trip=100, state_zipf=0.3,
     )
-    data = store.data_footprint(
-        meter, kernel,
+    return store.result(
+        "H-Scan", scanned, meter, kernel,
         state_bytes=max(16 * 1024 * 1024, n_rows * 1128),
         state_fraction=0.05, stream_fraction=0.02,
-    )
-    profile = build_profile(
-        name="H-Scan", meter=meter, stack=store.traits,
-        kernel=kernel, data=data, threads=6,
-    )
-    return WorkloadResult(
-        name="H-Scan", output=scanned, profile=profile, meter=meter,
+        cluster=cluster,
+        waves=lambda: store.request_waves(meter, cluster),
     )
 
 

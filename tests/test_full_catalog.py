@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from repro.cluster.cluster import Cluster
 from repro.uarch.isa import InstructionClass
 from repro.workloads import ALL_WORKLOADS, MPI_WORKLOADS
 
@@ -82,3 +83,15 @@ class TestEveryWorkloadRuns:
             assert (
                 base.profile.instructions != variant.profile.instructions
             ), (base_id, variant_id)
+
+
+@pytest.mark.parametrize(
+    "definition", ALL_WORKLOADS, ids=lambda d: d.workload_id
+)
+def test_cluster_replay_keeps_the_profile(definition):
+    """Every catalog workload replays on a cluster it is handed, and the
+    replay leaves the characterization untouched."""
+    result = definition.runner(scale=0.05, cluster=Cluster())
+    assert result.system is not None
+    assert result.system.elapsed > 0
+    assert result.profile == definition.runner(scale=0.05).profile
