@@ -89,10 +89,10 @@ def _occurrences(keys: np.ndarray) -> np.ndarray:
 
 
 #: A map of the 4 states of a 2-bit counter, packed into one byte as
-#: ``f(0) | f(1) << 2 | f(2) << 4 | f(3) << 6``.
-_IDENTITY = 0b11_10_01_00
-_INCREMENT = 0b11_11_10_01
-_DECREMENT = 0b10_01_00_00
+#: ``f(0) | f(1) << 2 | f(2) << 4 | f(3) << 6``: count down, count up,
+#: and the constant maps to 0 and 3, indexed by ``up | saturated << 1``.
+_UPDATE_MAPS = np.array([0b10_01_00_00, 0b11_11_10_01, 0x00, 0xFF],
+                        dtype=np.uint8)
 
 
 @functools.lru_cache(maxsize=None)
@@ -114,14 +114,39 @@ def _counter_scan(table: np.ndarray, index: np.ndarray, up: np.ndarray,
     Event ``i`` reads counter ``index[i]`` (masked to the table size),
     then counts it up if ``up[i]``, down otherwise, or leaves it where
     ``train[i]`` is false.  Returns each event's prediction (counter >= 2
-    before its update) and leaves the final counters in ``table``.  The
-    maps of each entry's events are prefix-composed by log-step doubling.
+    before its update) and leaves the final counters in ``table``.
+
+    Only the trained events are composed, grouped by entry in a stable
+    sort.  The third of three same-direction updates of an entry leaves
+    its counter saturated whatever it held, so it carries a constant map
+    and starts a new run; log-step doubling composes each run's maps and
+    reaches back only to the run's start.  An event's counter before it
+    is the value after its entry's latest trained event, or the table
+    value if there is none: one cumulative count and one gather.
     """
-    maps = np.where(up, _INCREMENT, _DECREMENT).astype(np.uint8)
-    if train is not None:
-        maps[~train] = _IDENTITY
-    order, keys, rank, last = _segments(index & (len(table) - 1))
-    prefix = maps[order]
+    order, keys = _stable_order(index & (len(table) - 1), len(table))
+    if train is None:
+        trained = np.ones(len(keys), dtype=bool)
+        source, entry = order, keys
+    else:
+        trained = train[order]
+        source, entry = order[trained], keys[trained]
+    count = len(entry)
+    rising = up[source]
+    first = np.ones(count, dtype=bool)
+    np.not_equal(entry[1:], entry[:-1], out=first[1:])
+    saturated = np.zeros(count, dtype=bool)
+    np.equal(rising[2:], rising[1:-1], out=saturated[2:])
+    saturated[2:] &= rising[1:-1] == rising[:-2]
+    saturated[2:] &= entry[2:] == entry[:-2]
+    prefix = _UPDATE_MAPS[rising.view(np.uint8)
+                          | (saturated.view(np.uint8) << 1)]
+    # Each trained event's rank in its run; runs start at an entry's
+    # first trained event and at every saturating one.
+    position = np.arange(count, dtype=np.int32)
+    begin = np.where(first | saturated, position, 0)
+    np.maximum.accumulate(begin, out=begin)
+    rank = np.subtract(position, begin, out=position)
     compose = _compose_table()
     ahead = np.flatnonzero(rank)
     step = 1
@@ -131,10 +156,18 @@ def _counter_scan(table: np.ndarray, index: np.ndarray, up: np.ndarray,
         step *= 2
         ahead = ahead[rank[ahead] >= step]
     counters = table[keys]
-    after = (prefix >> (2 * counters)) & 3
-    before = counters.copy()
-    before[1:] = np.where(rank[1:] == 0, counters[1:], after[:-1])
-    table[keys[last]] = after[last]
+    # After each trained event, and whose it is; slot 0 stands for none.
+    after = np.zeros(count + 1, dtype=np.uint8)
+    np.right_shift(prefix, table[entry] << 1, out=after[1:])
+    after &= 3
+    owner = np.full(count + 1, len(table), dtype=keys.dtype)
+    owner[1:] = entry
+    latest = np.cumsum(trained, dtype=np.int32)
+    latest -= trained
+    before = np.where(owner[latest] == keys, after[latest], counters)
+    last = np.ones(count, dtype=bool)
+    last[:-1] = first[1:]
+    table[entry[last]] = after[1:][last]
     predicted = np.empty(len(index), dtype=bool)
     predicted[order] = before >= 2
     return predicted
@@ -288,6 +321,12 @@ class IndirectPredictor:
     history-indexed target cache backed by a per-PC most-frequent-target
     table (real predictors converge on the dominant target of mostly-
     monomorphic virtual-dispatch sites; plain last-target BTBs do not).
+
+    Known defect, kept until a change meant to move Table 4: the history
+    register never carries information.  :class:`BranchStreamGenerator`
+    makes every indirect target ``0x900000 + 64 * k``, so ``target & 0x7``
+    is always 0 and ``_history`` stays 0; the "(pc, history)" table is a
+    per-PC last-target table.
     """
 
     def __init__(self, entries: int = 2048, history_bits: int = 4):
@@ -485,7 +524,7 @@ class BranchStreamGenerator:
 
     #: Skew of dynamic execution over static branch sites.  Real programs
     #: concentrate the vast majority of dynamic branches in a few hot
-    #: sites (inner loops); 1.3 puts most dynamic branches in the top few
+    #: sites (inner loops); 1.6 puts most dynamic branches in the top few
     #: dozen sites while still exercising the long tail.
     SITE_ZIPF = 1.6
 

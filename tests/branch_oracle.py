@@ -49,6 +49,11 @@ class SaturatingCounterTable:
             raise ValueError("entries must be a power of two")
         self._counters = [initial] * entries
 
+    @property
+    def counters(self) -> List[int]:
+        """Every counter's value, by entry."""
+        return list(self._counters)
+
     def predict(self, index: int) -> bool:
         """Predict taken when the counter's high bit is set."""
         return self._counters[index & self._mask] >= 2

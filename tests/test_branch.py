@@ -9,7 +9,7 @@ aliasing and heavy LRU eviction.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.uarch.branch import (
     BranchStreamGenerator,
@@ -32,6 +32,49 @@ def counter_predictions(index, up, train=None, entries=16):
         _pht(entries), np.asarray(index), np.asarray(up),
         None if train is None else np.asarray(train),
     ).tolist()
+
+
+def assert_counter_calls_match(entries, calls):
+    """Replay ``(index, up, train)`` calls through one table with
+    ``_counter_scan`` and with the scalar counters (``train`` None: all
+    events train); every call's predictions and the table after it must
+    agree."""
+    table = _pht(entries)
+    scalar = oracle.SaturatingCounterTable(entries)
+    for index, up, train in calls:
+        trains = [True] * len(index) if train is None else train
+        expected = []
+        for i, rising, trained in zip(index, up, trains):
+            expected.append(scalar.predict(i))
+            if trained:
+                scalar.update(i, rising)
+        got = _counter_scan(
+            table, np.array(index, dtype=np.int64), np.array(up, dtype=bool),
+            None if train is None else np.array(train, dtype=bool))
+        assert got.tolist() == expected
+        assert table.tolist() == scalar.counters
+
+
+@st.composite
+def counter_calls(draw):
+    """One to three calls, each a list of same-direction runs of 1-40
+    updates on a few entries, training none, about 5% or all of its
+    events (all through the ``train=None`` form or an explicit mask)."""
+    calls = []
+    for _ in range(draw(st.integers(1, 3))):
+        runs = draw(st.lists(
+            st.tuples(st.integers(0, 7), st.booleans(), st.integers(1, 40)),
+            max_size=12))
+        index = [entry for entry, _, length in runs for _ in range(length)]
+        up = [rising for _, rising, length in runs for _ in range(length)]
+        share = draw(st.sampled_from([0.0, 0.05, 1.0, None]))
+        if share is None:
+            train = None
+        else:
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            train = (rng.random(len(index)) < share).tolist()
+        calls.append((index, up, train))
+    return calls
 
 
 class TestSaturatingCounterTable:
@@ -73,6 +116,30 @@ class TestSaturatingCounterTable:
             train = np.array([e[2] for e in part], dtype=bool)
             got += _counter_scan(table, index, up, train).tolist()
         assert got == expected
+
+    @given(st.integers(0, 4), counter_calls())
+    # Entry 1 ends on an untrained event: its final value is the one
+    # after its latest trained event.
+    @example(2, [([1, 1, 1, 1], [False, False, False, True],
+                  [True, True, True, False])])
+    # Entry 2 saturates low; after an empty call, a call that trains
+    # none of its events must leave it (and entry 0) as they were.
+    @example(2, [([2, 2, 2, 0], [False] * 4, [True] * 4),
+                 ([], [], []),
+                 ([2, 2, 0, 0], [True] * 4, [False] * 4)])
+    @settings(max_examples=150, deadline=None)
+    def test_runs_and_reversals_match_scalar_counters(self, log_entries,
+                                                      calls):
+        assert_counter_calls_match(1 << log_entries, calls)
+
+    @given(st.integers(0, 3), st.booleans(), st.integers(2000, 6000))
+    @settings(max_examples=10, deadline=None)
+    def test_long_alternating_run_never_saturates(self, warm, up, length):
+        # The warm-up call sets the entry to any state 0..3 (from 2).
+        warm_up = ([0] * abs(warm - 2), [warm > 2] * abs(warm - 2), None)
+        alternating = [bool((i % 2) ^ up) for i in range(length)]
+        assert_counter_calls_match(4, [
+            warm_up, ([0] * length, alternating, None)])
 
 
 class TestHistories:
