@@ -79,6 +79,9 @@ MICRO_WORKLOAD = "S-WordCount"
 _MICRO_FETCH_LINES = 40_000
 _MICRO_DATA_LINES = 60_000
 _MICRO_BRANCHES = 40_000
+#: One ``fig locality`` curve's trace at ``--scale 0.1``: 40k warm-up
+#: references, then 40k measured.
+_MICRO_SWEEP_REFS = 80_000
 
 
 @dataclass(frozen=True)
@@ -203,13 +206,39 @@ def _make_branch(scale: float, seed: int):
     profile = _micro_profile(scale, seed)
 
     def run() -> Dict[str, float]:
+        # A warm-up stream, then the measured one, through one predictor,
+        # as ``characterize`` replays them.
+        predictor = XEON_E5645.make_predictor()
         generator = BranchStreamGenerator(profile.branches, seed=seed + 2)
+        simulate_branches(generator.generate(_MICRO_BRANCHES), predictor)
         events = generator.generate(_MICRO_BRANCHES)
-        stats = simulate_branches(events, XEON_E5645.make_predictor())
+        stats = simulate_branches(events, predictor)
         return {
             "branch.branches": float(stats.branches),
             "branch.mispredictions": float(stats.mispredictions),
             "branch.btb_miss_ratio": float(stats.btb_miss_ratio),
+        }
+
+    return run
+
+
+def _make_sweep(scale: float, seed: int):
+    from repro.uarch.cache import lru_sweep_misses
+    from repro.uarch.simulator import DEFAULT_SIZES_KB, sweep_set_counts
+    from repro.uarch.trace import generate_fetch_trace
+
+    profile = _micro_profile(scale, seed)
+    trace = generate_fetch_trace(profile.code, _MICRO_SWEEP_REFS, seed=seed)
+    ways = 8  # the locality study's L1
+    set_counts = sweep_set_counts(DEFAULT_SIZES_KB, ways)
+
+    def run() -> Dict[str, float]:
+        misses = lru_sweep_misses(
+            trace, set_counts, ways, start=len(trace) // 2
+        )
+        return {
+            f"sweep.{size_kb}KB.misses": float(count)
+            for size_kb, count in zip(DEFAULT_SIZES_KB, misses)
         }
 
     return run
@@ -292,10 +321,18 @@ _MICRO_TARGETS = (
     ),
     BenchTarget(
         "uarch.branch",
-        "branch stream generation + predictor replay "
-        "(BranchStreamGenerator.generate / simulate_branches)",
+        "branch stream generation + predictor replay of a warm-up and a "
+        "measured stream (BranchStreamGenerator.generate / "
+        "simulate_branches)",
         "micro",
         _make_branch,
+    ),
+    BenchTarget(
+        "uarch.sweep",
+        "one Figs 6-9 capacity-sweep curve over a pre-generated "
+        "instruction trace (lru_sweep_misses)",
+        "micro",
+        _make_sweep,
     ),
 )
 

@@ -5,10 +5,15 @@
   over reuse order that runs only over the sets receiving more distinct
   lines than they have ways (see its docstring).  The hierarchy walk of
   :class:`CacheHierarchy` (the L1I/L1D/L2/L3 MPKI of Figure 4), the
-  TLBs and the capacity sweeps of Figures 6-9 all run on it, and so
-  does the branch predictors' BTB.
+  TLBs and the crowded sets of the capacity sweeps of Figures 6-9 all
+  run on it, and so does the branch predictors' BTB.
   :func:`lru_hits_full` is its fully-associative case for capacities
   in the thousands (the loop predictor's table).
+- :func:`lru_sweep_misses` counts the misses of one trace at every
+  size of a capacity sweep (Figures 6-9).  One line sort finds each
+  line's first reference; per size, only the sets receiving more
+  distinct lines than ways go through :func:`lru_hits`, and every
+  other reference hits iff its line was seen before.
 - The per-access model with explicit per-set LRU state,
   ``SetAssociativeCache``, lives with the tests (``tests/cache_oracle.py``):
   it agrees with the kernel on every reference and is the reference the
@@ -96,11 +101,7 @@ def lru_hits(lines: Sequence[int], num_sets: int, ways: int) -> np.ndarray:
     hits = np.ones(len(lines), dtype=bool)
     if len(lines) == 0:
         return hits
-    if num_sets & (num_sets - 1):
-        sets = lines % num_sets
-    else:
-        sets = lines & (num_sets - 1)
-    order, sets = _stable_order(sets, num_sets)
+    order, sets = _stable_order(_set_index(lines, num_sets), num_sets)
     seq = lines[order]
     kept = np.empty(len(seq), dtype=bool)
     kept[0] = True
@@ -135,6 +136,14 @@ def lru_hits(lines: Sequence[int], num_sets: int, ways: int) -> np.ndarray:
         set_hits[at] = _crowded_hits(previous[at] - shift, ways)
     hits[order] = set_hits
     return hits
+
+
+def _set_index(lines: np.ndarray, num_sets: int) -> np.ndarray:
+    """The set each of ``lines`` maps to: its low bits when ``num_sets``
+    is a power of two, else its remainder."""
+    if num_sets & (num_sets - 1):
+        return lines % num_sets
+    return lines & (num_sets - 1)
 
 
 def _stable_order(keys: np.ndarray, bound: int):
@@ -258,6 +267,60 @@ def lru_misses(lines: Sequence[int], num_sets: int, ways: int,
     ``lines`` (the first ``start`` references only warm it)."""
     hits = lru_hits(lines, num_sets, ways)[start:]
     return len(hits) - int(np.count_nonzero(hits))
+
+
+def lru_sweep_misses(lines: Sequence[int], set_counts: Sequence[int],
+                     ways: int, start: int = 0) -> List[int]:
+    """``[lru_misses(lines, s, ways, start) for s in set_counts]`` with
+    one line sort for the whole sweep.
+
+    The line sort lists the distinct lines and, being stable, which of
+    them are first referenced from ``start`` on: the cold misses.  A set
+    that receives at most ``ways`` distinct lines never evicts, so there
+    a reference hits iff its line was referenced before; the distinct
+    lines alone say, with one ``bincount`` per set count, which sets
+    receive more (are *crowded*) and how many cold misses fall in the
+    other sets.  Only the crowded sets' references, copied out in trace
+    order, go through :func:`lru_hits`: sets are independent, so each
+    keeps exactly its outcomes.  A set count with no crowded set costs
+    that one ``bincount``.  Exact for any set counts, in any order;
+    nothing assumes inclusion between them.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    if len(lines) == 0:
+        return [0] * len(set_counts)
+    low = int(lines.min())
+    by_line, keys = _stable_order(lines - low, int(lines.max()) - low + 1)
+    new = np.empty(len(lines), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    distinct = keys[new].astype(np.int64)
+    distinct += low
+    # The sort is stable, so a line's first sorted position is its first
+    # reference: ``late`` lists the lines first referenced from ``start``.
+    late = distinct[by_line[new] >= start]
+    del by_line, keys, new
+    cold = len(late)
+
+    misses = []
+    for num_sets in set_counts:
+        crowded = np.bincount(
+            _set_index(distinct, num_sets), minlength=num_sets
+        ) > ways
+        if not crowded.any():
+            misses.append(cold)
+            continue
+        crowded_cold = int(np.count_nonzero(
+            crowded[_set_index(late, num_sets)]
+        ))
+        in_crowded = crowded[_set_index(lines, num_sets)]
+        warm = int(np.count_nonzero(in_crowded[:start]))
+        crowded_lines = np.compress(in_crowded, lines)
+        del in_crowded
+        crowded_misses = lru_misses(crowded_lines, num_sets, ways, warm)
+        del crowded_lines
+        misses.append(cold - crowded_cold + crowded_misses)
+    return misses
 
 
 @dataclass

@@ -4,9 +4,12 @@ The paper's locality study fixes an Atom-like single-core configuration
 (8-way L1 with 64-byte lines, shared 8-way L2) and sweeps the L1 size
 from 16 KB to 8192 KB, recording the miss ratio at every size.  The same
 study is reproduced here by running the synthetic instruction/data
-streams of :mod:`repro.uarch.trace` through the exact LRU kernel
-:func:`repro.uarch.cache.lru_hits`, once per swept size: the first half
-of each trace warms the cache, the second half is measured.
+streams of :mod:`repro.uarch.trace` through exact LRU caches: the first
+half of each trace warms the cache, the second half is measured.  One
+:func:`repro.uarch.cache.lru_sweep_misses` call covers every swept size
+of a trace: it sorts the trace's lines once, and runs the LRU kernel
+:func:`repro.uarch.cache.lru_hits` only on the references of sets that
+receive more distinct lines than ways.
 
 Workloads may be simulated in *segments*: sweep each segment's profile
 once and combine the curves with
@@ -24,12 +27,21 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.uarch.cache import CacheConfig, lru_misses
+from repro.uarch.cache import CacheConfig, lru_sweep_misses
 from repro.uarch.profile import CodeFootprint, DataFootprint
 from repro.uarch.trace import generate_data_trace, generate_fetch_trace
 
 #: The paper's sweep points, in KB (Figures 6-9 x-axis).
 DEFAULT_SIZES_KB: Tuple[int, ...] = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
+
+
+def sweep_set_counts(sizes_kb: Sequence[int], ways: int) -> List[int]:
+    """The set count of a ``ways``-way cache at each of ``sizes_kb``;
+    a size that is no valid geometry raises."""
+    return [
+        CacheConfig(f"L1@{size_kb}KB", size_kb * 1024, ways=ways).num_sets
+        for size_kb in sizes_kb
+    ]
 
 
 @dataclass
@@ -90,18 +102,16 @@ class CacheSweepSimulator:
         self.seed = seed
 
     def _sweep(self, name: str, trace: np.ndarray) -> SweepResult:
-        """Run ``trace`` through each cache size; measure the second half."""
+        """Miss ratio of the second half of ``trace`` at every cache size,
+        the first half warming each cold cache: one
+        :func:`lru_sweep_misses` call over the sizes' set counts."""
         half = len(trace) // 2
         measured = len(trace) - half
-        ratios = []
-        for size_kb in self.sizes_kb:
-            config = CacheConfig(
-                f"L1@{size_kb}KB", size_kb * 1024, ways=self.ways
-            )
-            misses = lru_misses(
-                trace, config.num_sets, config.ways, start=half
-            )
-            ratios.append(misses / measured if measured else 0.0)
+        misses = lru_sweep_misses(
+            trace, sweep_set_counts(self.sizes_kb, self.ways), self.ways,
+            start=half,
+        )
+        ratios = [count / measured if measured else 0.0 for count in misses]
         return SweepResult(name=name, sizes_kb=list(self.sizes_kb), miss_ratios=ratios)
 
     def instruction_curve(

@@ -13,6 +13,7 @@ from repro.uarch.cache import (
     lru_hits,
     lru_hits_full,
     lru_misses,
+    lru_sweep_misses,
 )
 from tests.cache_oracle import (
     ScalarHierarchy,
@@ -223,6 +224,80 @@ class TestLruKernel:
         assert lru_hits([], 8, 4).shape == (0,)
         assert lru_misses([], 8, 4) == 0
         assert lru_hits_full([], 1024).shape == (0,)
+
+
+class TestSweepKernel:
+    """``lru_sweep_misses`` against :func:`lru_misses` at each set count."""
+
+    @given(lru_cases(), st.lists(st.integers(1, 64), min_size=1,
+                                 max_size=6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_size_misses(self, case, extra_sets, data):
+        """Set counts that are and are not powers of two, repeated and
+        unsorted, around the case's own; every warm-up length."""
+        trace, num_sets, ways = case
+        set_counts = [num_sets, 2 * num_sets, *extra_sets, num_sets]
+        start = data.draw(st.integers(0, len(trace)))
+        assert lru_sweep_misses(trace, set_counts, ways, start) == [
+            lru_misses(trace, sets, ways, start) for sets in set_counts]
+
+    @pytest.mark.parametrize("num_sets, ways", [(12, 16), (12, 4), (5, 2),
+                                                (16, 8)])
+    def test_crowded_and_uncrowded_sets_in_one_sweep(self, num_sets, ways):
+        """The odd sets of ``num_sets`` receive more distinct lines than
+        they have ways and the even ones at most ``ways``, so the sweep
+        meets set counts with every set crowded, some, and none."""
+        rng = np.random.default_rng(num_sets + ways)
+        per_set = [3 * ways + 1 if s % 2 else ways - s % 3
+                   for s in range(num_sets)]
+        universe = np.array([s + num_sets * tag for s in range(num_sets)
+                             for tag in range(per_set[s])])
+        trace = universe[rng.zipf(1.3, size=4000) % len(universe)]
+        trace = np.concatenate([universe, trace])
+        set_counts = [1, 3, num_sets, 2 * num_sets, 7 * num_sets,
+                      64 * num_sets, num_sets // 2]
+        for start in (0, len(universe), 2500, len(trace)):
+            assert lru_sweep_misses(trace, set_counts, ways, start) == [
+                lru_misses(trace, sets, ways, start) for sets in set_counts]
+
+    @given(lru_cases(max_sets=12), st.integers(0, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_doubling_sets_never_raises_misses(self, case, start):
+        """Mattson inclusion across a power-of-two sweep: each doubling of
+        the set count can only remove misses."""
+        trace, num_sets, ways = case
+        misses = lru_sweep_misses(
+            trace, [num_sets << k for k in range(6)], ways, start)
+        assert misses == sorted(misses, reverse=True)
+
+    def test_uncrowded_sizes_miss_only_on_first_references(self):
+        trace = [0, 1, 2, 0, 3, 1, 4, 2, 5, 0]
+        assert lru_sweep_misses(trace, [8, 6, 1], 2) == [6, 6, 10]
+        assert lru_sweep_misses(trace, [8, 6], 2, start=5) == [2, 2]
+
+    def test_kernel_runs_only_on_crowded_sets(self, monkeypatch):
+        """A set holding exactly ``ways`` distinct lines never evicts, so
+        a sweep whose sets are all that full never runs :func:`lru_hits`;
+        with one set crowded, only that set's references reach it."""
+        import repro.uarch.cache as cache
+
+        seen = []
+
+        def counting_hits(lines, num_sets, ways):
+            seen.append(sorted(set(np.asarray(lines).tolist())))
+            return lru_hits(lines, num_sets, ways)
+
+        monkeypatch.setattr(cache, "lru_hits", counting_hits)
+        full = np.tile(np.arange(4 * 3), 5)  # 4 sets x 3 lines each
+        assert lru_sweep_misses(full, [4, 8], 3) == [12, 12]
+        assert seen == []
+        crowded = np.concatenate([full, [12, 0]])  # set 0 gets a 4th line
+        assert lru_sweep_misses(crowded, [4], 3) == [14]
+        assert seen == [[0, 4, 8, 12]]
+
+    def test_empty_inputs(self):
+        assert lru_sweep_misses([], [4, 8], 2) == [0, 0]
+        assert lru_sweep_misses([1, 2, 3], [], 2) == []
 
 
 class TestFullyAssociativeKernel:

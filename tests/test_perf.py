@@ -150,7 +150,8 @@ class TestRunBench:
     def test_catalogue_names_every_paper_verb(self):
         targets = bench_targets()
         for name in ("fig1", "fig4", "table2", "locality",
-                     "uarch.characterize", "uarch.trace-gen"):
+                     "uarch.characterize", "uarch.trace-gen",
+                     "uarch.sweep"):
             assert name in targets
         assert bench_experiment("fig4") == "bench.fig4"
 

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.uarch.profile import CodeFootprint, CodeRegion, DataFootprint
-from repro.uarch.simulator import DEFAULT_SIZES_KB, CacheSweepSimulator, SweepResult
+from repro.uarch.simulator import (
+    DEFAULT_SIZES_KB,
+    CacheSweepSimulator,
+    SweepResult,
+    sweep_set_counts,
+)
 
 
 def footprint(total_kb=128):
@@ -29,6 +34,12 @@ def data_model():
 class TestSweep:
     def test_default_sizes_match_paper(self):
         assert DEFAULT_SIZES_KB == (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
+
+    def test_set_counts_of_the_paper_sizes(self):
+        assert sweep_set_counts(DEFAULT_SIZES_KB, 8) == [
+            32 << k for k in range(len(DEFAULT_SIZES_KB))]
+        with pytest.raises(ValueError):
+            sweep_set_counts([16], 3)  # not a whole number of 3-way sets
 
     def test_instruction_curve_monotone_nonincreasing(self):
         simulator = CacheSweepSimulator(trace_refs=8000)
