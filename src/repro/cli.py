@@ -264,22 +264,20 @@ def _experiment(args, name: str, run, *, pairs=None, series: bool = False,
     return 0
 
 
-def _fig_pairs(figure: str, context: ExperimentContext):
-    """The (workload, platform) cells a figure consumes."""
-    pairs = [(d.workload_id, context.xeon) for d in REPRESENTATIVE_WORKLOADS]
-    if figure != "2":  # every other figure also plots the MPI six
-        pairs += [(d.workload_id, context.xeon) for d in MPI_WORKLOADS]
-    return pairs
+def _fig_pairs(context: ExperimentContext):
+    """The (workload, platform) cells of Figures 1, 3, 4 and 5."""
+    return [(d.workload_id, context.xeon)
+            for d in REPRESENTATIVE_WORKLOADS + MPI_WORKLOADS]
 
 
 def _cmd_fig(args) -> int:
     figure = args.figure
-    # Figs 6-9 sweep capacity over traces and read no counters.
+    # Fig 2 reads declared profiles and Figs 6-9 sweep capacity over
+    # traces: neither reads counters, so neither has cells to prime.
     return _experiment(
         args, "fig-locality" if figure == "locality" else f"fig{figure}",
         _FIGURES[figure], kind="figure",
-        pairs=None if figure == "locality"
-        else lambda context: _fig_pairs(figure, context),
+        pairs=None if figure in ("2", "locality") else _fig_pairs,
     )
 
 

@@ -54,9 +54,14 @@ class CounterFigure:
     derived: Tuple[Derived, ...] = ()
 
     def run(self, context: ExperimentContext) -> "CounterFigureResult":
-        """Regenerate this figure's data."""
+        """Regenerate this figure's data.
+
+        Reads only the metrics the figure shows, so a figure of cache,
+        TLB or mix metrics never runs the deferred branch replay.
+        """
+        shown = self.metrics + self.group_metrics + self.bigdata_metrics
         values = {
-            d.workload_id: context.counters(d.workload_id).metric_dict()
+            d.workload_id: context.counters(d.workload_id).metrics(shown)
             for d in REPRESENTATIVE_WORKLOADS + MPI_WORKLOADS
         }
         representatives = [
@@ -67,7 +72,7 @@ class CounterFigure:
             result.workload_rows.append(
                 [workload_id] + [metrics[m] for m in self.metrics])
         for suite_name in SUITES:
-            samples = [c.metric_dict()
+            samples = [c.metrics(self.metrics)
                        for c in context.suite_counters(suite_name)]
             result.suite_rows.append(
                 [suite_name] + _means(samples, self.metrics))

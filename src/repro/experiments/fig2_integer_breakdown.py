@@ -65,14 +65,18 @@ class IntegerBreakdownResult:
 
 
 def run(context: ExperimentContext) -> IntegerBreakdownResult:
-    """Regenerate Figure 2's data plus the §5.1 shares."""
+    """Regenerate Figure 2's data plus the §5.1 shares.
+
+    Every value is the declared mix and breakdown of a workload's
+    behaviour profile, so no workload is characterized.
+    """
     result = IntegerBreakdownResult()
     n = len(REPRESENTATIVE_WORKLOADS)
     for definition in REPRESENTATIVE_WORKLOADS:
-        counters = context.counters(definition.workload_id)
-        breakdown = counters.int_breakdown
-        movement = data_movement_share(counters.mix, breakdown)
-        with_branches = data_movement_with_branches(counters.mix, breakdown)
+        profile = context.result(definition.workload_id).profile
+        breakdown = profile.int_breakdown
+        movement = data_movement_share(profile.mix, breakdown)
+        with_branches = data_movement_with_branches(profile.mix, breakdown)
         result.rows.append(
             [
                 definition.workload_id,

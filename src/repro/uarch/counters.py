@@ -3,15 +3,20 @@
 :func:`characterize` plays a workload's behaviour profile through the
 cache hierarchy, TLBs and branch predictor of a platform (with a warm-up
 phase, like the paper's 30-second ramp-up before sampling) and assembles
-a :class:`PerfCounters` sample.  :meth:`PerfCounters.metric_vector`
-serialises it into the 45-dimensional space used by WCRT for PCA and
-K-means clustering (§3 of the paper).
+a :class:`PerfCounters` sample.  The branch replay and the pipeline
+model run when the first value that needs them is read, so a figure
+that reports only cache or TLB metrics never replays a branch.
+:meth:`PerfCounters.metric_vector` serialises a sample into the
+45-dimensional space used by WCRT for PCA and K-means clustering (§3
+of the paper).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List
+from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List
 
 import numpy as np
 
@@ -41,73 +46,30 @@ INSTRUCTIONS_PER_FETCH = 8.0
 #: Retired instructions represented by the measured phase of one run.
 DEFAULT_SAMPLE_INSTRUCTIONS = 150_000
 
-#: Names of the 45 metrics, in canonical order.  These instantiate the
-#: paper's eight metric groups: instruction mix, cache behaviour, TLB
-#: behaviour, branch execution, pipeline behaviour, off-core requests and
-#: snoop responses, parallelism, and operation intensity.
-METRIC_NAMES: List[str] = [
-    # instruction mix (9)
-    "ratio_load",
-    "ratio_store",
-    "ratio_branch",
-    "ratio_integer",
-    "ratio_fp",
-    "ratio_other",
-    "int_addr_share",
-    "fp_addr_share",
-    "data_movement_share",
-    # cache behaviour (9)
-    "l1i_mpki",
-    "l1i_miss_ratio",
-    "l1d_mpki",
-    "l1d_miss_ratio",
-    "l2_mpki",
-    "l2_miss_ratio",
-    "l3_mpki",
-    "l3_miss_ratio",
-    "l2_instruction_share",
-    # TLB behaviour (4)
-    "itlb_mpki",
-    "itlb_miss_ratio",
-    "dtlb_mpki",
-    "dtlb_miss_ratio",
-    # branch execution (4)
-    "branches_pki",
-    "branch_mispred_ratio",
-    "branch_mispred_pki",
-    "btb_miss_ratio",
-    # pipeline behaviour (6)
-    "ipc",
-    "cpi",
-    "frontend_stall_ratio",
-    "backend_stall_ratio",
-    "branch_stall_ratio",
-    "retire_utilization",
-    # off-core requests and snoop responses (5)
-    "offcore_read_pki",
-    "offcore_write_pki",
-    "offcore_bandwidth_gbps",
-    "snoop_hit_ratio",
-    "snoop_hitm_ratio",
-    # parallelism (4)
-    "ilp",
-    "mlp",
-    "tlp",
-    "speculation_ratio",
-    # operation intensity (4)
-    "int_ops_per_byte",
-    "fp_ops_per_byte",
-    "instructions_per_byte",
-    "gflops",
-]
+
+@dataclass(frozen=True)
+class BranchPhase:
+    """What the branch replay and the pipeline model add to a sample."""
+
+    branch_stats: BranchStats
+    pipeline: PipelineStats
+    offcore_bandwidth_gbps: float
+    speculation_ratio: float
+    gflops: float
 
 
-@dataclass
+@dataclass(eq=False)
 class PerfCounters:
     """One characterization sample: everything the paper reports.
 
-    Attributes mirror PMU-derived quantities; :meth:`metric_vector`
-    flattens them into the 45-metric space.
+    The fields hold the declared values and the memory phase's counts
+    (caches, TLBs, off-core reads), which :func:`characterize` measures
+    eagerly.  ``replay_branches`` runs the branch replay and the
+    pipeline model on the first read of :attr:`branch_phase` -- that
+    is, of ``branch_stats``, ``pipeline``, ``offcore_bandwidth_gbps``,
+    ``speculation_ratio``, ``gflops`` or any metric derived from them
+    -- and the result is kept.  :meth:`metrics` reads only the metrics
+    it names; :meth:`metric_dict` and :meth:`metric_vector` read all 45.
     """
 
     workload: str
@@ -128,20 +90,40 @@ class PerfCounters:
     itlb_miss_ratio: float
     dtlb_mpki: float
     dtlb_miss_ratio: float
-    branch_stats: BranchStats
-    pipeline: PipelineStats
     offcore_read_pki: float
     offcore_write_pki: float
-    offcore_bandwidth_gbps: float
     snoop_hit_ratio: float
     snoop_hitm_ratio: float
     tlp: float
-    speculation_ratio: float
     int_ops_per_byte: float
     fp_ops_per_byte: float
     instructions_per_byte: float
-    gflops: float
     ilp: float
+    replay_branches: Callable[[], BranchPhase] = field(repr=False)
+
+    @cached_property
+    def branch_phase(self) -> BranchPhase:
+        return self.replay_branches()
+
+    @property
+    def branch_stats(self) -> BranchStats:
+        return self.branch_phase.branch_stats
+
+    @property
+    def pipeline(self) -> PipelineStats:
+        return self.branch_phase.pipeline
+
+    @property
+    def offcore_bandwidth_gbps(self) -> float:
+        return self.branch_phase.offcore_bandwidth_gbps
+
+    @property
+    def speculation_ratio(self) -> float:
+        return self.branch_phase.speculation_ratio
+
+    @property
+    def gflops(self) -> float:
+        return self.branch_phase.gflops
 
     @property
     def ipc(self) -> float:
@@ -151,64 +133,22 @@ class PerfCounters:
     def branch_mispred_ratio(self) -> float:
         return self.branch_stats.misprediction_ratio
 
+    def metrics(self, names: Iterable[str]) -> Dict[str, float]:
+        """The named metrics, in the order given, and nothing else."""
+        return {name: _FORMULAS[name](self) for name in names}
+
     def metric_dict(self) -> Dict[str, float]:
         """All 45 metrics, keyed by :data:`METRIC_NAMES` entries."""
-        mix = self.mix
-        values = {
-            "ratio_load": mix.ratio(InstructionClass.LOAD),
-            "ratio_store": mix.ratio(InstructionClass.STORE),
-            "ratio_branch": mix.ratio(InstructionClass.BRANCH),
-            "ratio_integer": mix.ratio(InstructionClass.INTEGER),
-            "ratio_fp": mix.ratio(InstructionClass.FP),
-            "ratio_other": mix.ratio(InstructionClass.OTHER),
-            "int_addr_share": self.int_breakdown.int_addr,
-            "fp_addr_share": self.int_breakdown.fp_addr,
-            "data_movement_share": data_movement_share(mix, self.int_breakdown),
-            "l1i_mpki": self.l1i_mpki,
-            "l1i_miss_ratio": self.l1i_miss_ratio,
-            "l1d_mpki": self.l1d_mpki,
-            "l1d_miss_ratio": self.l1d_miss_ratio,
-            "l2_mpki": self.l2_mpki,
-            "l2_miss_ratio": self.l2_miss_ratio,
-            "l3_mpki": self.l3_mpki,
-            "l3_miss_ratio": self.l3_miss_ratio,
-            "l2_instruction_share": self.l2_instruction_share,
-            "itlb_mpki": self.itlb_mpki,
-            "itlb_miss_ratio": self.itlb_miss_ratio,
-            "dtlb_mpki": self.dtlb_mpki,
-            "dtlb_miss_ratio": self.dtlb_miss_ratio,
-            "branches_pki": 1000.0 * mix.ratio(InstructionClass.BRANCH),
-            "branch_mispred_ratio": self.branch_stats.misprediction_ratio,
-            "branch_mispred_pki": self.branch_stats.mispredictions_pki(
-                self.instructions
-            ),
-            "btb_miss_ratio": self.branch_stats.btb_miss_ratio,
-            "ipc": self.pipeline.ipc,
-            "cpi": self.pipeline.cpi,
-            "frontend_stall_ratio": self.pipeline.frontend_stall_ratio,
-            "backend_stall_ratio": self.pipeline.backend_stall_ratio,
-            "branch_stall_ratio": self.pipeline.branch_stall_ratio,
-            "retire_utilization": self.pipeline.ipc / 4.0,
-            "offcore_read_pki": self.offcore_read_pki,
-            "offcore_write_pki": self.offcore_write_pki,
-            "offcore_bandwidth_gbps": self.offcore_bandwidth_gbps,
-            "snoop_hit_ratio": self.snoop_hit_ratio,
-            "snoop_hitm_ratio": self.snoop_hitm_ratio,
-            "ilp": self.ilp,
-            "mlp": self.pipeline.mlp,
-            "tlp": self.tlp,
-            "speculation_ratio": self.speculation_ratio,
-            "int_ops_per_byte": self.int_ops_per_byte,
-            "fp_ops_per_byte": self.fp_ops_per_byte,
-            "instructions_per_byte": self.instructions_per_byte,
-            "gflops": self.gflops,
-        }
-        return values
+        return self.metrics(METRIC_NAMES)
 
     def metric_vector(self) -> np.ndarray:
         """The 45 metrics as a float vector in canonical order."""
-        values = self.metric_dict()
-        return np.array([values[name] for name in METRIC_NAMES])
+        return np.array(list(self.metric_dict().values()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PerfCounters):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     # ---- lossless serialisation ------------------------------------------
     # The sweep executor ships samples between worker processes as JSON;
@@ -254,19 +194,24 @@ class PerfCounters:
         mix = InstructionMix()
         for name, count in data["mix_counts"].items():
             mix.counts[InstructionClass(name)] = float(count)
+        scalars = {name: float(data[name]) for name in _SCALAR_FIELDS}
+        phase = BranchPhase(
+            branch_stats=BranchStats(**data["branch_stats"]),
+            pipeline=PipelineStats(**data["pipeline"]),
+            **{name: scalars.pop(name) for name in _PHASE_SCALARS},
+        )
         return cls(
             workload=data["workload"],
             platform=data["platform"],
             instructions=float(data["instructions"]),
             mix=mix,
             int_breakdown=IntBreakdown(**data["int_breakdown"]),
-            branch_stats=BranchStats(**data["branch_stats"]),
-            pipeline=PipelineStats(**data["pipeline"]),
-            **{name: float(data[name]) for name in _SCALAR_FIELDS},
+            replay_branches=lambda: phase,
+            **scalars,
         )
 
 
-#: The flat float attributes of :class:`PerfCounters` (everything except
+#: The flat float values of :class:`PerfCounters` (everything except
 #: the nested mix/breakdown/branch/pipeline structures and identity).
 _SCALAR_FIELDS = (
     "l1i_mpki", "l1i_miss_ratio", "l1d_mpki", "l1d_miss_ratio",
@@ -277,6 +222,75 @@ _SCALAR_FIELDS = (
     "snoop_hitm_ratio", "tlp", "speculation_ratio", "int_ops_per_byte",
     "fp_ops_per_byte", "instructions_per_byte", "gflops", "ilp",
 )
+
+#: The scalars of :class:`BranchPhase`.
+_PHASE_SCALARS = ("offcore_bandwidth_gbps", "speculation_ratio", "gflops")
+
+#: name -> formula over one sample, for the 45 metrics in canonical
+#: order.  These instantiate the paper's eight metric groups:
+#: instruction mix, cache behaviour, TLB behaviour, branch execution,
+#: pipeline behaviour, off-core requests and snoop responses,
+#: parallelism, and operation intensity.
+_FORMULAS: Dict[str, Callable[[PerfCounters], float]] = {
+    # instruction mix (9)
+    "ratio_load": lambda c: c.mix.ratio(InstructionClass.LOAD),
+    "ratio_store": lambda c: c.mix.ratio(InstructionClass.STORE),
+    "ratio_branch": lambda c: c.mix.ratio(InstructionClass.BRANCH),
+    "ratio_integer": lambda c: c.mix.ratio(InstructionClass.INTEGER),
+    "ratio_fp": lambda c: c.mix.ratio(InstructionClass.FP),
+    "ratio_other": lambda c: c.mix.ratio(InstructionClass.OTHER),
+    "int_addr_share": attrgetter("int_breakdown.int_addr"),
+    "fp_addr_share": attrgetter("int_breakdown.fp_addr"),
+    "data_movement_share":
+        lambda c: data_movement_share(c.mix, c.int_breakdown),
+    # cache behaviour (9)
+    "l1i_mpki": attrgetter("l1i_mpki"),
+    "l1i_miss_ratio": attrgetter("l1i_miss_ratio"),
+    "l1d_mpki": attrgetter("l1d_mpki"),
+    "l1d_miss_ratio": attrgetter("l1d_miss_ratio"),
+    "l2_mpki": attrgetter("l2_mpki"),
+    "l2_miss_ratio": attrgetter("l2_miss_ratio"),
+    "l3_mpki": attrgetter("l3_mpki"),
+    "l3_miss_ratio": attrgetter("l3_miss_ratio"),
+    "l2_instruction_share": attrgetter("l2_instruction_share"),
+    # TLB behaviour (4)
+    "itlb_mpki": attrgetter("itlb_mpki"),
+    "itlb_miss_ratio": attrgetter("itlb_miss_ratio"),
+    "dtlb_mpki": attrgetter("dtlb_mpki"),
+    "dtlb_miss_ratio": attrgetter("dtlb_miss_ratio"),
+    # branch execution (4)
+    "branches_pki": lambda c: 1000.0 * c.mix.ratio(InstructionClass.BRANCH),
+    "branch_mispred_ratio": attrgetter("branch_stats.misprediction_ratio"),
+    "branch_mispred_pki":
+        lambda c: c.branch_stats.mispredictions_pki(c.instructions),
+    "btb_miss_ratio": attrgetter("branch_stats.btb_miss_ratio"),
+    # pipeline behaviour (6)
+    "ipc": attrgetter("pipeline.ipc"),
+    "cpi": attrgetter("pipeline.cpi"),
+    "frontend_stall_ratio": attrgetter("pipeline.frontend_stall_ratio"),
+    "backend_stall_ratio": attrgetter("pipeline.backend_stall_ratio"),
+    "branch_stall_ratio": attrgetter("pipeline.branch_stall_ratio"),
+    "retire_utilization": lambda c: c.pipeline.ipc / 4.0,
+    # off-core requests and snoop responses (5)
+    "offcore_read_pki": attrgetter("offcore_read_pki"),
+    "offcore_write_pki": attrgetter("offcore_write_pki"),
+    "offcore_bandwidth_gbps": attrgetter("offcore_bandwidth_gbps"),
+    "snoop_hit_ratio": attrgetter("snoop_hit_ratio"),
+    "snoop_hitm_ratio": attrgetter("snoop_hitm_ratio"),
+    # parallelism (4)
+    "ilp": attrgetter("ilp"),
+    "mlp": attrgetter("pipeline.mlp"),
+    "tlp": attrgetter("tlp"),
+    "speculation_ratio": attrgetter("speculation_ratio"),
+    # operation intensity (4)
+    "int_ops_per_byte": attrgetter("int_ops_per_byte"),
+    "fp_ops_per_byte": attrgetter("fp_ops_per_byte"),
+    "instructions_per_byte": attrgetter("instructions_per_byte"),
+    "gflops": attrgetter("gflops"),
+}
+
+#: Names of the 45 metrics, in canonical order.
+METRIC_NAMES: List[str] = list(_FORMULAS)
 
 
 def characterize(
@@ -289,8 +303,13 @@ def characterize(
 
     Runs a warm-up phase (mirroring the paper's 30-second ramp-up before
     sampling) followed by a measured phase through fresh cache, TLB and
-    branch-predictor simulators, then composes the measured event counts
-    into the 45-metric sample.
+    branch-predictor simulators, and composes the measured event counts
+    into the 45-metric sample.  Trace generation, the cache walk and
+    both TLBs run here.  The branch replay (warm-up and measured streams
+    from ``seed + 2``) and the pipeline model run on the first read of a
+    value that needs them (see :class:`PerfCounters`); they hold only
+    the profile, the platform, the seed and the hierarchy's counts,
+    never the traces, and give the same values whenever they run.
     """
     if sample_instructions <= 0:
         raise ValueError("sample_instructions must be positive")
@@ -347,25 +366,7 @@ def characterize(
     itlb_misses = tlb_misses(fetch_trace, platform.itlb, start=n_fetch_warm)
     dtlb_misses = tlb_misses(data_trace, platform.dtlb, start=n_data_warm)
 
-    # --- Branch predictor -----------------------------------------------
-    predictor = platform.make_predictor()
-    generator = BranchStreamGenerator(profile.branches, seed=seed + 2)
-    warm_events = generator.generate(n_branch)
-    simulate_branches(warm_events, predictor)
-    events = generator.generate(n_branch)
-    branch_stats = simulate_branches(events, predictor)
-
     instructions = float(sample_instructions)
-
-    pipeline = model_pipeline(
-        profile,
-        platform,
-        hierarchy,
-        branch_stats,
-        itlb_misses,
-        dtlb_misses,
-        instructions,
-    )
 
     stats = {s.name: s for s in hierarchy.stats()}
     l1i = stats["L1I"]
@@ -382,39 +383,65 @@ def characterize(
     offcore_read_pki = 1000.0 * mem_fills / instructions
     write_share = profile.offcore_write_share
     offcore_write_pki = offcore_read_pki * write_share / max(1e-9, 1.0 - write_share)
-    instr_per_second = pipeline.ipc * platform.frequency_ghz * 1e9
-    offcore_bandwidth_gbps = (
-        (offcore_read_pki + offcore_write_pki)
-        / 1000.0
-        * LINE_BYTES
-        * instr_per_second
-        / 1e9
-    )
     # Snoop hits scale with the number of threads sharing the LLC.
     snoop_hit_ratio = min(0.6, 0.05 * profile.threads)
     snoop_hitm_ratio = profile.snoop_hitm_rate
 
     # --- Parallelism and operation intensity -----------------------------
     tlp = min(float(platform.cores), float(profile.threads))
-    speculation_ratio = (
-        branch_stats.mispredictions_pki(instructions)
-        / 1000.0
-        * platform.branch_penalty
-        * pipeline.ipc
-    )
     total_instr = profile.instructions
     int_ops = total_instr * mix_ratios[InstructionClass.INTEGER]
     fp_ops = profile.fp_ops
     int_ops_per_byte = int_ops / profile.bytes_processed
     fp_ops_per_byte = fp_ops / profile.bytes_processed
     instructions_per_byte = total_instr / profile.bytes_processed
-    fp_per_instr = mix_ratios[InstructionClass.FP]
-    gflops = (
-        fp_per_instr
-        * pipeline.ipc
-        * platform.frequency_ghz
-        * tlp
-    )
+
+    # --- Branch predictor and pipeline, on first read ----------------------
+    def replay_branches() -> BranchPhase:
+        predictor = platform.make_predictor()
+        generator = BranchStreamGenerator(profile.branches, seed=seed + 2)
+        warm_events = generator.generate(n_branch)
+        simulate_branches(warm_events, predictor)
+        events = generator.generate(n_branch)
+        branch_stats = simulate_branches(events, predictor)
+
+        pipeline = model_pipeline(
+            profile,
+            platform,
+            hierarchy,
+            branch_stats,
+            itlb_misses,
+            dtlb_misses,
+            instructions,
+        )
+        instr_per_second = pipeline.ipc * platform.frequency_ghz * 1e9
+        offcore_bandwidth_gbps = (
+            (offcore_read_pki + offcore_write_pki)
+            / 1000.0
+            * LINE_BYTES
+            * instr_per_second
+            / 1e9
+        )
+        speculation_ratio = (
+            branch_stats.mispredictions_pki(instructions)
+            / 1000.0
+            * platform.branch_penalty
+            * pipeline.ipc
+        )
+        fp_per_instr = mix_ratios[InstructionClass.FP]
+        gflops = (
+            fp_per_instr
+            * pipeline.ipc
+            * platform.frequency_ghz
+            * tlp
+        )
+        return BranchPhase(
+            branch_stats=branch_stats,
+            pipeline=pipeline,
+            offcore_bandwidth_gbps=offcore_bandwidth_gbps,
+            speculation_ratio=speculation_ratio,
+            gflops=gflops,
+        )
 
     return PerfCounters(
         workload=profile.name,
@@ -435,18 +462,14 @@ def characterize(
         itlb_miss_ratio=itlb_misses / max(1, n_fetch),
         dtlb_mpki=1000.0 * dtlb_misses / instructions,
         dtlb_miss_ratio=dtlb_misses / max(1, n_data),
-        branch_stats=branch_stats,
-        pipeline=pipeline,
         offcore_read_pki=offcore_read_pki,
         offcore_write_pki=offcore_write_pki,
-        offcore_bandwidth_gbps=offcore_bandwidth_gbps,
         snoop_hit_ratio=snoop_hit_ratio,
         snoop_hitm_ratio=snoop_hitm_ratio,
         tlp=tlp,
-        speculation_ratio=speculation_ratio,
         int_ops_per_byte=int_ops_per_byte,
         fp_ops_per_byte=fp_ops_per_byte,
         instructions_per_byte=instructions_per_byte,
-        gflops=gflops,
         ilp=profile.ilp,
+        replay_branches=replay_branches,
     )

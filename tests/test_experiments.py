@@ -65,6 +65,15 @@ class TestFig2:
     def test_renders(self, result):
         assert "Figure 2" in result.render()
 
+    def test_reads_profiles_without_characterizing(self, monkeypatch):
+        from repro.experiments import runner
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fig 2 characterized a workload")
+
+        monkeypatch.setattr(runner, "characterize", refuse)
+        fig2_integer_breakdown.run(ExperimentContext(scale=0.1))
+
     def test_paper_shares_anchored(self, result):
         # §5.1: 64% integer-array addresses, ~73% data movement.
         metrics = result.fidelity_metrics()

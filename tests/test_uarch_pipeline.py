@@ -16,8 +16,10 @@ from repro.uarch import (
 )
 import repro.uarch.counters as counters_module
 from repro.comparison import SUITES
+from repro.experiments import ExperimentContext
+from repro.experiments.counter_figures import FIG3, FIG4, FIG5
 from repro.uarch.branch import BranchStats
-from repro.uarch.counters import METRIC_NAMES
+from repro.uarch.counters import METRIC_NAMES, PerfCounters
 from repro.uarch.isa import InstructionMix, IntBreakdown
 from repro.uarch.pipeline import estimate_mlp, model_pipeline
 from repro.uarch.platforms import Platform
@@ -167,7 +169,7 @@ class TestCharacterize:
         counters = characterize(make_profile(), XEON_E5645, seed=5)
         metrics = counters.metric_dict()
         assert len(METRIC_NAMES) == 45
-        assert set(metrics) == set(METRIC_NAMES)
+        assert list(metrics) == METRIC_NAMES
         assert all(math.isfinite(v) for v in metrics.values())
 
     def test_metric_vector_order(self):
@@ -246,3 +248,81 @@ class TestCharacterizeOracle:
         assert fast_counts == slow_counts
         assert fast_counts["L1I.accesses"] > 0
         assert fast.to_dict() == slow.to_dict()
+
+
+class TestDeferredReplay:
+    """The branch replay and pipeline model run on the first read of a
+    value that needs them, and give what an eager read gives."""
+
+    #: Subsets read first: memory-phase only, and mixed with replay ones.
+    SUBSETS = (
+        ("l1i_mpki", "itlb_mpki", "ratio_load", "branches_pki"),
+        ("l3_mpki", "ipc", "snoop_hit_ratio"),
+        ("gflops", "dtlb_mpki", "btb_miss_ratio", "mlp"),
+    )
+
+    @pytest.fixture(scope="class")
+    def profiles(self, ctx):
+        return [
+            ctx.result("H-Grep").profile,
+            ctx.result("S-Kmeans").profile,
+            ctx.result("M-WordCount").profile,
+            SUITES["PARSEC"][0].profile(scale=ctx.scale),
+            SUITES["SPECINT"][2].profile(scale=ctx.scale),
+        ]
+
+    @pytest.mark.parametrize("platform", [XEON_E5645, ATOM_D510],
+                             ids=["xeon", "atom"])
+    def test_any_read_order_equals_one_read(self, profiles, platform):
+        def run(profile):
+            return characterize(profile, platform, seed=7,
+                                sample_instructions=30_000)
+
+        expected, serialised = [], []
+        for profile in profiles:
+            eager = run(profile)
+            expected.append(eager.metric_dict())
+            serialised.append(eager.to_dict())
+
+        # Characterize all before reading any, then read in reverse
+        # order with another characterization between reads.
+        lazy = [run(profile) for profile in profiles]
+        for index in reversed(range(len(profiles))):
+            counters = lazy[index]
+            subset = self.SUBSETS[index % len(self.SUBSETS)]
+            assert counters.metrics(subset) == {
+                name: expected[index][name] for name in subset}
+            if subset == self.SUBSETS[0]:
+                assert "branch_phase" not in vars(counters)
+            run(profiles[0]).metrics(["l2_mpki"])
+            if index % 2:
+                assert counters.to_dict() == serialised[index]
+                assert counters.metric_dict() == expected[index]
+            else:
+                assert counters.metric_dict() == expected[index]
+                assert counters.to_dict() == serialised[index]
+            rehydrated = PerfCounters.from_dict(counters.to_dict())
+            assert rehydrated == counters
+            assert rehydrated.metric_dict() == expected[index]
+
+    def test_cache_and_tlb_figures_never_replay_branches(self, monkeypatch):
+        original = counters_module.simulate_branches
+
+        def refuse(events, predictor):
+            raise AssertionError("a cache or TLB figure replayed branches")
+
+        monkeypatch.setattr(counters_module, "simulate_branches", refuse)
+        context = ExperimentContext(scale=0.1, seed=3)
+        FIG4.run(context)
+        FIG5.run(context)
+
+        replayed = []
+
+        def spy(events, predictor):
+            replayed.append(len(events))
+            return original(events, predictor)
+
+        monkeypatch.setattr(counters_module, "simulate_branches", spy)
+        FIG3.run(context)
+        # A warm-up and a measured stream per workload and suite member.
+        assert len(replayed) == 2 * (23 + sum(map(len, SUITES.values())))
