@@ -1,7 +1,8 @@
 """repro — reproduction of "Characterization and Architectural
 Implications of Big Data Workloads" (Wang, Zhan, Jia, Han; ISPASS 2016).
 
-Top-level convenience re-exports; the subpackages hold the substance:
+Top-level convenience re-exports, each imported on first use
+(:mod:`repro._lazy`); the subpackages hold the substance:
 
 - :mod:`repro.core` — WCRT's normalise → PCA → K-means reduction (the
   paper's contribution); :mod:`repro.experiments` feeds it the
@@ -17,21 +18,19 @@ Top-level convenience re-exports; the subpackages hold the substance:
 
 __version__ = "1.0.0"
 
-from repro.uarch import ATOM_D510, XEON_E5645, characterize
-from repro.workloads import (
-    ALL_WORKLOADS,
-    MPI_WORKLOADS,
-    REPRESENTATIVE_WORKLOADS,
-    workload,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "ATOM_D510",
-    "XEON_E5645",
-    "characterize",
-    "ALL_WORKLOADS",
-    "MPI_WORKLOADS",
-    "REPRESENTATIVE_WORKLOADS",
-    "workload",
-]
+#: re-exported name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "ATOM_D510": "repro.uarch.platforms",
+    "XEON_E5645": "repro.uarch.platforms",
+    "characterize": "repro.uarch.counters",
+    "ALL_WORKLOADS": "repro.workloads.registry",
+    "MPI_WORKLOADS": "repro.workloads.registry",
+    "REPRESENTATIVE_WORKLOADS": "repro.workloads.registry",
+    "workload": "repro.workloads.registry",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,6 +6,13 @@ default, ``--json``, the executor flags).  :func:`build_parser` and
 :func:`main` both read that table, and each numeric flag carries its
 own range check, so bad input is refused before any work starts.
 
+At module level this file imports only the standard library and
+:mod:`repro.errors`, so parsing (and ``--help``) loads no simulator
+and no numpy.  Each handler and shared helper imports what it runs in
+its own body, and ``fig``/``table`` import their experiment module at
+dispatch (:data:`_FIGURES`, :data:`_TABLES`).  A new verb does the
+same.
+
 Every metric-producing verb writes a versioned run record into the
 registry directory (``.repro-runs/`` by default; ``--runs-dir`` or
 ``REPRO_RUNS_DIR`` moves it, ``--no-record`` suppresses it) — the
@@ -23,14 +30,13 @@ never a traceback; 3 a missing registry target (``diff``, ``fsck``).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from repro.cluster.cluster import Cluster
-from repro.cluster.events import Simulation
 from repro.errors import (
     FaultPlanError,
     InvalidParameterError,
@@ -39,76 +45,34 @@ from repro.errors import (
     TraceMergeError,
     UsageError,
 )
-from repro.exec import (
-    SweepCheckpoint,
-    SweepExecutor,
-    SweepTracer,
-    decompose,
-    merge_results,
-    merge_sweep_trace,
-    sweep_id,
-    telemetry_lines,
-)
-from repro.exec.cells import PLATFORM_KEYS, platform_for
-from repro.experiments import (
-    ExperimentContext,
-    counter_figures,
-    fault_resilience,
-    fig2_integer_breakdown,
-    fig6to9_locality,
-    stack_impact,
-    system_behaviors,
-    table1_datasets,
-    table2_reduction,
-    table4_branch,
-)
-from repro.obs import Tracer, render_trace_summary, write_chrome_trace
-from repro.obs.dashboard import render_site
-from repro.obs.hostprof import profile_call
-from repro.obs.observatory import build_model
-from repro.obs.perf import (
-    bench_targets,
-    load_budgets,
-    perfdiff,
-    run_bench,
-    update_budgets,
-)
-from repro.obs.registry import (
-    RunRecord,
-    RunRegistry,
-    build_provenance,
-    config_hash,
-    runs_dir_default,
-)
-from repro.obs.anchors import evaluate_record
-from repro.obs.report import Scorecard, diff_records, history, scorecard
-from repro.obs.stream import (
-    ProgressStream,
-    TerminalRenderer,
-    render_openmetrics,
-)
-from repro.uarch import ATOM_D510, XEON_E5645, characterize
-from repro.workloads import (
-    ALL_WORKLOADS,
-    MPI_WORKLOADS,
-    REPRESENTATIVE_WORKLOADS,
-    workload,
-)
 
+if TYPE_CHECKING:
+    from repro.experiments.runner import ExperimentContext
+    from repro.obs.registry import RunRecord
+
+#: figure -> (module under ``repro.experiments``, its ``run`` attribute),
+#: imported when the figure is asked for.
 _FIGURES = {
-    "1": counter_figures.FIG1.run,
-    "2": fig2_integer_breakdown.run,
-    "3": counter_figures.FIG3.run,
-    "4": counter_figures.FIG4.run,
-    "5": counter_figures.FIG5.run,
-    "locality": fig6to9_locality.run,
+    "1": ("counter_figures", "FIG1"),
+    "2": ("fig2_integer_breakdown", None),
+    "3": ("counter_figures", "FIG3"),
+    "4": ("counter_figures", "FIG4"),
+    "5": ("counter_figures", "FIG5"),
+    "locality": ("fig6to9_locality", None),
 }
 
 _TABLES = {
-    "1": lambda _context: table1_datasets.run(),
-    "2": table2_reduction.run,
-    "4": table4_branch.run,
+    "1": ("table1_datasets", None),
+    "2": ("table2_reduction", None),
+    "4": ("table4_branch", None),
 }
+
+
+def _experiment_run(entry) -> Callable:
+    """The ``run`` of one :data:`_FIGURES`/:data:`_TABLES` entry."""
+    module_name, owner = entry
+    module = importlib.import_module(f"repro.experiments.{module_name}")
+    return (getattr(module, owner) if owner else module).run
 
 
 # ---- output -----------------------------------------------------------------
@@ -123,6 +87,8 @@ def _emit(args, text: str, payload=None, record: RunRecord = None) -> None:
     """
     path = ""
     if record is not None and not args.no_record:
+        from repro.obs.registry import RunRegistry
+
         path = RunRegistry(args.runs_dir).save(record)
     if args.json and (payload is not None or record is not None):
         if payload is None:
@@ -139,6 +105,8 @@ def _emit(args, text: str, payload=None, record: RunRecord = None) -> None:
 def _record(args, experiment: str, kind: str, metrics, platforms=(),
             config=None, timings=None) -> RunRecord:
     """A run record stamped with this invocation's seed and scale."""
+    from repro.obs.registry import RunRecord, build_provenance
+
     return RunRecord(
         experiment=experiment,
         kind=kind,
@@ -152,6 +120,8 @@ def _record(args, experiment: str, kind: str, metrics, platforms=(),
 
 
 def _platform(args):
+    from repro.uarch.platforms import ATOM_D510, XEON_E5645
+
     return ATOM_D510 if args.platform == "d510" else XEON_E5645
 
 
@@ -168,6 +138,11 @@ def _run_sweep(args, name: str, config: dict, n_cells: int, run):
     ``(outcome, counters)``; the writers' drop counters prove or
     disprove silent telemetry loss.
     """
+    from repro.exec.checkpoint import SweepCheckpoint, sweep_id
+    from repro.exec.tracing import SweepTracer, merge_sweep_trace
+    from repro.obs.registry import config_hash
+    from repro.obs.stream import ProgressStream, TerminalRenderer
+
     chash = config_hash(config)
     key = sweep_id(name, chash, args.seed)
     checkpoint = SweepCheckpoint(args.runs_dir, key)
@@ -248,6 +223,10 @@ def _experiment(args, name: str, run, *, pairs=None, series: bool = False,
     anchors.  ``payload`` maps the result to its ``--json`` document
     (default: the record).
     """
+    from repro.experiments.runner import ExperimentContext
+    from repro.obs.anchors import evaluate_record
+    from repro.obs.report import Scorecard
+
     context = ExperimentContext(scale=args.scale, seed=args.seed)
     if pairs is not None:
         _prime_context(args, context, name, pairs(context))
@@ -266,6 +245,8 @@ def _experiment(args, name: str, run, *, pairs=None, series: bool = False,
 
 def _fig_pairs(context: ExperimentContext):
     """The (workload, platform) cells of Figures 1, 3, 4 and 5."""
+    from repro.workloads import MPI_WORKLOADS, REPRESENTATIVE_WORKLOADS
+
     return [(d.workload_id, context.xeon)
             for d in REPRESENTATIVE_WORKLOADS + MPI_WORKLOADS]
 
@@ -276,13 +257,17 @@ def _cmd_fig(args) -> int:
     # traces: neither reads counters, so neither has cells to prime.
     return _experiment(
         args, "fig-locality" if figure == "locality" else f"fig{figure}",
-        _FIGURES[figure], kind="figure",
+        _experiment_run(_FIGURES[figure]), kind="figure",
         pairs=None if figure in ("2", "locality") else _fig_pairs,
     )
 
 
 def _cmd_table(args) -> int:
+    from repro.uarch.platforms import ATOM_D510, XEON_E5645
+    from repro.workloads import ALL_WORKLOADS, REPRESENTATIVE_WORKLOADS
+
     table = args.table
+    run = _experiment_run(_TABLES[table])
 
     def pairs(context):
         if table == "2":  # the reduction reads the whole catalog
@@ -292,7 +277,8 @@ def _cmd_table(args) -> int:
                 for d in REPRESENTATIVE_WORKLOADS]
 
     return _experiment(
-        args, f"table{table}", _TABLES[table], kind="table",
+        args, f"table{table}",
+        (lambda _context: run()) if table == "1" else run, kind="table",
         pairs=None if table == "1" else pairs,
         platforms=(
             [XEON_E5645.name, ATOM_D510.name] if table == "4" else None
@@ -300,7 +286,19 @@ def _cmd_table(args) -> int:
     )
 
 
+def _check_reduce(args) -> None:
+    from repro.workloads import ALL_WORKLOADS
+
+    if not 1 <= args.k <= len(ALL_WORKLOADS):
+        raise InvalidParameterError(
+            f"--k must be in [1, {len(ALL_WORKLOADS)}] (the catalog size), "
+            f"got {args.k!r}"
+        )
+
+
 def _cmd_reduce(args) -> int:
+    from repro.experiments import table2_reduction
+
     return _experiment(
         args, "reduce",
         lambda context: table2_reduction.run(context, k=args.k),
@@ -313,20 +311,28 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_stacks(args) -> int:
+    from repro.experiments import stack_impact
+
     return _experiment(args, "stacks", stack_impact.run, series=True)
 
 
 def _cmd_system(args) -> int:
+    from repro.experiments import system_behaviors
+
     return _experiment(args, "system", system_behaviors.run, series=True)
 
 
 def _cmd_faults(args) -> int:
+    from repro.experiments import fault_resilience
+
     return _experiment(args, "faults", fault_resilience.run, series=True,
                        kind="faults", payload=lambda result: result.to_dict())
 
 
 # ---- single-workload verbs --------------------------------------------------
 def _cmd_list(args) -> int:
+    from repro.workloads import ALL_WORKLOADS, MPI_WORKLOADS
+
     lines = [f"{'workload':26s} {'stack':8s} {'dataset':16s} "
              f"{'category':22s} rep"]
     for definition in ALL_WORKLOADS + MPI_WORKLOADS:
@@ -342,6 +348,10 @@ def _cmd_list(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.cluster.cluster import Cluster
+    from repro.uarch.counters import characterize
+    from repro.workloads import workload
+
     definition = workload(args.workload)
     platform = _platform(args)
     print(f"running {definition.workload_id} ({definition.description}) ...",
@@ -374,6 +384,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro.cluster.cluster import Cluster
+    from repro.cluster.events import Simulation
+    from repro.obs.export import render_trace_summary, write_chrome_trace
+    from repro.obs.tracer import Tracer
+    from repro.workloads import workload
+
     definition = workload(args.workload)
     tracer = Tracer(sample_interval=args.sample_interval,
                     lane=f"repro {definition.workload_id}")
@@ -411,6 +427,10 @@ def _cmd_profile(args) -> int:
     record's ``metrics`` are the ordinary (deterministic) performance
     counters, while the whole attribution lands in ``timings``.
     """
+    from repro.experiments.runner import ExperimentContext
+    from repro.obs.hostprof import profile_call
+    from repro.workloads import workload
+
     definition = workload(args.workload)
     platform = _platform(args)
     print(f"profiling {definition.workload_id} on {platform.name} "
@@ -437,6 +457,11 @@ def _cmd_profile(args) -> int:
 # ---- sweeps and campaigns ---------------------------------------------------
 def _cmd_sweep(args) -> int:
     """The supervised parallel sweep over workload x platform x seed."""
+    from repro.exec.cells import PLATFORM_KEYS, decompose, platform_for
+    from repro.exec.merge import merge_results, telemetry_lines
+    from repro.exec.supervisor import SweepExecutor
+    from repro.workloads import REPRESENTATIVE_WORKLOADS, workload
+
     if args.workloads:
         workload_ids = [w.strip() for w in args.workloads.split(",") if w.strip()]
     else:
@@ -520,6 +545,7 @@ def _cmd_chaos(args) -> int:
         violation_signature,
     )
     from repro.experiments import chaos_soak
+    from repro.experiments.runner import ExperimentContext
 
     if args.replay:
         data = load_replay(args.replay)
@@ -631,11 +657,16 @@ def _cmd_crashsim(args) -> int:
 # ---- registry readers and gates ---------------------------------------------
 def _cmd_metrics(args) -> int:
     """OpenMetrics-style exposition of registry and sweep counters."""
+    from repro.obs.stream import render_openmetrics
+
     _emit(args, render_openmetrics(args.runs_dir).rstrip("\n"))
     return 0
 
 
 def _cmd_report(args) -> int:
+    from repro.obs.registry import RunRegistry
+    from repro.obs.report import scorecard
+
     experiments = args.experiments.split(",") if args.experiments else None
     card = scorecard(RunRegistry(args.runs_dir), experiments=experiments)
     _emit(args, card.render(), card.to_dict())
@@ -643,6 +674,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from repro.obs.registry import RunRegistry
+    from repro.obs.report import diff_records
+
     registry = RunRegistry(args.runs_dir)
     try:
         record_a = registry.resolve(args.run_a)
@@ -660,6 +694,9 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_history(args) -> int:
+    from repro.obs.registry import RunRegistry
+    from repro.obs.report import history
+
     result = history(
         RunRegistry(args.runs_dir), args.experiment,
         metrics=args.metric or None,
@@ -760,6 +797,9 @@ def _cmd_dash(args) -> int:
     for a fixed directory state.  No run record is written: the dash
     *reads* the registry, it is not an experiment.
     """
+    from repro.obs.dashboard import render_site
+    from repro.obs.observatory import build_model
+
     model = build_model(args.runs_dir)
     paths = render_site(model, args.out)
     lines = [f"observatory: {len(model.records)} record(s), "
@@ -782,6 +822,8 @@ def _cmd_dash(args) -> int:
 
 
 def _check_bench(args) -> None:
+    from repro.obs.perf import bench_targets
+
     if args.list:
         return
     if not args.target:
@@ -796,6 +838,8 @@ def _check_bench(args) -> None:
 
 def _cmd_bench(args) -> int:
     """Noise-aware wall-clock benchmark of one named target."""
+    from repro.obs.perf import bench_targets, run_bench
+
     targets = bench_targets()
     if args.list:
         width = max(len(name) for name in targets)
@@ -812,6 +856,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_perfdiff(args) -> int:
     """Gate the latest bench records against the committed budgets."""
+    from repro.obs.perf import load_budgets, perfdiff, update_budgets
+    from repro.obs.registry import RunRegistry
+
     registry = RunRegistry(args.runs_dir)
     targets = (
         [t for t in args.targets.split(",") if t.strip()]
@@ -923,10 +970,8 @@ VERBS = (
     ), seed=0),
     Verb("reduce", "the 77 -> 17 reduction", _cmd_reduce, (
         _arg("--k", type=int, default=17,
-             check=(lambda k: 1 <= k <= len(ALL_WORKLOADS),
-                    f"in [1, {len(ALL_WORKLOADS)}] (the catalog size)"),
              help="representatives to keep (default 17)"),
-    ), seed=0, json_help=_RECORD_JSON),
+    ), seed=0, json_help=_RECORD_JSON, check=_check_reduce),
     Verb("fig", "regenerate a figure", _cmd_fig, (
         _arg("figure", check=(lambda f: f in _FIGURES, "1-5 or 'locality'"),
              help="1-5 or 'locality' (6-9)"),
@@ -1122,6 +1167,8 @@ VERBS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.obs.registry import runs_dir_default
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Characterization and Architectural "

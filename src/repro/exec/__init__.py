@@ -7,35 +7,28 @@ retry, poison-cell quarantine and serial degradation
 (:mod:`~repro.exec.supervisor` / :mod:`~repro.exec.pool`), journals
 progress crash-safely for ``--resume`` (:mod:`~repro.exec.checkpoint`),
 and merges cells back into one record only after provenance-hash
-validation (:mod:`~repro.exec.merge`).
+validation (:mod:`~repro.exec.merge`).  The names below are imported
+from their submodule on first use (:mod:`repro._lazy`).
 """
 
-from repro.exec.cells import SweepCell, decompose  # noqa: F401
-from repro.exec.checkpoint import (  # noqa: F401
-    SweepCheckpoint,
-    SweepLock,
-    sweep_id,
-)
-from repro.exec.merge import merge_results, telemetry_lines  # noqa: F401
-from repro.exec.supervisor import SweepExecutor  # noqa: F401
-from repro.exec.tracing import (  # noqa: F401
-    SpanWriter,
-    SweepTracer,
-    merge_sweep_trace,
-    worker_lane,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SpanWriter",
-    "SweepCell",
-    "SweepCheckpoint",
-    "SweepExecutor",
-    "SweepLock",
-    "SweepTracer",
-    "decompose",
-    "merge_results",
-    "merge_sweep_trace",
-    "sweep_id",
-    "telemetry_lines",
-    "worker_lane",
-]
+#: re-exported name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "SpanWriter": "repro.exec.tracing",
+    "SweepCell": "repro.exec.cells",
+    "SweepCheckpoint": "repro.exec.checkpoint",
+    "SweepExecutor": "repro.exec.supervisor",
+    "SweepLock": "repro.exec.checkpoint",
+    "SweepTracer": "repro.exec.tracing",
+    "decompose": "repro.exec.cells",
+    "merge_results": "repro.exec.merge",
+    "merge_sweep_trace": "repro.exec.tracing",
+    "sweep_id": "repro.exec.checkpoint",
+    "telemetry_lines": "repro.exec.merge",
+    "worker_lane": "repro.exec.tracing",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -13,7 +13,7 @@ from typing import List
 
 from repro.experiments.runner import ExperimentContext
 from repro.report.tables import render_table
-from repro.system.classify import characterize_system
+from repro.system import classify
 from repro.workloads import REPRESENTATIVE_WORKLOADS
 
 
@@ -71,7 +71,7 @@ def run(context: ExperimentContext) -> SystemBehaviorResult:
     """Classify every representative."""
     result = SystemBehaviorResult()
     for definition in REPRESENTATIVE_WORKLOADS:
-        characterization = characterize_system(
+        characterization = classify.characterize_system(
             definition, scale=context.scale, seed=context.seed
         )
         metrics = characterization.metrics

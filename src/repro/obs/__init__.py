@@ -4,53 +4,37 @@ The measurement substrate the source paper had on real hardware —
 performance counters, framework logs, sampled system metrics — rebuilt
 for the simulator.  Everything is default-off: with no tracer attached
 the instrumented code paths record nothing and schedules stay
-bit-identical.  The package re-exports only the names its callers
-import from it; everything else lives in its submodule.
+bit-identical.  The package re-exports the names its callers use
+most; each is imported from its submodule on first use
+(:mod:`repro._lazy`), so importing ``repro.obs`` loads no submodule.
+Code inside ``repro`` imports from the submodule itself.
 """
 
-from repro.obs.dashboard import render_site
-from repro.obs.export import (
-    render_trace_summary,
-    to_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.hostprof import (
-    HostProfile,
-    HotFunction,
-    module_of,
-    profile_call,
-)
-from repro.obs.metrics import ClusterTelemetry
-from repro.obs.observatory import build_model
-from repro.obs.registry import SCHEMA_VERSION, RunRegistry
-from repro.obs.report import history
-from repro.obs.stream import (
-    PROGRESS_SCHEMA_VERSION,
-    ProgressStream,
-    TerminalRenderer,
-    read_progress,
-    render_openmetrics,
-)
-from repro.obs.tracer import Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PROGRESS_SCHEMA_VERSION",
-    "SCHEMA_VERSION",
-    "ClusterTelemetry",
-    "HostProfile",
-    "HotFunction",
-    "ProgressStream",
-    "RunRegistry",
-    "TerminalRenderer",
-    "Tracer",
-    "build_model",
-    "history",
-    "module_of",
-    "profile_call",
-    "read_progress",
-    "render_openmetrics",
-    "render_site",
-    "render_trace_summary",
-    "to_chrome_trace",
-    "write_chrome_trace",
-]
+#: re-exported name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "PROGRESS_SCHEMA_VERSION": "repro.obs.stream",
+    "SCHEMA_VERSION": "repro.obs.registry",
+    "ClusterTelemetry": "repro.obs.metrics",
+    "HostProfile": "repro.obs.hostprof",
+    "HotFunction": "repro.obs.hostprof",
+    "ProgressStream": "repro.obs.stream",
+    "RunRegistry": "repro.obs.registry",
+    "TerminalRenderer": "repro.obs.stream",
+    "Tracer": "repro.obs.tracer",
+    "build_model": "repro.obs.observatory",
+    "history": "repro.obs.report",
+    "module_of": "repro.obs.hostprof",
+    "profile_call": "repro.obs.hostprof",
+    "read_progress": "repro.obs.stream",
+    "render_openmetrics": "repro.obs.stream",
+    "render_site": "repro.obs.dashboard",
+    "render_trace_summary": "repro.obs.export",
+    "to_chrome_trace": "repro.obs.export",
+    "write_chrome_trace": "repro.obs.export",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -16,34 +16,33 @@ Public entry points:
   :class:`repro.uarch.counters.PerfCounters` sample.
 - :class:`repro.uarch.simulator.CacheSweepSimulator` — the MARSSx86-like
   miss-ratio-versus-capacity sweep used for Figures 6-9.
+
+Each name below is imported from its submodule on first use
+(:mod:`repro._lazy`), so importing one submodule loads only what that
+submodule needs.
 """
 
-from repro.uarch.isa import InstructionClass, InstructionMix, IntBreakdown
-from repro.uarch.profile import (
-    BehaviorProfile,
-    BranchProfile,
-    CodeFootprint,
-    CodeRegion,
-    DataFootprint,
-)
-from repro.uarch.platforms import ATOM_D510, XEON_E5645, Platform
-from repro.uarch.counters import PerfCounters, characterize
-from repro.uarch.simulator import CacheSweepSimulator, SweepResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "InstructionClass",
-    "InstructionMix",
-    "IntBreakdown",
-    "BehaviorProfile",
-    "BranchProfile",
-    "CodeFootprint",
-    "CodeRegion",
-    "DataFootprint",
-    "Platform",
-    "XEON_E5645",
-    "ATOM_D510",
-    "PerfCounters",
-    "characterize",
-    "CacheSweepSimulator",
-    "SweepResult",
-]
+#: re-exported name -> the module that defines it, imported on first use.
+_EXPORTS = {
+    "InstructionClass": "repro.uarch.isa",
+    "InstructionMix": "repro.uarch.isa",
+    "IntBreakdown": "repro.uarch.isa",
+    "BehaviorProfile": "repro.uarch.profile",
+    "BranchProfile": "repro.uarch.profile",
+    "CodeFootprint": "repro.uarch.profile",
+    "CodeRegion": "repro.uarch.profile",
+    "DataFootprint": "repro.uarch.profile",
+    "Platform": "repro.uarch.platforms",
+    "XEON_E5645": "repro.uarch.platforms",
+    "ATOM_D510": "repro.uarch.platforms",
+    "PerfCounters": "repro.uarch.counters",
+    "characterize": "repro.uarch.counters",
+    "CacheSweepSimulator": "repro.uarch.simulator",
+    "SweepResult": "repro.uarch.simulator",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,9 +27,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.uarch import trace
 from repro.uarch.cache import CacheConfig, lru_sweep_misses
 from repro.uarch.profile import CodeFootprint, DataFootprint
-from repro.uarch.trace import generate_data_trace, generate_fetch_trace
 
 #: The paper's sweep points, in KB (Figures 6-9 x-axis).
 DEFAULT_SIZES_KB: Tuple[int, ...] = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
@@ -101,14 +101,14 @@ class CacheSweepSimulator:
         self.trace_refs = trace_refs
         self.seed = seed
 
-    def _sweep(self, name: str, trace: np.ndarray) -> SweepResult:
-        """Miss ratio of the second half of ``trace`` at every cache size,
-        the first half warming each cold cache: one
+    def _sweep(self, name: str, lines: np.ndarray) -> SweepResult:
+        """Miss ratio of the second half of the trace ``lines`` at every
+        cache size, the first half warming each cold cache: one
         :func:`lru_sweep_misses` call over the sizes' set counts."""
-        half = len(trace) // 2
-        measured = len(trace) - half
+        half = len(lines) // 2
+        measured = len(lines) - half
         misses = lru_sweep_misses(
-            trace, sweep_set_counts(self.sizes_kb, self.ways), self.ways,
+            lines, sweep_set_counts(self.sizes_kb, self.ways), self.ways,
             start=half,
         )
         ratios = [count / measured if measured else 0.0 for count in misses]
@@ -118,17 +118,15 @@ class CacheSweepSimulator:
         self, name: str, footprint: CodeFootprint
     ) -> SweepResult:
         """Instruction-cache miss ratio versus capacity (Figures 6, 9)."""
-        trace = generate_fetch_trace(
+        return self._sweep(name, trace.generate_fetch_trace(
             footprint, 2 * self.trace_refs, seed=self.seed
-        )
-        return self._sweep(name, trace)
+        ))
 
     def data_curve(self, name: str, data: DataFootprint) -> SweepResult:
         """Data-cache miss ratio versus capacity (Figure 7)."""
-        trace = generate_data_trace(
+        return self._sweep(name, trace.generate_data_trace(
             data, 2 * self.trace_refs, seed=self.seed + 1
-        )
-        return self._sweep(name, trace)
+        ))
 
     def unified_curve(
         self,
@@ -147,8 +145,9 @@ class CacheSweepSimulator:
         total = 2 * self.trace_refs
         n_fetch = int(total * fetch_share)
         n_data = total - n_fetch
-        fetch = generate_fetch_trace(footprint, n_fetch, seed=self.seed)
-        data_trace = generate_data_trace(data, n_data, seed=self.seed + 1)
+        fetch = trace.generate_fetch_trace(footprint, n_fetch, seed=self.seed)
+        data_trace = trace.generate_data_trace(data, n_data,
+                                               seed=self.seed + 1)
         rng = np.random.default_rng(self.seed + 2)
         merged = np.empty(total, dtype=np.int64)
         is_fetch = np.zeros(total, dtype=bool)
