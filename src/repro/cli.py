@@ -11,7 +11,8 @@ At module level this file imports only the standard library and
 and no numpy.  Each handler and shared helper imports what it runs in
 its own body, and ``fig``/``table`` import their experiment module at
 dispatch (:data:`_FIGURES`, :data:`_TABLES`).  A new verb does the
-same.
+same.  A counter spec names the cells ``--jobs`` primes and the
+platforms its record carries, so this file does not.
 
 Every metric-producing verb writes a versioned run record into the
 registry directory (``.repro-runs/`` by default; ``--runs-dir`` or
@@ -50,11 +51,11 @@ if TYPE_CHECKING:
     from repro.experiments.runner import ExperimentContext
     from repro.obs.registry import RunRecord
 
-#: figure -> (module under ``repro.experiments``, its ``run`` attribute),
-#: imported when the figure is asked for.
+#: figure -> (module under ``repro.experiments``, the spec in it, or
+#: None for the module itself), imported when the figure is asked for.
 _FIGURES = {
     "1": ("counter_figures", "FIG1"),
-    "2": ("fig2_integer_breakdown", None),
+    "2": ("counter_figures", "FIG2"),
     "3": ("counter_figures", "FIG3"),
     "4": ("counter_figures", "FIG4"),
     "5": ("counter_figures", "FIG5"),
@@ -64,15 +65,21 @@ _FIGURES = {
 _TABLES = {
     "1": ("table1_datasets", None),
     "2": ("table2_reduction", None),
-    "4": ("table4_branch", None),
+    "4": ("counter_figures", "TABLE4"),
 }
 
 
-def _experiment_run(entry) -> Callable:
-    """The ``run`` of one :data:`_FIGURES`/:data:`_TABLES` entry."""
+def _experiment_target(entry):
+    """The spec or module one :data:`_FIGURES`/:data:`_TABLES` entry names."""
     module_name, owner = entry
     module = importlib.import_module(f"repro.experiments.{module_name}")
-    return (getattr(module, owner) if owner else module).run
+    return getattr(module, owner) if owner else module
+
+
+def _spec_fields(target) -> dict:
+    """The ``--jobs`` cells and record platforms ``target`` names, if any."""
+    return {"cells": getattr(target, "cells", ()),
+            "platforms": getattr(target, "platforms", None)}
 
 
 # ---- output -----------------------------------------------------------------
@@ -179,7 +186,7 @@ def _run_sweep(args, name: str, config: dict, n_cells: int, run):
 
 
 def _prime_context(args, context: ExperimentContext, name: str,
-                   pairs) -> None:
+                   cells) -> None:
     """Fan a verb's characterization cells out across worker processes.
 
     Only engages for ``--jobs > 1`` (or ``--resume``); the primed
@@ -190,14 +197,14 @@ def _prime_context(args, context: ExperimentContext, name: str,
         return
     config = {
         "verb": name,
-        "pairs": sorted([w, p.name] for w, p in pairs),
+        "pairs": sorted([w, p.name] for w, p in cells),
         "scale": args.scale,
         "seed": args.seed,
     }
     outcome, counters = _run_sweep(
-        args, name, config, len(pairs),
+        args, name, config, len(cells),
         lambda checkpoint, tracer, observer: context.prime(
-            pairs, jobs=args.jobs, cell_timeout=args.cell_timeout,
+            cells, jobs=args.jobs, cell_timeout=args.cell_timeout,
             checkpoint=checkpoint, resume=args.resume, tracer=tracer,
             observer=observer,
         ),
@@ -213,23 +220,23 @@ def _prime_context(args, context: ExperimentContext, name: str,
 
 
 # ---- experiment verbs -------------------------------------------------------
-def _experiment(args, name: str, run, *, pairs=None, series: bool = False,
+def _experiment(args, name: str, run, *, cells=(), series: bool = False,
                 render=None, payload=None, **record_fields) -> int:
     """context -> prime -> run -> render -> record, for one verb.
 
-    ``pairs(context)`` names the cells ``--jobs`` may prime.  The text
-    output ends with the record's paper-fidelity scorecard (the rows
-    ``repro report`` prints for it), unless the experiment has no
-    anchors.  ``payload`` maps the result to its ``--json`` document
-    (default: the record).
+    ``cells`` are the ``(workload, platform)`` pairs ``--jobs`` may
+    prime.  The text output ends with the record's paper-fidelity
+    scorecard (the rows ``repro report`` prints for it), unless the
+    experiment has no anchors.  ``payload`` maps the result to its
+    ``--json`` document (default: the record).
     """
     from repro.experiments.runner import ExperimentContext
     from repro.obs.anchors import evaluate_record
     from repro.obs.report import Scorecard
 
     context = ExperimentContext(scale=args.scale, seed=args.seed)
-    if pairs is not None:
-        _prime_context(args, context, name, pairs(context))
+    if cells:
+        _prime_context(args, context, name, cells)
     result = run(context)
     record = context.make_record(
         name, result.fidelity_metrics(),
@@ -243,46 +250,22 @@ def _experiment(args, name: str, run, *, pairs=None, series: bool = False,
     return 0
 
 
-def _fig_pairs(context: ExperimentContext):
-    """The (workload, platform) cells of Figures 1, 3, 4 and 5."""
-    from repro.workloads import MPI_WORKLOADS, REPRESENTATIVE_WORKLOADS
-
-    return [(d.workload_id, context.xeon)
-            for d in REPRESENTATIVE_WORKLOADS + MPI_WORKLOADS]
-
-
 def _cmd_fig(args) -> int:
     figure = args.figure
-    # Fig 2 reads declared profiles and Figs 6-9 sweep capacity over
-    # traces: neither reads counters, so neither has cells to prime.
+    target = _experiment_target(_FIGURES[figure])
     return _experiment(
         args, "fig-locality" if figure == "locality" else f"fig{figure}",
-        _experiment_run(_FIGURES[figure]), kind="figure",
-        pairs=None if figure in ("2", "locality") else _fig_pairs,
+        target.run, kind="figure", **_spec_fields(target),
     )
 
 
 def _cmd_table(args) -> int:
-    from repro.uarch.platforms import ATOM_D510, XEON_E5645
-    from repro.workloads import ALL_WORKLOADS, REPRESENTATIVE_WORKLOADS
-
     table = args.table
-    run = _experiment_run(_TABLES[table])
-
-    def pairs(context):
-        if table == "2":  # the reduction reads the whole catalog
-            return [(d.workload_id, context.xeon) for d in ALL_WORKLOADS]
-        return [(d.workload_id, platform)
-                for platform in (context.xeon, context.atom)
-                for d in REPRESENTATIVE_WORKLOADS]
-
+    target = _experiment_target(_TABLES[table])
     return _experiment(
         args, f"table{table}",
-        (lambda _context: run()) if table == "1" else run, kind="table",
-        pairs=None if table == "1" else pairs,
-        platforms=(
-            [XEON_E5645.name, ATOM_D510.name] if table == "4" else None
-        ),
+        (lambda _context: target.run()) if table == "1" else target.run,
+        kind="table", **_spec_fields(target),
     )
 
 
@@ -311,9 +294,11 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_stacks(args) -> int:
-    from repro.experiments import stack_impact
+    from repro.experiments.counter_figures import STACKS
 
-    return _experiment(args, "stacks", stack_impact.run, series=True)
+    # ``stacks`` takes no executor flags, so it primes no cells.
+    return _experiment(args, "stacks", STACKS.run, series=True,
+                       platforms=STACKS.platforms)
 
 
 def _cmd_system(args) -> int:

@@ -18,8 +18,13 @@ import numpy as np
 from repro.core.subsetting import ReductionResult, reduce_workloads
 from repro.experiments.runner import ExperimentContext
 from repro.report.tables import render_table
+from repro.uarch.platforms import XEON_E5645
 from repro.workloads import ALL_WORKLOADS, REPRESENTATIVE_WORKLOADS
 from repro.workloads.base import WorkloadDefinition
+
+#: The ``(workload, platform)`` characterizations :func:`run` reads, as
+#: a counter spec names them for ``--jobs``: the catalog on the Xeon.
+cells = [(d.workload_id, XEON_E5645) for d in ALL_WORKLOADS]
 
 
 @dataclass

@@ -105,7 +105,7 @@ def _experiment_runner(path: str):
 
     ``path`` names the object whose ``run(context)`` regenerates the
     experiment: a module of :mod:`repro.experiments`, or
-    ``<module>.<attribute>`` for a figure spec such as
+    ``<module>.<attribute>`` for a counter spec such as
     ``counter_figures.FIG4``.  A *fresh*
     :class:`~repro.experiments.runner.ExperimentContext` is built inside
     the timed region on every rep — the context caches workload runs and
@@ -283,14 +283,14 @@ def _make_obs_overhead(scale: float, seed: int):
 #: ``repro fig``/``repro table`` verbs exposed as bench targets.
 _EXPERIMENT_TARGETS = (
     ("fig1", "counter_figures.FIG1", "Fig 1: instruction-mix figure"),
-    ("fig2", "fig2_integer_breakdown", "Fig 2: integer-breakdown figure"),
+    ("fig2", "counter_figures.FIG2", "Fig 2: integer-breakdown figure"),
     ("fig3", "counter_figures.FIG3", "Fig 3: IPC comparison figure"),
     ("fig4", "counter_figures.FIG4", "Fig 4: cache-behaviour figure"),
     ("fig5", "counter_figures.FIG5", "Fig 5: TLB-behaviour figure"),
     ("locality", "fig6to9_locality", "Figs 6-9: locality study"),
     ("table2", "table2_reduction", "Table 2: the 77->17 reduction"),
-    ("table4", "table4_branch", "Table 4: branch characterization"),
-    ("stacks", "stack_impact", "§5.5 software-stack study"),
+    ("table4", "counter_figures.TABLE4", "Table 4: branch characterization"),
+    ("stacks", "counter_figures.STACKS", "§5.5 software-stack study"),
     ("system", "system_behaviors", "§3.2 system-behaviour classes"),
 )
 

@@ -8,21 +8,22 @@ import pytest
 from repro.core import reduce_workloads
 from repro.experiments import (
     ExperimentContext,
-    fig2_integer_breakdown,
     fig6to9_locality,
-    stack_impact,
     system_behaviors,
     table1_datasets,
     table2_reduction,
-    table4_branch,
 )
 from repro.experiments.counter_figures import (
+    ALGORITHM_STACKS,
     BEHAVIOR_GROUPS,
     CATEGORY_GROUPS,
     FIG1,
+    FIG2,
     FIG3,
     FIG4,
     FIG5,
+    STACKS,
+    TABLE4,
 )
 from repro.obs.anchors import FAIL, PASS, anchors_for
 from repro.workloads import ALL_WORKLOADS, REPRESENTATIVE_WORKLOADS, workload
@@ -34,10 +35,12 @@ class TestFig1:
         return FIG1.run(ctx)
 
     def test_branch_ratio_near_paper(self, result):
-        assert 0.15 < result.bigdata["ratio_branch"] < 0.23  # paper 18.7%
+        metrics = result.fidelity_metrics()
+        assert 0.15 < metrics["bigdata.ratio_branch"] < 0.23  # paper 18.7%
 
     def test_integer_ratio_near_paper(self, result):
-        assert 0.32 < result.bigdata["ratio_integer"] < 0.45  # paper 38%
+        metrics = result.fidelity_metrics()
+        assert 0.32 < metrics["bigdata.ratio_integer"] < 0.45  # paper 38%
 
     def test_renders(self, result):
         text = result.render()
@@ -45,22 +48,29 @@ class TestFig1:
 
     def test_rows_complete(self, result):
         assert len(result.workload_rows) == 23  # 17 + 6 MPI
-        assert len(result.suite_rows) == 6
+        assert len(_suites(result.fidelity_metrics())) == 6
+
+
+def _suites(metrics):
+    """The suite names of a record's ``suite.<name>.<metric>`` keys."""
+    return {key.split(".")[1] for key in metrics if key.startswith("suite.")}
 
 
 class TestFig2:
     @pytest.fixture(scope="class")
     def result(self, ctx):
-        return fig2_integer_breakdown.run(ctx)
+        return FIG2.run(ctx)
 
     def test_int_addr_dominates(self, result):
-        assert result.avg_int_addr > 0.5  # paper 64%
+        assert result.fidelity_metrics()["avg.int_addr"] > 0.5  # paper 64%
 
     def test_data_movement_share(self, result):
-        assert 0.6 < result.avg_data_movement < 0.85  # paper ~73%
+        metrics = result.fidelity_metrics()
+        assert 0.6 < metrics["avg.data_movement"] < 0.85  # paper ~73%
 
     def test_with_branches_headline(self, result):
-        assert 0.8 < result.avg_with_branches < 0.97  # paper up to 92%
+        metrics = result.fidelity_metrics()
+        assert 0.8 < metrics["avg.with_branches"] < 0.97  # paper up to 92%
 
     def test_renders(self, result):
         assert "Figure 2" in result.render()
@@ -72,7 +82,7 @@ class TestFig2:
             raise AssertionError("fig 2 characterized a workload")
 
         monkeypatch.setattr(runner, "characterize", refuse)
-        fig2_integer_breakdown.run(ExperimentContext(scale=0.1))
+        FIG2.run(ExperimentContext(scale=0.1))
 
     def test_paper_shares_anchored(self, result):
         # §5.1: 64% integer-array addresses, ~73% data movement.
@@ -90,16 +100,18 @@ class TestFig3:
         return FIG3.run(ctx)
 
     def test_service_has_lowest_category_ipc(self, result):
-        by_group = {row[0]: row[1] for row in result.group_rows}
-        service = by_group["category: service"]
-        assert service < by_group["category: data analysis"]
-        assert service < by_group["category: interactive analysis"]
+        metrics = result.fidelity_metrics()
+        service = metrics["group.category: service.ipc"]
+        assert service < metrics["group.category: data analysis.ipc"]
+        assert service < metrics["group.category: interactive analysis.ipc"]
 
     def test_bigdata_avg_in_band(self, result):
-        assert 0.8 < result.bigdata["ipc"] < 1.5  # paper 1.28
+        assert 0.8 < result.fidelity_metrics()["bigdata.ipc"] < 1.5  # paper 1.28
 
     def test_hpcc_fastest_suite(self, result):
-        suite_ipcs = {row[0]: row[1] for row in result.suite_rows}
+        metrics = result.fidelity_metrics()
+        suite_ipcs = {suite: metrics[f"suite.{suite}.ipc"]
+                      for suite in _suites(metrics)}
         assert suite_ipcs["HPCC"] == max(suite_ipcs.values())
 
     def test_ipc_disparities_exist(self, result):
@@ -125,10 +137,10 @@ class TestFig4:
         return FIG4.run(ctx)
 
     def test_bigdata_l1i_band(self, result):
-        assert 10 < result.bigdata["l1i_mpki"] < 22  # paper 15
+        assert 10 < result.fidelity_metrics()["bigdata.l1i_mpki"] < 22  # paper 15
 
     def test_bigdata_l3_band(self, result):
-        assert 0.4 < result.bigdata["l3_mpki"] < 2.5  # paper 1.2
+        assert 0.4 < result.fidelity_metrics()["bigdata.l3_mpki"] < 2.5  # paper 1.2
 
     def test_h_read_is_worst_l1i(self, result):
         by_workload = {row[0]: row[1] for row in result.workload_rows}
@@ -139,8 +151,9 @@ class TestFig4:
         assert by_workload["H-Read"] > 35  # paper 51
 
     def test_service_category_worst(self, result):
-        by_group = {row[0]: row[1] for row in result.group_rows}
-        assert by_group["category: service"] > by_group["category: data analysis"]
+        metrics = result.fidelity_metrics()
+        assert (metrics["group.category: service.l1i_mpki"]
+                > metrics["group.category: data analysis.l1i_mpki"])
 
 
 class TestFig5:
@@ -149,14 +162,15 @@ class TestFig5:
         return FIG5.run(ctx)
 
     def test_itlb_small(self, result):
-        assert result.bigdata["itlb_mpki"] < 0.5  # paper 0.05
+        assert result.fidelity_metrics()["bigdata.itlb_mpki"] < 0.5  # paper 0.05
 
     def test_dtlb_band(self, result):
-        assert 0.2 < result.bigdata["dtlb_mpki"] < 3.0  # paper 0.9
+        assert 0.2 < result.fidelity_metrics()["bigdata.dtlb_mpki"] < 3.0  # paper 0.9
 
     def test_service_has_highest_itlb(self, result):
-        by_group = {row[0]: row[1] for row in result.group_rows}
-        assert by_group["category: service"] >= by_group["category: data analysis"]
+        metrics = result.fidelity_metrics()
+        assert (metrics["group.category: service.itlb_mpki"]
+                >= metrics["group.category: data analysis.itlb_mpki"])
 
 
 @pytest.mark.parametrize("figure", [FIG1, FIG3, FIG4, FIG5],
@@ -166,8 +180,16 @@ def test_counter_figure_rows_and_means(ctx, figure):
     # and each mean over exactly the representatives it names.
     result = figure.run(ctx)
     assert len(result.workload_rows) == 23
-    assert len(result.suite_rows) == 6
     metrics = result.fidelity_metrics()
+    assert len(_suites(metrics)) == 6
+    columns = {column.name for column in figure.columns}
+    keys = [key for key, _ in figure.summaries]
+    bigdata_metrics = [key.split(".", 1)[1] for key in keys
+                       if key.startswith("bigdata.")
+                       and key.split(".", 1)[1] in columns]
+    group_metrics = list(dict.fromkeys(
+        key.rsplit(".", 1)[1] for key in keys if key.startswith("group.")))
+    assert bigdata_metrics and group_metrics
 
     def mean(definitions, metric):
         values = [metrics[f"workload.{d.workload_id}.{metric}"]
@@ -175,7 +197,7 @@ def test_counter_figure_rows_and_means(ctx, figure):
         return sum(values) / len(values)
 
     assert len(REPRESENTATIVE_WORKLOADS) == 17
-    for metric in figure.bigdata_metrics:
+    for metric in bigdata_metrics:
         assert metrics[f"bigdata.{metric}"] == mean(
             REPRESENTATIVE_WORKLOADS, metric)
     subclasses = [("category", g, lambda d, g=g: d.category.value == g)
@@ -187,7 +209,7 @@ def test_counter_figure_rows_and_means(ctx, figure):
     for kind, group, member in subclasses:
         members = [d for d in REPRESENTATIVE_WORKLOADS if member(d)]
         assert members, group
-        for metric in figure.group_metrics:
+        for metric in group_metrics:
             assert metrics[f"group.{kind}: {group}.{metric}"] == mean(
                 members, metric)
 
@@ -254,42 +276,68 @@ class TestLocality:
 
 class TestStackImpact:
     @pytest.fixture(scope="class")
-    def result(self, ctx):
-        return stack_impact.run(ctx)
+    def metrics(self, ctx):
+        return STACKS.run(ctx).fidelity_metrics()
 
-    def test_mpi_ipc_higher(self, result):
-        assert result.mpi_avg["ipc"] > result.others_avg["ipc"]
-        assert result.ipc_gap > 0.15  # paper 21%
+    def test_mpi_ipc_higher(self, metrics):
+        assert metrics["mpi_avg.ipc"] > metrics["others_avg.ipc"]
+        assert metrics["summary.ipc_gap"] > 0.15  # paper 21%
 
-    def test_l1i_order_of_magnitude(self, result):
+    def test_l1i_order_of_magnitude(self, metrics):
         # Paper: one order of magnitude between implementations.
-        assert result.l1i_ratio > 3.0
+        assert metrics["summary.l1i_ratio"] > 3.0
 
-    def test_wordcount_triplet_ordering(self, result):
-        by_workload = {row[0]: row for row in result.rows}
+    def test_wordcount_triplet_ordering(self, metrics):
+        def wordcount(stack, metric):
+            return metrics[f"workload.{stack}-WordCount.{metric}"]
+
         # IPC: MPI > Hadoop > Spark (paper 1.8 / 1.1 / 0.9).
-        assert by_workload["M-WordCount"][1] > by_workload["H-WordCount"][1]
-        assert by_workload["H-WordCount"][1] > by_workload["S-WordCount"][1]
+        assert wordcount("M", "ipc") > wordcount("H", "ipc")
+        assert wordcount("H", "ipc") > wordcount("S", "ipc")
         # L1I: MPI < Hadoop < Spark (paper 2 / 7 / 17).
-        assert by_workload["M-WordCount"][2] < by_workload["H-WordCount"][2]
-        assert by_workload["H-WordCount"][2] < by_workload["S-WordCount"][2]
+        assert wordcount("M", "l1i_mpki") < wordcount("H", "l1i_mpki")
+        assert wordcount("H", "l1i_mpki") < wordcount("S", "l1i_mpki")
 
-    def test_l2_l3_stack_effect(self, result):
-        assert result.mpi_avg["l2_mpki"] < result.others_avg["l2_mpki"]
+    def test_l2_l3_stack_effect(self, metrics):
+        assert metrics["mpi_avg.l2_mpki"] < metrics["others_avg.l2_mpki"]
+
+    def test_series_is_the_record_metrics(self, ctx):
+        # The series is `repro stacks --json`'s document; `repro diff`
+        # compares only metrics, so this is what gates the series.
+        result = STACKS.run(ctx)
+        series = result.to_dict()
+        assert list(series) == ["rows", "mpi_avg", "others_avg", "ipc_gap",
+                                "l1i_ratio"]
+        assert [row[0] for row in series["rows"]] == [
+            w for ids in ALGORITHM_STACKS.values() for w in ids]
+        names = ("ipc", "l1i_mpki", "l2_mpki", "l3_mpki")
+        assert {len(row) for row in series["rows"]} == {1 + len(names)}
+        flat = {f"workload.{row[0]}.{name}": value
+                for row in series["rows"]
+                for name, value in zip(names, row[1:])}
+        for prefix in ("mpi_avg", "others_avg"):
+            assert tuple(series[prefix]) == names
+            flat.update({f"{prefix}.{name}": value
+                         for name, value in series[prefix].items()})
+        flat["summary.ipc_gap"] = series["ipc_gap"]
+        flat["summary.l1i_ratio"] = series["l1i_ratio"]
+        assert flat == result.fidelity_metrics()
 
 
 class TestTable4:
     @pytest.fixture(scope="class")
     def result(self, ctx):
-        return table4_branch.run(ctx)
+        return TABLE4.run(ctx)
 
     def test_atom_mispredicts_more(self, result):
-        assert result.d510_avg > result.e5645_avg
-        assert 1.5 < result.ratio < 5.0  # paper ~2.8x
+        metrics = result.fidelity_metrics()
+        assert metrics["summary.d510_mispred"] > metrics["summary.e5645_mispred"]
+        assert 1.5 < metrics["summary.ratio"] < 5.0  # paper ~2.8x
 
     def test_absolute_bands(self, result):
-        assert result.e5645_avg < 0.08   # paper 2.8%
-        assert result.d510_avg < 0.20    # paper 7.8%
+        metrics = result.fidelity_metrics()
+        assert metrics["summary.e5645_mispred"] < 0.08   # paper 2.8%
+        assert metrics["summary.d510_mispred"] < 0.20    # paper 7.8%
 
     def test_renders(self, result):
         assert "E5645" in result.render()
@@ -302,22 +350,45 @@ class TestTable4:
         assert result.fidelity_metrics()["summary.slowdown_spread"] > 1.3
 
 
+#: Every counter spec, under the experiment name its record carries.
+COUNTER_SPECS = {"fig1": FIG1, "fig2": FIG2, "fig3": FIG3, "fig4": FIG4,
+                 "fig5": FIG5, "table4": TABLE4, "stacks": STACKS}
+
+
+class TestCounterCells:
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        return ExperimentContext(scale=0.1)
+
+    @pytest.mark.parametrize("experiment", list(COUNTER_SPECS))
+    def test_primed_cells_are_the_cells_read(self, fresh, experiment,
+                                             monkeypatch):
+        # `--jobs` primes a spec's cells: a cell it left out would be
+        # characterized serially, and one it added would be wasted.
+        # Every read goes through `counters`, cached or not.
+        spec = COUNTER_SPECS[experiment]
+        read = []
+        counters = fresh.counters
+
+        def logged(ref, platform=fresh.xeon):
+            read.append((ref, platform.name))
+            return counters(ref, platform)
+
+        monkeypatch.setattr(fresh, "counters", logged)
+        spec.run(fresh)
+        cells = {(w, platform.name) for w, platform in spec.cells}
+        assert len(cells) == len(spec.cells)
+        assert set(read) == cells
+        assert (cells == set()) == (experiment == "fig2")
+
+
 class TestAnchorCoverage:
     def test_every_anchor_names_a_recorded_metric(self, ctx):
         # A misspelt anchor metric would only show as "missing" in
         # `repro report`; here it fails instead.
-        experiments = {
-            "fig1": FIG1.run,
-            "fig2": fig2_integer_breakdown.run,
-            "fig3": FIG3.run,
-            "fig4": FIG4.run,
-            "fig5": FIG5.run,
-            "table4": table4_branch.run,
-            "stacks": stack_impact.run,
-        }
         missing = []
-        for experiment, run in experiments.items():
-            metrics = run(ctx).fidelity_metrics()
+        for experiment, spec in COUNTER_SPECS.items():
+            metrics = spec.run(ctx).fidelity_metrics()
             anchors = anchors_for(experiment)
             assert anchors, experiment
             missing += [f"{experiment}: {anchor.metric}" for anchor in anchors
