@@ -13,23 +13,15 @@ of exactly that promise, found late and at runtime:
 ``repro.analysis`` moves that bug class to the source level: an AST
 lint pass (stdlib :mod:`ast`, no dependencies) over ``src/repro`` with
 a small catalogue of determinism rules (:mod:`repro.analysis.rules`),
-a per-line suppression syntax (``# repro: allow[DET001]``), a committed
-baseline that grandfathers deliberate findings
-(:mod:`repro.analysis.baseline`), and a dynamic cross-check that runs
+a per-line suppression syntax (``# repro: allow[DET001]``) as the one
+way to accept a reviewed finding, and a dynamic cross-check that runs
 one fixed-seed workload under two ``PYTHONHASHSEED`` values and diffs
 the registry records byte-for-byte (:mod:`repro.analysis.dynamic`).
 
 Surfaced as ``repro lint`` (and ``repro lint --dynamic``) plus a CI
-gate that fails on any finding not in the baseline.
+gate that fails on any finding without an inline ``allow`` comment.
 """
 
-from repro.analysis.baseline import (
-    baseline_counts,
-    default_baseline_path,
-    load_baseline,
-    new_findings,
-    save_baseline,
-)
 from repro.analysis.dynamic import (
     CrossCheckResult,
     canonical_record_bytes,
@@ -52,17 +44,12 @@ __all__ = [
     "CrossCheckResult",
     "Finding",
     "LintReport",
-    "baseline_counts",
     "canonical_record_bytes",
-    "default_baseline_path",
     "default_lint_root",
     "hashseed_crosscheck",
     "lint_file",
     "lint_tree",
-    "load_baseline",
-    "new_findings",
     "render_json",
     "render_text",
     "rule_catalog",
-    "save_baseline",
 ]

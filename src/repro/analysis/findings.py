@@ -1,10 +1,7 @@
 """Finding and rule-documentation records shared by the lint pass.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-:meth:`Finding.key` deliberately excludes the line *number*: the
-baseline matches findings by (rule, module, stripped source text) so
-unrelated edits that shift lines don't invalidate a grandfathered
-finding.
+A :class:`Finding` is one rule violation at one source location; a
+:class:`RuleDoc` is one rule's entry in ``repro lint --rules``.
 """
 
 from __future__ import annotations
@@ -31,10 +28,6 @@ class Finding:
     message: str
     line_text: str = ""
     fix_hint: str = ""
-
-    def key(self) -> tuple:
-        """Baseline identity: stable across pure line-number shifts."""
-        return (self.rule_id, self.module, self.line_text.strip())
 
     def to_dict(self) -> dict:
         return {

@@ -7,23 +7,12 @@ rule IDs against.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-from repro.analysis.baseline import stale_entries
 from repro.analysis.engine import LintReport
-from repro.analysis.findings import Finding
 
 
-def render_text(
-    report: LintReport,
-    new: Sequence[Finding],
-    baseline_path: Optional[str],
-    baseline=None,
-) -> str:
+def render_text(report: LintReport) -> str:
     """Human-readable findings + summary."""
-    lines: List[str] = []
-    for finding in new:
-        lines.append(finding.render())
+    lines = [finding.render() for finding in report.findings]
     counts = report.by_rule()
     summary = (
         f"checked {report.files_checked} file(s): "
@@ -37,51 +26,22 @@ def render_text(
         )
     if report.suppressed:
         summary += f", {report.suppressed} suppressed inline"
-    if baseline_path:
-        grandfathered = len(report.findings) - len(new)
-        summary += (
-            f", {grandfathered} grandfathered by {baseline_path}"
-        )
-    summary += f", {len(new)} new"
     lines.append(summary)
-    if baseline is not None:
-        stale = stale_entries(report.findings, baseline)
-        if stale:
-            lines.append(
-                f"note: {len(stale)} baseline entr"
-                f"{'y is' if len(stale) == 1 else 'ies are'} stale "
-                f"(fixed in the tree); refresh with --update-baseline"
-            )
-    if new:
+    if report.findings:
         lines.append(
-            "new findings fail the build: fix them, suppress a line with "
-            "`# repro: allow[RULE]`, or (deliberately) re-baseline"
+            "findings fail the build: fix them, or suppress a reviewed "
+            "line with `# repro: allow[RULE]`"
         )
     return "\n".join(lines)
 
 
-def render_json(
-    report: LintReport,
-    new: Sequence[Finding],
-    baseline_path: Optional[str],
-    baseline=None,
-) -> dict:
+def render_json(report: LintReport) -> dict:
     """The machine-readable result ``repro lint --json`` emits."""
-    payload = {
+    return {
         "files_checked": report.files_checked,
         "rules_run": list(report.rules_run),
         "findings": [finding.to_dict() for finding in report.findings],
-        "new": [finding.to_dict() for finding in new],
         "counts": report.by_rule(),
         "suppressed": report.suppressed,
-        "baseline": baseline_path,
-        "ok": not new,
+        "ok": not report.findings,
     }
-    if baseline is not None:
-        payload["stale_baseline_entries"] = [
-            {"rule": rule, "module": module, "line_text": line_text}
-            for rule, module, line_text in stale_entries(
-                report.findings, baseline
-            )
-        ]
-    return payload

@@ -12,9 +12,9 @@ motivating case studies are real bugs this repo shipped and later fixed:
 
 Rules are flow-insensitive AST checks built on
 :class:`repro.analysis.scopes.ModuleModel`; they prefer a rare false
-positive (suppressible with ``# repro: allow[ID]`` or the committed
-baseline) over a missed hazard, because the downstream consumer is a
-bit-reproducibility guarantee.
+positive (suppressible with ``# repro: allow[ID]``) over a missed
+hazard, because the downstream consumer is a bit-reproducibility
+guarantee.
 """
 
 from __future__ import annotations

@@ -296,9 +296,8 @@ def _cmd_reduce(args) -> int:
 def _cmd_stacks(args) -> int:
     from repro.experiments.counter_figures import STACKS
 
-    # ``stacks`` takes no executor flags, so it primes no cells.
     return _experiment(args, "stacks", STACKS.run, series=True,
-                       platforms=STACKS.platforms)
+                       **_spec_fields(STACKS))
 
 
 def _cmd_system(args) -> int:
@@ -698,16 +697,12 @@ def _cmd_history(args) -> int:
 
 def _cmd_lint(args) -> int:
     from repro.analysis import (
-        default_baseline_path,
         default_lint_root,
         hashseed_crosscheck,
         lint_tree,
-        load_baseline,
-        new_findings,
         render_json,
         render_text,
         rule_catalog,
-        save_baseline,
     )
 
     if args.rules:
@@ -735,18 +730,8 @@ def _cmd_lint(args) -> int:
         return 0 if result.identical else 1
 
     report = lint_tree(args.path or default_lint_root())
-    baseline_path = args.baseline or default_baseline_path()
-    if args.update_baseline:
-        target = baseline_path or "tools/lint_baseline.json"
-        count = save_baseline(target, report.findings)
-        _emit(args, f"baseline {target} updated: {count} finding(s) "
-                    f"grandfathered")
-        return 0
-    baseline = load_baseline(baseline_path) if baseline_path else None
-    fresh = new_findings(report.findings, baseline or {})
-    _emit(args, render_text(report, fresh, baseline_path, baseline),
-          render_json(report, fresh, baseline_path, baseline))
-    return 1 if fresh else 0
+    _emit(args, render_text(report), render_json(report))
+    return 1 if report.findings else 0
 
 
 def _cmd_fsck(args) -> int:
@@ -993,7 +978,7 @@ VERBS = (
                     "counts, executor telemetry and sweep progress",
          _cmd_metrics),
     Verb("stacks", "the §5.5 software-stack study", _cmd_stacks,
-         seed=0, json_help=_RECORD_JSON),
+         seed=0, json_help=_RECORD_JSON, executor=True),
     Verb("system", "§3.2 system-behaviour classification", _cmd_system,
          seed=0, json_help=_RECORD_JSON),
     Verb("faults", "fault resilience: Hadoop vs Spark vs MPI under a node "
@@ -1051,16 +1036,12 @@ VERBS = (
         _arg("--out", default=None,
              help="HTML output path (default history-<experiment>.html)"),
     ), json_help="emit the trajectory as JSON instead of sparklines"),
-    Verb("lint", "determinism sanitizer: AST lint of src/repro against the "
-                 "committed baseline; exits 1 on new findings", _cmd_lint, (
+    Verb("lint", "determinism sanitizer: AST lint of src/repro; exits 1 on "
+                 "any finding without a `# repro: allow[RULE]` comment",
+         _cmd_lint, (
         _arg("path", nargs="?", default=None,
              help="file or directory to lint (default: the installed "
                   "repro package tree)"),
-        _arg("--baseline", default=None, metavar="FILE",
-             help="baseline of grandfathered findings "
-                  "(default: tools/lint_baseline.json when present)"),
-        _arg("--update-baseline", action="store_true",
-             help="rewrite the baseline to grandfather the current findings"),
         _arg("--rules", action="store_true",
              help="print the rule catalogue (IDs, rationale, fix hints) "
                   "and exit"),

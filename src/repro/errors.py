@@ -39,9 +39,7 @@ wrong without parsing messages:
   determinism hazard.
 - :class:`LintError` — the determinism sanitizer (``repro lint``)
   could not complete an analysis: an unreadable file, a failed
-  subprocess probe.  :class:`LintBaselineError` is the usage-error
-  side (exit 2): a ``--baseline`` file that is missing, unreadable or
-  malformed.
+  subprocess probe.
 
 Every error carries an optional ``context`` dict of diagnostic
 key/values (sim time, node, wave, task indices) rendered into ``str()``
@@ -164,7 +162,3 @@ class BudgetManifestError(UsageError):
 
 class LintError(SimulationError):
     """The determinism sanitizer could not complete its analysis."""
-
-
-class LintBaselineError(UsageError):
-    """A lint baseline file is missing, unreadable or malformed."""

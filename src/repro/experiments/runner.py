@@ -8,15 +8,16 @@ one sweep.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-from repro.comparison import SUITES
 from repro.obs.registry import RunRecord, build_provenance
 from repro.stacks.base import WorkloadResult
-from repro.uarch.counters import PerfCounters, characterize
 from repro.uarch.platforms import ATOM_D510, XEON_E5645, Platform
 from repro.workloads import workload
 from repro.workloads.base import WorkloadDefinition
+
+if TYPE_CHECKING:
+    from repro.uarch.counters import PerfCounters
 
 #: A catalog id, or a custom definition keyed by its own id.
 WorkloadRef = Union[str, WorkloadDefinition]
@@ -70,6 +71,8 @@ class ExperimentContext:
         """Characterization of one workload on one platform."""
         key = (self._definition(ref).workload_id, platform.name)
         if key not in self._counters:
+            from repro.uarch.counters import characterize
+
             profile = self.result(ref).profile
             self._counters[key] = characterize(
                 profile, platform, seed=1234 + self.seed
@@ -83,6 +86,9 @@ class ExperimentContext:
         """Counters for every member of a comparison suite."""
         key = (suite_name, platform.name)
         if key not in self._suite_counters:
+            from repro.comparison import SUITES
+            from repro.uarch.counters import characterize
+
             benchmarks = SUITES[suite_name]
             samples = []
             for benchmark in benchmarks:
@@ -132,6 +138,7 @@ class ExperimentContext:
         lossless, so a primed context is bit-identical to a serial one.
         """
         from repro.exec.cells import platform_for
+        from repro.uarch.counters import PerfCounters
 
         adopted = 0
         for result in results.values():

@@ -35,6 +35,7 @@ from repro.obs.report import (
     DEFAULT_ABS_THRESHOLD,
     DEFAULT_REL_THRESHOLD,
     History,
+    scorecard,
 )
 
 __all__ = [
@@ -252,33 +253,29 @@ def _worst_status(statuses: Sequence[str]) -> str:
 
 
 def _scorecard_page(model: ObservatoryModel) -> str:
+    card = scorecard(model)
     rows = []
+    for check in card.checks:
+        anchor = check.anchor
+        rows.append(
+            "<tr><td>" + _esc(anchor.experiment)
+            + "</td><td>" + _esc(anchor.metric)
+            + "</td><td>" + _fmt(anchor.paper_value)
+            + "</td><td>" + (
+                _fmt(check.value) if check.value is not None
+                else "missing"
+            )
+            + "</td><td>" + _esc(anchor.band_label)
+            + f"</td><td class='{check.status}'>" + _esc(check.status)
+            + "</td><td>" + _esc(anchor.source) + "</td></tr>"
+        )
+    # The trend strips: one box per recorded run, worst anchor status
+    # of that run — regressions show as a color flip.
     strips = []
-    missing = []
-    counts = {PASS: 0, WARN: 0, FAIL: 0}
     for experiment in anchored_experiments():
         records = model.by_experiment(experiment)
         if not records:
-            missing.append(experiment)
             continue
-        checks = evaluate_record(records[-1])
-        for check in checks:
-            counts[check.status] += 1
-            anchor = check.anchor
-            rows.append(
-                "<tr><td>" + _esc(anchor.experiment)
-                + "</td><td>" + _esc(anchor.metric)
-                + "</td><td>" + _fmt(anchor.paper_value)
-                + "</td><td>" + (
-                    _fmt(check.value) if check.value is not None
-                    else "missing"
-                )
-                + "</td><td>" + _esc(anchor.band_label)
-                + f"</td><td class='{check.status}'>" + _esc(check.status)
-                + "</td><td>" + _esc(anchor.source) + "</td></tr>"
-            )
-        # The trend strip: one box per recorded run, worst anchor
-        # status of that run — regressions show as a color flip.
         boxes = []
         for record in records:
             status = _worst_status(
@@ -293,6 +290,7 @@ def _scorecard_page(model: ObservatoryModel) -> str:
             f"<td><div class='strip'>{''.join(boxes)}</div></td>"
             f"<td>{len(records)}</td></tr>"
         )
+    counts = card.counts
     tiles = (
         "<div class='tiles'>"
         f"<div class='tile'><b>{len(model.records)}</b>"
@@ -326,10 +324,10 @@ def _scorecard_page(model: ObservatoryModel) -> str:
             "<table><tr><th>experiment</th><th>trend</th><th>runs</th></tr>"
             + "".join(strips) + "</table>"
         )
-    if missing:
+    if card.missing_experiments:
         body += (
             "<p class='note'>no recorded runs yet for: "
-            + _esc(", ".join(missing))
+            + _esc(", ".join(card.missing_experiments))
             + " (run `repro fig/table/...` to record them)</p>"
         )
     return render_page(

@@ -117,7 +117,12 @@ class Scorecard:
 def scorecard(
     registry: RunRegistry, experiments: Optional[List[str]] = None
 ) -> Scorecard:
-    """Score the latest record of each anchored experiment."""
+    """Score the latest record of each anchored experiment.
+
+    ``registry`` may be anything with :meth:`RunRegistry.latest`; the
+    observatory's scorecard page passes its in-memory model, so the
+    CLI and the site pick a run by this one rule.
+    """
     chosen = experiments if experiments is not None else anchored_experiments()
     card = Scorecard()
     for experiment in chosen:

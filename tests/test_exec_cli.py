@@ -7,6 +7,9 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.exec.checkpoint import SweepDir
+from repro.experiments.counter_figures import STACKS
+from repro.experiments.runner import ExperimentContext
 from repro.obs.registry import RunRegistry
 
 
@@ -68,6 +71,24 @@ class TestPrimedVerbs:
                      "locality", "--jobs", "2"]) == 0
         assert not os.path.exists(os.path.join(runs, "sweeps"))
         assert RunRegistry(runs).latest("fig-locality") is not None
+
+    def test_stacks_primes_exactly_its_cells(self, tmp_path):
+        # `stacks --jobs 2` fans out the §5.5 spec's cells, no more and
+        # no fewer, and the primed record equals a serial one.
+        par, ser = str(tmp_path / "par"), str(tmp_path / "ser")
+        assert main(["--scale", "0.1", "--runs-dir", par, "stacks",
+                     "--jobs", "2"]) == 0
+        assert main(["--scale", "0.1", "--runs-dir", ser, "stacks",
+                     "--jobs", "1"]) == 0
+        (sweep,) = os.listdir(os.path.join(par, "sweeps"))
+        journal = SweepDir(os.path.join(par, "sweeps", sweep)).read().journal
+        expected = ExperimentContext(scale=0.1).counter_cells(STACKS.cells)
+        assert sorted(result.cell_id for _, result in journal) == sorted(
+            cell.cell_id for cell in expected)
+        parallel = RunRegistry(par).latest("stacks")
+        serial = RunRegistry(ser).latest("stacks")
+        assert parallel.timings["exec.jobs"] == 2.0
+        assert parallel.metrics == serial.metrics
 
 
 class TestTypedExitCodes:

@@ -76,12 +76,12 @@ class TestFig2:
         assert "Figure 2" in result.render()
 
     def test_reads_profiles_without_characterizing(self, monkeypatch):
-        from repro.experiments import runner
+        from repro.uarch import counters
 
         def refuse(*args, **kwargs):
             raise AssertionError("fig 2 characterized a workload")
 
-        monkeypatch.setattr(runner, "characterize", refuse)
+        monkeypatch.setattr(counters, "characterize", refuse)
         FIG2.run(ExperimentContext(scale=0.1))
 
     def test_paper_shares_anchored(self, result):
@@ -424,19 +424,19 @@ class TestTable2:
         assert reduction.representatives == again.representatives
 
     def test_characterizes_with_the_context_seed(self, monkeypatch):
-        from repro.experiments import runner
+        from repro.uarch import counters
 
         population = [workload(i) for i in
                       ("H-Grep", "S-Grep", "H-Read", "I-SelectQuery")]
         monkeypatch.setattr(table2_reduction, "ALL_WORKLOADS", population)
         seeds = []
-        characterize = runner.characterize
+        characterize = counters.characterize
 
         def spy(profile, platform, seed):
             seeds.append(seed)
             return characterize(profile, platform, seed=seed)
 
-        monkeypatch.setattr(runner, "characterize", spy)
+        monkeypatch.setattr(counters, "characterize", spy)
         result = table2_reduction.run(ExperimentContext(scale=0.1, seed=1),
                                       k=2)
         assert seeds == [1234 + 1] * len(population)

@@ -1,10 +1,10 @@
 """Tests for the determinism sanitizer (``repro.analysis`` + ``repro lint``).
 
 Three layers: per-rule fixtures (each snippet triggers its rule exactly
-once and a clean twin triggers nothing), the baseline/suppression
-machinery, and the CLI acceptance criteria — reintroducing the PR-4
-shuffle bug or an unseeded Random() must fail the gate with the right
-rule ID in ``--json`` output.
+once and a clean twin triggers nothing), inline suppression (the one
+way to accept a reviewed finding), and the CLI acceptance criteria:
+reintroducing the salted-hash shuffle bug or an unseeded Random() must
+fail the gate with the right rule ID in ``--json`` output.
 """
 
 import json
@@ -15,20 +15,14 @@ import pytest
 from repro.analysis import (
     ALL_RULES,
     Finding,
-    baseline_counts,
     canonical_record_bytes,
-    default_baseline_path,
     lint_file,
     lint_tree,
-    load_baseline,
-    new_findings,
     rule_catalog,
-    save_baseline,
 )
-from repro.analysis.baseline import stale_entries
 from repro.analysis.dynamic import divergent_paths
 from repro.cli import main
-from repro.errors import LintBaselineError, SimulationError
+from repro.errors import SimulationError
 
 
 def lint_source(tmp_path, source, module="repro.fixture"):
@@ -282,7 +276,7 @@ class TestRuleFixtures:
 
 
 # --------------------------------------------------------------------------
-# Suppression + baseline machinery.
+# Inline suppression.
 # --------------------------------------------------------------------------
 
 class TestSuppressionAndBaseline:
@@ -311,87 +305,23 @@ class TestSuppressionAndBaseline:
         assert rule_ids(findings) == ["DET001"]
         assert suppressed == 0
 
-    def test_baseline_round_trip(self, tmp_path):
-        findings, _ = lint_source(tmp_path, """
-            def partition(key, n):
-                return hash(key) % n
-        """)
-        path = tmp_path / "baseline.json"
-        assert save_baseline(str(path), findings) == 1
-        baseline = load_baseline(str(path))
-        assert baseline == baseline_counts(findings)
-        assert new_findings(findings, baseline) == []
-
-    def test_new_findings_are_multiset_extras(self, tmp_path):
-        findings, _ = lint_source(tmp_path, """
-            def a(key):
-                return hash(key)
-
-            def b(key):
-                return hash(key)
-        """)
-        assert len(findings) == 2
-        baseline = baseline_counts(findings[:1])
-        # Both findings share a key (same stripped line text); only the
-        # extra copy beyond the baselined count is new.
-        fresh = new_findings(findings, baseline)
-        assert len(fresh) == 1
-
-    def test_baseline_key_survives_line_shift(self, tmp_path):
-        before, _ = lint_source(tmp_path, """
-            def partition(key, n):
-                return hash(key) % n
-        """)
-        after, _ = lint_source(tmp_path, """
-            # an unrelated comment pushes everything down
-
-
-            def partition(key, n):
-                return hash(key) % n
-        """)
-        assert before[0].line != after[0].line
-        assert new_findings(after, baseline_counts(before)) == []
-
-    def test_stale_entries_reported(self, tmp_path):
-        findings, _ = lint_source(tmp_path, """
-            def partition(key, n):
-                return hash(key) % n
-        """)
-        baseline = baseline_counts(findings)
-        assert stale_entries([], baseline) == list(baseline)
-
-    def test_load_baseline_rejects_missing_and_malformed(self, tmp_path):
-        with pytest.raises(LintBaselineError):
-            load_baseline(str(tmp_path / "missing.json"))
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(LintBaselineError):
-            load_baseline(str(bad))
-        wrong_version = tmp_path / "version.json"
-        wrong_version.write_text(json.dumps({"version": 99, "findings": []}))
-        with pytest.raises(LintBaselineError):
-            load_baseline(str(wrong_version))
-
 
 # --------------------------------------------------------------------------
 # The live tree and the CLI gate.
 # --------------------------------------------------------------------------
 
 class TestLiveTreeAndCli:
-    def test_live_tree_has_no_unbaselined_findings(self):
+    def test_live_tree_has_no_findings(self):
         report = lint_tree()
-        baseline_path = default_baseline_path()
-        assert baseline_path is not None, "tools/lint_baseline.json missing"
-        baseline = load_baseline(baseline_path)
-        fresh = new_findings(report.findings, baseline)
-        assert fresh == [], "\n".join(f.render() for f in fresh)
+        assert report.findings == [], "\n".join(
+            f.render() for f in report.findings)
         assert report.files_checked > 50
 
     def test_cli_lint_clean_tree_exits_zero(self, capsys):
-        baseline_path = default_baseline_path()
-        assert main(["lint", "--baseline", baseline_path]) == 0
-        out = capsys.readouterr().out
-        assert "0 new" in out
+        assert main(["lint", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["findings"] == []
+        assert payload["ok"] is True
 
     def test_cli_rules_catalog(self, capsys):
         assert main(["lint", "--rules"]) == 0
@@ -399,58 +329,56 @@ class TestLiveTreeAndCli:
         for rule in ALL_RULES:
             assert rule.rule_id in out
 
-    def _write_buggy_tree(self, tmp_path):
-        """A fixture package reintroducing the PR-4 bug class."""
+    def _write_buggy_tree(self, tmp_path, allow=("", "")):
+        """A fixture package reintroducing the salted-hash bug class.
+
+        ``allow`` holds the trailing comments for the DET001 line and
+        the DET002 lines.
+        """
+        hash_note, random_note = allow
         pkg = tmp_path / "fixtures"
         pkg.mkdir()
-        (pkg / "shuffle.py").write_text(textwrap.dedent("""
+        (pkg / "shuffle.py").write_text(textwrap.dedent(f"""
             import random
 
 
             def partition(key, n):
-                return hash(key) % n
+                return hash(key) % n{hash_note}
 
 
             def scramble(items):
-                rng = random.Random()
-                random.shuffle(items)
+                rng = random.Random(){random_note}
+                random.shuffle(items){random_note}
                 return rng
         """))
         return pkg
 
     def test_cli_gate_fails_on_reintroduced_bugs(self, tmp_path, capsys):
         pkg = self._write_buggy_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        save_baseline(str(baseline), [])
-        code = main(
-            ["lint", str(pkg), "--baseline", str(baseline), "--json"]
-        )
-        assert code == 1
+        assert main(["lint", str(pkg), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
-        fresh = [entry["rule"] for entry in payload["new"]]
-        assert "DET001" in fresh
-        assert "DET002" in fresh
+        found = [entry["rule"] for entry in payload["findings"]]
+        assert "DET001" in found
+        assert "DET002" in found
         assert payload["ok"] is False
 
-    def test_cli_update_baseline_then_clean(self, tmp_path, capsys):
-        pkg = self._write_buggy_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            ["lint", str(pkg), "--baseline", str(baseline),
-             "--update-baseline"]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            ["lint", str(pkg), "--baseline", str(baseline)]
-        ) == 0
-        assert "0 new" in capsys.readouterr().out
+    def test_cli_inline_allow_accepts_the_findings(self, tmp_path, capsys):
+        pkg = self._write_buggy_tree(tmp_path, allow=(
+            "  # repro: allow[DET001]", "  # repro: allow[DET002]"))
+        assert main(["lint", str(pkg), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["findings"] == []
+        assert payload["suppressed"] == 3
+        assert payload["ok"] is True
 
-    def test_cli_missing_baseline_is_usage_error(self, tmp_path, capsys):
+    def test_cli_baseline_flag_is_a_usage_error(self, tmp_path, capsys):
         pkg = self._write_buggy_tree(tmp_path)
-        code = main(
-            ["lint", str(pkg), "--baseline", str(tmp_path / "nope.json")]
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", str(pkg), "--baseline", "x"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--baseline" in err
+        assert "Traceback" not in err
 
 
 # --------------------------------------------------------------------------

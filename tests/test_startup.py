@@ -48,6 +48,8 @@ HELP_MODULES = CLI_MODULES | {"repro.fsio", "repro.obs",
 
 #: Modules a ``system`` regeneration never runs.
 NOT_FOR_SYSTEM = (
+    "repro.comparison",
+    "repro.uarch.counters",
     "repro.exec.supervisor",
     "repro.exec.pool",
     "repro.core.pca",
