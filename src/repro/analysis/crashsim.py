@@ -2,7 +2,7 @@
 
 ALICE/CrashMonkey transplanted onto the run-registry storage tier.  The
 campaign runs one small instrumented sweep (journal + snapshot +
-manifest + progress stream + supervisor spans + registry record, all
+manifest + supervisor spans + registry record, all
 through one :class:`repro.fsio.FaultyIO` backend), counts every
 syscall-shaped operation, then re-runs it once per enumerated fault:
 
@@ -53,7 +53,6 @@ from repro.obs.registry import (
     build_provenance,
     config_hash,
 )
-from repro.obs.stream import ProgressStream
 
 #: Dotted path of the campaign's cheap deterministic cell callable.
 PROBE_CELL_FN = "repro.analysis.crashsim.probe_cell"
@@ -202,8 +201,8 @@ def _run_instrumented(runs_dir: str, *, scale: float, seed: int,
     """One full sweep through the storage tier under ``io``.
 
     Exercises every writer fsck must understand: checkpoint manifest /
-    journal / snapshot / lock, progress stream, supervisor span file,
-    merged trace and a registry record.  Returns the merged metrics
+    journal / snapshot / lock, supervisor span file, merged trace and
+    a registry record.  Returns the merged metrics
     plus the observability drop counters.
     """
     cells = _probe_cells(scale, seed)
@@ -217,12 +216,10 @@ def _run_instrumented(runs_dir: str, *, scale: float, seed: int,
         config_hash=chash, seed=seed, config=config, n_cells=len(cells),
     )
     tracer = SweepTracer(checkpoint.trace_dir, io=io)
-    stream = ProgressStream(checkpoint.progress_path, sweep=key, io=io)
-    executor = SweepExecutor(jobs=jobs, tracer=tracer, observer=stream)
+    executor = SweepExecutor(jobs=jobs, tracer=tracer)
     try:
         outcome = executor.run(cells, checkpoint=checkpoint, resume=resume)
     finally:
-        stream.close()
         tracer.close()
     merged = merge_results(cells, outcome.results)
     registry = RunRegistry(runs_dir, io=io)
@@ -236,9 +233,7 @@ def _run_instrumented(runs_dir: str, *, scale: float, seed: int,
         ),
         timings={f"exec.{k}": v for k, v in outcome.telemetry.items()},
     ))
-    counters = dict(stream.telemetry())
-    counters.update(tracer.telemetry())
-    return {"merged": merged, "counters": counters}
+    return {"merged": merged, "counters": tracer.telemetry()}
 
 
 def _diff_metrics(baseline: Dict[str, float],
@@ -444,10 +439,7 @@ def run_campaign(work_dir: str, *, seed: int = 0, scale: float = 0.2,
             # counter recorded an error, data was dropped silently.
             point.status = "survived"
             counters = run["counters"]
-            errors_counted = (
-                counters.get("stream_writer_errors", 0.0)
-                + counters.get("trace_writer_errors", 0.0)
-            )
+            errors_counted = counters.get("trace_writer_errors", 0.0)
             # Directory fsyncs are best-effort by contract: if one
             # fails and the process *survives*, every acknowledged
             # byte is still on disk (files are fsynced individually),

@@ -126,29 +126,23 @@ def _record(args, experiment: str, kind: str, metrics, platforms=(),
     )
 
 
-def _platform(args):
-    from repro.uarch.platforms import ATOM_D510, XEON_E5645
-
-    return ATOM_D510 if args.platform == "d510" else XEON_E5645
-
-
 # ---- the executor -----------------------------------------------------------
 def _run_sweep(args, name: str, config: dict, n_cells: int, run):
-    """One executor run with its checkpoint, span tracer and progress stream.
+    """One executor run with its checkpoint and span tracer.
 
-    Opens the checkpoint under ``<runs dir>/sweeps/``, the per-process
-    span files (unless ``--no-trace``) and the progress JSONL (with the
-    live status line under ``--progress``, or by default on a tty),
-    calls ``run(checkpoint, tracer, observer)``, closes both writers
-    and merges the spans into one Chrome trace.  Tracer and stream are
-    pure observers: the results are bit-identical either way.  Returns
-    ``(outcome, counters)``; the writers' drop counters prove or
+    Opens the checkpoint under ``<runs dir>/sweeps/`` and the
+    per-process span files (drawing the live status line from the
+    supervisor's records under ``--progress``, or by default on a
+    tty), calls ``run(checkpoint, tracer)``, closes the tracer and
+    merges the spans into one Chrome trace.  The tracer is passive:
+    the results are bit-identical either way.  Returns
+    ``(outcome, counters)``; the span writers' drop counters prove or
     disprove silent telemetry loss.
     """
     from repro.exec.checkpoint import SweepCheckpoint, sweep_id
     from repro.exec.tracing import SweepTracer, merge_sweep_trace
     from repro.obs.registry import config_hash
-    from repro.obs.stream import ProgressStream, TerminalRenderer
+    from repro.obs.stream import TerminalRenderer
 
     chash = config_hash(config)
     key = sweep_id(name, chash, args.seed)
@@ -158,31 +152,27 @@ def _run_sweep(args, name: str, config: dict, n_cells: int, run):
               file=sys.stderr)
     checkpoint.initialise(config_hash=chash, seed=args.seed, config=config,
                           n_cells=n_cells)
-    tracer = None if args.no_trace else SweepTracer(checkpoint.trace_dir)
     line = args.progress if args.progress is not None else sys.stderr.isatty()
-    stream = ProgressStream(checkpoint.progress_path, sweep=key,
-                            renderer=TerminalRenderer() if line else None)
+    renderer = TerminalRenderer() if line else None
+    tracer = SweepTracer(checkpoint.trace_dir,
+                         listener=renderer and renderer.update)
     try:
-        outcome = run(checkpoint, tracer, stream)
+        outcome = run(checkpoint, tracer)
     finally:
-        stream.close()
-        if tracer is not None:
-            tracer.close()
-    if tracer is not None:
-        try:
-            n_events, n_flows = merge_sweep_trace(tracer.trace_dir,
-                                                  checkpoint.trace_path)
-        except TraceMergeError as error:
-            print(f"warning: could not merge sweep trace: {error}",
-                  file=sys.stderr)
-        else:
-            print(f"merged sweep trace: {n_events} event(s), {n_flows} "
-                  f"retry flow link(s) -> {checkpoint.trace_path}",
-                  file=sys.stderr if args.json else sys.stdout)
-    counters = dict(stream.telemetry())
-    if tracer is not None:
-        counters.update(tracer.telemetry())
-    return outcome, counters
+        tracer.close()
+        if renderer is not None:
+            renderer.close()
+    try:
+        n_events, n_flows = merge_sweep_trace(tracer.trace_dir,
+                                              checkpoint.trace_path)
+    except TraceMergeError as error:
+        print(f"warning: could not merge sweep trace: {error}",
+              file=sys.stderr)
+    else:
+        print(f"merged sweep trace: {n_events} event(s), {n_flows} "
+              f"retry flow link(s) -> {checkpoint.trace_path}",
+              file=sys.stderr if args.json else sys.stdout)
+    return outcome, tracer.telemetry()
 
 
 def _prime_context(args, context: ExperimentContext, name: str,
@@ -203,10 +193,9 @@ def _prime_context(args, context: ExperimentContext, name: str,
     }
     outcome, counters = _run_sweep(
         args, name, config, len(cells),
-        lambda checkpoint, tracer, observer: context.prime(
+        lambda checkpoint, tracer: context.prime(
             cells, jobs=args.jobs, cell_timeout=args.cell_timeout,
             checkpoint=checkpoint, resume=args.resume, tracer=tracer,
-            observer=observer,
         ),
     )
     context.add_telemetry(counters)
@@ -333,11 +322,12 @@ def _cmd_list(args) -> int:
 
 def _cmd_run(args) -> int:
     from repro.cluster.cluster import Cluster
+    from repro.exec.cells import platform_for
     from repro.uarch.counters import characterize
     from repro.workloads import workload
 
     definition = workload(args.workload)
-    platform = _platform(args)
+    platform = platform_for(args.platform)
     print(f"running {definition.workload_id} ({definition.description}) ...",
           file=sys.stderr)
     result = definition.runner(scale=args.scale, seed=args.seed,
@@ -411,12 +401,13 @@ def _cmd_profile(args) -> int:
     record's ``metrics`` are the ordinary (deterministic) performance
     counters, while the whole attribution lands in ``timings``.
     """
+    from repro.exec.cells import platform_for
     from repro.experiments.runner import ExperimentContext
     from repro.obs.hostprof import profile_call
     from repro.workloads import workload
 
     definition = workload(args.workload)
-    platform = _platform(args)
+    platform = platform_for(args.platform)
     print(f"profiling {definition.workload_id} on {platform.name} "
           f"(host wall-clock, scale {args.scale}) ...", file=sys.stderr)
     context = ExperimentContext(scale=args.scale, seed=args.seed)
@@ -471,9 +462,8 @@ def _cmd_sweep(args) -> int:
     }
     outcome, counters = _run_sweep(
         args, args.name or "sweep", config, len(cells),
-        lambda checkpoint, tracer, observer: SweepExecutor(
-            jobs=args.jobs, cell_timeout=args.cell_timeout,
-            tracer=tracer, observer=observer,
+        lambda checkpoint, tracer: SweepExecutor(
+            jobs=args.jobs, cell_timeout=args.cell_timeout, tracer=tracer,
         ).run(cells, checkpoint=checkpoint, resume=args.resume),
     )
     outcome.telemetry.update(counters)
@@ -881,9 +871,6 @@ _EXECUTOR_ARGS = (
     _arg("--resume", action="store_true",
          help="resume from this configuration's sweep checkpoint, "
               "re-running only incomplete cells"),
-    _arg("--no-trace", action="store_true",
-         help="skip the per-process span files and merged Chrome "
-              "trace this run would otherwise record"),
     _arg("--progress", action=argparse.BooleanOptionalAction, default=None,
          help="force the live progress line on (or off with "
               "--no-progress); default: on when stderr is a tty"),
@@ -905,7 +892,7 @@ class Verb:
     seed_help: Optional[str] = None
     #: the ``--json`` help; None means no ``--json``
     json_help: Optional[str] = None
-    #: takes --jobs/--cell-timeout/--resume/--no-trace/--progress
+    #: takes --jobs/--cell-timeout/--resume/--progress
     executor: bool = False
     #: cross-argument validation, run with the range checks
     check: Optional[Callable] = None

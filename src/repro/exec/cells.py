@@ -12,9 +12,11 @@ result is bit-identical to a serial in-process run.  Tests point ``fn``
 at misbehaving callables (crash, hang, SIGKILL) to drive the
 supervisor's failure paths.
 
-Every result carries a **provenance hash** over (spec, payload); the
-merge step recomputes it before combining cells, so a corrupted or
-foreign checkpoint entry can never silently contaminate a merged run.
+Every result carries a **provenance hash** over (spec, metrics), and
+a result that carries a counter sample must rehydrate to exactly those
+metrics.  :func:`cell_intact` is that one rule; the merge step, context
+adoption and ``repro fsck`` all apply it, so a corrupted or foreign
+checkpoint entry can never silently contaminate a merged run.
 """
 
 from __future__ import annotations
@@ -28,8 +30,11 @@ from typing import Dict, List, Optional, Sequence
 #: Dotted path of the default cell callable.
 DEFAULT_CELL_FN = "repro.exec.cells.characterize_cell"
 
-#: Short CLI platform keys -> full platform names (see repro.uarch.platforms).
-PLATFORM_KEYS = ("e5645", "d510")
+#: Short CLI platform key -> the :mod:`repro.uarch.platforms` constant
+#: it names; :func:`platform_for` and :func:`platform_key` read it.
+_PLATFORMS = {"e5645": "XEON_E5645", "d510": "ATOM_D510"}
+
+PLATFORM_KEYS = tuple(_PLATFORMS)
 
 
 @dataclass(frozen=True)
@@ -178,18 +183,54 @@ def _hashable_spec(spec: dict) -> dict:
     }
 
 
-def platform_for(key: str):
-    """Map a short platform key to its :class:`Platform`."""
-    from repro.uarch.platforms import ATOM_D510, XEON_E5645
+def cell_intact(spec: dict, result: CellResult) -> bool:
+    """Whether a completed cell may be trusted for ``spec``.
+
+    The provenance hash must match ``(spec, metrics)``, and a cell that
+    carries ``counters`` must rehydrate to exactly its hashed metrics,
+    since that sample (not the metrics) is what a primed context adopts.
+    """
+    if result.provenance_hash != provenance_hash(_hashable_spec(spec),
+                                                 result.metrics):
+        return False
+    if result.counters is None:
+        return True
+    from repro.uarch.counters import PerfCounters
 
     try:
-        return {"e5645": XEON_E5645, "d510": ATOM_D510}[key]
+        rehydrated = PerfCounters.from_dict(result.counters).metric_dict()
+    except (KeyError, TypeError, ValueError, AttributeError):
+        return False
+    return _canonical(rehydrated) == _canonical(result.metrics)
+
+
+def _canonical(metrics: Dict[str, float]) -> str:
+    """Bit-exact text of a metric map (NaN equals NaN; -0.0 is not 0.0)."""
+    return json.dumps({k: float(v) for k, v in metrics.items()},
+                      sort_keys=True)
+
+
+def platform_for(key: str):
+    """Map a short platform key to its :class:`Platform`."""
+    from repro.uarch import platforms
+
+    try:
+        return getattr(platforms, _PLATFORMS[key])
     except KeyError:
         from repro.errors import InvalidParameterError
 
         raise InvalidParameterError(
             f"unknown platform {key!r}; choose from {', '.join(PLATFORM_KEYS)}"
         ) from None
+
+
+def platform_key(name: str) -> str:
+    """The short key of the platform called ``name`` (inverse of
+    :func:`platform_for`)."""
+    for key in PLATFORM_KEYS:
+        if platform_for(key).name == name:
+            return key
+    raise KeyError(name)
 
 
 def characterize_cell(spec: dict) -> dict:

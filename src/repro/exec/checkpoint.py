@@ -15,8 +15,8 @@ Layout, under ``<runs dir>/sweeps/<sweep_id>/``:
   corrupt the journal alone still reconstructs the state; the bad file
   is quarantined to ``snapshot.json.corrupt``.
 
-- ``progress.jsonl``, ``trace/*.spans.jsonl``, ``trace.json`` — the
-  best-effort observability streams and the merged trace.
+- ``trace/*.spans.jsonl``, ``trace.json`` — the best-effort span
+  files (the one record of the sweep's execution) and their merge.
 - ``sweep.lock`` — an advisory lockfile (JSON ``{"pid": ...}``) held
   while an executor owns the checkpoint, so two concurrent resumes of
   the same sweep cannot interleave journal appends.  A lock whose
@@ -118,8 +118,6 @@ class SweepState:
     bad_journal_lines: List[int] = field(default_factory=list)
     #: The only bad journal line is the last one (crash mid-append).
     torn_journal: bool = False
-    #: Progress events (``progress.jsonl`` lines with an ``event``).
-    events: List[dict] = field(default_factory=list)
     #: Host-clock span and instant records from every span file.
     spans: List[Span] = field(default_factory=list)
     #: ``(path, reason)`` for every artifact that did not read cleanly.
@@ -146,7 +144,6 @@ class SweepDir:
         self.journal_path = os.path.join(path, "journal.jsonl")
         self.snapshot_path = os.path.join(path, "snapshot.json")
         self.lock_path = os.path.join(path, LOCK_FILE)
-        self.progress_path = os.path.join(path, "progress.jsonl")
         self.trace_dir = os.path.join(path, "trace")
         self.trace_path = os.path.join(path, "trace.json")
 
@@ -184,8 +181,6 @@ class SweepDir:
         state.bad_journal_lines = sorted(bad + invalid)
         state.torn_journal = torn and not invalid
 
-        progress, _, _ = _read_lines(self.progress_path, damage)
-        state.events = [e for _, e in progress if "event" in e]
         # Imported here: repro.exec.tracing imports repro.obs, whose
         # observatory imports this module.
         from repro.exec.tracing import read_spans

@@ -1,12 +1,14 @@
 """Provenance-validated merging of sweep cells into one record.
 
 The merge is where the executor's bit-identity promise is enforced:
-before any cell contributes to the merged metrics, its provenance hash
-is recomputed from the (spec, metrics) pair that was journaled.  A
-checkpoint entry that was corrupted on disk, hand-edited, or produced
-by a different sweep configuration fails the check and aborts the
-merge with :class:`~repro.errors.CellIntegrityError` — a wrong merged
-record is strictly worse than no record.
+before any cell contributes to the merged metrics, it must pass
+:func:`repro.exec.cells.cell_intact` (the provenance hash recomputed
+from the journaled (spec, metrics) pair, and any counter sample
+rehydrating to exactly those metrics).  A checkpoint entry that was
+corrupted on disk, hand-edited, or produced by a different sweep
+configuration fails the check and aborts the merge with
+:class:`~repro.errors.CellIntegrityError` — a wrong merged record is
+strictly worse than no record.
 
 Merged metric keys are ``<workload>.<platform>.s<seed>.<metric>``, a
 pure function of the cell spec, so a serial run, a 16-way parallel
@@ -19,25 +21,16 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 from repro.errors import CellIntegrityError, ExecError
-from repro.exec.cells import (
-    CellResult,
-    SweepCell,
-    provenance_hash,
-)
+from repro.exec.cells import CellResult, SweepCell, cell_intact
 
 
 def validate_cell(cell: SweepCell, result: CellResult) -> None:
-    """Recompute and check one cell's provenance hash."""
-    spec = cell.to_dict()
-    spec.pop("fn", None)
-    spec.pop("extra", None)
-    expected = provenance_hash(spec, result.metrics)
-    if expected != result.provenance_hash:
+    """Check one cell against :func:`~repro.exec.cells.cell_intact`."""
+    if not cell_intact(cell.to_dict(), result):
         raise CellIntegrityError(
             "cell result failed provenance validation; the checkpoint "
             "entry does not match the cell that was requested",
             cell=cell.cell_id,
-            expected=expected,
             found=result.provenance_hash,
         )
 

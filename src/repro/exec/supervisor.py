@@ -28,18 +28,14 @@ result of any schedule — serial, parallel, crashed-and-resumed — is
 bit-identical; :mod:`repro.exec.merge` enforces it via provenance
 hashes.
 
-Observability (both default off, both strictly passive):
-
-- ``tracer`` — a :class:`repro.exec.tracing.SweepTracer`.  The
-  supervisor records queue-wait spans and *killed* attempts on worker
-  lanes (a SIGKILLed worker cannot write its own final span), plus
-  retry/quarantine instants and the whole-sweep span on its own lane;
-  workers record their boot and run spans themselves.
-- ``observer`` — a callable receiving one dict per progress event
-  (``sweep-started``, ``cell-started``/``finished``/``retried``/
-  ``quarantined``, ``worker-started``/``lost``, ``degraded-serial``,
-  ``sweep-finished``).  Observer exceptions are swallowed: telemetry
-  must never fail a sweep.
+Observability (default off, strictly passive): ``tracer``, a
+:class:`repro.exec.tracing.SweepTracer`, is the one record of a
+sweep's execution.  The supervisor records each moment once: queue-wait
+spans and *killed* attempts on worker lanes (a SIGKILLed worker cannot
+write its own final span), and on its own lane the run's start, one
+commit instant per journaled cell, retry/quarantine/degraded-serial
+instants and the whole-sweep span.  Workers record their boot and run
+spans themselves.
 """
 
 from __future__ import annotations
@@ -57,6 +53,7 @@ from repro.exec.pool import (
     WorkerHandle,
     spawn_worker,
 )
+from repro.exec.tracing import COMMIT, SWEEP_STARTED
 
 #: Default per-cell wall-clock timeout (seconds).
 DEFAULT_CELL_TIMEOUT = 300.0
@@ -115,7 +112,6 @@ class SweepExecutor:
         stall_timeout: float = DEFAULT_STALL_TIMEOUT,
         degrade_after: Optional[int] = None,
         tracer=None,
-        observer=None,
     ):
         self.jobs = max(1, int(jobs))
         self.cell_timeout = cell_timeout
@@ -130,16 +126,6 @@ class SweepExecutor:
             degrade_after if degrade_after is not None else 2 * self.jobs + 2
         )
         self.tracer = tracer
-        self.observer = observer
-
-    def _emit(self, event: Dict) -> None:
-        """Hand one progress event to the observer; never let it fail us."""
-        if self.observer is None:
-            return
-        try:
-            self.observer(dict(event))
-        except Exception:
-            pass
 
     # ---- public entry points ---------------------------------------------
     def run(
@@ -198,13 +184,12 @@ class SweepExecutor:
                 if spec["cell_id"] not in outcome.results
             ]
 
-        self._emit({
-            "event": "sweep-started",
-            "total": len(cells),
-            "todo": len(todo),
-            "jobs": self.jobs,
-            "from_checkpoint": int(telemetry["cells_from_checkpoint"]),
-        })
+        if self.tracer is not None:
+            self.tracer.instant(
+                SWEEP_STARTED, "sweep", started_wall, total=len(cells),
+                todo=len(todo), jobs=self.jobs,
+                from_checkpoint=int(telemetry["cells_from_checkpoint"]),
+            )
         if todo:
             if self.jobs == 1:
                 self._run_serial(todo, checkpoint, outcome)
@@ -220,13 +205,6 @@ class SweepExecutor:
                 cells=len(cells), jobs=self.jobs,
                 quarantined=len(outcome.quarantined),
             )
-        self._emit({
-            "event": "sweep-finished",
-            "done": len(outcome.results),
-            "total": len(cells),
-            "quarantined": len(outcome.quarantined),
-            "wall_s": telemetry["wall_s"],
-        })
         return outcome
 
     # ---- serial path ------------------------------------------------------
@@ -253,10 +231,6 @@ class SweepExecutor:
             run_wall = time.time()
             attempt = attempts.get(cell_id, 0) + 1
             telemetry["cells_run"] += 1
-            self._emit({
-                "event": "cell-started", "cell_id": cell_id,
-                "worker": "serial", "attempt": attempt,
-            })
             try:
                 payload = run_cell(spec)
             except Exception as error:
@@ -322,10 +296,6 @@ class SweepExecutor:
             )
             workers[handle.worker_id] = handle
             next_id += 1
-            self._emit({
-                "event": "worker-started",
-                "worker": handle.worker_id, "pid": handle.pid,
-            })
             return handle
 
         def open_cells() -> int:
@@ -366,11 +336,6 @@ class SweepExecutor:
                     attempt=attempts.get(spec["cell_id"], 0) + 1,
                     status="killed", cause=signature,
                 )
-            self._emit({
-                "event": "worker-lost",
-                "worker": handle.worker_id, "pid": handle.pid,
-                "cause": signature,
-            })
             if spec is not None:
                 # Supervisor-initiated kills are infrastructure failures:
                 # they never poison a cell, only spend its attempt budget.
@@ -425,11 +390,6 @@ class SweepExecutor:
                                 lane=handle.lane, cell_id=cell_id,
                                 attempt=attempt,
                             )
-                        self._emit({
-                            "event": "cell-started", "cell_id": cell_id,
-                            "worker": handle.worker_id, "pid": handle.pid,
-                            "attempt": attempt,
-                        })
                         if not handle.send(spec):
                             fail_worker(handle, "worker-died: send failed",
                                         kill=True)
@@ -475,7 +435,6 @@ class SweepExecutor:
                     "degraded-serial", "executor", time.time(),
                     restarts=restarts,
                 )
-            self._emit({"event": "degraded-serial", "restarts": restarts})
             remaining = leftovers + [
                 spec for spec in todo if spec["cell_id"] in in_flight_or_lost
             ]
@@ -610,11 +569,6 @@ class SweepExecutor:
                     cell_id=cell_id, attempts=attempts[cell_id],
                     poison=poison, signature=signature,
                 )
-            self._emit({
-                "event": "cell-quarantined", "cell_id": cell_id,
-                "attempts": attempts[cell_id], "signature": signature,
-                "poison": poison,
-            })
             return False
         outcome.telemetry["cells_retried"] += 1
         if self.tracer is not None:
@@ -623,11 +577,6 @@ class SweepExecutor:
                 cell_id=cell_id, attempt=attempts[cell_id],
                 signature=signature, infra=infra,
             )
-        self._emit({
-            "event": "cell-retried", "cell_id": cell_id,
-            "attempt": attempts[cell_id], "signature": signature,
-            "infra": infra,
-        })
         return True
 
     def _commit(self, result: CellResult,
@@ -639,10 +588,9 @@ class SweepExecutor:
         outcome.results[result.cell_id] = result
         outcome.quarantined.pop(result.cell_id, None)
         outcome.telemetry["cells_ok"] += 1
-        self._emit({
-            "event": "cell-finished", "cell_id": result.cell_id,
-            "worker": result.worker, "attempt": result.attempts,
-            "seconds": result.seconds,
-            "done": len(outcome.results),
-            "total": int(outcome.telemetry.get("cells_total", 0.0)),
-        })
+        if self.tracer is not None:
+            self.tracer.instant(
+                COMMIT, "commit", time.time(), cell_id=result.cell_id,
+                done=len(outcome.results),
+                total=int(outcome.telemetry["cells_total"]),
+            )

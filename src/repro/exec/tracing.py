@@ -25,9 +25,9 @@ Design constraints, in order:
 - **Comparable clocks.**  All timestamps are ``time.time()`` epoch
   seconds.  Forked processes share the system clock, which makes the
   merged timeline directly comparable across lanes; monotonic clocks
-  would not be.  Every read is quarantined here (module is on the
-  DET003 exemption list) and the values only ever land in span files
-  and record ``timings`` — never in ``metrics``.
+  would not be.  The supervisor and the worker loop take every read
+  (both are on the DET003 exemption list), and the values only ever
+  land in span files and record ``timings`` — never in ``metrics``.
 
 Lane identity is ``worker-<ospid>-<workerid>``: worker ids restart at
 0 on resume and are reused by replacement workers, but OS pids are
@@ -39,7 +39,7 @@ legible).
 from __future__ import annotations
 
 import os
-import time
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TraceMergeError
@@ -51,10 +51,21 @@ SPAN_FILE_SUFFIX = ".spans.jsonl"
 #: The ``kind`` values of span-file records; other lines are damage.
 SPAN_KINDS = ("span", "instant")
 
+#: Supervisor-lane instant naming a sweep run's start (``total``,
+#: ``todo``, ``jobs``, ``from_checkpoint``).
+SWEEP_STARTED = "sweep-started"
+
+#: Supervisor-lane instant naming one journaled cell (``cell_id``,
+#: ``done``, ``total``), recorded after the journal append.
+COMMIT = "commit"
+
 __all__ = [
     "SPAN_FILE_SUFFIX",
     "SPAN_KINDS",
     "SpanWriter",
+    "SWEEP_STARTED",
+    "COMMIT",
+    "progress_rate",
     "SweepTracer",
     "worker_lane",
     "worker_span_path",
@@ -87,7 +98,7 @@ class SpanWriter:
     (e.g. in a worker that never receives a cell) leaves no file.
     Writes are flushed per record — a killed process loses at most the
     line it was writing, which the reader tolerates.  I/O errors never
-    fail the sweep (tracing is an observer), but they are no longer
+    fail the sweep (tracing is passive), but they are no longer
     silent: the underlying :class:`repro.fsio.BestEffortWriter` counts
     every dropped record and warns once on stderr.
     """
@@ -96,15 +107,16 @@ class SpanWriter:
         self.path = path
         self._writer = BestEffortWriter(path, io=io, label="span writer")
 
-    def _emit(self, record: Dict) -> None:
+    def _emit(self, record: Dict) -> Dict:
         self._writer.append(record)
+        return record
 
-    def telemetry(self, prefix: str = "trace") -> Dict[str, float]:
+    def telemetry(self) -> Dict[str, float]:
         """Span write/drop counters, for ``exec.*`` telemetry."""
-        return self._writer.telemetry(prefix)
+        return self._writer.telemetry("trace")
 
-    def span(self, lane: str, name: str, cat: str, t0: float, t1: float, **args) -> None:
-        self._emit(
+    def span(self, lane: str, name: str, cat: str, t0: float, t1: float, **args) -> Dict:
+        return self._emit(
             {
                 "kind": "span",
                 "lane": lane,
@@ -117,8 +129,8 @@ class SpanWriter:
             }
         )
 
-    def instant(self, lane: str, name: str, cat: str, t: float, **args) -> None:
-        self._emit(
+    def instant(self, lane: str, name: str, cat: str, t: float, **args) -> Dict:
+        return self._emit(
             {
                 "kind": "instant",
                 "lane": lane,
@@ -143,31 +155,57 @@ class SweepTracer:
     :func:`worker_span_path`; the supervisor never writes on worker
     lanes except for *killed* attempts, which the worker by definition
     cannot record itself.
+
+    ``listener``, when given, is called with each record the supervisor
+    writes, parsed as a :class:`Span` (the live ``--progress`` line is
+    one).  It can never fail the sweep: the first exception it raises
+    is reported once on stderr and detaches it.
     """
 
-    def __init__(self, trace_dir: str, io=None):
+    def __init__(self, trace_dir: str, io=None, listener=None):
         os.makedirs(trace_dir, exist_ok=True)
         self.trace_dir = trace_dir
         self.lane = f"supervisor-{os.getpid()}"
+        self.listener = listener
         self._writer = SpanWriter(
             os.path.join(trace_dir, self.lane + SPAN_FILE_SUFFIX), io=io
         )
 
-    def telemetry(self, prefix: str = "trace") -> Dict[str, float]:
+    def _notify(self, record: Dict) -> None:
+        if self.listener is not None:
+            try:
+                self.listener(parse_span(record))
+            except Exception as error:  # a listener never fails a sweep
+                self.listener = None
+                print(f"warning: sweep progress listener detached after "
+                      f"{type(error).__name__}: {error}", file=sys.stderr)
+
+    def telemetry(self) -> Dict[str, float]:
         """The supervisor lane's write/drop counters."""
-        return self._writer.telemetry(prefix)
+        return self._writer.telemetry()
 
     def span(self, name: str, cat: str, t0: float, t1: float, *, lane: Optional[str] = None, **args) -> None:
-        self._writer.span(lane or self.lane, name, cat, t0, t1, **args)
+        self._notify(self._writer.span(lane or self.lane, name, cat, t0, t1, **args))
 
     def instant(self, name: str, cat: str, t: float, *, lane: Optional[str] = None, **args) -> None:
-        self._writer.instant(lane or self.lane, name, cat, t, **args)
-
-    def now(self) -> float:
-        return time.time()
+        self._notify(self._writer.instant(lane or self.lane, name, cat, t, **args))
 
     def close(self) -> None:
         self._writer.close()
+
+
+def progress_rate(started: Span, commit: Span) -> Tuple[float, Optional[float]]:
+    """Cells per second and the ETA in seconds as of one ``commit``.
+
+    ``started`` is the :data:`SWEEP_STARTED` instant of the same run;
+    cells adopted from a checkpoint are not counted in the rate.  The
+    ETA is None until the rate is known.
+    """
+    done = int(commit.args.get("done", 0))
+    total = int(commit.args.get("total", 0))
+    fresh = max(0, done - int(started.args.get("from_checkpoint", 0)))
+    rate = fresh / max(1e-9, commit.t0 - started.t0)
+    return rate, (max(0, total - done) / rate if rate > 0 else None)
 
 
 def span_files(trace_dir: str) -> List[str]:

@@ -114,42 +114,40 @@ class ExperimentContext:
     # lossless PerfCounters payload for the cache below.
     def counter_cells(self, pairs) -> list:
         """Sweep cells for the (workload_id, platform) pairs not cached."""
-        from repro.exec.cells import SweepCell
+        from repro.exec.cells import SweepCell, platform_key
 
-        platform_keys = {XEON_E5645.name: "e5645", ATOM_D510.name: "d510"}
-        cells = []
-        for workload_id, platform in pairs:
-            if (workload_id, platform.name) in self._counters:
-                continue
-            cells.append(SweepCell(
-                workload=workload_id,
-                platform=platform_keys[platform.name],
-                scale=self.scale,
-                seed=self.seed,
-            ))
-        return cells
+        return [
+            SweepCell(workload=workload_id,
+                      platform=platform_key(platform.name),
+                      scale=self.scale, seed=self.seed)
+            for workload_id, platform in pairs
+            if (workload_id, platform.name) not in self._counters
+        ]
 
-    def adopt_cells(self, results) -> int:
+    def adopt_cells(self, cells, results) -> int:
         """Install completed characterize cells into the counters cache.
 
-        ``results`` is a ``cell_id -> CellResult`` mapping whose
-        ``counters`` payloads were produced by
+        ``results`` maps cell ids to :class:`~repro.exec.cells.CellResult`
+        whose ``counters`` payloads were produced by
         :func:`repro.exec.cells.characterize_cell`; rehydration is
         lossless, so a primed context is bit-identical to a serial one.
+        A result that fails :func:`~repro.exec.cells.cell_intact` for
+        its cell is not adopted, and the experiment computes that pair
+        in-process.
         """
-        from repro.exec.cells import platform_for
+        from repro.exec.cells import cell_intact, platform_for
         from repro.uarch.counters import PerfCounters
 
         adopted = 0
-        for result in results.values():
-            if result.status != "ok" or not result.counters:
+        for cell in cells:
+            result = results.get(cell.cell_id)
+            if (result is None or result.status != "ok"
+                    or not result.counters
+                    or not cell_intact(cell.to_dict(), result)):
                 continue
-            counters = PerfCounters.from_dict(result.counters)
-            platform = platform_for(
-                "e5645" if counters.platform == XEON_E5645.name else "d510"
-            )
-            self._definition(workload(counters.workload))
-            self._counters[(counters.workload, platform.name)] = counters
+            self._definition(workload(cell.workload))
+            key = (cell.workload, platform_for(cell.platform).name)
+            self._counters[key] = PerfCounters.from_dict(result.counters)
             adopted += 1
         return adopted
 
@@ -162,7 +160,6 @@ class ExperimentContext:
         checkpoint=None,
         resume: bool = False,
         tracer=None,
-        observer=None,
     ):
         """Characterize the given pairs across ``jobs`` worker processes.
 
@@ -170,8 +167,8 @@ class ExperimentContext:
         (telemetry rides into the run record's quarantined ``timings``).
         Quarantined cells are simply not adopted: the experiment falls
         back to computing them serially in-process, so a poison cell
-        degrades throughput, never correctness.  ``tracer``/``observer``
-        pass straight through to the executor's observability hooks.
+        degrades throughput, never correctness.  ``tracer`` passes
+        straight through to the executor.
         """
         from repro.exec.supervisor import DEFAULT_CELL_TIMEOUT, SweepExecutor
 
@@ -182,10 +179,9 @@ class ExperimentContext:
                 cell_timeout if cell_timeout else DEFAULT_CELL_TIMEOUT
             ),
             tracer=tracer,
-            observer=observer,
         )
         outcome = executor.run(cells, checkpoint=checkpoint, resume=resume)
-        self.adopt_cells(outcome.results)
+        self.adopt_cells(cells, outcome.results)
         self.add_telemetry(outcome.telemetry)
         return outcome
 

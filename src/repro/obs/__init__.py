@@ -14,12 +14,10 @@ from repro._lazy import lazy_exports
 
 #: re-exported name -> the module that defines it, imported on first use.
 _EXPORTS = {
-    "PROGRESS_SCHEMA_VERSION": "repro.obs.stream",
     "SCHEMA_VERSION": "repro.obs.registry",
     "ClusterTelemetry": "repro.obs.metrics",
     "HostProfile": "repro.obs.hostprof",
     "HotFunction": "repro.obs.hostprof",
-    "ProgressStream": "repro.obs.stream",
     "RunRegistry": "repro.obs.registry",
     "TerminalRenderer": "repro.obs.stream",
     "Tracer": "repro.obs.tracer",
@@ -27,7 +25,6 @@ _EXPORTS = {
     "history": "repro.obs.report",
     "module_of": "repro.obs.hostprof",
     "profile_call": "repro.obs.hostprof",
-    "read_progress": "repro.obs.stream",
     "render_openmetrics": "repro.obs.stream",
     "render_site": "repro.obs.dashboard",
     "render_trace_summary": "repro.obs.export",

@@ -457,7 +457,7 @@ def _sweep_page(model: ObservatoryModel) -> str:
                          if view.quarantined else "")),
             ("state", "finished" if view.finished else "in flight"),
             ("retries", str(view.retries)),
-            ("progress events", str(len(view.events))),
+            ("span records", str(len(view.spans))),
             ("merged trace", "yes" if view.has_merged_trace else "no"),
         ]
         if view.torn_journal_lines:

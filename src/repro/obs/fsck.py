@@ -1,9 +1,9 @@
 """``repro fsck``: integrity scan and repair for the runs directory.
 
 ``.repro-runs/`` is the substrate's storage tier — registry records,
-sweep checkpoints (manifest + journal + snapshot), progress streams,
-span files, merged traces, advisory locks.  Crashes (real or injected
-by :class:`repro.fsio.FaultyIO`) leave characteristic damage; this
+sweep checkpoints (manifest + journal + snapshot), span files, merged
+traces, advisory locks.  Crashes (real or injected by
+:class:`repro.fsio.FaultyIO`) leave characteristic damage; this
 module knows every legal artifact shape, classifies the damage into
 typed findings, and (with ``--repair``) restores each one to a state a
 resumed sweep can trust.
@@ -13,12 +13,14 @@ Findings come in two severities:
 - ``error`` — the artifact is damaged or untrustworthy and a reader
   could be misled: torn or corrupt journal entries, corrupt records /
   manifests / snapshots, snapshot entries that diverge from the
-  journal, provenance-hash mismatches, leaked ``*.tmp`` litter, stale
-  locks of dead processes, orphaned sweep directories.
+  journal, cells failing :func:`repro.exec.cells.cell_intact` (hash
+  mismatch, or counters that do not give the hashed metrics), leaked
+  ``*.tmp`` litter, stale locks of dead processes, orphaned sweep
+  directories.
 - ``note`` — expected residue that no reader trips over: quarantined
   ``.corrupt`` files kept as evidence, snapshot-only cells (journal
   tail lost; the merge step re-validates them), a lock held by a live
-  process, torn tails in best-effort observability files.
+  process, torn tails in best-effort span files.
 
 Every repair is conservative: suspect data is dropped or quarantined,
 never guessed at.  A dropped cell simply reruns on ``--resume`` — the
@@ -36,7 +38,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.exec.cells import CellResult, provenance_hash
+from repro.exec.cells import CellResult, cell_intact
 from repro.exec.checkpoint import (
     CHECKPOINT_VERSION,
     ORPHAN_SUFFIX,
@@ -179,8 +181,8 @@ def _parse_cell_id(cell_id: str) -> Optional[Tuple[str, str, int]]:
         return None
 
 
-def _hash_ok(result: CellResult, scale: object) -> bool:
-    """Provenance re-validation of one journaled cell.
+def _cell_ok(result: CellResult, scale: object) -> bool:
+    """:func:`~repro.exec.cells.cell_intact` for one journaled cell.
 
     Only ok cells carry a hash.  A cell that cannot be re-derived
     (unparseable cell id, or no sweep scale to reconstruct the spec)
@@ -197,7 +199,7 @@ def _hash_ok(result: CellResult, scale: object) -> bool:
         "scale": scale,
         "seed": seed,
     }
-    return result.provenance_hash == provenance_hash(spec, result.metrics)
+    return cell_intact(spec, result)
 
 
 def _is_tmp_name(name: str) -> bool:
@@ -294,13 +296,14 @@ def _scan_sweep_dir(sweep: SweepDir, findings: List[Finding]) -> None:
         ))
     # Provenance re-validation of ok entries (merge does this too;
     # fsck surfaces it before a resume wastes time trusting them).
-    mismatched = [r for _, r in state.journal if not _hash_ok(r, scale)]
+    mismatched = [r for _, r in state.journal if not _cell_ok(r, scale)]
     if mismatched:
         cells = sorted({r.cell_id for r in mismatched})
         findings.append(_finding(
             "cell-hash-mismatch", sweep.journal_path,
             f"{len(mismatched)} journal entr(y/ies) fail provenance "
-            f"re-validation: {', '.join(cells[:4])}"
+            f"re-validation (hash, or counters that do not give the "
+            f"hashed metrics): {', '.join(cells[:4])}"
             f"{'…' if len(cells) > 4 else ''}",
             repair="drop the entries (the cells rerun on --resume)",
             sweep=sweep, scale=scale,
@@ -369,12 +372,7 @@ def _scan_sweep_dir(sweep: SweepDir, findings: List[Finding]) -> None:
                     repair="remove",
                 ))
     for path, reason in state.damage:
-        if path == sweep.progress_path:
-            findings.append(_finding(
-                "torn-progress", path, f"{reason} (readers skip them)",
-                repair="rewrite keeping only intact lines",
-            ))
-        elif os.path.dirname(path) == sweep.trace_dir:
+        if os.path.dirname(path) == sweep.trace_dir:
             findings.append(_finding(
                 "torn-span", path, f"{reason} (the merge skips them)",
                 repair="rewrite keeping only intact lines",
@@ -414,7 +412,7 @@ def _repair_journal(sweep: SweepDir, scale: object) -> None:
     """Keep only intact, provenance-valid journal entries."""
     write_jsonl_atomic(sweep.journal_path, [
         result.to_dict() for _, result in sweep.read().journal
-        if _hash_ok(result, scale)
+        if _cell_ok(result, scale)
     ])
 
 
@@ -429,7 +427,7 @@ def _repair_snapshot(sweep: SweepDir, scale: object) -> None:
     for entry in (state.snapshot or {}).values():
         if entry is None or entry.cell_id in cells:
             continue
-        if _hash_ok(entry, scale):
+        if _cell_ok(entry, scale):
             cells[entry.cell_id] = entry  # snapshot-only survivor
     write_json_atomic(sweep.snapshot_path, {
         "version": CHECKPOINT_VERSION,
@@ -481,12 +479,11 @@ def fsck_repair(result: FsckResult) -> None:
                 os.remove(path)
             except FileNotFoundError:
                 pass
-        elif kind in ("torn-progress", "torn-span"):
+        elif kind == "torn-span":
             if os.path.isfile(path):
                 entries, _, _ = read_jsonl(path)
                 write_jsonl_atomic(path, [
-                    obj for _, obj in entries
-                    if kind == "torn-progress" or parse_span(obj) is not None
+                    obj for _, obj in entries if parse_span(obj) is not None
                 ])
         elif kind == "orphaned-sweep":
             if os.path.isdir(path):

@@ -1,7 +1,7 @@
 """The observatory: a read-only aggregate view over one runs directory.
 
 Everything the substrate emits — registry records, sweep checkpoints,
-``progress.jsonl`` streams, per-worker span files, ``kind="profile"``
+per-process span files, ``kind="profile"``
 host profiles, ``kind="bench"`` wall-clock records, fsck findings —
 lands under ``.repro-runs/``, each with its own reader.  This module
 indexes all of it into one queryable :class:`ObservatoryModel` that the
@@ -27,9 +27,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.exec.checkpoint import SweepDir, sweep_dirs
+from repro.exec.tracing import COMMIT, SWEEP_STARTED, progress_rate
 from repro.obs.registry import RunRecord, RunRegistry
 from repro.obs.tracer import Span
 
@@ -65,28 +66,43 @@ class SweepView:
     quarantined: int = 0
     #: Journal lines that are not valid cells (torn tails, corruption).
     torn_journal_lines: int = 0
-    events: List[Dict] = field(default_factory=list)
     #: Host-clock records of the sweep's span files.
     spans: List[Span] = field(default_factory=list)
     has_merged_trace: bool = False
 
-    @property
-    def finished(self) -> bool:
-        return any(e.get("event") == "sweep-finished" for e in self.events)
+    def _instants(self, name: str) -> List[Span]:
+        return [s for s in self.spans
+                if s.kind == "instant" and s.name == name]
 
     @property
-    def last_throughput(self) -> Optional[float]:
-        for event in reversed(self.events):
-            if event.get("event") == "cell-finished" \
-                    and event.get("cells_per_s") is not None:
-                return float(event["cells_per_s"])
-        return None
+    def finished(self) -> bool:
+        return any(s.kind == "span" and s.cat == "sweep" for s in self.spans)
 
     @property
     def retries(self) -> int:
-        return sum(
-            1 for e in self.events if e.get("event") == "cell-retried"
-        )
+        return sum(1 for s in self.spans
+                   if s.kind == "instant" and s.cat == "retry")
+
+    @property
+    def rate(self) -> Tuple[Optional[float], Optional[float]]:
+        """``(cells/s, ETA s)`` as of the latest commit, or Nones.
+
+        The run is the supervisor lane of that commit, measured from
+        its latest start at or before it.
+        """
+        commits = self._instants(COMMIT)
+        if not commits:
+            return None, None
+        last = max(commits, key=lambda s: s.t0)
+        starts = [s for s in self._instants(SWEEP_STARTED)
+                  if s.lane == last.lane and s.t0 <= last.t0]
+        if not starts:
+            return None, None
+        return progress_rate(max(starts, key=lambda s: s.t0), last)
+
+    @property
+    def last_throughput(self) -> Optional[float]:
+        return self.rate[0]
 
 
 @dataclass
@@ -133,7 +149,6 @@ def _build_sweep_view(
     view.done = statuses.count("ok")
     view.quarantined = statuses.count("quarantined")
     view.torn_journal_lines = len(state.bad_journal_lines)
-    view.events = state.events
     view.spans = state.spans
     view.has_merged_trace = os.path.isfile(sweep.trace_path)
     return view

@@ -247,9 +247,10 @@ def _make_sweep(scale: float, seed: int):
 def _make_obs_overhead(scale: float, seed: int):
     """Fig 4 as the ``fig4`` target runs it, under full observation.
 
-    The characterization goes through the serial sweep executor, where
-    a :class:`~repro.exec.SweepTracer` and a progress stream attach, and
-    the spans merge into one Chrome trace, all in the timed region.  The payload is fig4's, so a zero-threshold
+    The characterization goes through the serial sweep executor with a
+    :class:`~repro.exec.SweepTracer` attached, and the spans merge into
+    one Chrome trace, all in the timed region.  The payload is fig4's,
+    so a zero-threshold
     ``repro diff`` of the ``bench.fig4`` and ``bench.obs-overhead``
     records proves observation changed no number; the ratio of their
     medians is the tracing overhead.
@@ -259,7 +260,6 @@ def _make_obs_overhead(scale: float, seed: int):
         from repro.exec import SweepTracer, merge_sweep_trace
         from repro.experiments import ExperimentContext
         from repro.experiments.counter_figures import FIG4
-        from repro.obs.stream import ProgressStream
         from repro.workloads import MPI_WORKLOADS, REPRESENTATIVE_WORKLOADS
 
         context = ExperimentContext(scale=scale, seed=seed)
@@ -267,11 +267,8 @@ def _make_obs_overhead(scale: float, seed: int):
                  for d in REPRESENTATIVE_WORKLOADS + MPI_WORKLOADS]
         with tempfile.TemporaryDirectory() as scratch:
             tracer = SweepTracer(os.path.join(scratch, "trace"))
-            stream = ProgressStream(os.path.join(scratch, "progress.jsonl"),
-                                    sweep="obs-overhead")
-            context.prime(pairs, jobs=1, tracer=tracer, observer=stream)
+            context.prime(pairs, jobs=1, tracer=tracer)
             result = FIG4.run(context)
-            stream.close()
             tracer.close()
             merge_sweep_trace(tracer.trace_dir,
                               os.path.join(scratch, "trace.json"))

@@ -47,7 +47,6 @@ __all__ = [
     "RUNS_DIR_ENV",
     "runs_dir_default",
     "fsync_dir",
-    "atomic_write_json",
     "quarantine_corrupt",
     "git_sha",
     "config_hash",
@@ -72,22 +71,7 @@ def runs_dir_default() -> str:
     return os.environ.get(RUNS_DIR_ENV) or DEFAULT_RUNS_DIR
 
 
-def atomic_write_json(path: str, payload: object, *, io=None) -> None:
-    """Crash-safe JSON write — alias for :func:`repro.fsio.write_json_atomic`.
-
-    Kept under its historical name because checkpoint code and tests
-    import it from here; the implementation (tmp + fsync + replace +
-    dir fsync + tmp cleanup on failure) lives in :mod:`repro.fsio`.
-    """
-    write_json_atomic(path, payload, io=io)
-
-
 def git_sha() -> str:
-    """Public alias for the provenance git probe (``repro_build_info``)."""
-    return _git_sha()
-
-
-def _git_sha() -> str:
     """The current commit SHA, or ``"unknown"`` outside a checkout."""
     try:
         out = subprocess.run(
@@ -125,7 +109,7 @@ def build_provenance(
     if config:
         settings.update(config)
     return {
-        "git_sha": _git_sha(),
+        "git_sha": git_sha(),
         "seed": seed,
         "scale": scale,
         "platforms": list(platforms),
@@ -237,7 +221,7 @@ class RunRegistry:
                 n += 1
             record.run_id = run_id
         path = self._path(record.run_id)
-        atomic_write_json(path, record.to_dict(), io=self.io)
+        write_json_atomic(path, record.to_dict(), io=self.io)
         return path
 
     def _path(self, run_id: str) -> str:

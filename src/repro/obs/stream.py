@@ -1,50 +1,42 @@
-"""Live sweep progress: JSONL event stream, renderer, OpenMetrics view.
+"""Live sweep progress: the terminal line and the OpenMetrics view.
 
-The supervised executor (:class:`repro.exec.supervisor.SweepExecutor`)
-emits one dict per progress event through its ``observer`` hook.  This
-module gives those events three consumers:
+A sweep's one record of execution is its span files
+(:mod:`repro.exec.tracing`).  This module reads them two ways:
 
-- :class:`ProgressStream` — stamps each event with a schema version,
-  sweep id and epoch timestamp, appends it to a ``progress.jsonl``
-  file (flushed per line, torn-tail tolerant on read), and forwards it
-  to an optional renderer.  The JSONL file *is* the wire format: a
-  future ``repro serve`` streams exactly these lines to clients, and
-  ``tail -f`` works on it today.
 - :class:`TerminalRenderer` — a single carriage-return status line on
   stderr (done/total, retries, quarantines, throughput, ETA) for
-  humans watching ``repro sweep --jobs N``.
+  humans watching ``repro sweep --jobs N``, fed in-process by the
+  :class:`~repro.exec.tracing.SweepTracer` listener with each record
+  the supervisor writes.
 - :func:`render_openmetrics` — an OpenMetrics-style text exposition of
   registry and executor counters (``repro metrics``), so external
   tooling can scrape a run directory without knowing our schemas.
 
-Determinism: everything here is observation.  Events carry wall-clock
-timestamps (this module is on the DET003 quarantine list) but nothing
-flows back into cell execution or record ``metrics`` — the stream can
-be turned on and off without changing a single computed byte.
+Determinism: everything here is observation.  Nothing flows back into
+cell execution or record ``metrics``.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.fsio import BestEffortWriter, read_jsonl
-
-#: Bumped on incompatible progress-event layout changes.
-PROGRESS_SCHEMA_VERSION = 1
+from repro.exec.tracing import COMMIT, SWEEP_STARTED, progress_rate
+from repro.obs.tracer import Span
 
 __all__ = [
-    "PROGRESS_SCHEMA_VERSION",
-    "ProgressStream",
     "TerminalRenderer",
-    "read_progress",
     "render_openmetrics",
 ]
 
 
 class TerminalRenderer:
-    """One live status line, redrawn in place with carriage returns."""
+    """One live status line, redrawn in place with carriage returns.
+
+    :meth:`update` takes each supervisor record as a :class:`Span`
+    and computes the rate and ETA itself from the run's start and its
+    commits.
+    """
 
     def __init__(self, out=None):
         self.out = out if out is not None else sys.stderr
@@ -52,32 +44,37 @@ class TerminalRenderer:
         self._width = 0
         self._retried = 0
         self._quarantined = 0
-        self._total = 0
+        self._started: Optional[Span] = None
+        self._commit: Optional[Span] = None
 
-    def update(self, event: Dict) -> None:
-        kind = event.get("event")
-        if kind == "sweep-started":
-            self._total = int(event.get("total", 0))
-        elif kind == "cell-retried":
+    def update(self, record: Span) -> None:
+        if record.kind == "instant" and record.name == SWEEP_STARTED:
+            self._started, self._commit = record, None
+        elif record.kind == "instant" and record.name == COMMIT:
+            self._commit = record
+        elif record.kind == "instant" and record.cat == "retry":
             self._retried += 1
-        elif kind == "cell-quarantined":
+        elif record.kind == "instant" and record.cat == "quarantine":
             self._quarantined += 1
-        elif kind not in ("cell-started", "cell-finished", "sweep-finished"):
+        elif not (record.kind == "span" and record.cat == "sweep"):
             return
-        done = int(event.get("done", 0))
-        total = int(event.get("total", self._total)) or self._total
-        parts = [f"sweep {done}/{total} cells"]
+        started, commit = self._started, self._commit
+        if started is None:
+            return
+        done = (commit or started).args.get(
+            "done", started.args.get("from_checkpoint", 0))
+        parts = [f"sweep {done}/{started.args.get('total', 0)} cells"]
         if self._retried:
             parts.append(f"{self._retried} retried")
         if self._quarantined:
             parts.append(f"{self._quarantined} quarantined")
-        rate = event.get("cells_per_s")
-        if rate:
-            parts.append(f"{rate:.2f} cells/s")
-        eta = event.get("eta_s")
-        if eta is not None:
-            parts.append(f"eta {eta:.0f}s")
-        if kind == "sweep-finished":
+        if commit is not None:
+            rate, eta = progress_rate(started, commit)
+            if rate:
+                parts.append(f"{rate:.2f} cells/s")
+            if eta is not None:
+                parts.append(f"eta {eta:.0f}s")
+        if record.kind == "span":
             parts.append("done")
         line = " | ".join(parts)
         self._width = max(self._width, len(line))
@@ -86,7 +83,7 @@ class TerminalRenderer:
             self.out.flush()
             self._dirty = True
         except (OSError, ValueError):  # repro: allow[ERR002]
-            pass  # terminal cosmetics; the durable stream has counters
+            pass  # terminal cosmetics; the span files are the record
 
     def close(self) -> None:
         if self._dirty:
@@ -96,88 +93,6 @@ class TerminalRenderer:
             except (OSError, ValueError):  # repro: allow[ERR002]
                 pass  # terminal cosmetics; nothing durable is lost
             self._dirty = False
-
-
-class ProgressStream:
-    """Append-only JSONL progress event stream for one sweep.
-
-    Usable directly as the executor's ``observer`` (it is a callable).
-    Derived fields (``cells_per_s``, ``eta_s``) are computed here, on
-    the consumer side of the executor, so the supervisor stays free of
-    presentation arithmetic.  All I/O is best-effort via
-    :class:`repro.fsio.BestEffortWriter`: a dead disk degrades to *no
-    stream*, never to a failed sweep — but every dropped event is
-    counted (``stream_writer_errors`` / ``stream_dropped_events`` in
-    :meth:`telemetry`) and the first failure warns once on stderr.
-    """
-
-    def __init__(self, path: Optional[str] = None, *,
-                 sweep: Optional[str] = None, renderer=None, io=None):
-        self.path = path
-        self.sweep = sweep
-        self.renderer = renderer
-        self._writer = (
-            BestEffortWriter(path, io=io, label="progress stream")
-            if path is not None else None
-        )
-        self._started = time.time()
-        self._resumed = 0
-
-    def __call__(self, event: Dict) -> None:
-        self.emit(event)
-
-    def emit(self, event: Dict) -> None:
-        event = dict(event)
-        event["v"] = PROGRESS_SCHEMA_VERSION
-        if self.sweep is not None:
-            event["sweep"] = self.sweep
-        now = time.time()
-        event["t"] = now
-        kind = event.get("event")
-        if kind == "sweep-started":
-            self._started = now
-            self._resumed = int(event.get("from_checkpoint", 0))
-        elif kind == "cell-finished":
-            done = int(event.get("done", 0))
-            total = int(event.get("total", 0))
-            fresh = max(0, done - self._resumed)
-            elapsed = max(1e-9, now - self._started)
-            rate = fresh / elapsed
-            event["cells_per_s"] = rate
-            event["eta_s"] = (
-                max(0, total - done) / rate if rate > 0 else None
-            )
-        self._write(event)
-        if self.renderer is not None:
-            try:
-                self.renderer.update(event)
-            except Exception:  # repro: allow[ERR002] — cosmetics only
-                pass
-
-    def _write(self, event: Dict) -> None:
-        if self._writer is not None:
-            self._writer.append(event)
-
-    def telemetry(self) -> Dict[str, float]:
-        """Stream write/drop counters, for the record's ``exec.*`` block."""
-        if self._writer is None:
-            return {}
-        return self._writer.telemetry("stream")
-
-    def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-        if self.renderer is not None:
-            try:
-                self.renderer.close()
-            except Exception:  # repro: allow[ERR002] — cosmetics only
-                pass
-
-
-def read_progress(path: str) -> List[Dict]:
-    """Load a progress JSONL file, skipping torn or foreign lines."""
-    entries, _, _ = read_jsonl(path)
-    return [event for _, event in entries if "event" in event]
 
 
 # ---- OpenMetrics exposition -----------------------------------------------
@@ -200,40 +115,36 @@ def _sanitize(name: str) -> str:
 def render_openmetrics(runs_dir: Optional[str] = None) -> str:
     """Executor and registry counters as OpenMetrics-style text.
 
-    Scrapes are read-only over the run directory: registry record
+    Scrapes are read-only over the run directory (one
+    :func:`repro.obs.observatory.build_model` pass): registry record
     counts per (experiment, kind), the latest ``exec.*`` telemetry of
     every experiment that has any, and per-sweep checkpoint progress
-    (total/done/quarantined cells plus the last streamed throughput
-    and ETA).
+    (total/done/quarantined cells plus the throughput and ETA as of
+    the latest commit in the sweep's span files).
 
     OpenMetrics framing: every metric family gets ``# HELP`` and
     ``# TYPE`` lines (emitted even when the family has no samples, so
     scrapers learn the full schema from any scrape), a constant
-    ``repro_build_info`` gauge carries the record/progress schema
-    versions and git SHA, and the exposition terminates with ``# EOF``.
+    ``repro_build_info`` gauge carries the record schema version and
+    git SHA, and the exposition terminates with ``# EOF``.
     """
 
-    from repro.exec.checkpoint import sweep_dirs
-    from repro.obs.registry import (
-        SCHEMA_VERSION,
-        RunRegistry,
-        git_sha,
-        runs_dir_default,
-    )
+    from repro.obs.observatory import build_model
+    from repro.obs.registry import SCHEMA_VERSION, git_sha, runs_dir_default
 
     root = runs_dir if runs_dir is not None else runs_dir_default()
-    records, _ = RunRegistry(root).scan()
+    model = build_model(root, fsck=False)
+    records = model.records
 
     lines: List[str] = []
     lines.append(
-        "# HELP repro_build_info Constant gauge carrying the record/"
-        "progress schema versions and build identity."
+        "# HELP repro_build_info Constant gauge carrying the record "
+        "schema version and build identity."
     )
     lines.append("# TYPE repro_build_info gauge")
     lines.append(
         "repro_build_info{"
         f'record_schema="{SCHEMA_VERSION}",'
-        f'progress_schema="{PROGRESS_SCHEMA_VERSION}",'
         f'git_sha="{_escape_label(git_sha())}"'
         "} 1"
     )
@@ -278,47 +189,34 @@ def render_openmetrics(runs_dir: Optional[str] = None) -> str:
     lines.append("# TYPE repro_sweep_cells gauge")
     throughput: List[str] = []
     etas: List[str] = []
-    for sweep in sweep_dirs(root):
-        state = sweep.read()
-        if state.manifest is None:
+    for view in model.sweeps:
+        if not view.manifest:
             continue
-        statuses = [r.status for r in state.results.values()]
-        label = _escape_label(sweep.name)
-        lines.append(
-            f'repro_sweep_cells{{sweep="{label}",state="total"}} '
-            f'{int(state.manifest.get("n_cells", 0))}'
-        )
-        lines.append(
-            f'repro_sweep_cells{{sweep="{label}",state="done"}} '
-            f'{statuses.count("ok")}'
-        )
-        lines.append(
-            f'repro_sweep_cells{{sweep="{label}",state="quarantined"}} '
-            f'{statuses.count("quarantined")}'
-        )
-        finished = [
-            e for e in state.events if e.get("event") == "cell-finished"
-        ]
-        if finished:
-            last = finished[-1]
-            if last.get("cells_per_s") is not None:
-                throughput.append(
-                    f'repro_sweep_cells_per_second{{sweep="{label}"}} '
-                    f'{last["cells_per_s"]}'
-                )
-            if last.get("eta_s") is not None:
-                etas.append(
-                    f'repro_sweep_eta_seconds{{sweep="{label}"}} '
-                    f'{last["eta_s"]}'
-                )
+        label = _escape_label(view.sweep)
+        for state, count in (("total", view.n_cells), ("done", view.done),
+                             ("quarantined", view.quarantined)):
+            lines.append(
+                f'repro_sweep_cells{{sweep="{label}",state="{state}"}} '
+                f"{count}"
+            )
+        rate, eta = view.rate
+        if rate is not None:
+            throughput.append(
+                f'repro_sweep_cells_per_second{{sweep="{label}"}} {rate}'
+            )
+        if eta is not None:
+            etas.append(f'repro_sweep_eta_seconds{{sweep="{label}"}} {eta}')
     # HELP/TYPE are part of the schema, not the data: emit them even
     # when a family has no samples this scrape.
     lines.append(
-        "# HELP repro_sweep_cells_per_second Last streamed throughput."
+        "# HELP repro_sweep_cells_per_second Throughput as of the "
+        "latest commit."
     )
     lines.append("# TYPE repro_sweep_cells_per_second gauge")
     lines.extend(throughput)
-    lines.append("# HELP repro_sweep_eta_seconds Last streamed ETA.")
+    lines.append(
+        "# HELP repro_sweep_eta_seconds ETA as of the latest commit."
+    )
     lines.append("# TYPE repro_sweep_eta_seconds gauge")
     lines.extend(etas)
     lines.append("# EOF")

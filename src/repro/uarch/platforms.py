@@ -14,12 +14,14 @@ Two platforms are modelled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
-from repro.uarch.branch import HybridPredictor, Predictor, SimplePredictor
 from repro.uarch.cache import CacheConfig, CacheHierarchy
 from repro.uarch.tlb import TlbConfig
+
+if TYPE_CHECKING:
+    from repro.uarch.branch import Predictor
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,8 @@ class Platform:
         out_of_order: Whether the core reorders around stalls.
         l1i / l1d / l2 / l3: Cache geometries (``l3`` may be None).
         itlb / dtlb: TLB geometries.
-        predictor_factory: Builds a fresh branch predictor.
+        predictor: The :mod:`repro.uarch.branch` predictor class, by name
+            (imported only when a characterization builds one).
         branch_penalty: Pipeline-flush cost of a misprediction (cycles).
         latencies: Memory hierarchy latencies.
         tlb_penalty: Page-walk cost on a TLB miss (cycles).
@@ -69,7 +72,7 @@ class Platform:
     l3: Optional[CacheConfig]
     itlb: TlbConfig
     dtlb: TlbConfig
-    predictor_factory: Callable[[], Predictor] = field(repr=False)
+    predictor: str
     branch_penalty: float = 12.0
     latencies: MemoryLatencies = MemoryLatencies(10.0, 38.0, 190.0)
     tlb_penalty: float = 30.0
@@ -82,7 +85,9 @@ class Platform:
 
     def make_predictor(self) -> Predictor:
         """A fresh branch predictor for one characterization run."""
-        return self.predictor_factory()
+        from repro.uarch import branch
+
+        return getattr(branch, self.predictor)()
 
 
 #: The paper's main testbed (Table 3), micro-architectural details from
@@ -99,7 +104,7 @@ XEON_E5645 = Platform(
     l3=CacheConfig("L3", 12 * 1024 * 1024, ways=16),
     itlb=TlbConfig("ITLB", entries=512, ways=4),
     dtlb=TlbConfig("DTLB", entries=512, ways=4),
-    predictor_factory=HybridPredictor,
+    predictor="HybridPredictor",
     branch_penalty=12.0,  # Table 4: 11-13 cycles
     latencies=MemoryLatencies(l2_hit=10.0, l3_hit=38.0, memory=190.0),
     tlb_penalty=30.0,
@@ -120,7 +125,7 @@ ATOM_D510 = Platform(
     l3=None,
     itlb=TlbConfig("ITLB", entries=32, ways=4),
     dtlb=TlbConfig("DTLB", entries=64, ways=4),
-    predictor_factory=SimplePredictor,
+    predictor="SimplePredictor",
     branch_penalty=15.0,  # Table 4
     latencies=MemoryLatencies(l2_hit=15.0, l3_hit=16.0, memory=140.0),
     tlb_penalty=30.0,

@@ -62,6 +62,44 @@ class TestSweepVerb:
         assert any(k.startswith("H-Grep.e5645.") for k in payload["metrics"])
 
 
+class TestTamperedCheckpoint:
+    def test_resume_refuses_counters_that_miss_their_metrics(self, tmp_path):
+        from repro.exec import SweepCheckpoint
+        from repro.obs.fsck import fsck_scan
+        from repro.uarch.platforms import XEON_E5645
+
+        runs = str(tmp_path / "runs")
+        pairs = [("H-Read", XEON_E5645)]
+
+        def prime(resume):
+            checkpoint = SweepCheckpoint(runs, "fig5-h-s0")
+            checkpoint.initialise(config_hash="h", seed=0,
+                                  config={"scale": 0.1}, n_cells=1)
+            context = ExperimentContext(scale=0.1)
+            context.prime(pairs, jobs=1, checkpoint=checkpoint,
+                          resume=resume)
+            return context.counters("H-Read", XEON_E5645).itlb_mpki
+
+        serial = prime(resume=False)
+        assert fsck_scan(runs).clean
+        # Tamper with the adopted sample only: the hash still matches.
+        sweep = SweepDir(os.path.join(runs, "sweeps", "fig5-h-s0"))
+        with open(sweep.journal_path) as handle:
+            entries = [json.loads(line) for line in handle]
+        with open(sweep.snapshot_path) as handle:
+            snapshot = json.load(handle)
+        for entry in entries + list(snapshot["cells"].values()):
+            entry["counters"]["itlb_mpki"] = 99.0
+        with open(sweep.journal_path, "w") as handle:
+            handle.writelines(json.dumps(e) + "\n" for e in entries)
+        with open(sweep.snapshot_path, "w") as handle:
+            json.dump(snapshot, handle)
+
+        findings = fsck_scan(runs).errors
+        assert [f.kind for f in findings] == ["cell-hash-mismatch"]
+        assert prime(resume=True) == serial != 99.0
+
+
 class TestPrimedVerbs:
     def test_locality_primes_no_counter_cells(self, tmp_path):
         # Figs 6-9 read no characterizations, so --jobs has nothing to

@@ -220,6 +220,23 @@ class TestCheckpointResume:
         assert second.complete  # third attempt overall succeeds
         assert second.results[cells[0].cell_id].metrics["value"] == 42.0
 
+    def test_resume_ignores_a_leftover_progress_file(self, tmp_path):
+        runs = str(tmp_path / "runs")
+        cells = make_cells("ok_cell", count=2)
+        checkpoint = SweepCheckpoint(runs, "left-abc-s0")
+        checkpoint.initialise(config_hash="abc", seed=0, config={},
+                              n_cells=2)
+        SweepExecutor(jobs=1).run(cells, checkpoint=checkpoint)
+        # Older runs streamed progress to this file; nothing reads it.
+        with open(os.path.join(checkpoint.dir, "progress.jsonl"), "w") as fh:
+            fh.write('{"event": "cell-finished", "done": 9}\n{"ev')
+        resumed = SweepExecutor(jobs=1).run(
+            cells, checkpoint=SweepCheckpoint(runs, "left-abc-s0"),
+            resume=True,
+        )
+        assert resumed.telemetry["cells_from_checkpoint"] == 2.0
+        assert resumed.telemetry["cells_run"] == 0.0
+
 
 class TestMergeIntegrity:
     def test_tampered_metrics_fail_provenance_validation(self, tmp_path):

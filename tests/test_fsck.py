@@ -141,8 +141,10 @@ class TestScan:
         result = fsck_scan(runs)
         assert "orphaned-sweep" in kinds(result)
 
-    def test_torn_progress_and_span_are_notes(self, tmp_path):
+    def test_torn_span_is_a_note_and_progress_file_is_ignored(
+            self, tmp_path):
         runs, checkpoint = make_runs_dir(tmp_path)
+        # A leftover progress stream of an older run is no artifact.
         progress = os.path.join(checkpoint.dir, "progress.jsonl")
         open(progress, "w").write('{"event": "sweep-started"}\n{"ev')
         trace_dir = os.path.join(checkpoint.dir, "trace")
@@ -150,7 +152,7 @@ class TestScan:
         span = os.path.join(trace_dir, "supervisor-1.spans.jsonl")
         open(span, "w").write('{"kind": "span"}\n{"ki')
         result = fsck_scan(runs)
-        assert "torn-progress" in kinds(result)
+        assert not any(f.path == progress for f in result.findings)
         assert "torn-span" in kinds(result)
         assert result.clean  # best-effort tier damage never fails fsck
         # The repair also drops the span line without a lane and times.

@@ -19,7 +19,12 @@ import repro
 from repro.cli import main
 from repro.exec import SweepTracer, merge_sweep_trace
 from repro.exec.tracing import parse_span
-from repro.obs import build_model, render_site, to_chrome_trace
+from repro.obs import (
+    build_model,
+    render_openmetrics,
+    render_site,
+    to_chrome_trace,
+)
 from repro.obs.dashboard import PAGES
 from repro.obs.export import group_lanes
 
@@ -113,8 +118,8 @@ def build_fixture(root):
             "fig4", "figure", "exec-fixture-0", "2026-01-05T00:00:00Z",
             metrics={"mpki.S-WordCount.l1d": 3.2,
                      "mpki.S-WordCount.l2": 1.6},
-            timings={"exec.stream_writes": 12.0,
-                     "exec.stream_dropped_events": 2.0,
+            timings={"exec.trace_writes": 12.0,
+                     "exec.trace_dropped_events": 2.0,
                      "exec.trace_writer_errors": 1.0},
         ), indent=2, sort_keys=True) + "\n",
     )
@@ -123,7 +128,8 @@ def build_fixture(root):
     write(os.path.join(runs, "torn-record.json"), "{ nope")
     write(os.path.join(runs, "leaked.json.tmp.999"), "{}")
 
-    # One sweep with progress, a torn journal tail and a span file.
+    # One sweep with supervisor records, a torn journal tail and span
+    # files.
     sweep = os.path.join(runs, "sweeps", "golden")
     write(os.path.join(sweep, "manifest.json"), json.dumps({
         "version": 1, "sweep": "golden", "config_hash": "cafe",
@@ -145,31 +151,30 @@ def build_fixture(root):
                             "metrics": {}, "provenance_hash": "",
                             "attempts": 1, "seconds": 0.5, "worker": 0}},
     }, indent=2, sort_keys=True) + "\n")
-    write(os.path.join(sweep, "progress.jsonl"), "\n".join([
-        json.dumps({"v": 1, "sweep": "golden", "t": 100.0,
-                    "event": "sweep-started", "total": 3}),
-        json.dumps({"v": 1, "sweep": "golden", "t": 101.0,
-                    "event": "cell-finished", "done": 1, "total": 3,
-                    "cells_per_s": 1.0, "eta_s": 2.0}),
-        json.dumps({"v": 1, "sweep": "golden", "t": 102.0,
-                    "event": "cell-retried", "cell": "cellB"}),
-        json.dumps({"v": 1, "sweep": "golden", "t": 104.0,
-                    "event": "sweep-finished", "done": 2, "total": 3}),
-    ]) + "\n")
     write(os.path.join(sweep, "trace", "worker-100-0.spans.jsonl"),
           "\n".join([
               json.dumps({"kind": "span", "lane": "worker-100-0",
                           "pid": 100, "name": "cellA", "cat": "cell",
                           "t0": 100.2, "t1": 100.7, "args": {}}),
-              json.dumps({"kind": "instant", "lane": "worker-100-0",
-                          "pid": 100, "name": "retry", "cat": "retry",
-                          "t": 100.8, "args": {}}),
               '{"kind": "span", "lane"',  # torn tail
           ]) + "\n")
+    def supervisor(kind, name, cat, t, **args):
+        times = {"t": t} if kind == "instant" else {"t0": t[0], "t1": t[1]}
+        return json.dumps({"kind": kind, "lane": "supervisor-99",
+                           "pid": 99, "name": name, "cat": cat,
+                           "args": args, **times})
+
     write(os.path.join(sweep, "trace", "supervisor-99.spans.jsonl"),
-          json.dumps({"kind": "span", "lane": "supervisor-99", "pid": 99,
-                      "name": "sweep", "cat": "queue", "t0": 100.0,
-                      "t1": 104.0, "args": {}}) + "\n")
+          "\n".join([
+              supervisor("instant", "sweep-started", "sweep", 100.0,
+                         total=3, todo=3, jobs=2, from_checkpoint=0),
+              supervisor("instant", "commit", "commit", 101.0,
+                         cell_id="cellA", done=1, total=3),
+              supervisor("instant", "retry", "retry", 102.0,
+                         cell_id="cellB", attempt=1),
+              supervisor("span", "sweep", "sweep", (100.0, 104.0),
+                         cells=3, jobs=2, quarantined=1),
+          ]) + "\n")
     return runs
 
 
@@ -207,6 +212,7 @@ class TestAggregation:
         assert sweep.torn_journal_lines == 1
         assert sweep.finished and sweep.retries == 1
         assert sweep.last_throughput == 1.0
+        assert sweep.rate == (1.0, 2.0)
         assert list(group_lanes(sweep.spans)) == [
             "supervisor-99", "worker-100-0",
         ]
@@ -228,6 +234,18 @@ class TestAggregation:
         assert snapshot_tree(runs) == before
         # The corrupt record is still in place, un-quarantined.
         assert os.path.isfile(os.path.join(runs, "torn-record.json"))
+
+    def test_leftover_progress_file_is_ignored(self, tmp_path):
+        runs = build_fixture(str(tmp_path / "runs"))
+        before, after = str(tmp_path / "a"), str(tmp_path / "b")
+        render_site(build_model(runs), before)
+        scrape = render_openmetrics(runs)
+        # Older runs streamed progress to this file; nothing reads it.
+        write(os.path.join(runs, "sweeps", "golden", "progress.jsonl"),
+              '{"v": 1, "event": "cell-retried"}\n{"ev')
+        render_site(build_model(runs), after)
+        assert read_site(after) == read_site(before)
+        assert render_openmetrics(runs) == scrape
 
     def test_orphaned_sweep_dirs_are_not_sweeps(self, tmp_path):
         runs = build_fixture(str(tmp_path))
@@ -438,7 +456,7 @@ class TestRenderedPanels:
         assert "corrupt-record" in health
         assert "torn-journal" in health
         # Nonzero drop/error counters are part of writer health.
-        assert "stream_dropped_events" in health
+        assert "trace_dropped_events" in health
 
     def test_history_html_export_uses_the_same_renderer(self, tmp_path):
         from repro.obs import RunRegistry, history

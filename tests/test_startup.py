@@ -50,6 +50,7 @@ HELP_MODULES = CLI_MODULES | {"repro.fsio", "repro.obs",
 NOT_FOR_SYSTEM = (
     "repro.comparison",
     "repro.uarch.counters",
+    "repro.uarch.branch",
     "repro.exec.supervisor",
     "repro.exec.pool",
     "repro.core.pca",

@@ -1,135 +1,171 @@
-"""Live progress stream: event schema, renderer, OpenMetrics view.
+"""A sweep's progress as its supervisor lane records it; the live line
+and the OpenMetrics view that read those records.
 
-Exercises the observability tentpole's second leg end to end: a traced
-executor run drives a real :class:`ProgressStream` through the
-``observer`` hook, and the resulting ``progress.jsonl`` is checked for
-the wire-format guarantees METRICS.md documents (schema version stamp,
-sweep id, derived throughput/ETA on ``cell-finished``).
+The span files are the one record of a sweep's execution.  A traced
+executor run is read back with :func:`repro.exec.tracing.read_spans`
+and checked for the records METRICS.md documents (the run's start,
+one commit per journaled cell, retry and quarantine instants, the
+sweep span); the terminal line is fed the same records in-process
+through the :class:`~repro.exec.tracing.SweepTracer` listener.
 """
 
 import io
-import json
 import os
 
-from repro.obs import (
-    PROGRESS_SCHEMA_VERSION,
-    ProgressStream,
-    TerminalRenderer,
-    read_progress,
-    render_openmetrics,
-)
+from repro.exec import SweepTracer
+from repro.exec.tracing import COMMIT, SWEEP_STARTED, read_spans
+from repro.obs import TerminalRenderer, render_openmetrics
 
 from tests.test_exec_supervisor import fast_executor, make_cells
 
 
-def run_streamed(tmp_path, cells, jobs, **overrides):
-    path = str(tmp_path / "progress.jsonl")
-    stream = ProgressStream(path, sweep="test-sweep")
-    outcome = fast_executor(jobs, observer=stream, **overrides).run(cells)
-    stream.close()
-    return outcome, read_progress(path)
+def run_traced(tmp_path, cells, jobs, listener=None):
+    tracer = SweepTracer(str(tmp_path / "trace"), listener=listener)
+    outcome = fast_executor(jobs, tracer=tracer).run(cells)
+    tracer.close()
+    records, damage = read_spans(tracer.trace_dir)
+    assert damage == []
+    return outcome, records, tracer.lane
+
+
+def by_lane(records, lane):
+    return [r for r in records if r.lane == lane]
 
 
 class TestProgressStream:
-    def test_events_carry_schema_version_sweep_and_timestamp(self, tmp_path):
-        _, events = run_streamed(tmp_path, make_cells("ok_cell", 2), jobs=2)
-        assert events, "a sweep must stream at least start/finish events"
-        for event in events:
-            assert event["v"] == PROGRESS_SCHEMA_VERSION
-            assert event["sweep"] == "test-sweep"
-            assert isinstance(event["t"], float)
+    """The progress facts a sweep's supervisor lane carries."""
+
+    def test_records_carry_lane_pid_and_timestamp(self, tmp_path):
+        _, records, lane = run_traced(
+            tmp_path, make_cells("ok_cell", 2), jobs=2
+        )
+        supervisor = by_lane(records, lane)
+        assert supervisor, "a sweep must record at least start and end"
+        assert lane == f"supervisor-{os.getpid()}"
+        for record in supervisor:
+            assert record.clock == "host"
+            assert isinstance(record.t0, float)
 
     def test_lifecycle_event_sequence(self, tmp_path):
-        outcome, events = run_streamed(
+        outcome, records, lane = run_traced(
             tmp_path, make_cells("ok_cell", 3), jobs=2
         )
         assert outcome.complete
-        kinds = [e["event"] for e in events]
-        assert kinds[0] == "sweep-started"
-        assert kinds[-1] == "sweep-finished"
-        assert kinds.count("worker-started") == 2
-        assert kinds.count("cell-started") == 3
-        assert kinds.count("cell-finished") == 3
-        assert events[0]["total"] == 3
-        assert events[-1]["done"] == 3
+        supervisor = sorted(by_lane(records, lane), key=lambda r: r.t0)
+        started = supervisor[0]
+        assert (started.kind, started.name) == ("instant", SWEEP_STARTED)
+        assert started.args == {"total": 3, "todo": 3, "jobs": 2,
+                                "from_checkpoint": 0}
+        commits = [r for r in supervisor if r.name == COMMIT]
+        assert [c.args["done"] for c in commits] == [1, 2, 3]
+        assert {c.args["total"] for c in commits} == {3}
+        sweep = [r for r in supervisor if r.kind == "span"]
+        assert [(s.name, s.cat) for s in sweep] == [("sweep", "sweep")]
+        assert sweep[0].t1 >= commits[-1].t0
+        # Workers record their own boot and cell spans; the supervisor
+        # records each dispatch's queue wait on the worker's lane.
+        workers = [r for r in records if r.lane.startswith("worker-")]
+        assert sum(1 for r in workers if r.cat == "boot") == 2
+        assert sum(1 for r in workers if r.cat == "queue") == 3
+        assert sum(1 for r in workers if r.cat == "cell") == 3
 
     def test_cell_finished_derives_throughput_and_eta(self, tmp_path):
-        _, events = run_streamed(tmp_path, make_cells("ok_cell", 2), jobs=1)
-        finished = [e for e in events if e["event"] == "cell-finished"]
-        assert len(finished) == 2
-        for event in finished:
-            assert event["cells_per_s"] > 0
-        assert finished[0]["eta_s"] > 0  # one cell still outstanding
-        assert finished[-1]["eta_s"] == 0  # sweep drained
+        out = io.StringIO()
+        run_traced(tmp_path, make_cells("ok_cell", 2), jobs=1,
+                   listener=TerminalRenderer(out).update)
+        text = out.getvalue()
+        assert "sweep 1/2 cells" in text
+        assert "cells/s | eta" in text  # one cell still outstanding
+        assert "sweep 2/2 cells" in text
+        assert "eta 0s" in text  # sweep drained
+        assert text.rstrip().endswith("done")
 
     def test_retry_and_quarantine_events(self, tmp_path):
         cells = make_cells(
             "flaky_cell", count=1, tmp_path=tmp_path, fail_times=1
         )
         cells += make_cells("crash_cell", count=1, tmp_path=tmp_path)
-        outcome, events = run_streamed(tmp_path, cells, jobs=1)
-        kinds = [e["event"] for e in events]
-        assert "cell-retried" in kinds
-        assert "cell-quarantined" in kinds
+        outcome, records, lane = run_traced(tmp_path, cells, jobs=1)
         assert outcome.quarantined
+        supervisor = by_lane(records, lane)
+        retries = [r for r in supervisor if r.cat == "retry"]
+        quarantines = [r for r in supervisor if r.cat == "quarantine"]
+        assert retries and quarantines
+        assert [q.args["cell_id"] for q in quarantines] == [cells[1].cell_id]
 
-    def test_stream_without_path_is_a_no_op_sink(self):
-        stream = ProgressStream(None)
-        stream({"event": "cell-finished", "done": 1, "total": 2})
-        stream.close()  # nothing written anywhere, nothing raised
+    def test_poison_cell_is_quarantined_once(self, tmp_path):
+        cells = make_cells("crash_cell", count=1, tmp_path=tmp_path)
+        outcome, records, lane = run_traced(tmp_path, cells, jobs=2)
+        assert list(outcome.quarantined) == [cells[0].cell_id]
+        quarantines = [r for r in records if r.cat == "quarantine"]
+        assert len(quarantines) == 1
+        assert quarantines[0].lane == lane
+        assert quarantines[0].args["poison"] is True
+        assert not [r for r in records if r.name == COMMIT]
 
-    def test_read_progress_skips_torn_and_foreign_lines(self, tmp_path):
-        path = tmp_path / "progress.jsonl"
-        path.write_text(
-            json.dumps({"event": "sweep-started", "total": 1}) + "\n"
-            + "{\"event\": \"torn\n"
-            + "[1, 2, 3]\n"
-            + json.dumps({"no_event_key": True}) + "\n"
+    def test_killed_worker_is_recorded_once(self, tmp_path):
+        cells = make_cells("sigkill_once_cell", count=1, tmp_path=tmp_path)
+        outcome, records, lane = run_traced(tmp_path, cells, jobs=2)
+        assert outcome.complete
+        supervisor_file = os.path.join(str(tmp_path / "trace"),
+                                       lane + ".spans.jsonl")
+        written = [r for r in records
+                   if r.args.get("status") == "killed"]
+        assert len(written) == 1
+        assert written[0].lane.startswith("worker-")
+        with open(supervisor_file, encoding="utf-8") as handle:
+            assert handle.read().count('"killed"') == 1
+        retries = [r for r in by_lane(records, lane) if r.cat == "retry"]
+        assert len(retries) == 1 and retries[0].args["infra"] is True
+
+    def test_failing_listener_never_fails_the_sweep(self, tmp_path, capsys):
+        def listener(record):
+            raise RuntimeError("cosmetics only")
+
+        outcome, records, lane = run_traced(
+            tmp_path, make_cells("ok_cell", 2), jobs=1, listener=listener
         )
-        events = read_progress(str(path))
-        assert [e["event"] for e in events] == ["sweep-started"]
-
-    def test_read_progress_missing_file_is_empty(self, tmp_path):
-        assert read_progress(str(tmp_path / "absent.jsonl")) == []
+        assert outcome.complete
+        assert [r.name for r in by_lane(records, lane)
+                if r.name == COMMIT] == [COMMIT, COMMIT]
+        assert capsys.readouterr().err.count("listener detached") == 1
 
 
 class TestTerminalRenderer:
-    def test_renders_progress_line_in_place(self):
+    def test_renders_progress_line_in_place(self, tmp_path):
         out = io.StringIO()
         renderer = TerminalRenderer(out)
-        renderer.update({"event": "sweep-started", "total": 4})
-        renderer.update(
-            {
-                "event": "cell-finished", "done": 2, "total": 4,
-                "cells_per_s": 1.5, "eta_s": 1.3,
-            }
-        )
-        renderer.update({"event": "cell-retried", "cell_id": "c"})
-        renderer.update({"event": "sweep-finished", "done": 4, "total": 4})
+        tracer = SweepTracer(str(tmp_path / "trace"),
+                             listener=renderer.update)
+        tracer.instant(SWEEP_STARTED, "sweep", 100.0, total=4, todo=4,
+                       jobs=2, from_checkpoint=0)
+        tracer.instant(COMMIT, "commit", 101.0, cell_id="a", done=1,
+                       total=4)
+        tracer.instant("retry", "retry", 101.1, cell_id="c", attempt=1)
+        tracer.instant("quarantine", "quarantine", 101.2, cell_id="d")
+        tracer.instant(COMMIT, "commit", 100.0 + 4 / 3, cell_id="b",
+                       done=2, total=4)
+        tracer.span("sweep", "sweep", 100.0, 103.0, cells=4, jobs=2)
+        tracer.close()
         text = out.getvalue()
         assert "\r" in text
-        assert "sweep 2/4 cells" in text
-        assert "1.50 cells/s" in text
-        assert "eta 1s" in text
-        assert "1 retried" in text
-        assert "done" in text
+        assert "sweep 1/4 cells | 1.00 cells/s | eta 3s" in text
+        assert ("sweep 2/4 cells | 1 retried | 1 quarantined | "
+                "1.50 cells/s | eta 1s") in text
+        assert text.rstrip().endswith("done")
         renderer.close()
         assert out.getvalue().endswith("\n")
 
     def test_streams_through_renderer(self, tmp_path):
         out = io.StringIO()
-        stream = ProgressStream(
-            str(tmp_path / "p.jsonl"), renderer=TerminalRenderer(out)
-        )
-        fast_executor(1, observer=stream).run(make_cells("ok_cell", 2))
-        stream.close()
+        run_traced(tmp_path, make_cells("ok_cell", 2), jobs=2,
+                   listener=TerminalRenderer(out).update)
         assert "sweep 2/2 cells" in out.getvalue()
 
 
 class TestOpenMetrics:
     def test_render_openmetrics_over_sweep_dir(self, tmp_path):
         runs = str(tmp_path / "runs")
-        checkpoint_dir = os.path.join(runs, "sweeps", "demo")
         from repro.exec import SweepCheckpoint
 
         cells = make_cells("ok_cell", 2)
@@ -137,13 +173,11 @@ class TestOpenMetrics:
         checkpoint.initialise(
             config_hash="cafe", seed=0, config={}, n_cells=len(cells)
         )
-        stream = ProgressStream(
-            os.path.join(checkpoint_dir, "progress.jsonl"), sweep="demo"
+        tracer = SweepTracer(checkpoint.trace_dir)
+        outcome = fast_executor(1, tracer=tracer).run(
+            cells, checkpoint=checkpoint
         )
-        outcome = fast_executor(
-            1, observer=stream
-        ).run(cells, checkpoint=checkpoint)
-        stream.close()
+        tracer.close()
         assert outcome.complete
 
         text = render_openmetrics(runs)
@@ -151,9 +185,11 @@ class TestOpenMetrics:
         assert 'repro_sweep_cells{sweep="demo",state="total"} 2' in text
         assert 'repro_sweep_cells{sweep="demo",state="done"} 2' in text
         assert 'repro_sweep_cells_per_second{sweep="demo"}' in text
+        assert 'repro_sweep_eta_seconds{sweep="demo"} 0.0' in text
         # HELP/TYPE framing immediately precedes each family's samples.
         lines = text.splitlines()
-        for family in ("repro_sweep_cells", "repro_sweep_cells_per_second"):
+        for family in ("repro_sweep_cells", "repro_sweep_cells_per_second",
+                       "repro_sweep_eta_seconds"):
             first = min(
                 i for i, line in enumerate(lines)
                 if line.startswith(family + "{")
@@ -204,7 +240,6 @@ class TestOpenMetrics:
         sample = samples[0]
         assert sample.endswith("} 1")
         assert f'record_schema="{SCHEMA_VERSION}"' in sample
-        assert f'progress_schema="{PROGRESS_SCHEMA_VERSION}"' in sample
         assert 'git_sha="' in sample
         # Its HELP/TYPE framing precedes the sample.
         index = lines.index(sample)
@@ -232,34 +267,3 @@ class TestOpenMetrics:
     def test_eof_is_the_final_line(self, tmp_path):
         text = render_openmetrics(str(tmp_path / "empty"))
         assert text.splitlines()[-1] == "# EOF"
-
-
-class TestStreamTelemetry:
-    def test_healthy_stream_counts_writes_no_drops(self, tmp_path):
-        path = str(tmp_path / "progress.jsonl")
-        stream = ProgressStream(path, sweep="s")
-        stream.emit({"event": "sweep-started", "total": 1})
-        stream.emit({"event": "cell-finished", "done": 1, "total": 1})
-        stream.close()
-        telemetry = stream.telemetry()
-        assert telemetry["stream_writes"] == 2.0
-        assert telemetry["stream_writer_errors"] == 0.0
-        assert telemetry["stream_dropped_events"] == 0.0
-
-    def test_dead_sink_counts_drops_and_warns_once(self, tmp_path, capsys):
-        # The stream path is a directory: every append fails.  The
-        # sweep must not fail, but every dropped event is counted and
-        # the first failure warns on stderr exactly once.
-        target = tmp_path / "progress.jsonl"
-        target.mkdir()
-        stream = ProgressStream(str(target), sweep="s")
-        for i in range(3):
-            stream.emit({"event": "cell-finished", "done": i, "total": 3})
-        stream.close()
-        telemetry = stream.telemetry()
-        assert telemetry["stream_writer_errors"] == 1.0
-        assert telemetry["stream_dropped_events"] == 3.0
-        assert capsys.readouterr().err.count("can no longer write") == 1
-
-    def test_pathless_stream_has_no_telemetry(self):
-        assert ProgressStream(None).telemetry() == {}
