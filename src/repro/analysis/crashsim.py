@@ -1,9 +1,9 @@
 """The crash-consistency campaign: enumerate crash points, prove recovery.
 
 ALICE/CrashMonkey transplanted onto the run-registry storage tier.  The
-campaign runs one small instrumented sweep (journal + snapshot +
-manifest + supervisor spans + registry record, all
-through one :class:`repro.fsio.FaultyIO` backend), counts every
+campaign runs one small instrumented sweep (journal + manifest +
+supervisor spans + registry record, all through one
+:class:`repro.fsio.FaultyIO` backend), counts every
 syscall-shaped operation, then re-runs it once per enumerated fault:
 
 - **crash points** — the run is killed (``SimulatedCrash``) at
@@ -61,10 +61,6 @@ PROBE_CELL_FN = "repro.analysis.crashsim.probe_cell"
 PROBE_WORKLOADS = ("wordcount", "grep", "sort")
 PROBE_PLATFORMS = ("e5645",)
 PROBE_SEEDS = 2
-
-#: Snapshot cadence for campaign checkpoints — low, so snapshot
-#: rewrites (the richest crash surface) happen inside a 6-cell sweep.
-PROBE_SNAPSHOT_EVERY = 2
 
 __all__ = [
     "PROBE_CELL_FN",
@@ -201,7 +197,7 @@ def _run_instrumented(runs_dir: str, *, scale: float, seed: int,
     """One full sweep through the storage tier under ``io``.
 
     Exercises every writer fsck must understand: checkpoint manifest /
-    journal / snapshot / lock, supervisor span file, merged trace and
+    journal / lock, supervisor span file, merged trace and
     a registry record.  Returns the merged metrics
     plus the observability drop counters.
     """
@@ -209,9 +205,7 @@ def _run_instrumented(runs_dir: str, *, scale: float, seed: int,
     config = _probe_config(scale, seed)
     chash = config_hash(config)
     key = sweep_id("crashsim", chash, seed)
-    checkpoint = SweepCheckpoint(
-        runs_dir, key, snapshot_every=PROBE_SNAPSHOT_EVERY, io=io,
-    )
+    checkpoint = SweepCheckpoint(runs_dir, key, io=io)
     checkpoint.initialise(
         config_hash=chash, seed=seed, config=config, n_cells=len(cells),
     )

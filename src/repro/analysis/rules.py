@@ -231,11 +231,9 @@ class WallClockRule(Rule):
     )
     exempt_modules = (
         "repro.obs.hostprof",
-        "repro.obs.stream",
         "repro.obs.perf",
         "repro.exec.supervisor",
         "repro.exec.pool",
-        "repro.exec.tracing",
     )
 
     def check(self, ctx) -> Iterator[Finding]:

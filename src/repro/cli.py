@@ -1047,9 +1047,9 @@ VERBS = (
                  "artifacts; exits 1 on errors, 3 if the directory is "
                  "missing", _cmd_fsck, (
         _arg("--repair", action="store_true",
-             help="quarantine corrupt artifacts, drop torn journal tails, "
-                  "rebuild divergent snapshots and remove leaked tmp files "
-                  "/ stale locks, then rescan"),
+             help="quarantine corrupt artifacts, drop torn or tampered "
+                  "journal entries and remove leaked tmp files / stale "
+                  "locks, then rescan"),
     ), json_help="emit typed findings as JSON instead of a report"),
     Verb("dash", "render the static HTML observatory (scorecard, history, "
                  "sweep timelines, hot functions, bench trends, health) "

@@ -53,6 +53,20 @@ class SweepCell:
     def cell_id(self) -> str:
         return f"{self.workload}@{self.platform}+s{self.seed}"
 
+    @classmethod
+    def from_cell_id(cls, cell_id: str,
+                     scale: float) -> Optional["SweepCell"]:
+        """Invert :attr:`cell_id` (``workload@platform+sN``), or None."""
+        head, plus, seed = cell_id.rpartition("+s")
+        workload, at, platform = head.rpartition("@")
+        if not (plus and at):
+            return None
+        try:
+            return cls(workload=workload, platform=platform, scale=scale,
+                       seed=int(seed))
+        except ValueError:
+            return None
+
     def to_dict(self) -> dict:
         spec = {
             "cell_id": self.cell_id,

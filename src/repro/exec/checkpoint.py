@@ -1,4 +1,4 @@
-"""Crash-safe sweep checkpoints: append-only journal + atomic snapshot.
+"""Crash-safe sweep checkpoints: an append-only journal of finished cells.
 
 Layout, under ``<runs dir>/sweeps/<sweep_id>/``:
 
@@ -9,12 +9,9 @@ Layout, under ``<runs dir>/sweeps/<sweep_id>/``:
 - ``journal.jsonl`` — one line per completed cell, appended with
   flush + fsync *before* the supervisor considers the cell done.  A
   SIGKILL at any instant loses at most the in-flight cells; a torn
-  final line (crash mid-append) is detected and dropped on load.
-- ``snapshot.json`` — a periodic full snapshot written via tmp-file +
-  ``os.replace`` (+ fsync), bounding journal replay time.  If it is
-  corrupt the journal alone still reconstructs the state; the bad file
-  is quarantined to ``snapshot.json.corrupt``.
-
+  final line (crash mid-append) is detected and dropped on load.  It
+  is the only record of finished cells: a cell missing from it simply
+  reruns, bit-identically.
 - ``trace/*.spans.jsonl``, ``trace.json`` — the best-effort span
   files (the one record of the sweep's execution) and their merge.
 - ``sweep.lock`` — an advisory lockfile (JSON ``{"pid": ...}``) held
@@ -49,7 +46,6 @@ from repro.fsio import (
     JournalWriter,
     SimulatedCrash,
     fsync_dir,
-    quarantine_corrupt,
     read_json,
     read_jsonl,
     write_json_atomic,
@@ -61,9 +57,6 @@ if TYPE_CHECKING:
 
 #: Bumped on incompatible checkpoint-layout changes.
 CHECKPOINT_VERSION = 1
-
-#: Default cells between snapshot rewrites.
-SNAPSHOT_EVERY = 10
 
 #: Lockfile name inside a sweep checkpoint directory.
 LOCK_FILE = "sweep.lock"
@@ -96,7 +89,7 @@ def sweep_dirs(runs_dir: str) -> List["SweepDir"]:
 
 
 def _parse_cell(data: object) -> Optional[CellResult]:
-    """The one validity test for journal and snapshot entries."""
+    """The one validity test for journal entries."""
     try:
         return CellResult.from_dict(data)
     except (KeyError, ValueError, TypeError, AttributeError):
@@ -109,9 +102,6 @@ class SweepState:
 
     #: The manifest; None when missing or unreadable.
     manifest: Optional[dict] = None
-    #: Snapshot cells by id, None for an invalid entry; the whole map
-    #: is None when the snapshot is missing or unreadable.
-    snapshot: Optional[Dict[str, Optional[CellResult]]] = None
     #: Valid journal entries as ``(lineno, result)``, in file order.
     journal: List[Tuple[int, CellResult]] = field(default_factory=list)
     #: 1-based journal lines that do not parse or are not valid cells.
@@ -125,13 +115,8 @@ class SweepState:
 
     @property
     def results(self) -> Dict[str, CellResult]:
-        """Completed cells: snapshot first, journal on top."""
-        results = {
-            r.cell_id: r
-            for r in (self.snapshot or {}).values() if r is not None
-        }
-        results.update((r.cell_id, r) for _, r in self.journal)
-        return results
+        """Completed cells by id; a later journal entry wins."""
+        return {r.cell_id: r for _, r in self.journal}
 
 
 class SweepDir:
@@ -142,7 +127,6 @@ class SweepDir:
         self.name = os.path.basename(path)
         self.manifest_path = os.path.join(path, "manifest.json")
         self.journal_path = os.path.join(path, "journal.jsonl")
-        self.snapshot_path = os.path.join(path, "snapshot.json")
         self.lock_path = os.path.join(path, LOCK_FILE)
         self.trace_dir = os.path.join(path, "trace")
         self.trace_path = os.path.join(path, "trace.json")
@@ -157,16 +141,6 @@ class SweepDir:
         state = SweepState()
         damage = state.damage
         state.manifest = _read_object(self.manifest_path, damage)
-        snapshot = _read_object(self.snapshot_path, damage)
-        if snapshot is not None:
-            cells = snapshot.get("cells")
-            if isinstance(cells, dict):
-                state.snapshot = {
-                    str(k): _parse_cell(v) for k, v in cells.items()
-                }
-            else:
-                damage.append((self.snapshot_path, "no cells map"))
-
         entries, bad, torn = _read_lines(self.journal_path, damage)
         invalid = []
         for lineno, obj in entries:
@@ -311,16 +285,12 @@ class SweepLock:
 class SweepCheckpoint(SweepDir):
     """Journaled progress of one sweep, resumable after any crash."""
 
-    def __init__(self, root: str, sweep: str, *,
-                 snapshot_every: int = SNAPSHOT_EVERY, io=None):
+    def __init__(self, root: str, sweep: str, *, io=None):
         super().__init__(os.path.join(sweeps_root(root), sweep))
         self.sweep = sweep
-        self.snapshot_every = snapshot_every
         self.io = io
         self.lock = SweepLock(self.lock_path, io=io)
         self._journal: Optional[JournalWriter] = None
-        self._since_snapshot = 0
-        self._results: Dict[str, CellResult] = {}
 
     def exists(self) -> bool:
         return os.path.isfile(self.manifest_path)
@@ -367,50 +337,18 @@ class SweepCheckpoint(SweepDir):
         if self._journal is None:
             self._journal = JournalWriter(self.journal_path, io=self.io)
         self._journal.append(result.to_dict())
-        self._results[result.cell_id] = result
-        self._since_snapshot += 1
-        if self._since_snapshot >= self.snapshot_every:
-            self.write_snapshot()
-
-    def write_snapshot(self) -> None:
-        """Atomically persist the consolidated state (tmp + replace)."""
-        write_json_atomic(self.snapshot_path, {
-            "version": CHECKPOINT_VERSION,
-            "sweep": self.sweep,
-            "cells": {
-                cell_id: result.to_dict()
-                for cell_id, result in sorted(self._results.items())
-            },
-        }, io=self.io)
-        self._since_snapshot = 0
 
     def close(self) -> None:
         if self._journal is not None:
             self._journal.close()
             self._journal = None
-        if self._results:
-            self.write_snapshot()
         fsync_dir(self.dir, io=self.io)
 
     # ---- reading ----------------------------------------------------------
     def load(self) -> Dict[str, CellResult]:
-        """Reconstruct completed cells: snapshot first, journal on top.
+        """Reconstruct completed cells from the journal.
 
         Bad journal lines (a torn tail from a crash mid-append, or
-        corruption) are skipped and their cells rerun.  A damaged
-        snapshot is quarantined aside; the journal alone is enough to
-        resume.
+        corruption) are skipped and their cells rerun.
         """
-        state = self.read()
-        if any(path == self.snapshot_path for path, _ in state.damage):
-            quarantine_corrupt(self.snapshot_path)
-        self._results = state.results
-        return dict(self._results)
-
-    def completed(self) -> Dict[str, CellResult]:
-        """Cells that finished OK (quarantined ones rerun on resume)."""
-        return {
-            cell_id: result
-            for cell_id, result in self._results.items()
-            if result.status == "ok"
-        }
+        return self.read().results

@@ -1,8 +1,8 @@
 """``repro.fsio``: the durable-I/O layer under the run-registry storage tier.
 
-Every byte the substrate persists — registry records, sweep journals
-and snapshots, progress streams, span files, merged traces — now flows
-through this module, for two reasons:
+Every byte the substrate persists — registry records, sweep manifests
+and journals, span files, merged traces — flows through this module,
+for two reasons:
 
 - **One durability contract.**  There are exactly three write shapes
   (DESIGN §5i): the *atomic replace* (tmp file → flush → fsync →

@@ -1,7 +1,7 @@
 """``repro fsck``: integrity scan and repair for the runs directory.
 
 ``.repro-runs/`` is the substrate's storage tier — registry records,
-sweep checkpoints (manifest + journal + snapshot), span files, merged
+sweep checkpoints (manifest + journal), span files, merged
 traces, advisory locks.  Crashes (real or injected by
 :class:`repro.fsio.FaultyIO`) leave characteristic damage; this
 module knows every legal artifact shape, classifies the damage into
@@ -12,15 +12,13 @@ Findings come in two severities:
 
 - ``error`` — the artifact is damaged or untrustworthy and a reader
   could be misled: torn or corrupt journal entries, corrupt records /
-  manifests / snapshots, snapshot entries that diverge from the
-  journal, cells failing :func:`repro.exec.cells.cell_intact` (hash
+  manifests, cells failing :func:`repro.exec.cells.cell_intact` (hash
   mismatch, or counters that do not give the hashed metrics), leaked
   ``*.tmp`` litter, stale locks of dead processes, orphaned sweep
   directories.
 - ``note`` — expected residue that no reader trips over: quarantined
-  ``.corrupt`` files kept as evidence, snapshot-only cells (journal
-  tail lost; the merge step re-validates them), a lock held by a live
-  process, torn tails in best-effort span files.
+  ``.corrupt`` files kept as evidence, a lock held by a live process,
+  torn tails in best-effort span files.
 
 Every repair is conservative: suspect data is dropped or quarantined,
 never guessed at.  A dropped cell simply reruns on ``--resume`` — the
@@ -36,11 +34,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-from repro.exec.cells import CellResult, cell_intact
+from repro.exec.cells import CellResult, SweepCell, cell_intact
 from repro.exec.checkpoint import (
-    CHECKPOINT_VERSION,
     ORPHAN_SUFFIX,
     SweepDir,
     SweepLock,
@@ -52,7 +49,6 @@ from repro.exec.tracing import parse_span
 from repro.fsio import (
     quarantine_corrupt,
     read_jsonl,
-    write_json_atomic,
     write_jsonl_atomic,
 )
 from repro.obs.registry import RunRegistry
@@ -65,11 +61,9 @@ _ERROR_KINDS = frozenset({
     "leaked-tmp",
     "corrupt-record",
     "corrupt-manifest",
-    "corrupt-snapshot",
     "torn-journal",
     "corrupt-journal-entry",
     "cell-hash-mismatch",
-    "snapshot-divergence",
     "stale-lock",
     "orphaned-sweep",
 })
@@ -167,20 +161,6 @@ def _finding(kind: str, path: str, detail: str, *, repair: str = "",
 # Scanning
 # ---------------------------------------------------------------------------
 
-def _parse_cell_id(cell_id: str) -> Optional[Tuple[str, str, int]]:
-    """``workload@platform+sN`` → (workload, platform, seed), or None."""
-    head, sep, seed_part = cell_id.rpartition("+s")
-    if not sep:
-        return None
-    workload, sep, platform = head.rpartition("@")
-    if not sep:
-        return None
-    try:
-        return workload, platform, int(seed_part)
-    except ValueError:
-        return None
-
-
 def _cell_ok(result: CellResult, scale: object) -> bool:
     """:func:`~repro.exec.cells.cell_intact` for one journaled cell.
 
@@ -188,18 +168,10 @@ def _cell_ok(result: CellResult, scale: object) -> bool:
     (unparseable cell id, or no sweep scale to reconstruct the spec)
     passes: absence of evidence is not treated as corruption.
     """
-    parsed = _parse_cell_id(result.cell_id)
-    if result.status != "ok" or parsed is None or scale is None:
+    if result.status != "ok" or scale is None:
         return True
-    workload, platform, seed = parsed
-    spec = {
-        "cell_id": result.cell_id,
-        "workload": workload,
-        "platform": platform,
-        "scale": scale,
-        "seed": seed,
-    }
-    return cell_intact(spec, result)
+    cell = SweepCell.from_cell_id(result.cell_id, scale)
+    return cell is None or cell_intact(cell.to_dict(), result)
 
 
 def _is_tmp_name(name: str) -> bool:
@@ -259,24 +231,20 @@ def _scan_sweep_dir(sweep: SweepDir, findings: List[Finding]) -> None:
             repair="quarantine to .corrupt (resume rewrites it)",
         ))
     elif state.manifest is None:
-        if os.path.isfile(sweep.journal_path) or os.path.isfile(
-                sweep.snapshot_path):
+        if os.path.isfile(sweep.journal_path):
             findings.append(_finding(
                 "missing-manifest", sweep.manifest_path,
-                "journal/snapshot present without a manifest "
+                "journal present without a manifest "
                 "(resume re-creates it from the sweep request)",
             ))
         else:
             findings.append(_finding(
                 "orphaned-sweep", sweep.dir,
-                "sweep directory with no manifest, journal or snapshot",
+                "sweep directory with no manifest or journal",
                 repair=f"rename to {ORPHAN_SUFFIX}",
             ))
 
     # ---- journal ----------------------------------------------------------
-    journal_state: Dict[str, List[CellResult]] = {}
-    for _, result in state.journal:
-        journal_state.setdefault(result.cell_id, []).append(result)
     bad = state.bad_journal_lines
     if state.torn_journal:
         findings.append(_finding(
@@ -308,40 +276,6 @@ def _scan_sweep_dir(sweep: SweepDir, findings: List[Finding]) -> None:
             repair="drop the entries (the cells rerun on --resume)",
             sweep=sweep, scale=scale,
         ))
-
-    # ---- snapshot ---------------------------------------------------------
-    if sweep.snapshot_path in damage:
-        findings.append(_finding(
-            "corrupt-snapshot", sweep.snapshot_path,
-            f"unparseable snapshot ({damage[sweep.snapshot_path]}); "
-            f"the journal alone reconstructs the state",
-            repair="quarantine to .corrupt",
-        ))
-    elif state.snapshot is not None:
-        divergent, snapshot_only = [], []
-        for cell_id, entry in sorted(state.snapshot.items()):
-            versions = journal_state.get(cell_id)
-            if entry is None or (versions and entry not in versions):
-                divergent.append(cell_id)
-            elif versions is None:
-                snapshot_only.append(cell_id)
-        if divergent:
-            findings.append(_finding(
-                "snapshot-divergence", sweep.snapshot_path,
-                f"{len(divergent)} snapshot cell(s) match no journaled "
-                f"version: {', '.join(divergent[:4])}"
-                f"{'…' if len(divergent) > 4 else ''}",
-                repair="rebuild snapshot from the journal "
-                       "(journal is authoritative)",
-                sweep=sweep, scale=scale,
-            ))
-        if snapshot_only:
-            findings.append(_finding(
-                "snapshot-only-cells", sweep.snapshot_path,
-                f"{len(snapshot_only)} cell(s) exist only in the "
-                f"snapshot (journal tail lost before the fsio "
-                f"protocol); merge re-validates their hashes",
-            ))
 
     # ---- lock -------------------------------------------------------------
     if os.path.isfile(sweep.lock_path):
@@ -416,26 +350,6 @@ def _repair_journal(sweep: SweepDir, scale: object) -> None:
     ])
 
 
-def _repair_snapshot(sweep: SweepDir, scale: object) -> None:
-    """Rebuild the snapshot from the (authoritative) journal.
-
-    Journaled versions win; snapshot-only cells that re-validate are
-    kept (they are the journal-tail-lost survivors).
-    """
-    state = sweep.read()
-    cells = {r.cell_id: r for _, r in state.journal}
-    for entry in (state.snapshot or {}).values():
-        if entry is None or entry.cell_id in cells:
-            continue
-        if _cell_ok(entry, scale):
-            cells[entry.cell_id] = entry  # snapshot-only survivor
-    write_json_atomic(sweep.snapshot_path, {
-        "version": CHECKPOINT_VERSION,
-        "sweep": sweep.name,
-        "cells": {k: cells[k].to_dict() for k in sorted(cells)},
-    })
-
-
 def _quarantine_dir(path: str) -> str:
     target, n = f"{path}{ORPHAN_SUFFIX}", 1
     while os.path.exists(target):
@@ -462,7 +376,7 @@ def fsck_repair(result: FsckResult) -> None:
             except FileNotFoundError:
                 pass  # another finding's repair already swept it
         elif kind in ("corrupt-record", "corrupt-manifest",
-                      "corrupt-snapshot", "corrupt-merged-trace"):
+                      "corrupt-merged-trace"):
             if os.path.isfile(path):
                 quarantine_corrupt(path)
         elif kind in ("torn-journal", "corrupt-journal-entry",
@@ -470,10 +384,6 @@ def fsck_repair(result: FsckResult) -> None:
             if os.path.isfile(path):
                 _repair_journal(finding.context["sweep"],
                                 finding.context["scale"])
-        elif kind == "snapshot-divergence":
-            if os.path.isfile(path):
-                _repair_snapshot(finding.context["sweep"],
-                                 finding.context["scale"])
         elif kind == "stale-lock":
             try:
                 os.remove(path)

@@ -11,10 +11,9 @@ static-site renderer (:mod:`repro.obs.dashboard`) and a future
 Two hard rules, both enforced by the golden determinism test:
 
 - **Strictly read-only.**  The registry's normal :meth:`records` path
-  quarantines corrupt files (a rename) and ``SweepCheckpoint.load``
-  does the same to corrupt snapshots.  The observatory must render the
-  same directory twice and find it byte-identical both times, so it
-  uses :meth:`RunRegistry.scan` with ``quarantine=False`` and the
+  quarantines corrupt files (a rename).  The observatory must render
+  the same directory twice and find it byte-identical both times, so
+  it uses :meth:`RunRegistry.scan` with ``quarantine=False`` and the
   read-only :meth:`SweepDir.read`, and only ever *reports* damage.
 - **No clock, no filesystem-order dependence.**  Nothing here reads
   wall-clock (the module is deliberately absent from the DET003

@@ -342,8 +342,8 @@ def bench_targets() -> Dict[str, BenchTarget]:
             name, description, "experiment", _experiment_runner(path)
         )
     targets["obs-overhead"] = BenchTarget(
-        "obs-overhead", "Fig 4 with the span tracer and progress stream "
-        "attached (compare with fig4)", "experiment", _make_obs_overhead,
+        "obs-overhead", "Fig 4 with the span tracer attached "
+        "(compare with fig4)", "experiment", _make_obs_overhead,
     )
     for target in _MICRO_TARGETS:
         targets[target.name] = target

@@ -175,3 +175,13 @@ def test_flaky_cell_fails_then_succeeds(tmp_path):
 def test_slow_cell_returns_ok_metrics(tmp_path):
     spec = _spec(tmp_path, seconds=0.01)
     assert slow_cell(spec)["metrics"]["value"] == ok_cell(_spec())["metrics"]["value"]
+
+
+def test_cell_id_round_trips():
+    from repro.exec.cells import SweepCell
+
+    for cell in (SweepCell("H-Grep", "e5645", 0.2, 0),
+                 SweepCell("S-Project+s1@x", "d510", 0.5, 12)):
+        assert SweepCell.from_cell_id(cell.cell_id, cell.scale) == cell
+    for bad in ("H-Grep+s0", "H-Grep@e5645", "H-Grep@e5645+sx", "c0"):
+        assert SweepCell.from_cell_id(bad, 0.2) is None

@@ -20,9 +20,8 @@ def result_for(cell_id, value=1.0, status="ok"):
 
 
 class TestSweepCheckpoint:
-    def test_journal_and_snapshot_round_trip(self, tmp_path):
-        checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0",
-                                     snapshot_every=2)
+    def test_journal_round_trip(self, tmp_path):
+        checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0")
         checkpoint.initialise(config_hash="h", seed=0,
                               config={"k": 1}, n_cells=3)
         for i in range(3):
@@ -32,6 +31,10 @@ class TestSweepCheckpoint:
         loaded = SweepCheckpoint(str(tmp_path), "s-h-s0").load()
         assert sorted(loaded) == ["c0", "c1", "c2"]
         assert loaded["c1"].metrics["value"] == 1.0
+        # The journal is the one record of finished cells.
+        assert sorted(os.listdir(checkpoint.dir)) == [
+            "journal.jsonl", "manifest.json",
+        ]
 
     def test_torn_journal_tail_is_dropped(self, tmp_path):
         checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0")
@@ -53,16 +56,19 @@ class TestSweepCheckpoint:
         loaded = SweepCheckpoint(str(tmp_path), "s-h-s0").load()
         assert sorted(loaded) == ["c0"]
 
-    def test_corrupt_snapshot_falls_back_to_journal(self, tmp_path, capsys):
-        checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0",
-                                     snapshot_every=1)
+    def test_corrupt_snapshot_falls_back_to_journal(self, tmp_path):
+        # An older checkpoint's snapshot is never read, so a corrupt
+        # one is neither trusted nor quarantined: the journal answers.
+        checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0")
         checkpoint.initialise(config_hash="h", seed=0, config={}, n_cells=1)
         checkpoint.record(result_for("c0"))
-        with open(checkpoint.snapshot_path, "w", encoding="utf-8") as handle:
+        snapshot = os.path.join(checkpoint.dir, "snapshot.json")
+        with open(snapshot, "w", encoding="utf-8") as handle:
             handle.write("{ not json")
         fresh = SweepCheckpoint(str(tmp_path), "s-h-s0")
         assert sorted(fresh.load()) == ["c0"]
-        assert os.path.exists(checkpoint.snapshot_path + ".corrupt")
+        assert open(snapshot).read() == "{ not json"
+        assert not os.path.exists(snapshot + ".corrupt")
 
     def test_resume_under_different_config_refused(self, tmp_path):
         checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0")
@@ -87,24 +93,25 @@ class TestSweepCheckpoint:
 
 class TestSweepDirRead:
     def test_read_uses_what_parses_and_reports_the_rest(self, tmp_path):
-        checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0",
-                                     snapshot_every=1)
+        checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0")
         checkpoint.initialise(config_hash="h", seed=0, config={}, n_cells=3)
         checkpoint.record(result_for("c0"))
         checkpoint.record(result_for("c1", status="quarantined"))
         with open(checkpoint.journal_path, "a", encoding="utf-8") as handle:
             handle.write('{"no_cell_id": 1}\n{"cell_id": "c2", "st')
-        # A leftover progress stream of an older run is not read.
+        # Older runs' progress stream and snapshot are not read.
         with open(os.path.join(checkpoint.dir, "progress.jsonl"), "w",
                   encoding="utf-8") as handle:
             handle.write('{"event": "sweep-started"}\n{"foreign": 1}\n{')
+        with open(os.path.join(checkpoint.dir, "snapshot.json"), "w",
+                  encoding="utf-8") as handle:
+            handle.write('{"cells": {"c9": {"cell_id": "c9", "st')
         open(checkpoint.trace_path, "w").write("[]")
         before = sorted(os.listdir(checkpoint.dir))
 
         state = checkpoint.read()
         assert sorted(os.listdir(checkpoint.dir)) == before
         assert state.manifest["n_cells"] == 3
-        assert sorted(state.snapshot) == ["c0", "c1"]
         assert [r.cell_id for _, r in state.journal] == ["c0", "c1"]
         assert state.bad_journal_lines == [3, 4]
         assert not state.torn_journal  # line 3 is a non-cell object
@@ -180,28 +187,26 @@ class TestRegistryHardening:
 
 
 class TestDoubleTornRecovery:
-    def test_torn_snapshot_and_torn_journal_together(self, tmp_path, capsys):
-        # Both recovery sources damaged in the same sweep dir: the
-        # snapshot torn mid-rewrite, the journal torn mid-append.
-        # load() must still reconstruct every intact cell.
-        checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0",
-                                     snapshot_every=2)
+    def test_torn_snapshot_and_torn_journal_together(self, tmp_path):
+        # An older checkpoint's snapshot, torn mid-rewrite, beside a
+        # journal torn mid-append: load() reconstructs every intact
+        # cell from the journal and never opens or moves the snapshot.
+        checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0")
         checkpoint.initialise(config_hash="h", seed=0, config={}, n_cells=4)
         for i in range(4):
             checkpoint.record(result_for(f"c{i}", value=float(i)))
         checkpoint.close()
 
-        body = open(checkpoint.snapshot_path).read()
-        open(checkpoint.snapshot_path, "w").write(body[: len(body) // 3])
+        snapshot = os.path.join(checkpoint.dir, "snapshot.json")
+        torn = json.dumps({"cells": {"c9": result_for("c9").to_dict()}})
+        open(snapshot, "w").write(torn[: len(torn) // 2])
         with open(checkpoint.journal_path, "a", encoding="utf-8") as handle:
             handle.write('{"cell_id": "c4", "status": "o')  # torn append
 
         loaded = SweepCheckpoint(str(tmp_path), "s-h-s0").load()
         assert sorted(loaded) == ["c0", "c1", "c2", "c3"]
         assert loaded["c3"].metrics["value"] == 3.0
-        # The torn snapshot is quarantined as evidence, not deleted.
-        assert os.path.exists(checkpoint.snapshot_path + ".corrupt")
-        capsys.readouterr()
+        assert open(snapshot).read() == torn[: len(torn) // 2]
 
     def test_resume_appends_cleanly_after_torn_tail(self, tmp_path):
         checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0")

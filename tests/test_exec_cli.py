@@ -51,7 +51,8 @@ class TestSweepVerb:
         assert len(sweeps) == 1
         assert sweeps[0].startswith("ck-")
         inside = os.listdir(os.path.join(runs, "sweeps", sweeps[0]))
-        assert {"manifest.json", "journal.jsonl", "snapshot.json"} <= set(inside)
+        assert {"manifest.json", "journal.jsonl"} <= set(inside)
+        assert "snapshot.json" not in inside
 
     def test_sweep_json_mode(self, tmp_path, capsys):
         runs = str(tmp_path / "runs")
@@ -86,18 +87,91 @@ class TestTamperedCheckpoint:
         sweep = SweepDir(os.path.join(runs, "sweeps", "fig5-h-s0"))
         with open(sweep.journal_path) as handle:
             entries = [json.loads(line) for line in handle]
-        with open(sweep.snapshot_path) as handle:
-            snapshot = json.load(handle)
-        for entry in entries + list(snapshot["cells"].values()):
+        for entry in entries:
             entry["counters"]["itlb_mpki"] = 99.0
         with open(sweep.journal_path, "w") as handle:
             handle.writelines(json.dumps(e) + "\n" for e in entries)
-        with open(sweep.snapshot_path, "w") as handle:
-            json.dump(snapshot, handle)
 
         findings = fsck_scan(runs).errors
         assert [f.kind for f in findings] == ["cell-hash-mismatch"]
         assert prime(resume=True) == serial != 99.0
+
+
+def site_bytes(out_dir):
+    return {
+        name: open(os.path.join(out_dir, name), "rb").read()
+        for name in sorted(os.listdir(out_dir))
+    }
+
+
+class TestJournalOnlyCheckpoint:
+    SWEEP = ["sweep", "--workloads", "H-Grep,M-Grep", "--name", "j"]
+
+    def sweep(self, runs, *extra):
+        return main(["--scale", "0.1", "--runs-dir", runs] + self.SWEEP
+                    + list(extra))
+
+    def test_leftover_snapshot_is_never_read_or_touched(self, tmp_path,
+                                                        capsys):
+        runs = str(tmp_path / "runs")
+        assert self.sweep(runs, "--jobs", "1") == 0
+        serial = RunRegistry(runs).latest("sweep.j").metrics
+        (name,) = os.listdir(os.path.join(runs, "sweeps"))
+        sweep = SweepDir(os.path.join(runs, "sweeps", name))
+        # An older checkpoint's snapshot: one cell diverges from its
+        # journaled version, and a second copy is torn mid-rewrite.
+        entries = [json.loads(line) for line in open(sweep.journal_path)]
+        entries[0]["metrics"] = {k: v + 1.0
+                                 for k, v in entries[0]["metrics"].items()}
+        divergent = json.dumps({"version": 1, "cells": {
+            entry["cell_id"]: entry for entry in entries
+        }})
+        snapshot = os.path.join(sweep.dir, "snapshot.json")
+
+        def observe(out):
+            assert main(["--runs-dir", runs, "dash", "--out",
+                         str(tmp_path / out)]) == 0
+            capsys.readouterr()
+            assert main(["--runs-dir", runs, "metrics"]) == 0
+            scrape = capsys.readouterr().out
+            assert main(["--runs-dir", runs, "fsck", "--json"]) == 0
+            fsck = json.loads(capsys.readouterr().out)["findings"]
+            return site_bytes(str(tmp_path / out)), scrape, fsck
+
+        for body in (divergent, divergent[: len(divergent) // 2]):
+            if os.path.exists(snapshot):
+                os.remove(snapshot)
+            without = observe("without")
+            with open(snapshot, "w") as handle:
+                handle.write(body)
+            assert observe("with") == without
+            assert without[2] == []
+            assert self.sweep(runs, "--jobs", "2", "--resume") == 0
+            out = capsys.readouterr().out
+            assert "resumed from checkpoint: 2" in out
+            assert "cell executions: 0" in out
+            assert open(snapshot).read() == body
+            assert RunRegistry(runs).latest("sweep.j").metrics == serial
+
+    def test_resume_reruns_exactly_the_cell_missing_from_the_journal(
+            self, tmp_path, capsys):
+        runs = str(tmp_path / "runs")
+        assert self.sweep(runs, "--jobs", "1") == 0
+        (name,) = os.listdir(os.path.join(runs, "sweeps"))
+        sweep = SweepDir(os.path.join(runs, "sweeps", name))
+        lines = open(sweep.journal_path).readlines()
+        lost = json.loads(lines[0])["cell_id"]
+        open(sweep.journal_path, "w").writelines(lines[1:])
+        capsys.readouterr()
+
+        assert self.sweep(runs, "--jobs", "2", "--resume") == 0
+        out = capsys.readouterr().out
+        assert "resumed from checkpoint: 1" in out
+        assert "cell executions: 1" in out
+        journal = [r.cell_id for _, r in sweep.read().journal]
+        assert journal == [json.loads(lines[1])["cell_id"], lost]
+        assert main(["--runs-dir", runs, "diff", "sweep.j~1", "sweep.j",
+                     "--rel-threshold", "0", "--abs-threshold", "0"]) == 0
 
 
 class TestPrimedVerbs:

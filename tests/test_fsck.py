@@ -21,11 +21,10 @@ PROBE_FN = "repro.analysis.crashsim.probe_cell"
 SCALE = 0.25
 
 
-def make_runs_dir(tmp_path, sweep="probe-h-s0", n_cells=3,
-                  snapshot_every=2):
-    """A legitimate runs dir: manifest + journal + snapshot, real cells."""
+def make_runs_dir(tmp_path, sweep="probe-h-s0", n_cells=3):
+    """A legitimate runs dir: manifest + journal, real cells."""
     runs = str(tmp_path / "runs")
-    checkpoint = SweepCheckpoint(runs, sweep, snapshot_every=snapshot_every)
+    checkpoint = SweepCheckpoint(runs, sweep)
     checkpoint.initialise(
         config_hash="h", seed=0,
         config={"scale": SCALE}, n_cells=n_cells,
@@ -100,21 +99,23 @@ class TestScan:
         assert "cell-hash-mismatch" in kinds(result)
 
     def test_snapshot_divergence_and_snapshot_only(self, tmp_path):
+        # Older checkpoints kept a snapshot of the journal's cells.  One
+        # with a divergent cell, a cell the journal lacks, or a torn
+        # body is an unread file now, not a finding.
         runs, checkpoint = make_runs_dir(tmp_path)
-        snapshot = json.load(open(checkpoint.snapshot_path))
-        cell_ids = sorted(snapshot["cells"])
-        # Diverge one snapshot cell from its journaled version.
-        snapshot["cells"][cell_ids[0]]["attempts"] = 42
-        json.dump(snapshot, open(checkpoint.snapshot_path, "w"))
-        result = fsck_scan(runs)
-        assert "snapshot-divergence" in kinds(result)
-
-    def test_snapshot_only_cells_are_a_note(self, tmp_path):
-        runs, checkpoint = make_runs_dir(tmp_path)
-        os.remove(checkpoint.journal_path)
-        result = fsck_scan(runs)
-        assert "snapshot-only-cells" in kinds(result)
-        assert result.clean  # merge re-validates; not an error
+        entries = [json.loads(line) for line in open(checkpoint.journal_path)]
+        entries[0]["attempts"] = 42
+        entries.append(dict(entries[1], cell_id="w9@e5645+s0"))
+        divergent = json.dumps({"version": 1, "cells": {
+            entry["cell_id"]: entry for entry in entries
+        }})
+        snapshot = os.path.join(checkpoint.dir, "snapshot.json")
+        for body in (divergent, divergent[: len(divergent) // 2]):
+            open(snapshot, "w").write(body)
+            result = fsck_scan(runs)
+            assert result.findings == []
+            fsck_repair(result)
+            assert open(snapshot).read() == body
 
     def test_stale_vs_live_lock(self, tmp_path):
         runs, checkpoint = make_runs_dir(tmp_path)
@@ -162,20 +163,19 @@ class TestScan:
 
 class TestRepair:
     def test_torn_snapshot_and_torn_journal_same_dir(self, tmp_path):
-        # The double-fault acceptance case: both recovery sources
-        # damaged in one sweep dir, fsck repairs both, load() trusts it.
+        # A torn journal beside an older checkpoint's torn snapshot:
+        # fsck repairs the journal, leaves the snapshot be, and load()
+        # trusts the result.
         runs, checkpoint = make_runs_dir(tmp_path)
         with open(checkpoint.journal_path, "a", encoding="utf-8") as fh:
             fh.write('{"cell_id": "w9@e5645+s0", "sta')  # torn append
-        snapshot_body = open(checkpoint.snapshot_path).read()
-        open(checkpoint.snapshot_path, "w").write(
-            snapshot_body[: len(snapshot_body) // 2]  # torn rewrite
-        )
+        snapshot = os.path.join(checkpoint.dir, "snapshot.json")
+        open(snapshot, "w").write('{"cells": {"w0@e5645+s0": {"ce')
         result = fsck_scan(runs)
-        assert "torn-journal" in kinds(result)
-        assert "corrupt-snapshot" in kinds(result)
+        assert kinds(result) == ["torn-journal"]
         after = repair_and_rescan(runs)
-        assert after.clean
+        assert after.findings == []
+        assert open(snapshot).read() == '{"cells": {"w0@e5645+s0": {"ce'
         loaded = SweepCheckpoint(runs, checkpoint.sweep).load()
         assert sorted(loaded) == [
             "w0@e5645+s0", "w1@e5645+s0", "w2@e5645+s0"
@@ -205,9 +205,7 @@ class TestRepair:
             "quarantined-artifact") >= 2
 
     def test_hash_mismatch_repair_drops_only_bad_cells(self, tmp_path):
-        runs, checkpoint = make_runs_dir(tmp_path, snapshot_every=99)
-        # No snapshot: the journal is the only copy of every cell.
-        os.remove(checkpoint.snapshot_path)
+        runs, checkpoint = make_runs_dir(tmp_path)
         lines = open(checkpoint.journal_path).read().splitlines()
         entry = json.loads(lines[1])
         entry["metrics"]["value"] = -1.0
@@ -219,17 +217,6 @@ class TestRepair:
         loaded = SweepCheckpoint(runs, checkpoint.sweep).load()
         # The tampered cell is gone (it will rerun); the others survive.
         assert sorted(loaded) == ["w0@e5645+s0", "w2@e5645+s0"]
-
-    def test_snapshot_divergence_rebuilt_from_journal(self, tmp_path):
-        runs, checkpoint = make_runs_dir(tmp_path)
-        snapshot = json.load(open(checkpoint.snapshot_path))
-        cell_id = sorted(snapshot["cells"])[0]
-        snapshot["cells"][cell_id]["attempts"] = 42
-        json.dump(snapshot, open(checkpoint.snapshot_path, "w"))
-        after = repair_and_rescan(runs)
-        assert after.clean
-        rebuilt = json.load(open(checkpoint.snapshot_path))
-        assert rebuilt["cells"][cell_id]["attempts"] != 42
 
     def test_repair_is_idempotent(self, tmp_path):
         runs, checkpoint = make_runs_dir(tmp_path)

@@ -126,9 +126,7 @@ class TestRuleFixtures:
     def test_det003_quarantine_covers_observability_modules(self, tmp_path):
         for module in (
             "repro.obs.hostprof",
-            "repro.obs.stream",
             "repro.obs.perf",
-            "repro.exec.tracing",
         ):
             findings, _ = lint_source(tmp_path, """
                 import time
@@ -141,11 +139,14 @@ class TestRuleFixtures:
     def test_det003_observatory_render_path_stays_clock_free(self, tmp_path):
         # Only the bench harness (repro.obs.perf) may read the clock;
         # the aggregation and rendering layers must stay deterministic,
-        # so DET003 still fires there.
+        # so DET003 still fires there.  The span writer and the live
+        # progress line take their times from the supervisor's records.
         for module in (
             "repro.obs.observatory",
             "repro.obs.dashboard",
             "repro.obs.stats",
+            "repro.obs.stream",
+            "repro.exec.tracing",
         ):
             findings, _ = lint_source(tmp_path, """
                 import time
@@ -156,7 +157,7 @@ class TestRuleFixtures:
             assert rule_ids(findings) == ["DET003"], module
 
     def test_det003_exec_quarantine_is_not_blanket(self, tmp_path):
-        # Only the supervisor/pool/tracing side of repro.exec may touch
+        # Only the supervisor/pool side of repro.exec may touch
         # wall-clock; cells, checkpoint and merge produce record bytes,
         # so a clock read there must still fire.
         findings, _ = lint_source(tmp_path, """

@@ -145,12 +145,6 @@ def build_fixture(root):
                     "seconds": 0.9, "worker": 1}),
         '{"cell_id": "cellC", "status"',  # torn tail (crash mid-append)
     ]) + "\n")
-    write(os.path.join(sweep, "snapshot.json"), json.dumps({
-        "version": 1,
-        "cells": {"cellA": {"cell_id": "cellA", "status": "ok",
-                            "metrics": {}, "provenance_hash": "",
-                            "attempts": 1, "seconds": 0.5, "worker": 0}},
-    }, indent=2, sort_keys=True) + "\n")
     write(os.path.join(sweep, "trace", "worker-100-0.spans.jsonl"),
           "\n".join([
               json.dumps({"kind": "span", "lane": "worker-100-0",

@@ -201,12 +201,15 @@ class TestOpenMetrics:
         from repro.exec.cells import CellResult
 
         runs = str(tmp_path / "runs")
-        checkpoint = SweepCheckpoint(runs, "demo", snapshot_every=1)
+        checkpoint = SweepCheckpoint(runs, "demo")
         checkpoint.initialise(config_hash="cafe", seed=0, config={},
                               n_cells=2)
         checkpoint.record(CellResult(cell_id="c0", status="ok"))
         checkpoint.close()
-        with open(checkpoint.snapshot_path, "w", encoding="utf-8") as fh:
+        with open(checkpoint.journal_path, "a", encoding="utf-8") as fh:
+            fh.write('{"cell_id": "c1", "st')
+        with open(os.path.join(checkpoint.dir, "snapshot.json"), "w",
+                  encoding="utf-8") as fh:
             fh.write("{ torn")
         with open(os.path.join(runs, "zz-corrupt.json"), "w") as fh:
             fh.write("{ nope")
@@ -220,7 +223,7 @@ class TestOpenMetrics:
         before = listing()
         text = render_openmetrics(runs)
         assert listing() == before
-        # The journal alone still answers the scrape.
+        # The journal's intact lines answer the scrape.
         assert 'repro_sweep_cells{sweep="demo",state="done"} 1' in text
 
     def test_render_openmetrics_empty_dir(self, tmp_path):
