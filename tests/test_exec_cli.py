@@ -97,13 +97,6 @@ class TestTamperedCheckpoint:
         assert prime(resume=True) == serial != 99.0
 
 
-def site_bytes(out_dir):
-    return {
-        name: open(os.path.join(out_dir, name), "rb").read()
-        for name in sorted(os.listdir(out_dir))
-    }
-
-
 class TestJournalOnlyCheckpoint:
     SWEEP = ["sweep", "--workloads", "H-Grep,M-Grep", "--name", "j"]
 
@@ -113,6 +106,8 @@ class TestJournalOnlyCheckpoint:
 
     def test_leftover_snapshot_is_never_read_or_touched(self, tmp_path,
                                                         capsys):
+        from tests.test_observatory import read_site
+
         runs = str(tmp_path / "runs")
         assert self.sweep(runs, "--jobs", "1") == 0
         serial = RunRegistry(runs).latest("sweep.j").metrics
@@ -136,7 +131,7 @@ class TestJournalOnlyCheckpoint:
             scrape = capsys.readouterr().out
             assert main(["--runs-dir", runs, "fsck", "--json"]) == 0
             fsck = json.loads(capsys.readouterr().out)["findings"]
-            return site_bytes(str(tmp_path / out)), scrape, fsck
+            return read_site(str(tmp_path / out)), scrape, fsck
 
         for body in (divergent, divergent[: len(divergent) // 2]):
             if os.path.exists(snapshot):
