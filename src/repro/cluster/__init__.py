@@ -25,7 +25,6 @@ from repro.cluster.faults import (
     NetworkPartition,
     NodeCrash,
 )
-from repro.cluster.filesystem import DistributedFileSystem, FileHandle
 
 __all__ = [
     "Simulation",
@@ -44,6 +43,4 @@ __all__ = [
     "NodeCrash",
     "DiskDegrade",
     "NetworkPartition",
-    "DistributedFileSystem",
-    "FileHandle",
 ]

@@ -106,10 +106,6 @@ class Cluster:
     def node(self, index: int) -> Node:
         return self.nodes[index % len(self.nodes)]
 
-    def run(self, until: float = None) -> float:
-        """Drive the simulation; returns the final simulated time."""
-        return self.sim.run(until=until)
-
     def direct_totals(self, peek: bool = False):
         """Cluster-wide cumulative totals summed straight off the nodes.
 

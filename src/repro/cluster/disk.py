@@ -39,7 +39,6 @@ class Disk:
         self._channel = Resource(sim, capacity=1, name=f"{name}-channel")
         self.bytes_read = 0
         self.bytes_written = 0
-        self.requests = 0
         # Integral of (requests in flight) over time — the numerator of
         # the weighted I/O time metric.
         self._inflight = 0
@@ -71,7 +70,6 @@ class Disk:
             raise ValueError("nbytes must be non-negative")
         self._account()
         self._inflight += 1
-        self.requests += 1
         grant = self._channel.request()
         try:
             yield grant
@@ -154,9 +152,3 @@ class Disk:
     @property
     def total_bytes(self) -> int:
         return self.bytes_read + self.bytes_written
-
-    def bandwidth_used_mbps(self, elapsed: float) -> float:
-        """Achieved throughput over a window of ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return self.total_bytes / elapsed / 1e6

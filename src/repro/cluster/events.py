@@ -351,10 +351,3 @@ class Resource:
         """Waiter-seconds accumulated so far (queueing pressure)."""
         self._account()
         return self._queue_integral
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Mean fraction of capacity in use over ``elapsed`` (default: now)."""
-        window = self.sim.now if elapsed is None else elapsed
-        if window <= 0:
-            return 0.0
-        return self.busy_time() / (window * self.capacity)

@@ -48,18 +48,9 @@ class Nic:
             raise ValueError("nbytes must be non-negative")
         return self.sim.process(self._transfer(nbytes, receive=True))
 
-    def busy_time(self) -> float:
-        return self._channel.busy_time()
-
     @property
     def total_bytes(self) -> int:
         return self.bytes_sent + self.bytes_received
-
-    def bandwidth_used_mbps(self, elapsed: float) -> float:
-        """Achieved throughput over a window of ``elapsed`` seconds."""
-        if elapsed <= 0:
-            return 0.0
-        return self.total_bytes / elapsed / 1e6
 
 
 class Network:
@@ -73,9 +64,6 @@ class Network:
         if nic.name in self._nics:
             raise ValueError(f"nic {nic.name!r} already attached")
         self._nics[nic.name] = nic
-
-    def nic(self, name: str) -> Nic:
-        return self._nics[name]
 
     def _do_transfer(self, source: str, destination: str, nbytes: int):
         sender = self._nics[source]

@@ -1,4 +1,4 @@
-"""A cluster node: cores, memory, one disk, one NIC (Table 3)."""
+"""A cluster node: cores, one disk, one NIC (Table 3)."""
 
 from __future__ import annotations
 
@@ -12,21 +12,19 @@ from repro.cluster.network import Nic
 @dataclass(frozen=True)
 class NodeSpec:
     """Hardware of one node, defaulting to the paper's testbed (Table 3):
-    one Xeon E5645 (6 cores @ 2.40 GHz), 32 GB memory, 8 TB of disk."""
+    one Xeon E5645 (6 cores @ 2.40 GHz), 32 GB memory, 8 TB of disk.
+
+    Only what a replay runs on is modelled: the cores, and the disk and
+    NIC bandwidths.
+    """
 
     cores: int = 6
-    frequency_ghz: float = 2.40
-    memory_gb: float = 32.0
-    disk_tb: float = 8.0
     disk_bandwidth_mbps: float = 120.0
     nic_gbps: float = 1.0
 
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise ValueError("cores must be >= 1")
-        for field_name in ("frequency_ghz", "memory_gb", "disk_tb"):
-            if getattr(self, field_name) <= 0:
-                raise ValueError(f"{field_name} must be positive")
 
 
 class Node:
@@ -41,10 +39,8 @@ class Node:
             sim, name=f"{name}-disk", bandwidth_mbps=spec.disk_bandwidth_mbps
         )
         self.nic = Nic(sim, name=name, bandwidth_gbps=spec.nic_gbps)
-        self.memory_used_gb = 0.0
-        # Task-centric accounting for the §3.2.1 classification metrics.
+        # Core-seconds computed: the CPU term of the §3.2.1 duty cycle.
         self.cpu_time = 0.0
-        self.io_block_time = 0.0
 
     def compute(self, seconds: float) -> Event:
         """Process event for ``seconds`` of single-core computation."""
@@ -84,66 +80,25 @@ class Node:
 
     def blocking_read(self, nbytes: int, sequential: bool = True) -> Event:
         """Disk read during which the issuing task is I/O-blocked."""
-
-        def run():
-            tracer = self.sim.tracer
-            span = None
-            if tracer is not None:
-                span = tracer.begin(
-                    "read", "io", track=f"{self.name}.io", bytes=nbytes
-                )
-            start = self.sim.now
-            try:
-                yield self.disk.read(nbytes, sequential=sequential)
-            finally:
-                self.io_block_time += self.sim.now - start
-                if span is not None:
-                    tracer.end(span)
-
-        return self.sim.process(run())
+        return self._blocking_io("read", self.disk.read, nbytes, sequential)
 
     def blocking_write(self, nbytes: int, sequential: bool = True) -> Event:
         """Disk write during which the issuing task is I/O-blocked."""
+        return self._blocking_io("write", self.disk.write, nbytes, sequential)
 
+    def _blocking_io(self, kind: str, transfer, nbytes: int,
+                     sequential: bool) -> Event:
         def run():
             tracer = self.sim.tracer
             span = None
             if tracer is not None:
                 span = tracer.begin(
-                    "write", "io", track=f"{self.name}.io", bytes=nbytes
+                    kind, "io", track=f"{self.name}.io", bytes=nbytes
                 )
-            start = self.sim.now
             try:
-                yield self.disk.write(nbytes, sequential=sequential)
+                yield transfer(nbytes, sequential=sequential)
             finally:
-                self.io_block_time += self.sim.now - start
                 if span is not None:
                     tracer.end(span)
 
         return self.sim.process(run())
-
-    def allocate_memory(self, gigabytes: float) -> None:
-        """Track memory pressure; raises when the node would swap."""
-        if gigabytes < 0:
-            raise ValueError("gigabytes must be non-negative")
-        if self.memory_used_gb + gigabytes > self.spec.memory_gb:
-            raise MemoryError(
-                f"{self.name}: {self.memory_used_gb + gigabytes:.1f} GB exceeds "
-                f"{self.spec.memory_gb:.1f} GB"
-            )
-        self.memory_used_gb += gigabytes
-
-    def free_memory(self, gigabytes: float) -> None:
-        self.memory_used_gb = max(0.0, self.memory_used_gb - gigabytes)
-
-    def cpu_utilization(self, elapsed: float) -> float:
-        """Fraction of core-seconds spent computing over ``elapsed``."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.cpu_time / (elapsed * self.spec.cores))
-
-    def io_wait_ratio(self, elapsed: float) -> float:
-        """Fraction of core-seconds spent blocked on disk I/O."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.io_block_time / (elapsed * self.spec.cores))

@@ -204,18 +204,33 @@ def cell_intact(spec: dict, result: CellResult) -> bool:
     carries ``counters`` must rehydrate to exactly its hashed metrics,
     since that sample (not the metrics) is what a primed context adopts.
     """
+    return trusted_sample(spec, result)[0]
+
+
+def trusted_sample(spec: dict, result: CellResult):
+    """:func:`cell_intact` plus the sample it rehydrated, if any.
+
+    Returns ``(intact, counters)``: ``counters`` is the
+    :class:`~repro.uarch.counters.PerfCounters` rebuilt from an intact
+    cell's ``counters`` payload, or None when the cell carries none or
+    is not intact.  Adoption installs that object, so each adopted
+    sample is rehydrated once.
+    """
     if result.provenance_hash != provenance_hash(_hashable_spec(spec),
                                                  result.metrics):
-        return False
+        return False, None
     if result.counters is None:
-        return True
+        return True, None
     from repro.uarch.counters import PerfCounters
 
     try:
-        rehydrated = PerfCounters.from_dict(result.counters).metric_dict()
+        counters = PerfCounters.from_dict(result.counters)
+        rehydrated = counters.metric_dict()
     except (KeyError, TypeError, ValueError, AttributeError):
-        return False
-    return _canonical(rehydrated) == _canonical(result.metrics)
+        return False, None
+    if _canonical(rehydrated) != _canonical(result.metrics):
+        return False, None
+    return True, counters
 
 
 def _canonical(metrics: Dict[str, float]) -> str:

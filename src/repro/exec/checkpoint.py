@@ -26,7 +26,9 @@ sweep" is a property of the request, not of a process lifetime.
 
 This module owns that layout: :class:`SweepDir` names every path and
 :meth:`SweepDir.read` is the one read-only parse of a directory, shared
-by resume, ``repro fsck``, the observatory and ``repro metrics``;
+by ``repro fsck``, the observatory and ``repro metrics``; resume reads
+the journal alone through :meth:`SweepDir.read_journal`, the same
+parse :meth:`SweepDir.read` uses for it;
 :func:`sweep_dirs` enumerates the sweeps of a runs directory.
 
 All writes route through :mod:`repro.fsio` (the ``io`` constructor
@@ -139,8 +141,27 @@ class SweepDir:
         of it is used.  Callers pick the policy.
         """
         state = SweepState()
+        state.manifest = _read_object(self.manifest_path, state.damage)
+        self.read_journal(state)
+
+        # Imported here: repro.exec.tracing imports repro.obs, whose
+        # observatory imports this module.
+        from repro.exec.tracing import read_spans
+
+        state.spans, span_damage = read_spans(self.trace_dir)
+        state.damage.extend(span_damage)
+        _read_object(self.trace_path, state.damage)
+        return state
+
+    def read_journal(self, state: Optional[SweepState] = None) -> SweepState:
+        """Parse the journal alone into ``state`` (a new one by default).
+
+        The journal's part of :meth:`read`; resume needs nothing else,
+        so it never parses the span files or the merged trace.
+        """
+        if state is None:
+            state = SweepState()
         damage = state.damage
-        state.manifest = _read_object(self.manifest_path, damage)
         entries, bad, torn = _read_lines(self.journal_path, damage)
         invalid = []
         for lineno, obj in entries:
@@ -154,14 +175,6 @@ class SweepDir:
                            f"{len(invalid)} invalid cell entr(y/ies)"))
         state.bad_journal_lines = sorted(bad + invalid)
         state.torn_journal = torn and not invalid
-
-        # Imported here: repro.exec.tracing imports repro.obs, whose
-        # observatory imports this module.
-        from repro.exec.tracing import read_spans
-
-        state.spans, span_damage = read_spans(self.trace_dir)
-        damage.extend(span_damage)
-        _read_object(self.trace_path, damage)
         return state
 
 
@@ -349,6 +362,7 @@ class SweepCheckpoint(SweepDir):
         """Reconstruct completed cells from the journal.
 
         Bad journal lines (a torn tail from a crash mid-append, or
-        corruption) are skipped and their cells rerun.
+        corruption) are skipped and their cells rerun.  Only the
+        journal is read (:meth:`SweepDir.read_journal`).
         """
-        return self.read().results
+        return self.read_journal().results

@@ -6,9 +6,11 @@ before any cell contributes to the merged metrics, it must pass
 from the journaled (spec, metrics) pair, and any counter sample
 rehydrating to exactly those metrics).  A checkpoint entry that was
 corrupted on disk, hand-edited, or produced by a different sweep
-configuration fails the check and aborts the merge with
-:class:`~repro.errors.CellIntegrityError` — a wrong merged record is
-strictly worse than no record.
+configuration fails the check.  ``--resume`` applies the same check
+before adopting a journaled cell, so such an entry is rerun and its
+fresh result merged; a failing cell that still reaches the merge aborts
+it with :class:`~repro.errors.CellIntegrityError` — a wrong merged
+record is strictly worse than no record.
 
 Merged metric keys are ``<workload>.<platform>.s<seed>.<metric>``, a
 pure function of the cell spec, so a serial run, a 16-way parallel

@@ -21,7 +21,8 @@ forked workers and is robust by construction:
   cells run serially in-process, which cannot lose work to IPC;
 - **checkpointing** — every finished cell is durably journaled before
   it is counted, so a SIGKILL of the whole sweep loses only in-flight
-  cells and ``--resume`` restarts exactly the incomplete ones.
+  cells and ``--resume`` restarts exactly the incomplete ones, plus
+  any journaled cell that fails :func:`~repro.exec.cells.cell_intact`.
 
 Determinism: cells are seeded and side-effect free, so the merged
 result of any schedule — serial, parallel, crashed-and-resumed — is
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence
 
-from repro.exec.cells import CellResult, SweepCell, run_cell
+from repro.exec.cells import CellResult, SweepCell, cell_intact, run_cell
 from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.pool import (
     HEARTBEAT_INTERVAL,
@@ -174,9 +175,12 @@ class SweepExecutor:
         specs = {cell.cell_id: cell.to_dict() for cell in cells}
         todo: List[dict] = [cell.to_dict() for cell in cells]
         if checkpoint is not None and resume:
+            # A journaled cell that fails the integrity rule reruns, as
+            # a missing one does; the merge would refuse it anyway.
             prior = checkpoint.load()
             for cell_id, result in prior.items():
-                if cell_id in specs and result.status == "ok":
+                if (cell_id in specs and result.status == "ok"
+                        and cell_intact(specs[cell_id], result)):
                     outcome.results[cell_id] = result
                     telemetry["cells_from_checkpoint"] += 1
             todo = [

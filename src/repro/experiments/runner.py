@@ -133,21 +133,22 @@ class ExperimentContext:
         lossless, so a primed context is bit-identical to a serial one.
         A result that fails :func:`~repro.exec.cells.cell_intact` for
         its cell is not adopted, and the experiment computes that pair
-        in-process.
+        in-process.  The sample the check rehydrates is the one
+        installed (:func:`~repro.exec.cells.trusted_sample`).
         """
-        from repro.exec.cells import cell_intact, platform_for
-        from repro.uarch.counters import PerfCounters
+        from repro.exec.cells import platform_for, trusted_sample
 
         adopted = 0
         for cell in cells:
             result = results.get(cell.cell_id)
-            if (result is None or result.status != "ok"
-                    or not result.counters
-                    or not cell_intact(cell.to_dict(), result)):
+            if result is None or result.status != "ok":
+                continue
+            intact, counters = trusted_sample(cell.to_dict(), result)
+            if not intact or counters is None:
                 continue
             self._definition(workload(cell.workload))
             key = (cell.workload, platform_for(cell.platform).name)
-            self._counters[key] = PerfCounters.from_dict(result.counters)
+            self._counters[key] = counters
             adopted += 1
         return adopted
 

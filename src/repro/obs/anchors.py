@@ -228,10 +228,6 @@ PAPER_ANCHORS: List[Union[Anchor, Ordering]] = [
              "start.instruction.Hadoop-workloads",
              source="Fig. 6 Hadoop small-cache miss ratio above PARSEC's"),
     # -- Table 2 / §3: the 77 -> 17 reduction ------------------------------
-    Anchor("table2", "summary.n_clusters", 17.0, rel_tol=0.0,
-           source="Table 2 cluster count"),
-    Anchor("table2", "summary.members_total", 77.0, rel_tol=0.0,
-           source="Table 2 catalog size"),
     Anchor("table2", "summary.representative_hits", 17.0, rel_tol=0.2,
            source="Table 2 representative placement"),
     # -- Table 4 / §5.1: branch prediction by platform ----------------------
@@ -286,13 +282,6 @@ PAPER_ANCHORS: List[Union[Anchor, Ordering]] = [
     # -- §3.2 / Table 2: system-behaviour classification --------------------
     Anchor("system", "summary.match_ratio", 1.0, rel_tol=0.0, abs_tol=0.20,
            source="§3.2 Table 2 behaviour column"),
-    # -- §4.1 fault story: who survives a node crash ------------------------
-    Anchor("faults", "stack.Hadoop.recovered", 1.0, rel_tol=0.0,
-           source="§4.1 Hadoop task-level recovery"),
-    Anchor("faults", "stack.Spark.recovered", 1.0, rel_tol=0.0,
-           source="§4.1 Spark lineage recovery"),
-    Anchor("faults", "stack.MPI.recovered", 0.0, rel_tol=0.0,
-           source="§4.1 MPI whole-job abort"),
 ]
 
 

@@ -26,7 +26,6 @@ class NodeSample:
     time: float
     node: str
     cpu_seconds: float
-    io_block_seconds: float
     disk_busy_seconds: float
     disk_weighted_seconds: float
     disk_bytes: int
@@ -130,7 +129,6 @@ class ClusterTelemetry:
                 time=now,
                 node=node.name,
                 cpu_seconds=node.cpu_time,
-                io_block_seconds=node.io_block_time,
                 disk_busy_seconds=node.disk.peek_busy_time(),
                 disk_weighted_seconds=node.disk.peek_weighted_io_time(),
                 disk_bytes=node.disk.total_bytes,

@@ -16,7 +16,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.faults import FaultPlan
-from repro.cluster.filesystem import DistributedFileSystem
 from repro.stacks.base import (
     HADOOP_TRAITS,
     KernelTraits,
@@ -98,7 +97,6 @@ class Hadoop(SoftwareStack):
         job: MapReduceJob,
         records: Sequence[object],
         cluster: Optional[Cluster] = None,
-        dfs: Optional[DistributedFileSystem] = None,
         faults: Optional[FaultPlan] = None,
         recovery: Optional[RecoveryPolicy] = None,
     ) -> WorkloadResult:
@@ -189,9 +187,7 @@ class Hadoop(SoftwareStack):
             stream_fraction=job.stream_fraction,
             segments=self._phase_segments(job, map_task_stats, reduce_task_stats),
             cluster=cluster,
-            waves=lambda: self._waves(
-                job, map_task_stats, reduce_task_stats, dfs
-            ),
+            waves=lambda: self._waves(job, map_task_stats, reduce_task_stats),
             faults=faults,
             recovery=recovery,
         )
@@ -270,29 +266,13 @@ class Hadoop(SoftwareStack):
         job: MapReduceJob,
         map_stats: List[dict],
         reduce_stats: List[dict],
-        dfs: Optional[DistributedFileSystem] = None,
     ) -> tuple:
         """The map and reduce task waves of a job.
 
-        With a :class:`DistributedFileSystem`, the input is placed as
-        replicated blocks and map tasks are scheduled *data-locally* on
-        a replica holder (Hadoop's locality-first scheduling); reduce
-        outputs are written back with pipeline replication, which adds
-        the corresponding network and remote-disk traffic.
+        Task *i* of each wave prefers node *i*; each reduce task reads
+        and fetches an equal share of the shuffle and writes its output
+        once to its local disk.
         """
-        map_nodes = list(range(len(map_stats)))
-        replicate_output = 1
-        if dfs is not None:
-            total_in = sum(stats["in_bytes"] for stats in map_stats)
-            handle = dfs.create(f"/{job.name}/input-{id(map_stats)}", max(1, total_in))
-            # One logical split per map task; place each task on its
-            # split's primary replica holder.
-            map_nodes = [
-                handle.blocks[i % handle.n_blocks].replicas[0]
-                for i in range(len(map_stats))
-            ]
-            replicate_output = dfs.replication
-
         def spill_write_bytes(shuffle_bytes: int) -> int:
             """Map output written to disk, including multi-spill merges.
 
@@ -310,7 +290,7 @@ class Hadoop(SoftwareStack):
                 read_bytes=stats["in_bytes"],
                 write_bytes=spill_write_bytes(stats["shuffle_bytes"]),
                 net_bytes=0,
-                preferred_node=map_nodes[i],
+                preferred_node=i,
             )
             for i, stats in enumerate(map_stats)
         ]
@@ -320,9 +300,8 @@ class Hadoop(SoftwareStack):
             TaskDescriptor(
                 cpu_instructions=self.des_instructions(stats["meter"]),
                 read_bytes=per_reduce_shuffle,
-                write_bytes=stats["out_bytes"] * replicate_output,
-                net_bytes=per_reduce_shuffle
-                + stats["out_bytes"] * max(0, replicate_output - 1),
+                write_bytes=stats["out_bytes"],
+                net_bytes=per_reduce_shuffle,
                 preferred_node=i,
             )
             for i, stats in enumerate(reduce_stats)

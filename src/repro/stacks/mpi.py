@@ -1,11 +1,11 @@
 """A message-passing runtime (the MPICH2 stand-in).
 
 Rank programs are Python generators that *yield* collective requests
-(allreduce, alltoall, gather, broadcast); the runtime advances every
-rank to its next collective, combines the contributions, and resumes
-the ranks with their results — a bulk-synchronous-parallel execution
-that is deadlock-free by construction and exactly fits the paper's six
-MPI data-analysis workloads (Bayes, K-means, PageRank, Grep, WordCount,
+(allreduce, alltoall, gather); the runtime advances every rank to its
+next collective, combines the contributions, and resumes the ranks with
+their results — a bulk-synchronous-parallel execution that is
+deadlock-free by construction and exactly fits the paper's six MPI
+data-analysis workloads (Bayes, K-means, PageRank, Grep, WordCount,
 Sort).
 
 The thin-stack traits (:data:`repro.stacks.base.MPI_TRAITS`) give these
@@ -35,7 +35,7 @@ from repro.stacks.scheduler import RecoveryPolicy, TaskDescriptor
 class _Collective:
     """A pending collective operation request from one rank."""
 
-    op: str  # "allreduce" | "alltoall" | "gather" | "broadcast"
+    op: str  # "allreduce" | "alltoall" | "gather"
     payload: object
     combine: Optional[Callable] = None
 
@@ -60,10 +60,6 @@ class MpiCommunicator:
     def gather(self, value) -> _Collective:
         """Everyone receives the list of all ranks' values."""
         return _Collective("gather", value)
-
-    def broadcast(self, value, root: int = 0) -> _Collective:
-        """Everyone receives rank ``root``'s value."""
-        return _Collective("broadcast", (value, root))
 
 
 def _payload_bytes(payload: object) -> int:
@@ -189,36 +185,23 @@ class MpiRuntime(SoftwareStack):
             nbytes = _payload_bytes(request.payload)
             total_bytes += nbytes
             meters[rank].record_shuffle(nbytes)
+        ranks = sorted(pending)
         if op == "allreduce":
             combine = next(iter(pending.values())).combine
-            ranks = sorted(pending)
             accumulator = pending[ranks[0]].payload
             for rank in ranks[1:]:
                 accumulator = combine(accumulator, pending[rank].payload)
             for rank in ranks:
                 inbox[rank] = accumulator
         elif op == "alltoall":
-            ranks = sorted(pending)
             for receiver in ranks:
                 inbox[receiver] = [
                     pending[sender].payload[receiver] for sender in ranks
                 ]
         elif op == "gather":
-            ranks = sorted(pending)
             everything = [pending[rank].payload for rank in ranks]
             for rank in ranks:
                 inbox[rank] = everything
-        elif op == "broadcast":
-            ranks = sorted(pending)
-            roots = {request.payload[1] for request in pending.values()}
-            if len(roots) != 1:
-                raise SimulationError(
-                    "broadcast root mismatch", roots=sorted(roots)
-                )
-            root = roots.pop()
-            value = pending[root].payload[0]
-            for rank in ranks:
-                inbox[rank] = value
         else:  # pragma: no cover
             raise ValueError(f"unknown collective {op!r}")
         return total_bytes

@@ -1,10 +1,9 @@
-"""Tests for disks, NICs, nodes, the cluster and the DFS."""
+"""Tests for disks, NICs, nodes and the cluster."""
 
 import pytest
 
 from repro.cluster import (
     Cluster,
-    DistributedFileSystem,
     Nic,
     Node,
     NodeSpec,
@@ -92,6 +91,21 @@ class TestNic:
         sim.run()
         assert done[0] == pytest.approx(1.0)
 
+    def test_local_transfer_skips_the_nics(self):
+        cluster = Cluster(n_nodes=3)
+        first, second = cluster.node(0), cluster.node(1)
+
+        def shuffle():
+            yield cluster.network.transfer(first.name, first.name, 1000)
+            yield cluster.network.transfer(first.name, second.name, 500)
+
+        cluster.sim.process(shuffle())
+        cluster.sim.run()
+        assert first.nic.bytes_sent == 500
+        assert second.nic.bytes_received == 500
+        assert first.nic.bytes_received == second.nic.bytes_sent == 0
+        assert cluster.node(2).nic.total_bytes == 0
+
 
 class TestNode:
     def test_compute_uses_cores(self):
@@ -108,7 +122,7 @@ class TestNode:
         sim.run()
         # 4 single-core seconds on 2 cores -> finishes at t=2.
         assert max(done) == pytest.approx(2.0)
-        assert node.cpu_utilization(2.0) == pytest.approx(1.0)
+        assert node.cpu_time == pytest.approx(4.0)
 
     def test_io_wait_accounting(self):
         sim = Simulation()
@@ -119,16 +133,10 @@ class TestNode:
 
         sim.process(task())
         sim.run()
-        assert node.io_block_time > 0.9
-
-    def test_memory_guard(self):
-        sim = Simulation()
-        node = Node(sim, "n", NodeSpec(memory_gb=4.0))
-        node.allocate_memory(3.0)
-        with pytest.raises(MemoryError):
-            node.allocate_memory(2.0)
-        node.free_memory(3.0)
-        node.allocate_memory(2.0)
+        # The disk's service time is the I/O-wait term Cluster.metrics
+        # reads: 100 MB at 100 MB/s.
+        assert node.disk.busy_time() == pytest.approx(1.0)
+        assert node.disk.bytes_read == 100 * 1_000_000
 
 
 class TestCluster:
@@ -143,77 +151,3 @@ class TestCluster:
     def test_node_wraps(self):
         cluster = Cluster(n_nodes=3)
         assert cluster.node(4) is cluster.node(1)
-
-
-class TestDistributedFileSystem:
-    def test_block_count(self):
-        cluster = Cluster()
-        dfs = DistributedFileSystem(cluster, block_bytes=64 * 1024 * 1024)
-        handle = dfs.create("/f", 200 * 1024 * 1024)
-        assert handle.n_blocks == 4  # 64+64+64+8
-
-    def test_replication(self):
-        cluster = Cluster(n_nodes=5)
-        dfs = DistributedFileSystem(cluster, replication=3)
-        handle = dfs.create("/f", 64 * 1024 * 1024)
-        assert len(handle.blocks[0].replicas) == 3
-
-    def test_duplicate_create_rejected(self):
-        cluster = Cluster()
-        dfs = DistributedFileSystem(cluster)
-        dfs.create("/f", 10)
-        with pytest.raises(FileExistsError):
-            dfs.create("/f", 10)
-
-    def test_lookup_missing(self):
-        dfs = DistributedFileSystem(Cluster())
-        with pytest.raises(FileNotFoundError):
-            dfs.lookup("/missing")
-
-    def test_local_read_no_network(self):
-        cluster = Cluster(n_nodes=5)
-        dfs = DistributedFileSystem(cluster)
-        handle = dfs.create("/f", 64 * 1024 * 1024)
-        reader = handle.blocks[0].replicas[0]
-
-        def read():
-            yield dfs.read_block(handle, 0, reader)
-
-        cluster.sim.process(read())
-        cluster.run()
-        assert cluster.node(reader).disk.bytes_read > 0
-        assert all(node.nic.total_bytes == 0 for node in cluster.nodes)
-
-    def test_remote_read_uses_network(self):
-        cluster = Cluster(n_nodes=5)
-        dfs = DistributedFileSystem(cluster, replication=1)
-        handle = dfs.create("/f", 64 * 1024 * 1024)
-        holder = handle.blocks[0].replicas[0]
-        remote = (holder + 2) % 5
-
-        def read():
-            yield dfs.read_block(handle, 0, remote)
-
-        cluster.sim.process(read())
-        cluster.run()
-        assert cluster.node(holder).nic.bytes_sent > 0
-
-    def test_write_replicates(self):
-        cluster = Cluster(n_nodes=5)
-        dfs = DistributedFileSystem(cluster, replication=2)
-
-        def write():
-            yield dfs.write_file("/out", 64 * 1024 * 1024, writer_node=0)
-
-        cluster.sim.process(write())
-        cluster.run()
-        writers = [n for n in cluster.nodes if n.disk.bytes_written > 0]
-        assert len(writers) == 2
-
-    def test_blocks_on_node(self):
-        cluster = Cluster(n_nodes=5)
-        dfs = DistributedFileSystem(cluster, replication=3)
-        handle = dfs.create("/f", 5 * 64 * 1024 * 1024)
-        for node_index in range(5):
-            blocks = dfs.blocks_on_node(handle, node_index)
-            assert all(node_index in b.replicas for b in blocks)

@@ -151,7 +151,9 @@ class TestResource:
 
         sim.process(worker())
         sim.run()
-        assert resource.utilization() == pytest.approx(0.5)
+        # Busy for 4 of the 8 simulated seconds.
+        assert sim.now == pytest.approx(8.0)
+        assert resource.busy_time() == pytest.approx(4.0)
 
     def test_release_without_request(self):
         sim = Simulation()

@@ -120,6 +120,33 @@ class TestSweepDirRead:
             "journal.jsonl", "journal.jsonl", "trace.json",
         ]
 
+    def test_load_reads_the_journal_alone(self, tmp_path, monkeypatch):
+        import repro.exec.checkpoint as checkpoint_module
+        import repro.exec.tracing as tracing
+
+        checkpoint = SweepCheckpoint(str(tmp_path), "s-h-s0")
+        checkpoint.initialise(config_hash="h", seed=0, config={}, n_cells=2)
+        checkpoint.record(result_for("c0"))
+        checkpoint.record(result_for("c1", value=2.0))
+        checkpoint.close()
+        clean = {cell_id: result.to_dict() for cell_id, result
+                 in SweepCheckpoint(str(tmp_path), "s-h-s0").load().items()}
+        # Damaged span files, an unreadable one and a torn merged trace.
+        os.makedirs(os.path.join(checkpoint.trace_dir, "w1.spans.jsonl"))
+        with open(os.path.join(checkpoint.trace_dir, "w0.spans.jsonl"), "w",
+                  encoding="utf-8") as handle:
+            handle.write('{"name": "cell", "ts": 1}\n[1]\n{"name": "ce')
+        open(checkpoint.trace_path, "w").write('{"traceEvents": [')
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load() parsed more than the journal")
+
+        monkeypatch.setattr(tracing, "read_spans", refuse)
+        monkeypatch.setattr(checkpoint_module, "_read_object", refuse)
+        loaded = SweepCheckpoint(str(tmp_path), "s-h-s0").load()
+        assert {cell_id: result.to_dict()
+                for cell_id, result in loaded.items()} == clean
+
     def test_sweep_dirs_skip_orphans_and_files(self, tmp_path):
         root = tmp_path / "sweeps"
         for name in ("b", "a", "a.orphan", "a.orphan.1"):

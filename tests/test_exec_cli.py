@@ -97,6 +97,34 @@ class TestTamperedCheckpoint:
         assert prime(resume=True) == serial != 99.0
 
 
+class TestAdoption:
+    def test_each_adopted_sample_is_rehydrated_once(self, monkeypatch):
+        from repro.uarch.counters import PerfCounters
+        from repro.uarch.platforms import ATOM_D510, XEON_E5645
+
+        pairs = [("H-Read", XEON_E5645), ("H-Read", ATOM_D510)]
+        source = ExperimentContext(scale=0.1)
+        cells = source.counter_cells(pairs)
+        outcome = source.prime(pairs, jobs=1)
+
+        original = PerfCounters.from_dict.__func__
+        calls = []
+
+        def counting(cls, data):
+            calls.append(data)
+            return original(cls, data)
+
+        monkeypatch.setattr(PerfCounters, "from_dict", classmethod(counting))
+        context = ExperimentContext(scale=0.1)
+        assert context.adopt_cells(cells, outcome.results) == len(cells) == 2
+        assert len(calls) == len(cells)
+        for workload_id, platform in pairs:
+            adopted = context.counters(workload_id, platform)
+            assert adopted.to_dict() == source.counters(
+                workload_id, platform).to_dict()
+        assert len(calls) == len(cells)
+
+
 class TestJournalOnlyCheckpoint:
     SWEEP = ["sweep", "--workloads", "H-Grep,M-Grep", "--name", "j"]
 
@@ -167,6 +195,34 @@ class TestJournalOnlyCheckpoint:
         assert journal == [json.loads(lines[1])["cell_id"], lost]
         assert main(["--runs-dir", runs, "diff", "sweep.j~1", "sweep.j",
                      "--rel-threshold", "0", "--abs-threshold", "0"]) == 0
+
+
+    def test_resume_reruns_a_journaled_cell_that_fails_the_check(
+            self, tmp_path, capsys):
+        runs = str(tmp_path / "runs")
+        assert self.sweep(runs, "--jobs", "1") == 0
+        serial = RunRegistry(runs).latest("sweep.j").metrics
+        (name,) = os.listdir(os.path.join(runs, "sweeps"))
+        sweep = SweepDir(os.path.join(runs, "sweeps", name))
+        lines = open(sweep.journal_path).readlines()
+        # Change one journaled metric: the provenance hash no longer
+        # matches, so the cell may not be adopted.
+        tampered = json.loads(lines[0])
+        metric = sorted(tampered["metrics"])[0]
+        tampered["metrics"][metric] += 1.0
+        lines[0] = json.dumps(tampered) + "\n"
+        open(sweep.journal_path, "w").writelines(lines)
+        capsys.readouterr()
+
+        assert self.sweep(runs, "--jobs", "2", "--resume") == 0
+        out = capsys.readouterr().out
+        assert "resumed from checkpoint: 1" in out
+        assert "cell executions: 1" in out
+        assert RunRegistry(runs).latest("sweep.j").metrics == serial
+        journal = [r.cell_id for _, r in sweep.read().journal]
+        assert journal == [tampered["cell_id"],
+                           json.loads(lines[1])["cell_id"],
+                           tampered["cell_id"]]
 
 
 class TestPrimedVerbs:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster import Cluster, DistributedFileSystem, FaultPlan, Simulation
+from repro.cluster import Cluster, FaultPlan, Simulation
 from repro.cluster.events import Resource
 from repro.stacks import Hadoop, JobFailedError, MapReduceJob, MpiRuntime, Spark
 from repro.stacks.scheduler import HADOOP_POLICY, MPI_POLICY, policy_for
@@ -67,18 +67,6 @@ class TestEngineFailures:
 
 
 class TestClusterFailures:
-    def test_dfs_read_of_deleted_file(self):
-        cluster = Cluster()
-        dfs = DistributedFileSystem(cluster)
-        handle = dfs.create("/f", 1024)
-        dfs.delete("/f")
-        with pytest.raises(FileNotFoundError):
-            dfs.lookup("/f")
-        # The stale handle still indexes its blocks; out-of-range access
-        # fails loudly rather than silently reading nothing.
-        with pytest.raises(IndexError):
-            dfs.read_block(handle, 99, 0)
-
     def test_resource_double_release_detected(self):
         sim = Simulation()
         resource = Resource(sim, capacity=2)
@@ -92,12 +80,6 @@ class TestClusterFailures:
         sim.process(task())
         with pytest.raises(RuntimeError, match="release without request"):
             sim.run()
-
-    def test_memory_exhaustion_is_loud(self):
-        cluster = Cluster()
-        node = cluster.node(0)
-        with pytest.raises(MemoryError):
-            node.allocate_memory(10_000.0)
 
 
 class TestSchedulerFailurePaths:

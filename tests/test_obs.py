@@ -328,8 +328,8 @@ class TestTelemetry:
         timeline.append(
             NodeSample(
                 time=1.0, node="node0", cpu_seconds=1.0,
-                io_block_seconds=0.0, disk_busy_seconds=0.0,
-                disk_weighted_seconds=0.0, disk_bytes=0, net_bytes=0,
+                disk_busy_seconds=0.0, disk_weighted_seconds=0.0,
+                disk_bytes=0, net_bytes=0,
             )
         )
         with pytest.raises(ValueError):

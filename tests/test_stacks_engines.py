@@ -217,11 +217,10 @@ class TestMpiRuntime:
         )
         assert result.output[1] == ["0->1", "1->1", "2->1"]
 
-    def test_gather_and_broadcast(self):
+    def test_gather(self):
         def program(rank, comm, data, meter):
             everyone = yield comm.gather(rank)
-            root_value = yield comm.broadcast(sum(everyone), root=0)
-            return root_value
+            return sum(everyone)
 
         runtime = MpiRuntime(n_ranks=3)
         result = runtime.run(
@@ -475,32 +474,3 @@ class TestHadoopSpill:
         written_spilling = sum(n.disk.bytes_written for n in cluster2.nodes)
         # A tiny sort buffer forces merge rewrites: ~2x map-side writes.
         assert written_spilling > 1.3 * written_small
-
-
-class TestHadoopOnDfs:
-    def test_data_local_scheduling_and_replicated_output(self):
-        from repro.cluster import DistributedFileSystem
-
-        def mapper(record, emit, meter):
-            for word in record.split():
-                emit(word, 1)
-
-        def reducer(key, values, emit, meter):
-            emit(key, sum(values))
-
-        job = MapReduceJob(
-            name="dfs-wc", mapper=mapper, reducer=reducer,
-            n_maps=10, n_reduces=4,
-        )
-        plain_cluster = Cluster(n_nodes=5)
-        Hadoop().run(job, ["a b"] * 40, cluster=plain_cluster)
-        plain_net = sum(n.nic.total_bytes for n in plain_cluster.nodes)
-
-        dfs_cluster = Cluster(n_nodes=5)
-        dfs = DistributedFileSystem(dfs_cluster, replication=3)
-        result = Hadoop().run(job, ["a b"] * 40, cluster=dfs_cluster, dfs=dfs)
-        dfs_net = sum(n.nic.total_bytes for n in dfs_cluster.nodes)
-
-        assert dict(result.output) == {"a": 40, "b": 40}
-        # Replicated output adds network traffic over the plain path.
-        assert dfs_net > plain_net
