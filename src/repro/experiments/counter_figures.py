@@ -94,6 +94,8 @@ class CounterFigure:
     rows: Tuple[str, ...]
     columns: Tuple[Column, ...]
     summaries: Tuple[Summary, ...]
+    #: The comparison suites the summaries read (on the Xeon).
+    suites: Tuple[str, ...] = ()
 
     @property
     def cells(self) -> List[Tuple[str, Platform]]:
@@ -111,10 +113,12 @@ class CounterFigure:
     def run(self, context: ExperimentContext) -> "CounterFigureResult":
         """Regenerate this artefact's data.
 
-        Reads only the metrics its columns and summaries name, so a
-        figure of cache, TLB or mix metrics never runs the deferred
-        branch replay.
+        First characterizes its cells and suites concurrently
+        (:meth:`ExperimentContext.fill`).  Reads only the metrics its
+        columns and summaries name, so a figure of cache, TLB or mix
+        metrics never runs the deferred branch replay.
         """
+        context.fill(self.cells, self.suites)
         result = CounterFigureResult(self)
         for workload_id in self.rows:
             result.workload_rows.append(
@@ -231,6 +235,7 @@ def _figure(title: str, metrics, group_metrics, bigdata_metrics,
         summaries=(suites + groups
                    + _column_means("bigdata", bigdata_metrics, REPRESENTATIVES)
                    + derived),
+        suites=tuple(SUITES),
     )
 
 

@@ -99,6 +99,70 @@ class ExperimentContext:
             self._suite_counters[key] = samples
         return self._suite_counters[key]
 
+    def fill(self, pairs, suites=()) -> None:
+        """Characterize every ``(workload, platform)`` of ``pairs`` and
+        every member of each suite named in ``suites`` (on the Xeon) that
+        is not cached yet, on one thread per CPU this process may use.
+
+        One task runs a workload and then characterizes it on each of
+        its platforms in order; one task characterizes a suite member.
+        Each sample lands under the key :meth:`counters` and
+        :meth:`suite_counters` read, with the seed they use, so the
+        cache holds what the serial calls would have put there.  Sorts
+        and ufuncs release the GIL, so characterizations overlap; none
+        replays a branch.  A task's exception is raised here once the
+        tasks before it have been installed.
+        """
+        import concurrent.futures
+        import os
+
+        from repro.comparison import SUITES
+        from repro.uarch import counters as counters_module
+
+        platforms: Dict[str, List[Platform]] = {}
+        for ref, platform in pairs:
+            workload_id = self._definition(ref).workload_id
+            wanted = platforms.setdefault(workload_id, [])
+            if ((workload_id, platform.name) not in self._counters
+                    and platform not in wanted):
+                wanted.append(platform)
+        suite_names = [name for name in dict.fromkeys(suites)
+                       if (name, XEON_E5645.name) not in self._suite_counters]
+        seed = 1234 + self.seed
+
+        def characterize_workload(workload_id, targets):
+            profile = self.result(workload_id).profile
+            return [counters_module.characterize(profile, p, seed=seed)
+                    for p in targets]
+
+        def characterize_member(benchmark):
+            return counters_module.characterize(
+                benchmark.profile(scale=self.scale), XEON_E5645, seed=seed)
+
+        workers = (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity") else os.cpu_count())
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            workloads = [
+                (workload_id, targets,
+                 pool.submit(characterize_workload, workload_id, targets))
+                for workload_id, targets in platforms.items() if targets
+            ]
+            members = [
+                (name, [pool.submit(characterize_member, benchmark)
+                        for benchmark in SUITES[name]])
+                for name in suite_names
+            ]
+            try:
+                for workload_id, targets, future in workloads:
+                    for platform, sample in zip(targets, future.result()):
+                        self._counters[(workload_id, platform.name)] = sample
+                for name, futures in members:
+                    self._suite_counters[(name, XEON_E5645.name)] = [
+                        future.result() for future in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+
     @property
     def atom(self) -> Platform:
         return ATOM_D510
@@ -134,7 +198,9 @@ class ExperimentContext:
         A result that fails :func:`~repro.exec.cells.cell_intact` for
         its cell is not adopted, and the experiment computes that pair
         in-process.  The sample the check rehydrates is the one
-        installed (:func:`~repro.exec.cells.trusted_sample`).
+        installed (:func:`~repro.exec.cells.trusted_sample`); a result
+        whose ``sample`` the executor already checked is installed as
+        it is.
         """
         from repro.exec.cells import platform_for, trusted_sample
 
@@ -143,9 +209,11 @@ class ExperimentContext:
             result = results.get(cell.cell_id)
             if result is None or result.status != "ok":
                 continue
-            intact, counters = trusted_sample(cell.to_dict(), result)
-            if not intact or counters is None:
-                continue
+            counters = result.sample
+            if counters is None:
+                intact, counters = trusted_sample(cell.to_dict(), result)
+                if not intact or counters is None:
+                    continue
             self._definition(workload(cell.workload))
             key = (cell.workload, platform_for(cell.platform).name)
             self._counters[key] = counters

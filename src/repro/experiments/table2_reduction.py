@@ -102,6 +102,7 @@ def reduce_population(
 
 def run(context: ExperimentContext, k: int = 17) -> ReductionExperimentResult:
     """Run the reduction on the full 77-workload catalog."""
+    context.fill([(d, XEON_E5645) for d in ALL_WORKLOADS])
     reduction = reduce_population(context, ALL_WORKLOADS, k=k)
 
     result = ReductionExperimentResult(reduction=reduction)

@@ -14,6 +14,9 @@
   line's first reference; per size, only the sets receiving more
   distinct lines than ways go through :func:`lru_hits`, and every
   other reference hits iff its line was seen before.
+- :func:`resident_lines` is what a cold LRU cache holds after it is
+  fed some ranges of consecutive lines: the LLC pre-warm of
+  ``characterize``, fed only the lines that stay.
 - The per-access model with explicit per-set LRU state,
   ``SetAssociativeCache``, lives with the tests (``tests/cache_oracle.py``):
   it agrees with the kernel on every reference and is the reference the
@@ -60,6 +63,13 @@ class CacheConfig:
         return self.size_bytes // (self.ways * self.line_bytes)
 
 
+#: References :func:`lru_hits` finishes at a time once its set sort is
+#: done: each block holds whole sets and about this many references (a
+#: set that receives more is a block of its own), so every array past
+#: the sort is block-sized.  A trace of at most this many is one block.
+_BLOCK_REFS = 1 << 16
+
+
 def lru_hits(lines: Sequence[int], num_sets: int, ways: int) -> np.ndarray:
     """Hit mask of a cold ``num_sets`` x ``ways`` LRU cache fed ``lines``.
 
@@ -69,9 +79,11 @@ def lru_hits(lines: Sequence[int], num_sets: int, ways: int) -> np.ndarray:
 
     1. The references are stable-sorted by set; every later step runs on
        that order, in which each set's references are contiguous and
-       keep their trace order.  A reference that repeats the one just
-       before it in that order is a hit and leaves the LRU order
-       unchanged, so such references are marked hits and dropped.
+       keep their trace order.  Sets are independent, so the steps below
+       run once per block of whole sets of about :data:`_BLOCK_REFS`
+       references.  A reference that repeats the one just before it in
+       that order is a hit and leaves the LRU order unchanged, so such
+       references are marked hits and dropped.
     2. Let ``p(i)`` be the position of the previous reference to the
        same line (or below every position if none).  A set that receives
        at most ``ways`` distinct lines never evicts, so there a reference
@@ -93,16 +105,75 @@ def lru_hits(lines: Sequence[int], num_sets: int, ways: int) -> np.ndarray:
        every position of this one, so every ``p`` compares with it as
        with ``set_start - 1``.
 
-    Both sorts are one :func:`_stable_order` each.  Cost: two sorts plus
-    ``O(m * ways)`` array work, where ``m`` counts the references to
-    crowded sets.
+    Each sort is one :func:`_stable_order`.  Cost: the set sort plus,
+    per block, a line sort and ``O(m * ways)`` array work, where ``m``
+    counts the block's references to crowded sets.  Past the set sort
+    the trace costs 5 bytes per reference (the order and the mask).
+    ``lines`` may be int32 or int64; anything else is read as int64.
     """
-    lines = np.asarray(lines, dtype=np.int64)
+    if not (isinstance(lines, np.ndarray)
+            and lines.dtype in (np.int32, np.int64)):
+        lines = np.asarray(lines, dtype=np.int64)
     hits = np.ones(len(lines), dtype=bool)
     if len(lines) == 0:
         return hits
-    order, sets = _stable_order(_set_index(lines, num_sets), num_sets)
+    if len(lines) <= _BLOCK_REFS:
+        order, sets = _stable_order(_set_index(lines, num_sets), num_sets)
+        _block_hits(hits, lines, order, num_sets, ways, sets)
+        return hits
+    order, ends = _set_blocks(lines, num_sets)
+    begin = 0
+    for end in ends:
+        _block_hits(hits, lines, order[begin:end], num_sets, ways)
+        begin = end
+    return hits
+
+
+def _set_blocks(lines: np.ndarray, num_sets: int):
+    """``(order, ends)``: the stable order of ``lines`` by set, and the
+    end of each block of whole sets in it.  Block ``k`` ends where the
+    set holding its ``(k + 1) * _BLOCK_REFS``-th reference ends.
+
+    When each set and position pack into 32 bits, the packed values
+    are sorted and then masked in place to become the order, so the
+    sort needs no second array of the trace's length.
+    """
+    n = len(lines)
+    bits = (n - 1).bit_length()
+    if (num_sets - 1).bit_length() + bits > 32 or bits > 30:
+        order, sets = _stable_order(_set_index(lines, num_sets), num_sets)
+        ends = np.searchsorted(
+            sets, sets[_BLOCK_REFS - 1::_BLOCK_REFS], side="right")
+    else:
+        packed = _set_index(lines, num_sets)
+        packed <<= bits
+        _or_positions(packed)
+        packed.sort()
+        # The largest packed value of a set is its set with all the
+        # position bits set.
+        mask = (1 << bits) - 1
+        ends = np.searchsorted(
+            packed, packed[_BLOCK_REFS - 1::_BLOCK_REFS] | mask, side="right")
+        packed &= mask
+        order = packed.view(np.int32)
+    return order, np.unique(np.append(ends, n)).tolist()
+
+
+def _or_positions(packed: np.ndarray) -> None:
+    """``packed |= arange(len(packed))``, a block at a time."""
+    for start in range(0, len(packed), _BLOCK_REFS):
+        block = packed[start:start + _BLOCK_REFS]
+        block |= np.arange(start, start + len(block), dtype=packed.dtype)
+
+
+def _block_hits(hits: np.ndarray, lines: np.ndarray, order: np.ndarray,
+                num_sets: int, ways: int, sets: np.ndarray = None) -> None:
+    """Steps 1-4 of :func:`lru_hits` for whole sets, whose references
+    are ``lines[order]`` in set order (``sets``, if given, holds the set
+    of each).  Writes their outcomes into ``hits``."""
     seq = lines[order]
+    if sets is None:
+        sets = _set_index(seq, num_sets)
     kept = np.empty(len(seq), dtype=bool)
     kept[0] = True
     np.not_equal(seq[1:], seq[:-1], out=kept[1:])
@@ -135,15 +206,18 @@ def lru_hits(lines: Sequence[int], num_sets: int, ways: int) -> np.ndarray:
         shift = at - np.arange(len(at), dtype=at.dtype)
         set_hits[at] = _crowded_hits(previous[at] - shift, ways)
     hits[order] = set_hits
-    return hits
 
 
-def _set_index(lines: np.ndarray, num_sets: int) -> np.ndarray:
-    """The set each of ``lines`` maps to: its low bits when ``num_sets``
-    is a power of two, else its remainder."""
+def _set_index(lines: np.ndarray, num_sets: int,
+               dtype=np.uint32) -> np.ndarray:
+    """The set each of ``lines`` maps to, as ``dtype``: its low bits when
+    ``num_sets`` is a power of two, else its remainder."""
+    index = np.empty(len(lines), dtype=dtype)
     if num_sets & (num_sets - 1):
-        return lines % num_sets
-    return lines & (num_sets - 1)
+        np.remainder(lines, num_sets, out=index, casting="unsafe")
+    else:
+        np.bitwise_and(lines, num_sets - 1, out=index, casting="unsafe")
+    return index
 
 
 def _stable_order(keys: np.ndarray, bound: int):
@@ -166,9 +240,10 @@ def _stable_order(keys: np.ndarray, bound: int):
     packed_type = np.uint32 if width <= 32 else np.int64
     packed = keys.astype(packed_type, copy=False)
     packed <<= bits
-    packed |= np.arange(n, dtype=packed_type)
+    _or_positions(packed)
     packed.sort()
-    order = (packed & ((1 << bits) - 1)).astype(index)
+    order = np.empty(n, dtype=index)
+    np.bitwise_and(packed, (1 << bits) - 1, out=order, casting="unsafe")
     packed >>= bits
     return order, packed
 
@@ -311,9 +386,9 @@ def lru_sweep_misses(lines: Sequence[int], set_counts: Sequence[int],
             misses.append(cold)
             continue
         crowded_cold = int(np.count_nonzero(
-            crowded[_set_index(late, num_sets)]
+            crowded[_set_index(late, num_sets, np.intp)]
         ))
-        in_crowded = crowded[_set_index(lines, num_sets)]
+        in_crowded = crowded[_set_index(lines, num_sets, np.intp)]
         warm = int(np.count_nonzero(in_crowded[:start]))
         crowded_lines = np.compress(in_crowded, lines)
         del in_crowded
@@ -321,6 +396,48 @@ def lru_sweep_misses(lines: Sequence[int], set_counts: Sequence[int],
         del crowded_lines
         misses.append(cold - crowded_cold + crowded_misses)
     return misses
+
+
+def resident_lines(ranges: Sequence[tuple], num_sets: int,
+                   ways: int) -> np.ndarray:
+    """What a cold ``num_sets`` x ``ways`` LRU cache holds after it is fed
+    the lines ``base, base + 1, ..., base + n - 1`` of each ``(base, n)``
+    in ``ranges`` in turn: those lines, in the order they were fed.
+
+    Fed to a cold cache instead of the ranges, they leave it in the same
+    state, so every later reference has the same outcome.  When no line
+    repeats, a set holds the last ``ways`` lines it received.  Working
+    back from the last range, ``room[s]`` counts the ways of set ``s``
+    that later ranges leave free.  The lines of a range that share a
+    set are ``num_sets`` apart, so line ``base + j`` stays iff
+    ``j >= n - num_sets * room[s]``: only the last ``num_sets * ways``
+    lines of a range can stay, and they are looked at a block at a
+    time.  Ranges that overlap feed some line twice, and are returned
+    whole.
+    """
+    ranges = [(int(base), int(n)) for base, n in ranges if n > 0]
+    spans = sorted(ranges)
+    if any(base + n > next_base
+           for (base, n), (next_base, _) in zip(spans, spans[1:])):
+        return np.concatenate(
+            [np.arange(base, base + n, dtype=np.int64) for base, n in ranges])
+    room = np.full(num_sets, ways, dtype=np.int64)
+    kept = []
+    for base, n in reversed(ranges):
+        end = base + n
+        filled = np.zeros(num_sets, dtype=np.int64)
+        blocks = []
+        for start in range(max(base, end - num_sets * ways), end,
+                           _BLOCK_REFS):
+            lines = np.arange(start, min(start + _BLOCK_REFS, end),
+                              dtype=np.int64)
+            sets = _set_index(lines, num_sets)
+            stays = lines >= end - num_sets * room[sets]
+            filled += np.bincount(sets[stays], minlength=num_sets)
+            blocks.append(lines[stays])
+        room -= filled
+        kept[:0] = blocks
+    return np.concatenate(kept) if kept else np.zeros(0, dtype=np.int64)
 
 
 @dataclass
@@ -358,6 +475,16 @@ class CacheLevel:
     def hit_mask(self, lines: np.ndarray) -> np.ndarray:
         """:func:`lru_hits` of ``lines`` through this level, cold."""
         return lru_hits(lines, self.config.num_sets, self.config.ways)
+
+    def miss_stream(self, lines: Sequence[int], warm: int = 0):
+        """Play ``lines`` through this level, cold, and count the
+        references from ``warm`` on: ``(warm-up misses, measured
+        misses)``, the lines that missed before and from ``warm``."""
+        lines = np.asarray(lines, dtype=np.int64)
+        hits = self.hit_mask(lines)
+        self.count(hits[warm:])
+        np.logical_not(hits, out=hits)
+        return lines[:warm][hits[:warm]], lines[warm:][hits[warm:]]
 
     def count(self, hits: np.ndarray) -> None:
         """Set the counts from the hit mask of the measured references."""
@@ -408,16 +535,18 @@ class CacheHierarchy:
         ``llc_prewarm`` lines, then the L2 misses.  Every counter is
         replaced by the counts of the measured phase alone.
         """
-        fetch = np.asarray(fetch, dtype=np.int64)
-        data = np.asarray(data, dtype=np.int64)
-        l1i_hits = self.l1i.hit_mask(fetch)
-        l1d_hits = self.l1d.hit_mask(data)
-        l1_misses = [
-            fetch[:fetch_warm][~l1i_hits[:fetch_warm]],
-            data[:data_warm][~l1d_hits[:data_warm]],
-            fetch[fetch_warm:][~l1i_hits[fetch_warm:]],
-            data[data_warm:][~l1d_hits[data_warm:]],
-        ]
+        self.walk_misses(self.l1i.miss_stream(fetch, fetch_warm),
+                         self.l1d.miss_stream(data, data_warm),
+                         llc_prewarm)
+
+    def walk_misses(self, fetch_misses, data_misses,
+                    llc_prewarm: Sequence[int] = ()) -> None:
+        """The part of :meth:`walk` below the L1s, which have played
+        their streams already: ``fetch_misses`` and ``data_misses`` are
+        the L1I's and the L1D's :meth:`CacheLevel.miss_stream`, so the
+        traces themselves need not outlive their L1."""
+        l1_misses = [fetch_misses[0], data_misses[0], fetch_misses[1],
+                     data_misses[1]]
         warm_end = len(l1_misses[0]) + len(l1_misses[1])
         fetch_end = warm_end + len(l1_misses[2])
         l2_stream = np.concatenate(l1_misses)
@@ -433,8 +562,6 @@ class CacheHierarchy:
             served[~l2_hits] = np.where(l3_hits, 1, 2)
             measured = served[warm_end:]
             self.l3.count(measured[measured != 0] == 1)
-        self.l1i.count(l1i_hits[fetch_warm:])
-        self.l1d.count(l1d_hits[data_warm:])
         self.l2.count(l2_hits[warm_end:])
         self.fetch_fills = _count_fills(served[warm_end:fetch_end])
         self.data_fills = _count_fills(served[fetch_end:])

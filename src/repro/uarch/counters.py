@@ -21,6 +21,7 @@ from typing import Callable, Dict, Iterable, List
 import numpy as np
 
 from repro.uarch.branch import BranchStats, BranchStreamGenerator, simulate_branches
+from repro.uarch.cache import resident_lines
 from repro.uarch.isa import (
     InstructionClass,
     InstructionMix,
@@ -333,19 +334,30 @@ def characterize(
     warm_for_state = int(2.5 * state_lines / state_fraction)
     n_data_warm = max(n_data, min(warm_for_state, 300_000))
 
+    # --- Warm-up, then measured phase -------------------------------------
+    # Each trace goes through its L1 and its TLB and is dropped before
+    # the next one is generated; the L2 and L3 see only the L1 misses.
+    hierarchy = platform.make_hierarchy()
     fetch_trace = generate_fetch_trace(
         profile.code, n_fetch_warm + n_fetch, seed=seed
     )
+    fetch_misses = hierarchy.l1i.miss_stream(fetch_trace, n_fetch_warm)
+    itlb_misses = tlb_misses(fetch_trace, platform.itlb, start=n_fetch_warm)
+    del fetch_trace
     data_trace = generate_data_trace(
         profile.data, n_data_warm + n_data, seed=seed + 1
     )
+    data_misses = hierarchy.l1d.miss_stream(data_trace, n_data_warm)
+    dtlb_misses = tlb_misses(data_trace, platform.dtlb, start=n_data_warm)
+    del data_trace
 
     # --- Resident-region LLC pre-warm ------------------------------------
     # The paper samples after a 30-second ramp-up, by which time the code
     # and resident data state have long been pulled into the last-level
     # cache.  The sampled trace window is far too short to reproduce that
     # history, so touch each resident line once in the LLC (streams stay
-    # cold: their misses are genuinely compulsory).
+    # cold: their misses are genuinely compulsory).  Only the lines the
+    # LLC still holds afterwards are fed to it (``resident_lines``).
     llc_prewarm = np.zeros(0, dtype=np.int64)
     if platform.l3 is not None:
         budget = 2 * platform.l3.num_sets * platform.l3.ways
@@ -353,18 +365,12 @@ def characterize(
         data_ranges = data_line_ranges(profile.data)
         prewarm_ranges.append(data_ranges["hot"])
         prewarm_ranges.append(data_ranges["state"])
-        llc_prewarm = np.concatenate([
-            np.arange(base, base + min(n_lines, budget), dtype=np.int64)
-            for base, n_lines in prewarm_ranges
-        ])
-
-    # --- Warm-up, then measured phase -------------------------------------
-    hierarchy = platform.make_hierarchy()
-    hierarchy.walk(
-        fetch_trace, data_trace, n_fetch_warm, n_data_warm, llc_prewarm
-    )
-    itlb_misses = tlb_misses(fetch_trace, platform.itlb, start=n_fetch_warm)
-    dtlb_misses = tlb_misses(data_trace, platform.dtlb, start=n_data_warm)
+        llc_prewarm = resident_lines(
+            [(base, min(n_lines, budget)) for base, n_lines in prewarm_ranges],
+            platform.l3.num_sets, platform.l3.ways,
+        )
+    hierarchy.walk_misses(fetch_misses, data_misses, llc_prewarm)
+    del fetch_misses, data_misses, llc_prewarm
 
     instructions = float(sample_instructions)
 

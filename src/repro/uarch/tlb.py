@@ -18,6 +18,13 @@ from repro.uarch.profile import LINE_BYTES, PAGE_BYTES
 #: Cache lines per page, used to convert line traces into page traces.
 LINES_PER_PAGE = PAGE_BYTES // LINE_BYTES
 
+#: A line's page is the line shifted right by this many bits.
+_PAGE_SHIFT = LINES_PER_PAGE.bit_length() - 1
+assert LINES_PER_PAGE == 1 << _PAGE_SHIFT
+
+#: References turned into pages at a time.
+_PAGE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class TlbConfig:
@@ -46,6 +53,31 @@ class TlbConfig:
 
 def tlb_misses(lines: np.ndarray, config: TlbConfig, start: int = 0) -> int:
     """Misses of a cold TLB among the references ``lines[start:]`` of a
-    cache-line trace (the first ``start`` references only warm it)."""
-    pages = np.asarray(lines, dtype=np.int64) // LINES_PER_PAGE
-    return lru_misses(pages, config.num_sets, config.ways, start=start)
+    cache-line trace (the first ``start`` references only warm it).
+
+    A reference to the page of the reference just before it hits and
+    leaves the LRU order as it was, so such references are dropped
+    before the kernel runs; the pages are built a block at a time, and
+    are int32 whenever they fit."""
+    lines = np.asarray(lines, dtype=np.int64)
+    if len(lines) == 0:
+        return 0
+    fits = (int(lines.min()) >> _PAGE_SHIFT >= -2**31
+            and int(lines.max()) >> _PAGE_SHIFT < 2**31)
+    page_type = np.int32 if fits else np.int64
+    kept = []
+    warm = 0
+    for begin in range(0, len(lines), _PAGE_BLOCK):
+        block = np.empty(min(_PAGE_BLOCK, len(lines) - begin),
+                         dtype=page_type)
+        np.right_shift(lines[begin:begin + len(block)], _PAGE_SHIFT,
+                       out=block, casting="unsafe")
+        new = np.empty(len(block), dtype=bool)
+        new[0] = not kept or block[0] != kept[-1][-1]
+        np.not_equal(block[1:], block[:-1], out=new[1:])
+        if begin < start:
+            warm += int(np.count_nonzero(new[:start - begin]))
+        kept.append(block[new])
+    pages = np.concatenate(kept)
+    del kept
+    return lru_misses(pages, config.num_sets, config.ways, start=warm)

@@ -230,10 +230,12 @@ def _stream_refs(
         trim = rng.choice(candidates, size=min(-deficit, candidates.size))
         np.subtract.at(repeats, trim, 1)
     trace = np.repeat(new_lines, np.maximum(repeats, 1))[:n_stream]
+    del new_lines, repeats
     # Small random back-jitter: re-references land on recently touched
     # lines rather than strictly the current one.
-    jitter = rng.integers(0, 3, size=trace.size)
-    return np.maximum(trace - jitter, 0)
+    trace -= rng.integers(0, 3, size=trace.size)
+    np.maximum(trace, 0, out=trace)
+    return trace
 
 
 def _scrambled_page_lines(lines: int) -> np.ndarray:
@@ -255,29 +257,57 @@ def _scrambled_page_lines(lines: int) -> np.ndarray:
 def _skewed_refs(
     n: int, lines: int, zipf: float, rng: np.random.Generator
 ) -> np.ndarray:
-    """Power-law-skewed references over ``lines``.
+    """``n`` power-law-skewed references over ``lines``
+    (:func:`_place_skewed` into a fresh array)."""
+    ranks = np.empty(n, dtype=np.int64)
+    _place_skewed(ranks, None, lines, zipf, rng)
+    return ranks
+
+
+def _place_skewed(
+    trace: np.ndarray,
+    where,
+    lines: int,
+    zipf: float,
+    rng: np.random.Generator,
+    base: int = 0,
+) -> None:
+    """Write power-law-skewed references over ``lines``, plus ``base``,
+    into ``trace`` at the positions the mask ``where`` marks (every
+    position when None), in order.
 
     Hot ranks are scrambled at *page* granularity: hot lines stay
     clustered within hot pages (allocators and hash tables have page-
     level locality, which the TLB exploits) while hot pages scatter
     across cache sets.  A rank's page is a shift and its offset a mask;
     its scrambled page is one gather from :func:`_scrambled_page_lines`.
+    The draws are made for :data:`_DRAW_BLOCK` positions at a time
+    (``rng.random`` draws the same numbers in blocks as in one call), so
+    nothing but ``trace`` is as long as the trace.
     """
     alpha = min(zipf, 0.95)
     gamma = 1.0 / (1.0 - alpha)
-    skew = rng.random(n)
-    np.power(skew, gamma, out=skew)
-    skew *= lines
-    np.floor(skew, out=skew)
-    ranks = skew.astype(np.int64)
-    del skew
-    np.minimum(ranks, lines - 1, out=ranks)
-    if lines <= _LINES_PER_PAGE:
-        return ranks
-    pages = ranks >> _PAGE_SHIFT
-    ranks &= _LINES_PER_PAGE - 1
-    ranks |= _scrambled_page_lines(lines)[pages]
-    return ranks
+    pages = _scrambled_page_lines(lines) if lines > _LINES_PER_PAGE else None
+    for start in range(0, len(trace), _DRAW_BLOCK):
+        out = trace[start:start + _DRAW_BLOCK]
+        mask = None if where is None else where[start:start + _DRAW_BLOCK]
+        skew = rng.random(
+            len(out) if mask is None else int(np.count_nonzero(mask)))
+        np.power(skew, gamma, out=skew)
+        skew *= lines
+        np.floor(skew, out=skew)
+        ranks = skew.astype(np.int64)
+        del skew
+        np.minimum(ranks, lines - 1, out=ranks)
+        if pages is not None:
+            page = ranks >> _PAGE_SHIFT
+            ranks &= _LINES_PER_PAGE - 1
+            ranks |= pages[page]
+        ranks += base
+        if mask is None:
+            out[:] = ranks
+        else:
+            out[mask] = ranks
 
 
 def generate_data_trace(
@@ -323,32 +353,36 @@ def generate_data_trace(
         raise ValueError("data footprint has no referencable region")
     fractions /= fractions.sum()
     # The kind of each reference is draw_categories' comparison sum:
-    # hot below cdf[0], stream from cdf[1], state in between.
+    # hot below cdf[0], stream from cdf[1], state in between.  Each kind
+    # is drawn, placed and dropped in turn.
     cdf = category_cdf(fractions)
-    u = rng.random(n_refs)
-    beyond_hot = u >= cdf[0]
-    stream = u >= cdf[1]
-    del u
+    beyond_hot = np.empty(n_refs, dtype=bool)
+    stream = np.empty(n_refs, dtype=bool)
+    for start in range(0, n_refs, _DRAW_BLOCK):
+        u = rng.random(min(_DRAW_BLOCK, n_refs - start))
+        np.greater_equal(u, cdf[0], out=beyond_hot[start:start + len(u)])
+        np.greater_equal(u, cdf[1], out=stream[start:start + len(u)])
     n_beyond_hot = int(np.count_nonzero(beyond_hot))
     n_stream = int(np.count_nonzero(stream))
     counts = (n_refs - n_beyond_hot, n_beyond_hot - n_stream, n_stream)
 
-    hot = _skewed_refs(max(1, counts[0]), hot_lines, 0.3, rng)
-    state = _skewed_refs(
-        max(1, counts[1]), state_lines, data.state_zipf, rng
-    )
+    trace = np.empty(n_refs, dtype=np.int64)
+    # Each kind draws at least one reference, placed or not.
+    if counts[0]:
+        _place_skewed(trace, ~beyond_hot, hot_lines, 0.3, rng, hot_base)
+    else:
+        _skewed_refs(1, hot_lines, 0.3, rng)
+    # stream is a subset of beyond_hot, so their exclusive or is state.
+    is_state = np.logical_xor(beyond_hot, stream, out=beyond_hot)
+    if counts[1]:
+        _place_skewed(trace, is_state, state_lines, data.state_zipf, rng,
+                      state_base)
+    else:
+        _skewed_refs(1, state_lines, data.state_zipf, rng)
+    del is_state
     streamed = _stream_refs(
         max(1, counts[2]), stream_lines, data.stream_reuse, rng
     )
-
-    hot += hot_base
-    state += state_base
     streamed += stream_base
-    trace = np.empty(n_refs, dtype=np.int64)
     trace[stream] = streamed[: counts[2]]
-    # stream is a subset of beyond_hot, so their exclusive or is state.
-    is_state = np.logical_xor(beyond_hot, stream, out=stream)
-    trace[is_state] = state[: counts[1]]
-    is_hot = np.logical_not(beyond_hot, out=beyond_hot)
-    trace[is_hot] = hot[: counts[0]]
     return trace

@@ -79,6 +79,16 @@ class SetAssociativeCache:
         self.hits = 0
         self.misses = 0
 
+    def miss_stream(self, lines: Iterable[int], warm: int = 0):
+        """:meth:`repro.uarch.cache.CacheLevel.miss_stream`, one
+        reference at a time: ``(warm-up misses, measured misses)``, with
+        the counters holding the measured references alone."""
+        lines = [int(line) for line in lines]
+        warm_misses = [line for line in lines[:warm] if not self.access(line)]
+        self.reset_stats()
+        return warm_misses, [
+            line for line in lines[warm:] if not self.access(line)]
+
     def flush(self) -> None:
         """Empty the cache and zero the counters."""
         self._sets = [[] for _ in range(self._num_sets)]
@@ -194,6 +204,22 @@ class ScalarHierarchy:
         for line in data[data_warm:]:
             self.load_store(line)
 
+    def walk_misses(self, fetch_misses, data_misses,
+                    llc_prewarm=()) -> None:
+        """:meth:`CacheHierarchy.walk_misses`, one reference at a time:
+        the L1s have played their streams (:meth:`SetAssociativeCache.
+        miss_stream`), and their misses go through L2 and L3 in the
+        order :meth:`walk` makes."""
+        if self.l3 is not None:
+            for line in llc_prewarm:
+                self.l3.access(int(line))
+        for phase in (0, 1):
+            self._reset_below_l1()
+            for line in fetch_misses[phase]:
+                self._fill_from_l2(int(line), self.fetch_fills)
+            for line in data_misses[phase]:
+                self._fill_from_l2(int(line), self.data_fills)
+
     def stats(self):
         levels = [
             LevelStats("L1I", self.l1i.accesses, self.l1i.misses),
@@ -205,7 +231,12 @@ class ScalarHierarchy:
         return levels
 
     def reset_stats(self) -> None:
-        for cache in (self.l1i, self.l1d, self.l2, self.l3):
+        self.l1i.reset_stats()
+        self.l1d.reset_stats()
+        self._reset_below_l1()
+
+    def _reset_below_l1(self) -> None:
+        for cache in (self.l2, self.l3):
             if cache is not None:
                 cache.reset_stats()
         self.offcore_accesses = 0

@@ -1,11 +1,14 @@
 """Unit, property-based and differential tests for the cache simulator."""
 
+import contextlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.uarch import cache as cache_module
 from repro.uarch.cache import (
     CacheConfig,
     CacheHierarchy,
@@ -14,6 +17,7 @@ from repro.uarch.cache import (
     lru_hits_full,
     lru_misses,
     lru_sweep_misses,
+    resident_lines,
 )
 from tests.cache_oracle import (
     ScalarHierarchy,
@@ -461,3 +465,129 @@ class TestCacheHierarchy:
         hierarchy.walk([], [5])
         assert hierarchy.data_fills["mem"] == 1
         assert len(hierarchy.stats()) == 3
+
+
+class TestBlockedKernel:
+    """``lru_hits`` past its set sort works one block of whole sets at a
+    time; shrinking the block makes every trace span several blocks."""
+
+    @staticmethod
+    @contextlib.contextmanager
+    def blocks_of(refs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cache_module, "_BLOCK_REFS", refs)
+            yield
+
+    @given(lru_cases(), st.sampled_from([1, 3, 16, 64]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_scalar_cache_across_blocks(self, case, block):
+        trace, num_sets, ways = case
+        with self.blocks_of(block):
+            hits = lru_hits(trace, num_sets, ways)
+        assert hits.tolist() == oracle_hits(trace, num_sets, ways)
+
+    @given(lru_cases(max_sets=12), st.sampled_from([1, 5, 32]),
+           st.integers(1, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_matches_scalar_cache_across_blocks(self, case, block,
+                                                      extra_sets, data):
+        trace, num_sets, ways = case
+        start = data.draw(st.integers(0, len(trace)))
+        set_counts = [num_sets, num_sets + extra_sets, 2 * num_sets]
+        with self.blocks_of(block):
+            misses = lru_sweep_misses(trace, set_counts, ways, start)
+        for count, got in zip(set_counts, misses):
+            expected = oracle_hits(trace, count, ways)[start:]
+            assert got == len(expected) - sum(expected)
+
+    def test_set_larger_than_a_block(self):
+        rng = np.random.default_rng(5)
+        # Set 0 receives 700 references, the others a few each.
+        trace = np.concatenate([
+            4 * rng.integers(0, 20, 700), 1 + 4 * rng.integers(0, 9, 60),
+            2 + 4 * rng.integers(0, 3, 30)])
+        rng.shuffle(trace)
+        with self.blocks_of(64):
+            hits = lru_hits(trace, 4, 8)
+        assert hits.tolist() == oracle_hits(trace, 4, 8)
+
+    def test_l3_geometry_across_blocks(self):
+        """L3's 12,288 sets (not a power of two), crowded and not."""
+        rng = np.random.default_rng(12288)
+        trace = rng.integers(0, 12288 * 20, 6000)
+        trace[::3] = rng.integers(0, 12288 * 2, 2000)
+        with self.blocks_of(256):
+            hits = lru_hits(trace, 12288, 16)
+        assert hits.tolist() == oracle_hits(trace, 12288, 16)
+
+    @pytest.mark.parametrize("trace", [[], [7]])
+    def test_empty_and_one_reference(self, trace):
+        with self.blocks_of(1):
+            assert lru_hits(trace, 12288, 16).tolist() == [False] * len(trace)
+            assert lru_sweep_misses(trace, [64, 12288], 8) == [len(trace)] * 2
+
+    def test_int32_lines_match_int64(self):
+        trace = np.random.default_rng(3).integers(0, 5000, 3000)
+        with self.blocks_of(100):
+            assert np.array_equal(lru_hits(trace.astype(np.int32), 64, 8),
+                                  lru_hits(trace, 64, 8))
+
+    def test_blocks_halve_the_peak_of_an_l1d_call(self):
+        """An L1D-shaped call (about 380k references, 64 sets x 8 ways)
+        peaks below half of what it peaks at as one block."""
+        rng = np.random.default_rng(64)
+        trace = (1 << 24) + rng.zipf(1.2, 380_000) % 40_000
+        lru_hits(trace[:100_000], 64, 8)  # load whatever numpy loads lazily
+
+        def peak():
+            tracemalloc.start()
+            try:
+                hits = lru_hits(trace, 64, 8)
+                return hits, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        blocked, blocked_peak = peak()
+        with self.blocks_of(1 << 30):
+            whole, whole_peak = peak()
+        assert np.array_equal(blocked, whole)
+        assert blocked_peak < whole_peak / 2
+
+
+def full_ranges(ranges):
+    return np.array([line for base, n in ranges
+                     for line in range(base, base + n)], dtype=np.int64)
+
+
+class TestResidentLines:
+    @given(st.integers(1, 13), st.integers(1, 5),
+           st.lists(st.tuples(st.integers(0, 30), st.integers(0, 90)),
+                    max_size=5),
+           st.booleans(), st.lists(st.integers(0, 400), max_size=120))
+    @settings(max_examples=150, deadline=None)
+    def test_leaves_the_state_the_ranges_leave(self, num_sets, ways, gaps,
+                                               shuffle, tail):
+        """Every later reference has the outcome it has after the whole
+        ranges, disjoint (in any order) or, when shuffled with a repeat,
+        overlapping."""
+        ranges, base = [], 0
+        for gap, n in gaps:
+            ranges.append((base + gap, n))
+            base += gap + n
+        if shuffle and ranges:
+            ranges = ranges[::-1] + [ranges[0]]
+        resident = resident_lines(ranges, num_sets, ways)
+        full = full_ranges(ranges)
+        got = lru_hits(np.concatenate([resident, tail]).astype(np.int64),
+                       num_sets, ways)[len(resident):]
+        assert got.tolist() == oracle_hits(
+            np.concatenate([full, tail]), num_sets, ways)[len(full):]
+        assert (len(resident) <= num_sets * ways
+                or len(resident) == len(full))
+
+    def test_keeps_only_what_fits(self):
+        # The last range fills all 4 x 2 ways, so nothing of the first stays.
+        assert resident_lines([(0, 1000), (5000, 10)], 4, 2).tolist() == [
+            5002, 5003, 5004, 5005, 5006, 5007, 5008, 5009]
+        assert resident_lines([(0, 1000), (5000, 2)], 4, 2).tolist() == [
+            994, 995, 996, 997, 998, 999, 5000, 5001]
