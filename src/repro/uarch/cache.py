@@ -66,7 +66,9 @@ class CacheConfig:
 #: References :func:`lru_hits` finishes at a time once its set sort is
 #: done: each block holds whole sets and about this many references (a
 #: set that receives more is a block of its own), so every array past
-#: the sort is block-sized.  A trace of at most this many is one block.
+#: the sort is block-sized.  A trace of at most two blocks is finished
+#: whole, as before blocks existed, so the Fig 6-9 sweeps (traces of
+#: 40k-80k references) keep their cost.
 _BLOCK_REFS = 1 << 16
 
 
@@ -117,9 +119,8 @@ def lru_hits(lines: Sequence[int], num_sets: int, ways: int) -> np.ndarray:
     hits = np.ones(len(lines), dtype=bool)
     if len(lines) == 0:
         return hits
-    if len(lines) <= _BLOCK_REFS:
-        order, sets = _stable_order(_set_index(lines, num_sets), num_sets)
-        _block_hits(hits, lines, order, num_sets, ways, sets)
+    if len(lines) <= 2 * _BLOCK_REFS:
+        _block_hits(hits, lines, None, num_sets, ways)
         return hits
     order, ends = _set_blocks(lines, num_sets)
     begin = 0
@@ -166,13 +167,18 @@ def _or_positions(packed: np.ndarray) -> None:
         block |= np.arange(start, start + len(block), dtype=packed.dtype)
 
 
-def _block_hits(hits: np.ndarray, lines: np.ndarray, order: np.ndarray,
-                num_sets: int, ways: int, sets: np.ndarray = None) -> None:
+def _block_hits(hits: np.ndarray, lines: np.ndarray, order,
+                num_sets: int, ways: int) -> None:
     """Steps 1-4 of :func:`lru_hits` for whole sets, whose references
-    are ``lines[order]`` in set order (``sets``, if given, holds the set
-    of each).  Writes their outcomes into ``hits``."""
-    seq = lines[order]
-    if sets is None:
+    are ``lines[order]`` in set order; ``order`` None stands for all of
+    ``lines``, whose set sort is then made here, so that no caller holds
+    the full-length order and sets past step 1.  Writes their outcomes
+    into ``hits``."""
+    if order is None:
+        order, sets = _stable_order(_set_index(lines, num_sets), num_sets)
+        seq = lines[order]
+    else:
+        seq = lines[order]
         sets = _set_index(seq, num_sets)
     kept = np.empty(len(seq), dtype=bool)
     kept[0] = True

@@ -67,14 +67,16 @@ def tlb_misses(lines: np.ndarray, config: TlbConfig, start: int = 0) -> int:
     page_type = np.int32 if fits else np.int64
     kept = []
     warm = 0
+    last = None
     for begin in range(0, len(lines), _PAGE_BLOCK):
         block = np.empty(min(_PAGE_BLOCK, len(lines) - begin),
                          dtype=page_type)
         np.right_shift(lines[begin:begin + len(block)], _PAGE_SHIFT,
                        out=block, casting="unsafe")
         new = np.empty(len(block), dtype=bool)
-        new[0] = not kept or block[0] != kept[-1][-1]
+        new[0] = last is None or block[0] != last
         np.not_equal(block[1:], block[:-1], out=new[1:])
+        last = block[-1]
         if begin < start:
             warm += int(np.count_nonzero(new[:start - begin]))
         kept.append(block[new])

@@ -537,7 +537,7 @@ class TestBlockedKernel:
         peaks below half of what it peaks at as one block."""
         rng = np.random.default_rng(64)
         trace = (1 << 24) + rng.zipf(1.2, 380_000) % 40_000
-        lru_hits(trace[:100_000], 64, 8)  # load whatever numpy loads lazily
+        lru_hits(trace[:200_000], 64, 8)  # load whatever numpy loads lazily
 
         def peak():
             tracemalloc.start()

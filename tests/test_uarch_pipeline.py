@@ -15,6 +15,7 @@ from repro.uarch import (
     characterize,
 )
 import repro.uarch.counters as counters_module
+import repro.uarch.tlb as tlb_module
 from repro.comparison import SUITES
 from repro.experiments import ExperimentContext
 from repro.experiments.counter_figures import FIG3, FIG4, FIG5
@@ -93,6 +94,17 @@ class TestTlb:
         warm = tlb.misses
         tlb.run(pages[3:])
         assert tlb_misses(lines, config, start=3) == tlb.misses - warm
+
+    def test_tlb_misses_across_page_blocks(self, monkeypatch):
+        # Blocks of 4 references: the second block repeats one page
+        # throughout, so none of its references is kept.
+        monkeypatch.setattr(tlb_module, "_PAGE_BLOCK", 4)
+        config = TlbConfig("t", entries=4, ways=2)
+        pages = [0, 1, 2, 3, 3, 3, 3, 3, 4, 0, 2, 6, 3]
+        lines = [page * LINES_PER_PAGE + i % 3 for i, page in enumerate(pages)]
+        for start in (0, 5, 9):
+            assert (tlb_misses(lines, config, start=start)
+                    == oracle_tlb_misses(lines, config, start=start))
 
 
 class TestPlatforms:
