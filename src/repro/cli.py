@@ -1,10 +1,11 @@
 """Command-line interface: ``python -m repro <verb>``; ``--help`` lists the verbs.
 
 Every verb is one row of :data:`VERBS`: its name, help, handler, own
-arguments and the shared flag sets it takes (``--seed`` with the verb's
-default, ``--json``, the executor flags).  :func:`build_parser` and
-:func:`main` both read that table, and each numeric flag carries its
-own range check, so bad input is refused before any work starts.
+arguments (``fig``, ``table`` and ``stacks`` share one ``--jobs``) and
+the shared flags it takes (``--seed`` with the verb's default,
+``--json``).  :func:`build_parser` and :func:`main` both read that
+table, and each numeric flag carries its own range check, so bad input
+is refused before any work starts.
 
 At module level this file imports only the standard library and
 :mod:`repro.errors`, so parsing (and ``--help``) loads no simulator
@@ -126,83 +127,21 @@ def _record(args, experiment: str, kind: str, metrics, platforms=(),
     )
 
 
-# ---- the executor -----------------------------------------------------------
-def _run_sweep(args, name: str, config: dict, n_cells: int, run):
-    """One executor run with its checkpoint and span tracer.
+# ---- the --jobs prime -------------------------------------------------------
+def _prime_context(args, context: ExperimentContext, cells) -> None:
+    """Characterize a verb's cells in ``--jobs`` worker processes first.
 
-    Opens the checkpoint under ``<runs dir>/sweeps/`` and the
-    per-process span files (drawing the live status line from the
-    supervisor's records under ``--progress``, or by default on a
-    tty), calls ``run(checkpoint, tracer)``, closes the tracer and
-    merges the spans into one Chrome trace.  The tracer is passive:
-    the results are bit-identical either way.  Returns
-    ``(outcome, counters)``; the span writers' drop counters prove or
-    disprove silent telemetry loss.
+    Only engages for ``--jobs > 1``.  Nothing is checkpointed or
+    traced: the primed context is bit-identical to one the in-process
+    fill fills, and quarantined cells fall back to that fill.
     """
-    from repro.exec.checkpoint import SweepCheckpoint, sweep_id
-    from repro.exec.tracing import SweepTracer, merge_sweep_trace
-    from repro.obs.registry import config_hash
-    from repro.obs.stream import TerminalRenderer
-
-    chash = config_hash(config)
-    key = sweep_id(name, chash, args.seed)
-    checkpoint = SweepCheckpoint(args.runs_dir, key)
-    if args.resume and not checkpoint.exists():
-        print("no checkpoint for this sweep config yet; starting fresh",
-              file=sys.stderr)
-    checkpoint.initialise(config_hash=chash, seed=args.seed, config=config,
-                          n_cells=n_cells)
-    line = args.progress if args.progress is not None else sys.stderr.isatty()
-    renderer = TerminalRenderer() if line else None
-    tracer = SweepTracer(checkpoint.trace_dir,
-                         listener=renderer and renderer.update)
-    try:
-        outcome = run(checkpoint, tracer)
-    finally:
-        tracer.close()
-        if renderer is not None:
-            renderer.close()
-    try:
-        n_events, n_flows = merge_sweep_trace(tracer.trace_dir,
-                                              checkpoint.trace_path)
-    except TraceMergeError as error:
-        print(f"warning: could not merge sweep trace: {error}",
-              file=sys.stderr)
-    else:
-        print(f"merged sweep trace: {n_events} event(s), {n_flows} "
-              f"retry flow link(s) -> {checkpoint.trace_path}",
-              file=sys.stderr if args.json else sys.stdout)
-    return outcome, tracer.telemetry()
-
-
-def _prime_context(args, context: ExperimentContext, name: str,
-                   cells) -> None:
-    """Fan a verb's characterization cells out across worker processes.
-
-    Only engages for ``--jobs > 1`` (or ``--resume``); the primed
-    context is bit-identical to a serially filled one, and quarantined
-    cells fall back to in-process computation.
-    """
-    if args.jobs <= 1 and not args.resume:
+    if args.jobs <= 1:
         return
-    config = {
-        "verb": name,
-        "pairs": sorted([w, p.name] for w, p in cells),
-        "scale": args.scale,
-        "seed": args.seed,
-    }
-    outcome, counters = _run_sweep(
-        args, name, config, len(cells),
-        lambda checkpoint, tracer: context.prime(
-            cells, jobs=args.jobs, cell_timeout=args.cell_timeout,
-            checkpoint=checkpoint, resume=args.resume, tracer=tracer,
-        ),
-    )
-    context.add_telemetry(counters)
+    outcome = context.prime(cells, jobs=args.jobs)
     if outcome.quarantined:
         print(
             f"warning: {len(outcome.quarantined)} sweep cell(s) "
-            f"quarantined; they will be computed serially in-process:\n"
+            f"quarantined; they will be computed in-process:\n"
             f"{outcome.render_quarantine()}",
             file=sys.stderr,
         )
@@ -225,7 +164,7 @@ def _experiment(args, name: str, run, *, cells=(), series: bool = False,
 
     context = ExperimentContext(scale=args.scale, seed=args.seed)
     if cells:
-        _prime_context(args, context, name, cells)
+        _prime_context(args, context, cells)
     result = run(context)
     record = context.make_record(
         name, result.fidelity_metrics(),
@@ -323,7 +262,7 @@ def _cmd_list(args) -> int:
 def _cmd_run(args) -> int:
     from repro.cluster.cluster import Cluster
     from repro.exec.cells import platform_for
-    from repro.uarch.counters import characterize
+    from repro.uarch.counters import characterization_seed, characterize
     from repro.workloads import workload
 
     definition = workload(args.workload)
@@ -332,7 +271,8 @@ def _cmd_run(args) -> int:
           file=sys.stderr)
     result = definition.runner(scale=args.scale, seed=args.seed,
                                cluster=Cluster() if args.cluster else None)
-    counters = characterize(result.profile, platform, seed=1234 + args.seed)
+    counters = characterize(result.profile, platform,
+                            seed=characterization_seed(args.seed))
     metrics = dict(counters.metric_dict())
     if result.system is not None:
         for name, value in result.system.to_dict().items():
@@ -433,8 +373,12 @@ def _cmd_profile(args) -> int:
 def _cmd_sweep(args) -> int:
     """The supervised parallel sweep over workload x platform x seed."""
     from repro.exec.cells import PLATFORM_KEYS, decompose, platform_for
+    from repro.exec.checkpoint import SweepCheckpoint, sweep_id
     from repro.exec.merge import merge_results, telemetry_lines
     from repro.exec.supervisor import SweepExecutor
+    from repro.exec.tracing import SweepTracer, merge_sweep_trace
+    from repro.obs.registry import config_hash
+    from repro.obs.stream import TerminalRenderer
     from repro.workloads import REPRESENTATIVE_WORKLOADS, workload
 
     if args.workloads:
@@ -460,13 +404,42 @@ def _cmd_sweep(args) -> int:
         "scale": args.scale,
         "seeds": seeds,
     }
-    outcome, counters = _run_sweep(
-        args, args.name or "sweep", config, len(cells),
-        lambda checkpoint, tracer: SweepExecutor(
+    # The checkpoint under ``<runs dir>/sweeps/`` and the per-process
+    # span files (the live status line draws from the supervisor's
+    # records under --progress, or by default on a tty).  The tracer
+    # is passive: the results are bit-identical either way, and its
+    # writers' drop counters join the telemetry.
+    chash = config_hash(config)
+    checkpoint = SweepCheckpoint(
+        args.runs_dir, sweep_id(args.name or "sweep", chash, args.seed))
+    if args.resume and not checkpoint.exists():
+        print("no checkpoint for this sweep config yet; starting fresh",
+              file=sys.stderr)
+    checkpoint.initialise(config_hash=chash, seed=args.seed, config=config,
+                          n_cells=len(cells))
+    line = args.progress if args.progress is not None else sys.stderr.isatty()
+    renderer = TerminalRenderer() if line else None
+    tracer = SweepTracer(checkpoint.trace_dir,
+                         listener=renderer and renderer.update)
+    try:
+        outcome = SweepExecutor(
             jobs=args.jobs, cell_timeout=args.cell_timeout, tracer=tracer,
-        ).run(cells, checkpoint=checkpoint, resume=args.resume),
-    )
-    outcome.telemetry.update(counters)
+        ).run(cells, checkpoint=checkpoint, resume=args.resume)
+    finally:
+        tracer.close()
+        if renderer is not None:
+            renderer.close()
+    try:
+        n_events, n_flows = merge_sweep_trace(tracer.trace_dir,
+                                              checkpoint.trace_path)
+    except TraceMergeError as error:
+        print(f"warning: could not merge sweep trace: {error}",
+              file=sys.stderr)
+    else:
+        print(f"merged sweep trace: {n_events} event(s), {n_flows} "
+              f"retry flow link(s) -> {checkpoint.trace_path}",
+              file=sys.stderr if args.json else sys.stdout)
+    outcome.telemetry.update(tracer.telemetry())
     if outcome.quarantined:
         print(
             f"sweep incomplete: {len(outcome.quarantined)} of "
@@ -860,21 +833,12 @@ _SCALE = _arg("--scale", type=float, default=0.5,
 _WORKLOAD = _arg("workload", help="workload id, e.g. S-WordCount")
 _PLATFORM = _arg("--platform", choices=("e5645", "d510"), default="e5645")
 
-_EXECUTOR_ARGS = (
-    _arg("--jobs", type=int, default=1, metavar="N", check=_ONE_PLUS,
-         help="worker processes for the characterization sweep "
-              "(default 1: serial in-process)"),
-    _arg("--cell-timeout", type=float, default=None, metavar="S",
-         check=_POSITIVE,
-         help="wall-clock seconds one sweep cell may take before its "
-              "worker is SIGKILLed and the cell retried (default 300)"),
-    _arg("--resume", action="store_true",
-         help="resume from this configuration's sweep checkpoint, "
-              "re-running only incomplete cells"),
-    _arg("--progress", action=argparse.BooleanOptionalAction, default=None,
-         help="force the live progress line on (or off with "
-              "--no-progress); default: on when stderr is a tty"),
-)
+#: A counter verb's only executor flag.
+_PRIME_JOBS = _arg(
+    "--jobs", type=int, default=1, metavar="N", check=_ONE_PLUS,
+    help="first characterize the verb's cells in N worker processes, "
+         "with no checkpoint; the in-process fill then computes the rest "
+         "on every CPU (default 1: the fill alone)")
 
 _RECORD_JSON = "emit the registry run-record schema instead of a table"
 
@@ -892,8 +856,6 @@ class Verb:
     seed_help: Optional[str] = None
     #: the ``--json`` help; None means no ``--json``
     json_help: Optional[str] = None
-    #: takes --jobs/--cell-timeout/--resume/--progress
-    executor: bool = False
     #: cross-argument validation, run with the range checks
     check: Optional[Callable] = None
 
@@ -903,7 +865,7 @@ class Verb:
             "--seed", type=int, default=self.seed, check=_NONNEG,
             help=self.seed_help,
         ),)
-        return self.args + extra + (_EXECUTOR_ARGS if self.executor else ())
+        return self.args + extra
 
 
 VERBS = (
@@ -932,11 +894,13 @@ VERBS = (
     Verb("fig", "regenerate a figure", _cmd_fig, (
         _arg("figure", check=(lambda f: f in _FIGURES, "1-5 or 'locality'"),
              help="1-5 or 'locality' (6-9)"),
-    ), seed=0, executor=True),
+        _PRIME_JOBS,
+    ), seed=0),
     Verb("table", "regenerate a table", _cmd_table, (
         _arg("table", check=(lambda t: t in _TABLES, "1, 2 or 4"),
              help="1, 2 or 4"),
-    ), seed=0, executor=True),
+        _PRIME_JOBS,
+    ), seed=0),
     Verb("sweep", "characterize a workload x platform x seed matrix across "
                   "supervised worker processes, with checkpoint/resume",
          _cmd_sweep, (
@@ -951,8 +915,22 @@ VERBS = (
         _arg("--name", default=None,
              help="sweep name, used in the record id and checkpoint key "
                   "(default 'sweep')"),
+        _arg("--jobs", type=int, default=1, metavar="N", check=_ONE_PLUS,
+             help="worker processes for the sweep (default 1: serial "
+                  "in-process)"),
+        _arg("--cell-timeout", type=float, default=None, metavar="S",
+             check=_POSITIVE,
+             help="wall-clock seconds one sweep cell may take before its "
+                  "worker is SIGKILLed and the cell retried (default 300)"),
+        _arg("--resume", action="store_true",
+             help="resume from this configuration's sweep checkpoint, "
+                  "re-running only incomplete cells"),
+        _arg("--progress", action=argparse.BooleanOptionalAction,
+             default=None,
+             help="force the live progress line on (or off with "
+                  "--no-progress); default: on when stderr is a tty"),
     ), seed=0, seed_help="first seed of the matrix (default 0)",
-        json_help=_RECORD_JSON, executor=True),
+        json_help=_RECORD_JSON),
     Verb("profile", "host hot-path profiler: attribute one workload "
                     "characterization's wall-clock to repro functions "
                     "(cProfile; all timings quarantined)", _cmd_profile, (
@@ -965,7 +943,7 @@ VERBS = (
                     "counts, executor telemetry and sweep progress",
          _cmd_metrics),
     Verb("stacks", "the §5.5 software-stack study", _cmd_stacks,
-         seed=0, json_help=_RECORD_JSON, executor=True),
+         (_PRIME_JOBS,), seed=0, json_help=_RECORD_JSON),
     Verb("system", "§3.2 system-behaviour classification", _cmd_system,
          seed=0, json_help=_RECORD_JSON),
     Verb("faults", "fault resilience: Hadoop vs Spark vs MPI under a node "

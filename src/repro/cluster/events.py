@@ -273,7 +273,6 @@ class Resource:
         self._waiting: Deque[Event] = deque()
         # Accounting for utilization metrics.
         self._busy_integral = 0.0
-        self._queue_integral = 0.0
         self._last_change = sim.now
         if sim.auditor is not None:
             sim.auditor.register_resource(self)
@@ -281,7 +280,6 @@ class Resource:
     def _account(self) -> None:
         elapsed = self.sim.now - self._last_change
         self._busy_integral += elapsed * self.in_use
-        self._queue_integral += elapsed * len(self._waiting)
         self._last_change = self.sim.now
 
     def request(self) -> Event:
@@ -320,9 +318,9 @@ class Resource:
         """Withdraw a request made with :meth:`request`.
 
         A still-queued waiter is removed from the FIFO (so an
-        interrupted task does not leak a phantom waiter into
-        ``queue_time()`` accounting); a request that was already granted
-        is treated as a release.
+        interrupted task does not leave a phantom waiter that a later
+        release would grant); a request that was already granted is
+        treated as a release.
         """
         self._account()
         try:
@@ -346,8 +344,3 @@ class Resource:
         """
         elapsed = self.sim.now - self._last_change
         return self._busy_integral + elapsed * self.in_use
-
-    def queue_time(self) -> float:
-        """Waiter-seconds accumulated so far (queueing pressure)."""
-        self._account()
-        return self._queue_integral

@@ -25,7 +25,7 @@ import hashlib
 import importlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 #: Dotted path of the default cell callable.
 DEFAULT_CELL_FN = "repro.exec.cells.characterize_cell"
@@ -108,9 +108,6 @@ class CellResult:
     worker: int = -1
     #: Failure signatures observed before quarantine (empty when ok).
     failures: List[str] = field(default_factory=list)
-    #: The sample :func:`trusted_sample` rehydrated from ``counters``
-    #: when it found the cell intact; never journaled.
-    sample: Any = field(default=None, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         data = {

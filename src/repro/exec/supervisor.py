@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from multiprocessing.connection import wait
 from typing import Dict, List, Optional, Sequence
 
-from repro.exec.cells import CellResult, SweepCell, run_cell, trusted_sample
+from repro.exec.cells import CellResult, SweepCell, cell_intact, run_cell
 from repro.exec.checkpoint import SweepCheckpoint
 from repro.exec.pool import (
     HEARTBEAT_INTERVAL,
@@ -177,14 +177,11 @@ class SweepExecutor:
         if checkpoint is not None and resume:
             # A journaled cell that fails the integrity rule reruns, as
             # a missing one does; the merge would refuse it anyway.
-            # The sample the check rehydrates rides on with the result,
-            # so adopting it needs no second rehydration.
             prior = checkpoint.load()
             for cell_id, result in prior.items():
                 if cell_id not in specs or result.status != "ok":
                     continue
-                intact, result.sample = trusted_sample(specs[cell_id], result)
-                if intact:
+                if cell_intact(specs[cell_id], result):
                     outcome.results[cell_id] = result
                     telemetry["cells_from_checkpoint"] += 1
             todo = [

@@ -71,11 +71,14 @@ class ExperimentContext:
         """Characterization of one workload on one platform."""
         key = (self._definition(ref).workload_id, platform.name)
         if key not in self._counters:
-            from repro.uarch.counters import characterize
+            from repro.uarch.counters import (
+                characterization_seed,
+                characterize,
+            )
 
             profile = self.result(ref).profile
             self._counters[key] = characterize(
-                profile, platform, seed=1234 + self.seed
+                profile, platform, seed=characterization_seed(self.seed)
             )
         return self._counters[key]
 
@@ -87,15 +90,17 @@ class ExperimentContext:
         key = (suite_name, platform.name)
         if key not in self._suite_counters:
             from repro.comparison import SUITES
-            from repro.uarch.counters import characterize
+            from repro.uarch.counters import (
+                characterization_seed,
+                characterize,
+            )
 
             benchmarks = SUITES[suite_name]
+            seed = characterization_seed(self.seed)
             samples = []
             for benchmark in benchmarks:
                 profile = benchmark.profile(scale=self.scale)
-                samples.append(
-                    characterize(profile, platform, seed=1234 + self.seed)
-                )
+                samples.append(characterize(profile, platform, seed=seed))
             self._suite_counters[key] = samples
         return self._suite_counters[key]
 
@@ -128,7 +133,7 @@ class ExperimentContext:
                 wanted.append(platform)
         suite_names = [name for name in dict.fromkeys(suites)
                        if (name, XEON_E5645.name) not in self._suite_counters]
-        seed = 1234 + self.seed
+        seed = counters_module.characterization_seed(self.seed)
 
         def characterize_workload(workload_id, targets):
             profile = self.result(workload_id).profile
@@ -198,9 +203,8 @@ class ExperimentContext:
         A result that fails :func:`~repro.exec.cells.cell_intact` for
         its cell is not adopted, and the experiment computes that pair
         in-process.  The sample the check rehydrates is the one
-        installed (:func:`~repro.exec.cells.trusted_sample`); a result
-        whose ``sample`` the executor already checked is installed as
-        it is.
+        installed (:func:`~repro.exec.cells.trusted_sample`), so each
+        adopted sample is rehydrated once.
         """
         from repro.exec.cells import platform_for, trusted_sample
 
@@ -209,56 +213,35 @@ class ExperimentContext:
             result = results.get(cell.cell_id)
             if result is None or result.status != "ok":
                 continue
-            counters = result.sample
-            if counters is None:
-                intact, counters = trusted_sample(cell.to_dict(), result)
-                if not intact or counters is None:
-                    continue
+            intact, counters = trusted_sample(cell.to_dict(), result)
+            if not intact or counters is None:
+                continue
             self._definition(workload(cell.workload))
             key = (cell.workload, platform_for(cell.platform).name)
             self._counters[key] = counters
             adopted += 1
         return adopted
 
-    def prime(
-        self,
-        pairs,
-        *,
-        jobs: int,
-        cell_timeout: float = None,
-        checkpoint=None,
-        resume: bool = False,
-        tracer=None,
-    ):
+    def prime(self, pairs, *, jobs: int, tracer=None):
         """Characterize the given pairs across ``jobs`` worker processes.
 
-        Returns the executor's :class:`~repro.exec.supervisor.SweepOutcome`
-        (telemetry rides into the run record's quarantined ``timings``).
-        Quarantined cells are simply not adopted: the experiment falls
-        back to computing them serially in-process, so a poison cell
-        degrades throughput, never correctness.  ``tracer`` passes
-        straight through to the executor.
+        Nothing is checkpointed.  Returns the executor's
+        :class:`~repro.exec.supervisor.SweepOutcome`; its telemetry is
+        summed into :attr:`timings` as ``exec.<name>``.  Quarantined
+        cells are simply not adopted: the experiment falls back to
+        computing them in-process, so a poison cell degrades
+        throughput, never correctness.  ``tracer`` passes straight
+        through to the executor.
         """
-        from repro.exec.supervisor import DEFAULT_CELL_TIMEOUT, SweepExecutor
+        from repro.exec.supervisor import SweepExecutor
 
         cells = self.counter_cells(pairs)
-        executor = SweepExecutor(
-            jobs=jobs,
-            cell_timeout=(
-                cell_timeout if cell_timeout else DEFAULT_CELL_TIMEOUT
-            ),
-            tracer=tracer,
-        )
-        outcome = executor.run(cells, checkpoint=checkpoint, resume=resume)
+        outcome = SweepExecutor(jobs=jobs, tracer=tracer).run(cells)
         self.adopt_cells(cells, outcome.results)
-        self.add_telemetry(outcome.telemetry)
-        return outcome
-
-    def add_telemetry(self, telemetry: Dict[str, float]) -> None:
-        """Sum executor counters into :attr:`timings` as ``exec.<name>``."""
-        for name, value in telemetry.items():
+        for name, value in outcome.telemetry.items():
             key = f"exec.{name}"
             self.timings[key] = self.timings.get(key, 0.0) + value
+        return outcome
 
     # ---- run records --------------------------------------------------------
     def make_record(

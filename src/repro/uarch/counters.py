@@ -294,10 +294,19 @@ _FORMULAS: Dict[str, Callable[[PerfCounters], float]] = {
 METRIC_NAMES: List[str] = list(_FORMULAS)
 
 
+def characterization_seed(seed: int = 0) -> int:
+    """The seed :func:`characterize` runs with for a run seeded ``seed``.
+
+    The experiment context, ``repro run`` and the bench targets all
+    characterize through this one rule.
+    """
+    return 1234 + seed
+
+
 def characterize(
     profile: BehaviorProfile,
     platform: Platform,
-    seed: int = 1234,
+    seed: int = characterization_seed(),
     sample_instructions: int = DEFAULT_SAMPLE_INSTRUCTIONS,
 ) -> PerfCounters:
     """Characterize ``profile`` on ``platform``.

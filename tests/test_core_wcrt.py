@@ -147,6 +147,16 @@ class TestKMeans:
         chosen = choose_k_bic(points, k_min=2, k_max=8, seed=1)
         assert chosen == 3
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bic_recovers_a_planted_seventeen(self, seed):
+        """The paper's K: 77 points in 6 dimensions around 17 centres
+        drawn from N(0, 5), sigma 0.5, over the default range 2-30."""
+        rng = np.random.default_rng(seed)
+        centres = rng.normal(0, 5, size=(17, 6))
+        labels = np.arange(77) % 17
+        points = centres[labels] + rng.normal(0, 0.5, size=(77, 6))
+        assert abs(choose_k_bic(points) - 17) <= 2
+
     def test_bic_score_finite(self):
         points, _ = blobs(seed=14)
         model = fit_kmeans(points, k=3, seed=1)

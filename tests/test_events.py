@@ -161,22 +161,28 @@ class TestResource:
         with pytest.raises(RuntimeError):
             resource.release()
 
-    def test_queue_time_accumulates(self):
+    def test_waiters_are_granted_in_request_order(self):
         sim = Simulation()
         resource = Resource(sim, capacity=1)
+        granted = []
 
-        def worker():
+        def worker(tag):
             grant = resource.request()
             yield grant
+            granted.append((tag, sim.now))
             try:
                 yield sim.timeout(2.0)
             finally:
                 resource.release()
 
-        sim.process(worker())
-        sim.process(worker())
+        for tag in "abc":
+            sim.process(worker(tag))
+        sim.run(until=1.0)
+        assert resource.waiters == 2
         sim.run()
-        assert resource.queue_time() == pytest.approx(2.0)
+        assert granted == [("a", 0.0), ("b", 2.0), ("c", 4.0)]
+        assert resource.waiters == 0
+        assert resource.in_use == 0
 
 
 class TestInterrupt:
@@ -372,11 +378,13 @@ class TestResourceCancel:
         sim.process(holder())
         process = sim.process(canceller())
         sim.run(until=2.0)
+        assert resource.waiters == 1
         process.interrupt()
+        # No phantom waiter: the cancel empties the queue at 2 s, and
+        # the holder's release at 10 s grants nobody.
+        assert resource.waiters == 0
         sim.run()
-        # No phantom waiter: queueing stopped at the cancel (2s), not at
-        # the holder's release (10s).
-        assert resource.queue_time() == pytest.approx(2.0)
+        assert not cancelled["grant"].triggered
         assert resource.in_use == 0
 
     def test_cancel_granted_request_releases(self):

@@ -65,20 +65,22 @@ class TestSweepVerb:
 
 class TestTamperedCheckpoint:
     def test_resume_refuses_counters_that_miss_their_metrics(self, tmp_path):
-        from repro.exec import SweepCheckpoint
+        from repro.exec import SweepCheckpoint, SweepExecutor
         from repro.obs.fsck import fsck_scan
         from repro.uarch.platforms import XEON_E5645
 
         runs = str(tmp_path / "runs")
-        pairs = [("H-Read", XEON_E5645)]
+        cells = ExperimentContext(scale=0.1).counter_cells(
+            [("H-Read", XEON_E5645)])
 
         def prime(resume):
             checkpoint = SweepCheckpoint(runs, "fig5-h-s0")
             checkpoint.initialise(config_hash="h", seed=0,
                                   config={"scale": 0.1}, n_cells=1)
+            outcome = SweepExecutor(jobs=1).run(
+                cells, checkpoint=checkpoint, resume=resume)
             context = ExperimentContext(scale=0.1)
-            context.prime(pairs, jobs=1, checkpoint=checkpoint,
-                          resume=resume)
+            assert context.adopt_cells(cells, outcome.results) == 1
             return context.counters("H-Read", XEON_E5645).itlb_mpki
 
         serial = prime(resume=False)
@@ -237,21 +239,31 @@ class TestPrimedVerbs:
 
     def test_stacks_primes_exactly_its_cells(self, tmp_path):
         # `stacks --jobs 2` fans out the §5.5 spec's cells, no more and
-        # no fewer, and the primed record equals a serial one.
+        # no fewer, writes no checkpoint, and the primed record equals
+        # a serial one.
         par, ser = str(tmp_path / "par"), str(tmp_path / "ser")
         assert main(["--scale", "0.1", "--runs-dir", par, "stacks",
                      "--jobs", "2"]) == 0
         assert main(["--scale", "0.1", "--runs-dir", ser, "stacks",
                      "--jobs", "1"]) == 0
-        (sweep,) = os.listdir(os.path.join(par, "sweeps"))
-        journal = SweepDir(os.path.join(par, "sweeps", sweep)).read().journal
-        expected = ExperimentContext(scale=0.1).counter_cells(STACKS.cells)
-        assert sorted(result.cell_id for _, result in journal) == sorted(
-            cell.cell_id for cell in expected)
+        assert not os.path.exists(os.path.join(par, "sweeps"))
         parallel = RunRegistry(par).latest("stacks")
         serial = RunRegistry(ser).latest("stacks")
+        expected = ExperimentContext(scale=0.1).counter_cells(STACKS.cells)
+        assert parallel.timings["exec.cells_total"] == len(expected)
+        assert parallel.timings["exec.cells_ok"] == len(expected)
         assert parallel.timings["exec.jobs"] == 2.0
         assert parallel.metrics == serial.metrics
+
+    @pytest.mark.parametrize("verb", [["fig", "4"], ["table", "2"],
+                                      ["stacks"]])
+    @pytest.mark.parametrize("flag", [["--resume"], ["--cell-timeout", "5"],
+                                      ["--progress"]])
+    def test_counter_verbs_refuse_sweep_flags(self, verb, flag, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(verb + ["--jobs", "2"] + flag)
+        assert refused.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestTypedExitCodes:

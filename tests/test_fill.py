@@ -1,16 +1,13 @@
 """``ExperimentContext.fill``: the threaded characterization of a
 figure's cells and suites fills the cache with what the serial calls
-would have put there, and a resumed ``--jobs`` prime rehydrates each
-journaled cell once."""
+would have put there."""
 
 import dataclasses
 
 import pytest
 
 from repro.comparison import SUITES
-from repro.exec.checkpoint import SweepCheckpoint
 from repro.experiments.runner import ExperimentContext
-from repro.uarch.counters import PerfCounters
 from repro.uarch.platforms import ATOM_D510, XEON_E5645
 from repro.workloads import workload
 
@@ -81,33 +78,3 @@ def test_fill_skips_what_is_cached():
     cached = context.counters("H-Grep")
     context.fill([("H-Grep", XEON_E5645)])
     assert context.counters("H-Grep") is cached
-
-
-def test_resumed_prime_rehydrates_each_cell_once(tmp_path, monkeypatch):
-    pairs = [("H-Read", XEON_E5645), ("H-Read", ATOM_D510)]
-
-    def prime(resume):
-        checkpoint = SweepCheckpoint(str(tmp_path), "resume")
-        checkpoint.initialise(config_hash="h", seed=0, config={},
-                              n_cells=len(pairs))
-        context = ExperimentContext(scale=0.1)
-        outcome = context.prime(pairs, jobs=1, checkpoint=checkpoint,
-                                resume=resume)
-        return context, outcome
-
-    fresh, _ = prime(resume=False)
-    original = PerfCounters.from_dict.__func__
-    calls = []
-
-    def count(cls, data):
-        calls.append(data)
-        return original(cls, data)
-
-    monkeypatch.setattr(PerfCounters, "from_dict", classmethod(count))
-    resumed, outcome = prime(resume=True)
-    assert outcome.telemetry["cells_from_checkpoint"] == len(pairs)
-    assert len(calls) == len(pairs)
-    for workload_id, platform in pairs:
-        assert resumed.counters(workload_id, platform).to_dict() == (
-            fresh.counters(workload_id, platform).to_dict())
-    assert len(calls) == len(pairs)

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.uarch import (
     ATOM_D510,
@@ -105,6 +106,45 @@ class TestTlb:
         for start in (0, 5, 9):
             assert (tlb_misses(lines, config, start=start)
                     == oracle_tlb_misses(lines, config, start=start))
+
+
+@st.composite
+def page_runs(draw):
+    """(lines, config): a line trace made of runs on one page, up to 40
+    references long, so that a whole page block can repeat one page, in
+    a TLB of random geometry.  ``base`` moves the pages past int32."""
+    ways = draw(st.integers(1, 6))
+    config = TlbConfig("t", entries=ways * draw(st.integers(1, 6)),
+                       ways=ways)
+    base = draw(st.sampled_from([0, 1 << 33]))
+    universe = draw(st.integers(1, 3 * config.entries))
+    runs = draw(st.lists(
+        st.tuples(st.integers(0, universe - 1), st.integers(1, 40)),
+        max_size=30,
+    ))
+    lines = [(base + page) * LINES_PER_PAGE + (7 * i) % LINES_PER_PAGE
+             for page, length in runs for i in range(length)]
+    return lines, config
+
+
+class TestTlbPageBlocks:
+    """``tlb_misses`` turns lines into pages one block at a time;
+    shrinking the block makes every trace span several blocks."""
+
+    @given(page_runs(), st.sampled_from([1, 2, 3, 16]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_scalar_tlb_across_page_blocks(self, case, block, data):
+        lines, config = case
+        n = len(lines)
+        start = data.draw(st.one_of(
+            st.integers(0, n),  # inside a block
+            st.integers(0, n // block).map(lambda k: k * block),  # an edge
+            st.integers(n, n + 2 * block),  # past the last block
+        ))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tlb_module, "_PAGE_BLOCK", block)
+            misses = tlb_misses(lines, config, start=start)
+        assert misses == oracle_tlb_misses(lines, config, start=start)
 
 
 class TestPlatforms:
